@@ -1,5 +1,6 @@
-// E19 — large-n memory layout: compact rank tables, arena storage, and the
-// prefetch/SIMD scan engine (docs/PERFORMANCE.md §Compact memory layout).
+// E19 — large-n memory layout: compact rank tables, arena storage, the
+// queue engine's prefetch pipeline and the SIMD scan engine
+// (docs/PERFORMANCE.md §Compact memory layout).
 //
 // Claims regenerated:
 //  * the compact layout (no same-gender diagonal rows + width-adaptive
@@ -7,11 +8,11 @@
 //    8/3 ≈ 2.67× for bipartite instances vs the seed layout
 //    (k·k rows × 4-byte ranks);
 //  * narrow16 and wide32 rank layouts are bitwise-identical in outcomes
-//    (matching AND proposal count) across the queue and prefetch engines —
-//    the self-check line below is grepped by CI;
-//  * the prefetch engine (software-prefetch pipeline over the proposal
-//    stream) beats the scalar queue path once the rank table outgrows the
-//    LLC, and 16-bit ranks beat 32-bit by halving the random-read footprint;
+//    (matching AND proposal count) from the queue engine — the self-check
+//    line below is grepped by CI;
+//  * 16-bit ranks beat 32-bit by halving the random-read footprint of the
+//    queue engine's prefetch-pipelined loop once the rank table outgrows the
+//    LLC (the bm_gs_queue_narrow / bm_gs_queue_wide ratio);
 //  * the vectorized row-scan kernels (gs/simd.hpp) give the streaming
 //    bandwidth ceiling that contextualizes the random-access numbers.
 //
@@ -57,7 +58,7 @@ std::int64_t bytes_per_proposal(const KPartiteInstance& inst) {
 void report() {
   const Index max_n = e19_max_n();
   std::cout << "E19: large-n memory layout — compact ranks, arena storage, "
-               "prefetch engine\n"
+               "queue engine\n"
             << "(max n = " << max_n
             << "; extend with KSTABLE_E19_MAX_N; SIMD dispatch: "
             << gs::simd::to_string(gs::simd::best_isa()) << ")\n\n";
@@ -67,8 +68,7 @@ void report() {
       {"n", "seed bytes", "compact bytes", "shrink", "arena bytes", "width"});
   TableWriter timing(
       "GS wall clock and bytes/proposal (k=2, uniform, seed 191)",
-      {"n", "queue ms", "prefetch16 ms", "prefetch32 ms", "B/proposal 16",
-       "B/proposal 32"});
+      {"n", "queue16 ms", "queue32 ms", "B/proposal 16", "B/proposal 32"});
   bool all_identical = true;
   Rng rng(191);
   for (Index n = 1024; n <= max_n; n *= 4) {
@@ -83,22 +83,18 @@ void report() {
          static_cast<std::int64_t>(narrow.arena_bytes()),
          std::string(prefs::to_string(narrow.rank_width()))});
 
-    const auto queue = gs::gale_shapley_queue(narrow, 0, 1);
-    const auto pre16 = gs::gale_shapley_prefetch(narrow, 0, 1);
-    const auto pre32 = gs::gale_shapley_prefetch(wide, 0, 1);
+    const auto q16 = gs::gale_shapley_queue(narrow, 0, 1);
+    const auto q32 = gs::gale_shapley_queue(wide, 0, 1);
     all_identical = all_identical &&
-                    pre16.proposer_match == queue.proposer_match &&
-                    pre16.responder_match == queue.responder_match &&
-                    pre16.proposals == queue.proposals &&
-                    pre32.proposer_match == queue.proposer_match &&
-                    pre32.proposals == queue.proposals;
-    timing.add_row({std::int64_t{n}, queue.wall_ms, pre16.wall_ms,
-                    pre32.wall_ms, bytes_per_proposal(narrow),
-                    bytes_per_proposal(wide)});
+                    q16.proposer_match == q32.proposer_match &&
+                    q16.responder_match == q32.responder_match &&
+                    q16.proposals == q32.proposals;
+    timing.add_row({std::int64_t{n}, q16.wall_ms, q32.wall_ms,
+                    bytes_per_proposal(narrow), bytes_per_proposal(wide)});
   }
   footprint.print(std::cout);
   timing.print(std::cout);
-  std::cout << "narrow16/wide32/queue outcomes bitwise identical: "
+  std::cout << "narrow16/wide32 queue outcomes bitwise identical: "
             << (all_identical ? "yes (layout is semantics-free)" : "NO (BUG)")
             << "\n\n";
 }
@@ -143,32 +139,12 @@ void bm_gs_queue_wide(benchmark::State& state) {
   });
 }
 
-void bm_gs_prefetch_narrow(benchmark::State& state) {
-  Rng rng(193);
-  const auto inst = gen::uniform(2, static_cast<Index>(state.range(0)), rng);
-  run_warm(state, inst, [](const auto& in, auto& w, auto& r) {
-    gs::gale_shapley_prefetch(in, 0, 1, {}, w, r);
-  });
-}
-
-void bm_gs_prefetch_wide(benchmark::State& state) {
-  Rng rng(193);
-  const auto inst = KPartiteInstance::relaid(
-      gen::uniform(2, static_cast<Index>(state.range(0)), rng),
-      prefs::RankWidth::wide32);
-  run_warm(state, inst, [](const auto& in, auto& w, auto& r) {
-    gs::gale_shapley_prefetch(in, 0, 1, {}, w, r);
-  });
-}
-
 void e19_sizes(benchmark::internal::Benchmark* bench) {
   for (Index n = 1024; n <= e19_max_n(); n *= 2) bench->Arg(n);
 }
 
 BENCHMARK(bm_gs_queue_narrow)->Apply(e19_sizes);
 BENCHMARK(bm_gs_queue_wide)->Apply(e19_sizes);
-BENCHMARK(bm_gs_prefetch_narrow)->Apply(e19_sizes);
-BENCHMARK(bm_gs_prefetch_wide)->Apply(e19_sizes);
 
 // SIMD scan engine vs the scalar scan ablation: the vectorized first-of-pair
 // kernel against the same O(n) list walks.

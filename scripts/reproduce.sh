@@ -15,6 +15,10 @@ on_error() {
 }
 trap 'on_error $LINENO' ERR
 
+# Preflight: every --baseline a gate below reads must be tracked in git, or
+# that gate could only fail with "cannot read" after the whole run.
+scripts/check_baselines_tracked.sh
+
 # Release explicitly: the bench binaries refuse --benchmark_out from any
 # other build type (BENCH_*.json timings must be comparable across runs).
 cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release
@@ -51,11 +55,11 @@ mv bench_output.txt.partial bench_output.txt
 python3 scripts/compare_bench.py \
   --baseline bench/baselines/BENCH_E18.json --fresh BENCH_e18.json \
   --exact-counter trees --exact-counter chunk
-# E19: exact proposal counters plus prefetch/queue engine ratios.
+# E19: exact proposal counters plus the u16/u32 rank-width time ratio of
+# the queue engine (pins the compact layout's win).
 python3 scripts/compare_bench.py \
   --baseline bench/baselines/BENCH_E19.json --fresh BENCH_e19.json \
-  --ratio bm_gs_prefetch_narrow bm_gs_queue_narrow \
-  --ratio bm_gs_prefetch_wide bm_gs_queue_wide
+  --ratio bm_gs_queue_narrow bm_gs_queue_wide
 # E20: warm must stay cheaper than cold by the frozen-scenario counters.
 python3 scripts/compare_bench.py \
   --baseline bench/baselines/BENCH_E20.json --fresh BENCH_e20.json \
@@ -65,7 +69,6 @@ python3 scripts/compare_bench.py \
 # row), and the implicit/explicit queue ratio pins the generator overhead.
 python3 scripts/compare_bench.py \
   --baseline bench/baselines/BENCH_E21.json --fresh BENCH_e21.json \
-  --ratio bm_implicit_queue bm_explicit_queue \
-  --ratio bm_implicit_prefetch bm_implicit_queue
+  --ratio bm_implicit_queue bm_explicit_queue
 
 echo "reproduce.sh: all experiments completed"

@@ -4,7 +4,6 @@
 
 #include "core/gs_cache.hpp"
 #include "gs/parallel_gs.hpp"
-#include "gs/scan_gs.hpp"
 #include "resilience/fault_injection.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -42,14 +41,6 @@ gs::GsResult run_engine(const KPartiteInstance& inst, GenderEdge edge,
                       "GsEngine::parallel needs a ThreadPool");
       return gs::gale_shapley_parallel(inst, edge.a, edge.b, *options.pool,
                                        256, options.control);
-    case GsEngine::prefetch:
-      if (options.workspace != nullptr) {
-        gs::gale_shapley_prefetch(inst, edge.a, edge.b, gs_options,
-                                  *options.workspace, result);
-      } else {
-        result = gs::gale_shapley_prefetch(inst, edge.a, edge.b, gs_options);
-      }
-      return result;
   }
   KSTABLE_REQUIRE(false, "unknown GS engine");
   return {};
@@ -61,7 +52,6 @@ const char* binding_engine_label(GsEngine engine) {
     case GsEngine::queue: return "binding.queue";
     case GsEngine::rounds: return "binding.rounds";
     case GsEngine::parallel: return "binding.parallel";
-    case GsEngine::prefetch: return "binding.prefetch";
   }
   return "binding";
 }

@@ -28,17 +28,16 @@
 
 namespace kstable::core {
 
-/// Which Gale-Shapley engine runs each binary binding. `prefetch` is the
-/// queue algorithm over the compact rank layout with a software-prefetch
-/// pipeline (gs/scan_gs.hpp) — sequential like queue/rounds, bitwise
-/// identical to queue, built for large-n DRAM-bound solves.
-enum class GsEngine { queue, rounds, parallel, prefetch };
+/// Which Gale-Shapley engine runs each binary binding: the seeded queue loop
+/// (prefetch-pipelined, the default), the paper's rounds (§II.A verbatim),
+/// or the speculative parallel engine (Cor. 1-2).
+enum class GsEngine { queue, rounds, parallel };
 
 /// Number of GsEngine values. Keep NEXT TO the enum and update together when
 /// adding an engine: GsEdgeCache sizes its slot table from this and
-/// static_asserts against its own compiled-in constant, so a fifth engine
+/// static_asserts against its own compiled-in constant, so a new engine
 /// cannot silently alias cache slots.
-inline constexpr std::size_t kGsEngineCount = 4;
+inline constexpr std::size_t kGsEngineCount = 3;
 
 /// Static-lifetime display/metrics label of an engine.
 [[nodiscard]] constexpr const char* to_string(GsEngine engine) noexcept {
@@ -46,7 +45,6 @@ inline constexpr std::size_t kGsEngineCount = 4;
     case GsEngine::queue: return "queue";
     case GsEngine::rounds: return "rounds";
     case GsEngine::parallel: return "parallel";
-    case GsEngine::prefetch: return "prefetch";
   }
   return "unknown";
 }

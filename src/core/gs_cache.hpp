@@ -83,7 +83,7 @@ class GsEdgeCache {
                 "GsEdgeCache slot table must cover every GsEngine value; "
                 "update kGsEngineCount (core/binding.hpp) and kEngineCount "
                 "together when adding an engine");
-  static_assert(static_cast<std::size_t>(GsEngine::prefetch) ==
+  static_assert(static_cast<std::size_t>(GsEngine::parallel) ==
                     kGsEngineCount - 1,
                 "kGsEngineCount is out of sync with the last GsEngine "
                 "enumerator");

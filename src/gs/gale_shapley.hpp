@@ -1,14 +1,23 @@
 // Gale-Shapley engines for one binary binding GS(i, j) between two genders of
 // a KPartiteInstance (paper §II.A).
 //
-// Three implementations with identical outcomes (GS is confluent: the
-// proposer-optimal matching does not depend on proposal order):
-//   * queue engine  — textbook free-list iteration, O(n²) worst case;
+// Every engine resolves a proposal the same way (one accept/reject step,
+// shared by the queue and round engines) and reaches the same outcome (GS is
+// confluent: the proposer-optimal matching does not depend on proposal
+// order):
+//   * queue engine  — the seeded free-stack loop: the caller seeds the match
+//                     arrays, next_choice and the free stack (all-free for a
+//                     cold solve, the dirty closure for a warm restart,
+//                     incremental/warm_gs.hpp) and the loop proposes until
+//                     the stack is empty. It software-prefetches the next
+//                     proposal's rank cells and the stack top's pref cell
+//                     (no-ops on the implicit backend); O(n²) worst case;
 //   * round engine  — the paper's description: per round, every unengaged
 //                     proposer proposes, every responder keeps the best
 //                     (McVitie-Wilson style rounds);
 //   * parallel engine (parallel_gs.hpp) — speculative concurrent proposals
-//                     with atomic responder slots.
+//                     with atomic responder slots;
+//   * scan engines (scan_gs.hpp) — the rank-table ablation baseline.
 // All engines count accumulated proposals, the unit of Theorem 3's
 // (k-1)n² bound.
 #pragma once
@@ -48,7 +57,8 @@ struct GsResult {
   /// Wall time of the engine run in milliseconds (0 for cache replays).
   double wall_ms = 0.0;
   /// Static-lifetime label of the engine that produced this result
-  /// ("gs.queue", "gs.rounds", "gs.parallel", "gs.scan").
+  /// ("gs.queue", "gs.rounds", "gs.parallel", "gs.scan", "gs.scan_simd",
+  /// "gs.warm").
   const char* engine = "";
 };
 
@@ -116,6 +126,29 @@ void gale_shapley_queue(const KPartiteInstance& inst, Gender i, Gender j,
 void gale_shapley_rounds(const KPartiteInstance& inst, Gender i, Gender j,
                          const GsOptions& options, GsWorkspace& workspace,
                          GsResult& result);
+
+/// Runs the queue engine's loop from a caller-supplied seed, with no reset:
+/// `result`'s match arrays must hold a valid GS execution prefix (every
+/// matched pair consistent in both arrays), `workspace.next_choice[p]` the
+/// next rank proposer p tries, and `workspace.free_list` the free proposers
+/// (popped from the back). Proposes until the free stack is empty — an empty
+/// seed returns at once with zero proposals — adding to result.proposals.
+/// The caller sets the label and checks the postcondition (finish_engine).
+void run_seeded_queue(const KPartiteInstance& inst, Gender i, Gender j,
+                      const GsOptions& options, GsWorkspace& workspace,
+                      GsResult& result);
+
+/// Engine plumbing shared by every GS engine (gs/ and incremental/).
+/// Throws ContractViolation unless 0 <= i, j < k and i != j.
+void check_genders(const KPartiteInstance& inst, Gender i, Gender j);
+/// Resets `result` for a fresh all-free (i, j) solve, reusing capacity.
+void reset_result(GsResult& result, Gender i, Gender j, Index n);
+/// Traced runs reserve the Theorem 3 per-binding bound (n² events) up front.
+void reserve_trace(const GsOptions& options, Index n);
+/// Stamps label and wall time, then enforces the postcondition: a perfect
+/// matching with consistent match arrays (ContractViolation otherwise).
+void finish_engine(const KPartiteInstance& inst, const char* engine,
+                   double wall_ms, GsResult& result);
 
 /// True iff `result` is a stable matching of genders (i, j) under `inst`:
 /// perfect and with no blocking pair. (A cheaper special case of the

@@ -39,9 +39,7 @@ GsResult gale_shapley_parallel(const KPartiteInstance& inst, Gender i, Gender j,
                                ThreadPool& pool, std::size_t chunk,
                                resilience::ExecControl* control) {
   const WallTimer timer;
-  KSTABLE_REQUIRE(i != j && i >= 0 && j >= 0 && i < inst.genders() &&
-                      j < inst.genders(),
-                  "GS(" << i << ',' << j << ") invalid, k=" << inst.genders());
+  check_genders(inst, i, j);
   KSTABLE_REQUIRE(chunk >= 1, "chunk must be >= 1");
   const Index n = inst.per_gender();
 
@@ -53,10 +51,7 @@ GsResult gale_shapley_parallel(const KPartiteInstance& inst, Gender i, Gender j,
   for (Index p = 0; p < n; ++p) free_list[static_cast<std::size_t>(p)] = p;
 
   GsResult result;
-  result.proposer_gender = i;
-  result.responder_gender = j;
-  result.proposer_match.assign(static_cast<std::size_t>(n), Index{-1});
-  result.responder_match.assign(static_cast<std::size_t>(n), Index{-1});
+  reset_result(result, i, j, n);
 
   // One backend + width dispatch up front; the per-chunk tasks then run the
   // monomorphized view (pure reads, safe to share across the pool — the
@@ -112,12 +107,7 @@ GsResult gale_shapley_parallel(const KPartiteInstance& inst, Gender i, Gender j,
   }
   });
 
-  for (Index r = 0; r < n; ++r) {
-    KSTABLE_ENSURE(result.responder_match[static_cast<std::size_t>(r)] >= 0,
-                   "responder " << r << " unmatched after parallel GS");
-  }
-  result.engine = "gs.parallel";
-  result.wall_ms = timer.millis();
+  finish_engine(inst, "gs.parallel", timer.millis(), result);
   KSTABLE_COUNTER_ADD("gs.parallel.solves", 1);
   KSTABLE_COUNTER_ADD("gs.parallel.proposals", result.proposals);
   KSTABLE_COUNTER_ADD("gs.parallel.rounds", result.rounds);

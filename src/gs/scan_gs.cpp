@@ -11,18 +11,13 @@ namespace kstable::gs {
 namespace {
 
 #if KSTABLE_METRICS_ENABLED
-/// Eager instrument registration (same pattern as gale_shapley.cpp): the
-/// prefetch engine shares the queue engine's zero-allocation warm-path
-/// contract, so even its FIRST warm solve must not allocate inside the
-/// metrics registry.
+/// Eager instrument registration (same pattern as gale_shapley.cpp).
 const bool kScanInstrumentsWarm = [] {
   auto& registry = obs::MetricsRegistry::global();
   registry.counter("gs.scan.solves");
   registry.counter("gs.scan.proposals");
   registry.counter("gs.scan_simd.solves");
   registry.counter("gs.scan_simd.proposals");
-  registry.counter("gs.prefetch.solves");
-  registry.counter("gs.prefetch.proposals");
   return true;
 }();
 #endif
@@ -70,16 +65,11 @@ bool scan_prefers_simd(const View& view, Index r, Index n, Index a, Index b) {
 template <typename Prefers>
 GsResult scan_engine(const KPartiteInstance& inst, Gender i, Gender j,
                      const char* engine_label, Prefers&& prefers) {
-  KSTABLE_REQUIRE(i != j && i >= 0 && j >= 0 && i < inst.genders() &&
-                      j < inst.genders(),
-                  "GS(" << i << ',' << j << ") invalid, k=" << inst.genders());
+  check_genders(inst, i, j);
   const Index n = inst.per_gender();
   const WallTimer timer;
   GsResult result;
-  result.proposer_gender = i;
-  result.responder_gender = j;
-  result.proposer_match.assign(static_cast<std::size_t>(n), Index{-1});
-  result.responder_match.assign(static_cast<std::size_t>(n), Index{-1});
+  reset_result(result, i, j, n);
 
   std::vector<Index> next_choice(static_cast<std::size_t>(n), Index{0});
   std::vector<Index> free_stack(static_cast<std::size_t>(n));
@@ -108,96 +98,8 @@ GsResult scan_engine(const KPartiteInstance& inst, Gender i, Gender j,
     }
   });
   result.rounds = result.proposals;
-  result.engine = engine_label;
-  result.wall_ms = timer.millis();
+  finish_engine(inst, engine_label, timer.millis(), result);
   return result;
-}
-
-/// Prefetch-pipelined queue loop, monomorphized on the preference view. The
-/// proposal sequence is EXACTLY the queue engine's (same stack discipline:
-/// a displaced holder or a rejected proposer goes next, otherwise the stack
-/// top), so matchings, proposal counts, and traces are bitwise identical.
-/// What changes is only *when* memory is asked for: each resolution stages
-/// the next proposal — its pref cell was prefetched a step earlier, its two
-/// rank-row cells are prefetched now, consumed at the next resolution —
-/// and speculatively prefetches the pref cell of the likely
-/// proposal-after-next (the stack top). Mispredicted prefetches touch a
-/// wasted cache line; they can never change the outcome. On the implicit
-/// backend every prefetch is a no-op (there is no table to warm) and the
-/// staging collapses to the plain queue discipline.
-template <typename View>
-void prefetch_loop(const View view, Index n, const GsOptions& options,
-                   GsWorkspace& workspace, GsResult& result) {
-  workspace.next_choice.assign(static_cast<std::size_t>(n), Index{0});
-  auto& free_stack = workspace.free_list;
-  free_stack.resize(static_cast<std::size_t>(n));
-  for (Index p = 0; p < n; ++p) {
-    free_stack[static_cast<std::size_t>(p)] = n - 1 - p;  // pop in index order
-  }
-
-  Index* const proposer_match = result.proposer_match.data();
-  Index* const responder_match = result.responder_match.data();
-  Index* const next_choice = workspace.next_choice.data();
-
-  // Stage the first proposal (the queue engine's first pop).
-  Index sp = free_stack.back();
-  free_stack.pop_back();
-  Index sr = view.pref_at(sp, 0);
-  next_choice[static_cast<std::size_t>(sp)] = 1;
-  auto srow = view.resp_row(sr);
-  view.prefetch_rank(srow, sp);
-
-  while (true) {
-    const Index p = sp;
-    const Index r = sr;
-    const auto ranks = srow;
-    ++result.proposals;
-    if (options.control != nullptr) options.control->charge();
-
-    const Index holder = responder_match[static_cast<std::size_t>(r)];
-    Index next = -1;
-    ProposalEvent event{p, r, false, -1};
-    if (holder < 0) {
-      responder_match[static_cast<std::size_t>(r)] = p;
-      proposer_match[static_cast<std::size_t>(p)] = r;
-      event.accepted = true;
-    } else if (view.rank_in(ranks, p) < view.rank_in(ranks, holder)) {
-      responder_match[static_cast<std::size_t>(r)] = p;
-      proposer_match[static_cast<std::size_t>(p)] = r;
-      proposer_match[static_cast<std::size_t>(holder)] = -1;
-      next = holder;  // the queue engine pushes, then pops it right back
-      event.accepted = true;
-      event.displaced = holder;
-    } else {
-      next = p;  // rejected; retries its next choice immediately
-    }
-    if (options.trace != nullptr) options.trace->push_back(event);
-
-    if (next < 0) {
-      if (free_stack.empty()) break;
-      next = free_stack.back();
-      free_stack.pop_back();
-    }
-
-    // Stage `next`: its pref cell is hot (prefetched a step ago when it was
-    // the speculative stack top, or it displaced/rejected through rank rows
-    // just touched); issue the rank-cell prefetches it will need.
-    KSTABLE_ASSERT(next_choice[static_cast<std::size_t>(next)] < n);
-    sp = next;
-    sr = view.pref_at(sp, next_choice[static_cast<std::size_t>(sp)]++);
-    srow = view.resp_row(sr);
-    view.prefetch_rank(srow, sp);
-    const Index sholder = responder_match[static_cast<std::size_t>(sr)];
-    if (sholder >= 0) {
-      view.prefetch_rank(srow, sholder);
-    }
-    // Speculate one further: the proposal after next most likely comes off
-    // the stack top — warm its next pref cell.
-    if (!free_stack.empty()) {
-      const Index spec = free_stack.back();
-      view.prefetch_pref(spec, next_choice[static_cast<std::size_t>(spec)]);
-    }
-  }
 }
 
 }  // namespace
@@ -224,44 +126,6 @@ GsResult gale_shapley_scan_simd(const KPartiteInstance& inst, Gender i,
                             });
   KSTABLE_COUNTER_ADD("gs.scan_simd.solves", 1);
   KSTABLE_COUNTER_ADD("gs.scan_simd.proposals", result.proposals);
-  return result;
-}
-
-void gale_shapley_prefetch(const KPartiteInstance& inst, Gender i, Gender j,
-                           const GsOptions& options, GsWorkspace& workspace,
-                           GsResult& result) {
-  KSTABLE_REQUIRE(i != j && i >= 0 && j >= 0 && i < inst.genders() &&
-                      j < inst.genders(),
-                  "GS(" << i << ',' << j << ") invalid, k=" << inst.genders());
-  const WallTimer timer;
-  const Index n = inst.per_gender();
-  result.proposer_gender = i;
-  result.responder_gender = j;
-  result.proposer_match.assign(static_cast<std::size_t>(n), Index{-1});
-  result.responder_match.assign(static_cast<std::size_t>(n), Index{-1});
-  result.proposals = 0;
-  result.rounds = 0;
-  if (options.trace != nullptr) {
-    options.trace->reserve(options.trace->size() +
-                           static_cast<std::size_t>(n) *
-                               static_cast<std::size_t>(n));
-  }
-
-  prefs::with_pref_view(inst, i, j, [&](const auto view) {
-    prefetch_loop(view, n, options, workspace, result);
-  });
-  result.rounds = result.proposals;
-  result.engine = "gs.prefetch";
-  result.wall_ms = timer.millis();
-  KSTABLE_COUNTER_ADD("gs.prefetch.solves", 1);
-  KSTABLE_COUNTER_ADD("gs.prefetch.proposals", result.proposals);
-}
-
-GsResult gale_shapley_prefetch(const KPartiteInstance& inst, Gender i,
-                               Gender j, const GsOptions& options) {
-  GsWorkspace workspace;
-  GsResult result;
-  gale_shapley_prefetch(inst, i, j, options, workspace, result);
   return result;
 }
 

@@ -23,10 +23,12 @@
 // unmatched (the closure guarantees a clean proposer's partner is clean).
 // Extra conservative dirt is always sound — it only replays more work.
 //
-// The continuation runs the queue algorithm regardless of the engine the
+// The continuation is the queue engine's own loop (gs::run_seeded_queue)
+// over this seed, on any preference view, regardless of the engine the
 // previous result came from; by confluence the match arrays equal every
 // engine's cold output (the churn battery pins this bitwise across engines
-// and both rank widths).
+// and both rank widths). An empty closure proposes nothing and returns the
+// previous match arrays unchanged.
 #pragma once
 
 #include "gs/gale_shapley.hpp"

@@ -9,6 +9,9 @@
 //   rank_in(row, p)      — p's rank with responder r (the accept/reject load)
 //   resp_pref_in(row, c) — responder r's c-th choice (scan engines only)
 //
+// plus two hooks the queue loop calls on every proposal, prefetch_pref and
+// prefetch_rank.
+//
 // ExplicitView<R> implements them as the raw-pointer arithmetic the engines
 // used to inline directly (one row-base multiply per proposal, typed rank
 // loads, real software prefetches) — the explicit backend keeps its
@@ -24,8 +27,8 @@
 
 namespace kstable::prefs {
 
-/// Read-mostly prefetch (mirrors gs/simd.hpp's prefetch_ro; duplicated here
-/// so the prefs layer stays below gs in the dependency order).
+/// Read-mostly software prefetch with low temporal locality: rank rows are
+/// touched twice per proposal and then usually not again for a long time.
 inline void view_prefetch_ro(const void* p) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);

@@ -136,9 +136,6 @@ gs::GsResult gs_engine_checks(const KPartiteInstance& inst, Gender i, Gender j,
   compare(gs::gale_shapley_scan_simd(inst, i, j),
           "gs.engine.scan_simd.bitwise", true,
           "gs.engine.scan_simd.proposals");
-  compare(gs::gale_shapley_prefetch(inst, i, j),
-          "gs.engine.prefetch.bitwise", true,
-          "gs.engine.prefetch.proposals");
 
   if (options.pool != nullptr) {
     compare(gs::gale_shapley_parallel(inst, i, j, *options.pool, 8),
@@ -149,9 +146,8 @@ gs::GsResult gs_engine_checks(const KPartiteInstance& inst, Gender i, Gender j,
 
 /// Memory-layout agreement: the same instance re-laid at the other rank
 /// width (prefs/compact_ranks.hpp) must stay semantically equal and must
-/// produce bitwise-identical solves from both the scalar queue engine and
-/// the width-monomorphized prefetch engine — rank width is a layout choice,
-/// never a semantic one.
+/// produce bitwise-identical solves from the width-monomorphized queue
+/// engine — rank width is a layout choice, never a semantic one.
 void layout_checks(const KPartiteInstance& inst, const Recorder& rec) {
   const auto other = inst.rank_width() == prefs::RankWidth::narrow16
                          ? prefs::RankWidth::wide32
@@ -183,9 +179,6 @@ void layout_checks(const KPartiteInstance& inst, const Recorder& rec) {
   compare_widths(gs::gale_shapley_queue(inst, 0, 1),
                  gs::gale_shapley_queue(relaid, 0, 1),
                  "layout.width.queue.bitwise");
-  compare_widths(gs::gale_shapley_prefetch(inst, 0, 1),
-                 gs::gale_shapley_prefetch(relaid, 0, 1),
-                 "layout.width.prefetch.bitwise");
 }
 
 /// Implicit-backend cross-checks (docs/PERFORMANCE.md §Implicit
@@ -288,9 +281,6 @@ void implicit_checks(const Recorder& rec, const DiffOptions& options) {
                       "different proposal traces");
         compare(gs::gale_shapley_rounds(implicit, i, j),
                 "implicit.rounds.bitwise", true, "implicit.rounds.proposals");
-        compare(gs::gale_shapley_prefetch(implicit, i, j),
-                "implicit.prefetch.bitwise", true,
-                "implicit.prefetch.proposals");
         compare(gs::gale_shapley_scan(implicit, i, j),
                 "implicit.scan.bitwise", true, "implicit.scan.proposals");
         compare(gs::gale_shapley_scan_simd(implicit, i, j),
@@ -570,8 +560,8 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
 
     {  // Pure-provider path (no cache): every engine's cold fallback must
        // not matter — reused + warm answers cover the whole tree.
-      for (const auto engine : {core::GsEngine::queue, core::GsEngine::rounds,
-                                core::GsEngine::prefetch}) {
+      for (const auto engine :
+           {core::GsEngine::queue, core::GsEngine::rounds}) {
         incremental::RematchOptions ropts;
         ropts.engine = engine;
         const auto warm = incremental::rematch(inst, path, previous, delta,

@@ -201,16 +201,12 @@ TEST(WidthAgreement, AllSequentialEnginesBitwiseIdenticalAcrossWidths) {
       const auto q16 = gs::gale_shapley_queue(narrow, edge.a, edge.b);
       const auto q32 = gs::gale_shapley_queue(wide, edge.a, edge.b);
       EXPECT_EQ(q16.proposer_match, q32.proposer_match) << "n=" << n;
+      EXPECT_EQ(q16.responder_match, q32.responder_match);
       EXPECT_EQ(q16.proposals, q32.proposals);
       const auto r16 = gs::gale_shapley_rounds(narrow, edge.a, edge.b);
       const auto r32 = gs::gale_shapley_rounds(wide, edge.a, edge.b);
       EXPECT_EQ(r16.proposer_match, r32.proposer_match);
       EXPECT_EQ(r16.rounds, r32.rounds);
-      const auto p16 = gs::gale_shapley_prefetch(narrow, edge.a, edge.b);
-      const auto p32 = gs::gale_shapley_prefetch(wide, edge.a, edge.b);
-      EXPECT_EQ(p16.proposer_match, p32.proposer_match);
-      EXPECT_EQ(p16.responder_match, q16.responder_match);
-      EXPECT_EQ(p32.proposals, q16.proposals);
     }
   }
 }

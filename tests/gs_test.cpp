@@ -2,10 +2,12 @@
 // stability, proposer-optimality, confluence across engines, proposal bounds.
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <tuple>
 
 #include "gs/gale_shapley.hpp"
 #include "gs/parallel_gs.hpp"
+#include "gs/scan_gs.hpp"
 #include "prefs/examples.hpp"
 #include "prefs/generators.hpp"
 #include "util/check.hpp"
@@ -57,6 +59,65 @@ TEST(GaleShapley, TraceRecordsEvents) {
   bool saw_displacement = false;
   for (const auto& event : trace) saw_displacement |= event.displaced >= 0;
   EXPECT_TRUE(saw_displacement);
+}
+
+TEST(GaleShapley, QueueTraceMatchesTextbookFreeStack) {
+  // The queue engine's prefetch-pipelined loop must emit exactly the
+  // textbook free-stack sequence: pop ascending by index, and a displaced
+  // holder or rejected proposer is pushed and popped right back. The
+  // reference below reads the instance only through pref_at / prefers.
+  Rng rng(31);
+  for (const Index n : {1, 7, 40}) {
+    const auto inst = gen::uniform(3, n, rng);
+    const Gender i = 2;
+    const Gender j = 0;
+    std::vector<gs::ProposalEvent> expected;
+    std::vector<Index> next(static_cast<std::size_t>(n), 0);
+    std::vector<Index> holder(static_cast<std::size_t>(n), -1);
+    std::vector<Index> stack;
+    for (Index p = n - 1; p >= 0; --p) stack.push_back(p);
+    while (!stack.empty()) {
+      const Index p = stack.back();
+      stack.pop_back();
+      const Index r =
+          inst.pref_at({i, p}, j, next[static_cast<std::size_t>(p)]++);
+      Index& h = holder[static_cast<std::size_t>(r)];
+      gs::ProposalEvent event{p, r, false, -1};
+      if (h < 0 || inst.prefers({j, r}, {i, p}, {i, h})) {
+        event.accepted = true;
+        event.displaced = h;
+        if (h >= 0) stack.push_back(h);
+        h = p;
+      } else {
+        stack.push_back(p);
+      }
+      expected.push_back(event);
+    }
+
+    std::vector<gs::ProposalEvent> trace;
+    gs::GsOptions options;
+    options.trace = &trace;
+    const auto result = gs::gale_shapley_queue(inst, i, j, options);
+    EXPECT_EQ(trace, expected) << "n=" << n;
+    EXPECT_EQ(result.responder_match, holder) << "n=" << n;
+  }
+}
+
+TEST(GaleShapley, EveryEngineStampsItsDocumentedLabel) {
+  // GsResult::engine feeds telemetry and metrics; each engine names itself
+  // with one of the labels documented on the field.
+  Rng rng(32);
+  const auto inst = gen::uniform(2, 6, rng);
+  ThreadPool pool(2);
+  const auto label = [](const gs::GsResult& r) {
+    return std::string_view(r.engine);
+  };
+  EXPECT_EQ(label(gs::gale_shapley_queue(inst, 0, 1)), "gs.queue");
+  EXPECT_EQ(label(gs::gale_shapley_rounds(inst, 0, 1)), "gs.rounds");
+  EXPECT_EQ(label(gs::gale_shapley_parallel(inst, 0, 1, pool, 2)),
+            "gs.parallel");
+  EXPECT_EQ(label(gs::gale_shapley_scan(inst, 0, 1)), "gs.scan");
+  EXPECT_EQ(label(gs::gale_shapley_scan_simd(inst, 0, 1)), "gs.scan_simd");
 }
 
 TEST(GaleShapley, RejectsInvalidGenderArguments) {

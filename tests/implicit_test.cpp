@@ -186,15 +186,12 @@ TEST(ImplicitEngines, AllEnginesMatchMaterializedBitwise) {
           };
           // Every engine on the implicit backend...
           expect_same(gs::gale_shapley_rounds(inst, i, j), true);
-          expect_same(gs::gale_shapley_prefetch(inst, i, j), true);
           expect_same(gs::gale_shapley_scan(inst, i, j), true);
           expect_same(gs::gale_shapley_scan_simd(inst, i, j), true);
           expect_same(gs::gale_shapley_parallel(inst, i, j, pool, 8), false);
           // ...and the queue engine on both explicit widths.
           expect_same(gs::gale_shapley_queue(wide, i, j), true);
           expect_same(gs::gale_shapley_queue(narrow, i, j), true);
-          expect_same(gs::gale_shapley_prefetch(wide, i, j), true);
-          expect_same(gs::gale_shapley_prefetch(narrow, i, j), true);
         }
       }
     }

@@ -202,6 +202,63 @@ TEST(WarmGs, MatchesColdSolveAcrossRandomChurn) {
   }
 }
 
+TEST(WarmGs, EmptySeedReturnsPreviousWithZeroProposals) {
+  // An empty dirty closure seeds an empty free stack: the seeded queue loop
+  // must return without proposing and hand back the previous match arrays.
+  Rng rng(11);
+  for (const auto width : {prefs::RankWidth::narrow16,
+                           prefs::RankWidth::wide32}) {
+    auto inst = KPartiteInstance::relaid(gen::uniform(3, 7, rng), width);
+    const auto previous = gs::gale_shapley_queue(inst, 0, 1);
+    // A delta over another gender pair cannot affect GS(0, 1).
+    const auto elsewhere = swap_entries(inst, {2, 3}, 1, 0, 4);
+    ASSERT_FALSE(elsewhere.touches(0, 1));
+    MutationDelta empty;
+    empty.from_generation = inst.generation();
+    empty.to_generation = inst.generation();
+
+    const MutationDelta* const deltas[] = {&empty, &elsewhere};
+    for (const MutationDelta* delta : deltas) {
+      WarmGsStats stats;
+      const auto warm =
+          warm_gale_shapley(inst, 0, 1, previous, *delta, {}, &stats);
+      EXPECT_EQ(warm.proposer_match, previous.proposer_match);
+      EXPECT_EQ(warm.responder_match, previous.responder_match);
+      EXPECT_EQ(warm.proposals, 0);
+      EXPECT_EQ(stats.dirty_proposers, 0);
+      EXPECT_EQ(std::string_view(warm.engine), "gs.warm");
+    }
+  }
+}
+
+TEST(WarmGs, FullyDirtySeedReplaysTheColdTrace) {
+  // When every proposer is dirty the seed is the all-free cold seed, so the
+  // warm continuation must replay the cold queue engine event for event.
+  Rng rng(12);
+  auto inst = gen::uniform(2, 9, rng);
+  const auto previous = gs::gale_shapley_queue(inst, 0, 1);
+  MutationDelta delta = swap_entries(inst, {0, 0}, 1, 0, 1);
+  for (Index p = 1; p < inst.per_gender(); ++p) {
+    delta.merge(swap_entries(inst, {0, p}, 1, 0, 1));
+  }
+
+  std::vector<gs::ProposalEvent> warm_trace;
+  std::vector<gs::ProposalEvent> cold_trace;
+  gs::GsOptions warm_options;
+  warm_options.trace = &warm_trace;
+  gs::GsOptions cold_options;
+  cold_options.trace = &cold_trace;
+  WarmGsStats stats;
+  const auto warm =
+      warm_gale_shapley(inst, 0, 1, previous, delta, warm_options, &stats);
+  const auto cold = gs::gale_shapley_queue(inst, 0, 1, cold_options);
+
+  EXPECT_EQ(stats.dirty_proposers, inst.per_gender());
+  EXPECT_EQ(warm.proposer_match, cold.proposer_match);
+  EXPECT_EQ(warm.proposals, cold.proposals);
+  EXPECT_EQ(warm_trace, cold_trace);
+}
+
 TEST(WarmGs, RejectsShapeChangeStaleDeltaAndWrongOrientation) {
   Rng rng(9);
   auto inst = gen::uniform(3, 4, rng);
