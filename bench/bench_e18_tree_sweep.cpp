@@ -9,12 +9,10 @@
 //   1. Thread scaling: trees/sec vs pool size (the wall-clock speedup column
 //      is hardware-dependent; on a single-core host the hardware-independent
 //      signals are the schedule counters and the determinism checks).
-//   2. Cache ablation: no cache vs the legacy duplicate-compute policy vs
-//      single-flight. Single-flight must show zero duplicate GS computes
-//      (misses == entries) at any thread count; the duplicate policy is the
-//      control that shows what deduplication buys.
-//   3. Determinism: every configuration — any thread count, any cache policy,
-//      cache off — lands on the bitwise-identical best tree and matching.
+//   2. Cache ablation: no cache vs single-flight. Single-flight must show
+//      zero duplicate GS computes (misses == entries) at any thread count.
+//   3. Determinism: every configuration — any thread count, cache on or
+//      off — lands on the bitwise-identical best tree and matching.
 
 #include <string>
 #include <vector>
@@ -35,21 +33,16 @@ struct SweepRun {
   std::size_t cache_entries = 0;
 };
 
-enum class CacheMode { off, duplicate, single_flight };
-
 SweepRun run_sweep(const KPartiteInstance& inst, ThreadPool* pool,
-                   CacheMode mode) {
+                   bool cached) {
   core::TreeSweepOptions options;
   options.pool = pool;
   SweepRun run;
-  if (mode == CacheMode::off) {
+  if (!cached) {
     run.result = core::sweep_all_trees(inst, options);
     return run;
   }
-  core::GsEdgeCache cache(inst.genders(),
-                          mode == CacheMode::duplicate
-                              ? core::GsEdgeCache::Policy::duplicate
-                              : core::GsEdgeCache::Policy::single_flight);
+  core::GsEdgeCache cache(inst);
   options.cache = &cache;
   run.result = core::sweep_all_trees(inst, options);
   run.cache_stats = cache.stats();
@@ -68,7 +61,7 @@ void report() {
   const std::int64_t tree_count = prufer::cayley_count(k);
 
   // Sequential reference: no pool, shared single-flight cache.
-  const SweepRun reference = run_sweep(inst, nullptr, CacheMode::single_flight);
+  const SweepRun reference = run_sweep(inst, nullptr, /*cached=*/true);
 
   // --- 1. Thread scaling (shared single-flight cache) -----------------------
   TableWriter scaling("Thread scaling: sweep of all " +
@@ -80,7 +73,7 @@ void report() {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}, std::size_t{8}}) {
     ThreadPool pool(threads);
-    const SweepRun run = run_sweep(inst, &pool, CacheMode::single_flight);
+    const SweepRun run = run_sweep(inst, &pool, /*cached=*/true);
     const bool identical =
         run.result.best_index == reference.result.best_index &&
         run.result.best_cost == reference.result.best_cost &&
@@ -110,31 +103,23 @@ void report() {
       {"cache", "executed proposals", "fresh GS runs", "duplicate runs",
        "cache hits", "sf waits", "identical"});
   std::int64_t single_flight_duplicates = -1;
-  for (const CacheMode mode :
-       {CacheMode::off, CacheMode::duplicate, CacheMode::single_flight}) {
+  for (const bool cached : {false, true}) {
     ThreadPool pool(8);
-    const SweepRun run = run_sweep(inst, &pool, mode);
+    const SweepRun run = run_sweep(inst, &pool, cached);
     const bool identical =
         run.result.best_index == reference.result.best_index &&
         run.result.matching() == reference.result.matching();
     all_identical = all_identical && identical;
-    const char* name = mode == CacheMode::off          ? "off"
-                       : mode == CacheMode::duplicate  ? "on (duplicate)"
-                                                       : "on (single-flight)";
     // Fresh GS runs with the cache off: every edge of every tree.
-    const double fresh = mode == CacheMode::off
-                             ? static_cast<double>(tree_count * (k - 1))
-                             : static_cast<double>(run.cache_stats.misses);
+    const double fresh = cached ? static_cast<double>(run.cache_stats.misses)
+                                : static_cast<double>(tree_count * (k - 1));
     const std::int64_t duplicates =
-        mode == CacheMode::off
-            ? 0
-            : run.cache_stats.misses -
-                  static_cast<std::int64_t>(run.cache_entries);
-    if (mode == CacheMode::single_flight) {
-      single_flight_duplicates = duplicates;
-    }
+        cached ? run.cache_stats.misses -
+                     static_cast<std::int64_t>(run.cache_entries)
+               : 0;
+    if (cached) single_flight_duplicates = duplicates;
     ablation.add_row(
-        {std::string(name),
+        {std::string(cached ? "on (single-flight)" : "off"),
          static_cast<double>(run.result.stats.executed_proposals), fresh,
          static_cast<double>(duplicates),
          static_cast<double>(run.cache_stats.hits),
@@ -144,14 +129,14 @@ void report() {
   ablation.print(std::cout);
   std::cout << "Zero duplicate GS computations under single-flight: "
             << (single_flight_duplicates == 0 ? "yes" : "NO (BUG)")
-            << " (misses == stored entries; the duplicate row is the legacy "
-               "policy's cost, the off row the uncached ceiling).\n\n";
+            << " (misses == stored entries; the off row is the uncached "
+               "ceiling).\n\n";
 
   // --- 3. Determinism summary ------------------------------------------------
   std::cout << "Determinism: best tree index " << reference.result.best_index
             << " (bound-pair cost " << reference.result.best_cost
-            << ") reproduced bitwise across every thread count and cache "
-               "policy: "
+            << ") reproduced bitwise across every thread count, cache on "
+               "and off: "
             << (all_identical ? "yes" : "NO (BUG)") << ".\n";
 }
 
@@ -179,8 +164,9 @@ void bm_sweep_threads(benchmark::State& state) {
 BENCHMARK(bm_sweep_threads)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// range(0): 0 = cache off, 1 = duplicate policy, 2 = single-flight; always
-// 8 pool threads, so the policies face the same contention.
+// range(0): 0 = cache off, 2 = single-flight cache (2 keeps the committed
+// baseline's row name); always 8 pool threads, so both face the same
+// contention.
 void bm_sweep_cache_policy(benchmark::State& state) {
   const Gender k = 5;
   Rng rng(8101);
@@ -188,16 +174,13 @@ void bm_sweep_cache_policy(benchmark::State& state) {
   ThreadPool pool(8);
   std::int64_t misses = 0;
   for (auto _ : state) {
-    const auto mode = state.range(0) == 0   ? CacheMode::off
-                      : state.range(0) == 1 ? CacheMode::duplicate
-                                            : CacheMode::single_flight;
-    const SweepRun run = run_sweep(inst, &pool, mode);
+    const SweepRun run = run_sweep(inst, &pool, state.range(0) != 0);
     misses = run.cache_stats.misses;
     benchmark::DoNotOptimize(run.result.best_cost);
   }
   state.counters["fresh_gs_runs"] = static_cast<double>(misses);
 }
-BENCHMARK(bm_sweep_cache_policy)->Arg(0)->Arg(1)->Arg(2)
+BENCHMARK(bm_sweep_cache_policy)->Arg(0)->Arg(2)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Scheduling overhead in isolation: an empty-body sweep over a large index

@@ -113,7 +113,7 @@ void report() {
     const auto tables = imp.materialized();
     const auto a = gs::gale_shapley_queue(imp, 0, 1);
     const auto b = gs::gale_shapley_queue(tables, 0, 1);
-    const auto c = gs::gale_shapley_scan_simd(imp, 0, 1);
+    const auto c = gs::gale_shapley_scan(imp, 0, 1);
     all_identical = all_identical &&
                     a.proposer_match == b.proposer_match &&
                     a.responder_match == b.responder_match &&
@@ -127,7 +127,7 @@ void report() {
                                             tables.rank_bytes())});
   }
   duel.print(std::cout);
-  std::cout << "implicit/explicit queue+scan_simd outcomes bitwise "
+  std::cout << "implicit/explicit queue+scan outcomes bitwise "
                "identical: "
             << (all_identical ? "yes (backend is semantics-free)"
                               : "NO (BUG)")

@@ -284,7 +284,7 @@ int cmd_kary(int argc, char** argv) {
     }
     resilience::ExecControl* control = budget_control();
     sopts.control = control;
-    core::GsEdgeCache cache(k);
+    core::GsEdgeCache cache(inst);
     sopts.cache = &cache;
     if (g_sweep_threads > 1) {
       pool.emplace(g_sweep_threads);
@@ -525,13 +525,8 @@ int cmd_serve(int argc, char** /*argv*/) {
     std::cerr << "kmatch serve needs exactly one of --stdio or --port=<p>\n";
     return usage();
   }
-  if (!g_serve.chaos.empty()) {
-#if defined(KSTABLE_NO_FAULT_INJECTION)
-    std::cerr << "--chaos needs a build with fault injection compiled in\n";
-    return 2;
-#else
-    if (!arm_serve_chaos(g_serve.chaos)) return usage();
-#endif
+  if (!g_serve.chaos.empty() && !arm_serve_chaos(g_serve.chaos)) {
+    return usage();
   }
 
   serve::ServeLimits limits;

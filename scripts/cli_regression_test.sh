@@ -227,15 +227,12 @@ else
 
   # Drain-deadline breach: every solve wedges on a 2 s injected stall, the
   # drain deadline is 50 ms, and the 50 ms grace cannot outlast the stall —
-  # the server must give up and report the breach via exit 3. Skipped on
-  # -DKSTABLE_FAULT_INJECTION=OFF builds, where --chaos itself exits 2.
+  # the server must give up and report the breach via exit 3.
   "$KMATCH" serve --stdio --chaos=stall --chaos-prob=1 --chaos-stall-ms=2000 \
     --drain-deadline-ms=50 --drain-grace-ms=50 <"$FRAMES" \
     >/dev/null 2>"$WORK_DIR/serve_reg_stall.err"
   rc=$?
-  if grep -q "fault injection compiled in" "$WORK_DIR/serve_reg_stall.err"; then
-    echo "ok: drain-breach case skipped (fault injection compiled out)"
-  elif [ "$rc" -ne 3 ]; then
+  if [ "$rc" -ne 3 ]; then
     note_failure "wedged drain exited $rc, expected 3"
   elif ! grep -q "drain EXCEEDED" "$WORK_DIR/serve_reg_stall.err"; then
     note_failure "wedged drain did not report EXCEEDED"

@@ -16,9 +16,6 @@
 #      on the same port; the client must reconnect, resend every
 #      unacknowledged request, and finish with zero lost and zero
 #      inconsistent responses.
-#
-# Requires a build with fault injection enabled (the default); a
-# -DKSTABLE_FAULT_INJECTION=OFF binary rejects --chaos with exit 2.
 set -u
 
 BIN_DIR="$1"

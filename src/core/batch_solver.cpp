@@ -33,7 +33,7 @@ std::vector<BatchItemResult> BatchSolver::solve(
     // One workspace per pool worker, reused across items and batches: after
     // the largest instance warms it, the GS hot path allocates nothing.
     thread_local gs::GsWorkspace workspace;
-    GsEdgeCache cache(inst.genders());
+    GsEdgeCache cache(inst);
 
     BindingOptions bopts;
     bopts.engine = options.engine;

@@ -18,16 +18,15 @@ constexpr std::chrono::milliseconds kWaiterPollInterval{20};
 
 }  // namespace
 
-GsEdgeCache::GsEdgeCache(Gender k, Policy policy)
+GsEdgeCache::GsEdgeCache(Gender k)
     : k_(k),
-      policy_(policy),
       slots_(static_cast<std::size_t>(k >= 2 ? k : 0) *
              static_cast<std::size_t>(k >= 2 ? k : 0) * kEngineCount) {
   KSTABLE_REQUIRE(k >= 2, "GsEdgeCache needs k >= 2, got " << k);
 }
 
-GsEdgeCache::GsEdgeCache(const KPartiteInstance& inst, Policy policy)
-    : GsEdgeCache(inst.genders(), policy) {
+GsEdgeCache::GsEdgeCache(const KPartiteInstance& inst)
+    : GsEdgeCache(inst.genders()) {
   bound_generation_ = inst.generation();
 }
 
@@ -35,7 +34,7 @@ void GsEdgeCache::check_instance(const KPartiteInstance& inst) const {
   KSTABLE_REQUIRE(inst.genders() == k_,
                   "GsEdgeCache built for k=" << k_ << ", instance has k="
                                              << inst.genders());
-  if (!bound_generation_.has_value()) return;  // legacy unbound cache
+  if (!bound_generation_.has_value()) return;  // unbound cache
   KSTABLE_REQUIRE(inst.generation() == *bound_generation_,
                   "stale GsEdgeCache: bound at instance generation "
                       << *bound_generation_ << ", instance is now at "
@@ -85,44 +84,6 @@ std::size_t GsEdgeCache::slot(GenderEdge edge, GsEngine engine) const {
          e;
 }
 
-const gs::GsResult* GsEdgeCache::find(GenderEdge edge, GsEngine engine) {
-  Slot& entry = slots_[slot(edge, engine)];
-  // Ready is terminal and the value precedes it (release store), so the
-  // acquire load alone licenses the lock-free read.
-  if (entry.state.load(std::memory_order_acquire) == kReady) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    KSTABLE_COUNTER_ADD("cache.hits", 1);
-    return &*entry.value;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  KSTABLE_COUNTER_ADD("cache.misses", 1);
-  return nullptr;
-}
-
-const gs::GsResult& GsEdgeCache::insert(GenderEdge edge, GsEngine engine,
-                                        gs::GsResult result) {
-  KSTABLE_REQUIRE(result.proposer_gender == edge.a &&
-                      result.responder_gender == edge.b,
-                  "result genders (" << result.proposer_gender << ','
-                                     << result.responder_gender
-                                     << ") do not match edge (" << edge.a << ','
-                                     << edge.b << ')');
-  const std::size_t s = slot(edge, engine);
-  Slot& entry = slots_[s];
-  Stripe& stripe = stripe_for(s);
-  {
-    std::lock_guard<std::mutex> lock(stripe.m);
-    if (entry.state.load(std::memory_order_relaxed) != kReady) {
-      entry.value.emplace(std::move(result));
-      entry.state.store(kReady, std::memory_order_release);
-    }
-  }
-  // An insert may race a single-flight leader that claimed kComputing via
-  // get_or_compute; wake its waiters — the published value satisfies them.
-  stripe.cv.notify_all();
-  return *entry.value;
-}
-
 const gs::GsResult& GsEdgeCache::get_or_compute(
     GenderEdge edge, GsEngine engine,
     const std::function<gs::GsResult()>& compute,
@@ -155,26 +116,21 @@ const gs::GsResult& GsEdgeCache::get_or_compute(
       return *entry.value;
     }
 
-    if (state == kEmpty || policy_ == Policy::duplicate) {
-      // Leader path (or a legacy duplicate compute racing the leader). Claim
-      // the slot, run GS unlocked, publish under the stripe lock.
-      const bool claimed = state == kEmpty;
-      if (claimed) {
-        entry.state.store(kComputing, std::memory_order_relaxed);
-      }
+    if (state == kEmpty) {
+      // Leader path: claim the slot, run GS unlocked, publish under the
+      // stripe lock.
+      entry.state.store(kComputing, std::memory_order_relaxed);
       lock.unlock();
       gs::GsResult result;
       try {
         result = compute();
       } catch (...) {
-        if (claimed) {
-          // Roll the claim back so a waiter (or the next caller) becomes the
-          // new leader instead of blocking on an abandoned compute forever.
-          lock.lock();
-          entry.state.store(kEmpty, std::memory_order_relaxed);
-          lock.unlock();
-          stripe.cv.notify_all();
-        }
+        // Roll the claim back so a waiter (or the next caller) becomes the
+        // new leader instead of blocking on an abandoned compute forever.
+        lock.lock();
+        entry.state.store(kEmpty, std::memory_order_relaxed);
+        lock.unlock();
+        stripe.cv.notify_all();
         throw;
       }
       KSTABLE_REQUIRE(result.proposer_gender == edge.a &&
@@ -184,11 +140,10 @@ const gs::GsResult& GsEdgeCache::get_or_compute(
                           << result.responder_gender
                           << ") do not match edge (" << edge.a << ',' << edge.b
                           << ')');
+      // The leader owns the kComputing slot: nothing else can publish it.
       lock.lock();
-      if (entry.state.load(std::memory_order_relaxed) != kReady) {
-        entry.value.emplace(std::move(result));
-        entry.state.store(kReady, std::memory_order_release);
-      }
+      entry.value.emplace(std::move(result));
+      entry.state.store(kReady, std::memory_order_release);
       lock.unlock();
       stripe.cv.notify_all();
       misses_.fetch_add(1, std::memory_order_relaxed);
@@ -197,10 +152,10 @@ const gs::GsResult& GsEdgeCache::get_or_compute(
       return *entry.value;
     }
 
-    // state == kComputing under single-flight: another thread owns the GS
-    // run for this key. Wait it out, polling our own control so a deadline
-    // or cancellation aborts a blocked waiter too (ExecutionAborted unwinds
-    // with the lock released by RAII).
+    // state == kComputing: another thread owns the GS run for this key.
+    // Wait it out, polling our own control so a deadline or cancellation
+    // aborts a blocked waiter too (ExecutionAborted unwinds with the lock
+    // released by RAII).
     waited = true;
     stripe.cv.wait_for(lock, kWaiterPollInterval);
     if (control != nullptr) control->check_now();

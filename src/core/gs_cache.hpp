@@ -21,8 +21,8 @@
 //     instance's generation() so that check_instance() — called by
 //     run_binding before every cached lookup — throws std::logic_error
 //     instead of serving a result memoized against preference rows that have
-//     since mutated. The legacy Gender constructor keeps the guard off for
-//     callers that manage the pairing themselves.
+//     since mutated. The Gender constructor keeps the guard off for callers
+//     that own the pairing themselves (tests, bench harnesses).
 //   * KPartiteInstance is NO LONGER immutable: src/incremental/ mutates
 //     preference rows in place. After a mutation the owner must, under
 //     external quiescence, either clear() everything or invalidate() exactly
@@ -47,12 +47,9 @@
 //     deduplicated waits are counted in Stats::single_flight_waits). If the
 //     leader's compute throws (deadline, cancellation, injected fault), the
 //     slot resets to empty and one waiter is promoted to leader.
-//   * Policy::duplicate opts back into the pre-single-flight behaviour
-//     (concurrent misses all compute; first publish wins) so the E18
-//     benchmark can measure exactly what deduplication buys.
 //
 // Counting contract (what the gs_cache tests pin down): every lookup counts
-// exactly one hit or one miss; a miss is counted by the thread whose compute
+// exactly one hit or one miss; a miss is counted by the leader whose compute
 // got published (so in quiescent use misses == size()), and a single-flight
 // waiter counts a hit plus one wait. clear() requires external quiescence —
 // it is a between-phases reset, not a concurrent eviction.
@@ -88,28 +85,21 @@ class GsEdgeCache {
                 "kGsEngineCount is out of sync with the last GsEngine "
                 "enumerator");
 
-  /// Miss-resolution policy for concurrent misses on one key.
-  enum class Policy {
-    single_flight,  ///< one leader computes, other missers wait (default)
-    duplicate,      ///< legacy: every misser computes, first publish wins
-  };
-
   /// Creates an empty cache for instances with `k` genders. The staleness
-  /// guard is OFF: the caller owns the instance/cache pairing (legacy
-  /// construction sites, and tests that drive the slot machinery directly).
-  explicit GsEdgeCache(Gender k, Policy policy = Policy::single_flight);
+  /// guard is OFF: the caller owns the instance/cache pairing (tests and
+  /// bench harnesses that drive the slot machinery directly).
+  explicit GsEdgeCache(Gender k);
 
   /// Creates an empty cache bound to `inst`: records genders() AND
   /// generation(), arming check_instance() against mutation-under-cache.
   /// Preferred for any instance the incremental mutation API may touch.
-  explicit GsEdgeCache(const KPartiteInstance& inst,
-                       Policy policy = Policy::single_flight);
+  explicit GsEdgeCache(const KPartiteInstance& inst);
 
   /// Staleness guard: throws std::logic_error (ContractViolation) when the
   /// cache is generation-bound and `inst` does not match the bound shape and
-  /// generation. A cache from the legacy Gender constructor only checks the
-  /// gender count. Cheap (two integer compares) — run_binding calls it on
-  /// every cached edge lookup.
+  /// generation. A cache from the Gender constructor only checks the gender
+  /// count. Cheap (two integer compares) — run_binding calls it on every
+  /// cached edge lookup.
   void check_instance(const KPartiteInstance& inst) const;
 
   /// Targeted invalidation: resets the kEngineCount slots of ONE oriented
@@ -131,18 +121,6 @@ class GsEdgeCache {
   [[nodiscard]] std::optional<std::uint64_t> bound_generation() const noexcept {
     return bound_generation_;
   }
-
-  /// Cached result of GS(edge.a proposes, edge.b responds) under `engine`,
-  /// or nullptr. Counts one hit or one miss. A slot another thread is still
-  /// computing reads as absent — callers pairing find() with insert() keep
-  /// the legacy duplicate-compute behaviour; use get_or_compute() for
-  /// single-flight resolution.
-  [[nodiscard]] const gs::GsResult* find(GenderEdge edge, GsEngine engine);
-
-  /// Stores `result` for the key; first insert wins (a concurrent duplicate
-  /// is dropped). Returns the stored value.
-  const gs::GsResult& insert(GenderEdge edge, GsEngine engine,
-                             gs::GsResult result);
 
   /// The single-flight lookup: returns the cached result, or runs `compute`
   /// exactly once across all concurrent callers of this key and caches it.
@@ -170,8 +148,6 @@ class GsEdgeCache {
             misses_.load(std::memory_order_relaxed),
             single_flight_waits_.load(std::memory_order_relaxed)};
   }
-
-  [[nodiscard]] Policy policy() const noexcept { return policy_; }
 
   /// Drops every entry and zeroes the counters (the cache stays bound to the
   /// same instance shape and generation — pair with rebind() after a
@@ -220,9 +196,8 @@ class GsEdgeCache {
   }
 
   Gender k_;
-  Policy policy_;
-  /// Instance generation the guard is armed against (nullopt = legacy
-  /// unbound cache, guard off). Written only at construction/rebind, both of
+  /// Instance generation the guard is armed against (nullopt = unbound
+  /// cache, guard off). Written only at construction/rebind, both of
   /// which require quiescence, so plain storage is race-free.
   std::optional<std::uint64_t> bound_generation_;
   /// Constructed once at full size and never resized: Slot holds an atomic

@@ -17,7 +17,7 @@
 //                     (McVitie-Wilson style rounds);
 //   * parallel engine (parallel_gs.hpp) — speculative concurrent proposals
 //                     with atomic responder slots;
-//   * scan engines (scan_gs.hpp) — the rank-table ablation baseline.
+//   * scan engine (scan_gs.hpp) — the rank-table ablation baseline.
 // All engines count accumulated proposals, the unit of Theorem 3's
 // (k-1)n² bound.
 #pragma once
@@ -57,8 +57,7 @@ struct GsResult {
   /// Wall time of the engine run in milliseconds (0 for cache replays).
   double wall_ms = 0.0;
   /// Static-lifetime label of the engine that produced this result
-  /// ("gs.queue", "gs.rounds", "gs.parallel", "gs.scan", "gs.scan_simd",
-  /// "gs.warm").
+  /// ("gs.queue", "gs.rounds", "gs.parallel", "gs.scan", "gs.warm").
   const char* engine = "";
 };
 

@@ -1,6 +1,5 @@
 #include "gs/scan_gs.hpp"
 
-#include "gs/simd.hpp"
 #include "observability/metrics.hpp"
 #include "prefs/implicit/pref_view.hpp"
 #include "util/check.hpp"
@@ -16,8 +15,6 @@ const bool kScanInstrumentsWarm = [] {
   auto& registry = obs::MetricsRegistry::global();
   registry.counter("gs.scan.solves");
   registry.counter("gs.scan.proposals");
-  registry.counter("gs.scan_simd.solves");
-  registry.counter("gs.scan_simd.proposals");
   return true;
 }();
 #endif
@@ -38,33 +35,11 @@ bool scan_prefers(const View& view, Index r, Index n, Index a, Index b) {
   return false;
 }
 
-/// Vectorized scan_prefers: position of the earliest of {a, b} on the list,
-/// found 8/4 lanes at a time. Same verdict as the scalar scan bit for bit.
-/// The kernel needs the row in contiguous memory; the implicit backend has
-/// none, so it falls back to the scalar walk (identical earliest-hit
-/// semantics, pinned by the DiffRunner implicit battery).
-template <typename View>
-bool scan_prefers_simd(const View& view, Index r, Index n, Index a, Index b) {
-  if constexpr (View::kContiguousRows) {
-    const auto list = view.resp_pref_span(r, n);
-    const std::size_t pos =
-        simd::first_of_pair(list.data(), list.size(), a, b);
-    KSTABLE_REQUIRE(pos < list.size(), "neither " << a << " nor " << b
-                                                  << " on responder " << r
-                                                  << "'s list");
-    return list[pos] == a;
-  } else {
-    return scan_prefers(view, r, n, a, b);
-  }
-}
+}  // namespace
 
-/// Shared body of the two scan engines: textbook free-stack GS where the
-/// accept/reject test is `prefers(view, r, n, challenger, holder)`. The
-/// `prefers` callable is generic over the view so each backend/width gets
-/// its own monomorphized loop.
-template <typename Prefers>
-GsResult scan_engine(const KPartiteInstance& inst, Gender i, Gender j,
-                     const char* engine_label, Prefers&& prefers) {
+/// Textbook free-stack GS where the accept/reject test is a list walk,
+/// monomorphized per backend/width through with_pref_view.
+GsResult gale_shapley_scan(const KPartiteInstance& inst, Gender i, Gender j) {
   check_genders(inst, i, j);
   const Index n = inst.per_gender();
   const WallTimer timer;
@@ -87,7 +62,7 @@ GsResult scan_engine(const KPartiteInstance& inst, Gender i, Gender j,
       if (holder < 0) {
         result.responder_match[static_cast<std::size_t>(r)] = p;
         result.proposer_match[static_cast<std::size_t>(p)] = r;
-      } else if (prefers(view, r, n, p, holder)) {
+      } else if (scan_prefers(view, r, n, p, holder)) {
         result.responder_match[static_cast<std::size_t>(r)] = p;
         result.proposer_match[static_cast<std::size_t>(p)] = r;
         result.proposer_match[static_cast<std::size_t>(holder)] = -1;
@@ -98,34 +73,9 @@ GsResult scan_engine(const KPartiteInstance& inst, Gender i, Gender j,
     }
   });
   result.rounds = result.proposals;
-  finish_engine(inst, engine_label, timer.millis(), result);
-  return result;
-}
-
-}  // namespace
-
-GsResult gale_shapley_scan(const KPartiteInstance& inst, Gender i, Gender j) {
-  auto result = scan_engine(inst, i, j, "gs.scan",
-                            [](const auto& view, Index r, Index n,
-                               Index challenger, Index holder) {
-                              return scan_prefers(view, r, n, challenger,
-                                                  holder);
-                            });
+  finish_engine(inst, "gs.scan", timer.millis(), result);
   KSTABLE_COUNTER_ADD("gs.scan.solves", 1);
   KSTABLE_COUNTER_ADD("gs.scan.proposals", result.proposals);
-  return result;
-}
-
-GsResult gale_shapley_scan_simd(const KPartiteInstance& inst, Gender i,
-                                Gender j) {
-  auto result = scan_engine(inst, i, j, "gs.scan_simd",
-                            [](const auto& view, Index r, Index n,
-                               Index challenger, Index holder) {
-                              return scan_prefers_simd(view, r, n, challenger,
-                                                       holder);
-                            });
-  KSTABLE_COUNTER_ADD("gs.scan_simd.solves", 1);
-  KSTABLE_COUNTER_ADD("gs.scan_simd.proposals", result.proposals);
   return result;
 }
 

@@ -1,19 +1,14 @@
-// Scan-family Gale-Shapley engines: the rank-table ablation baseline (E9)
-// and its vectorized variant (E19).
+// Scan Gale-Shapley engine: the rank-table ablation baseline (E9).
 //
-// Both produce matchings and proposal counts bitwise-identical to
+// It produces matchings and proposal counts bitwise-identical to
 // gale_shapley_queue (same free-stack proposal order; GS is confluent), and
-// both keep their own list-walk loop on purpose: the DiffRunner uses them as
-// the independent cross-check of the rank-table path.
+// keeps its own list-walk loop on purpose: the DiffRunner uses it as the
+// independent cross-check of the rank-table path.
 //
-//   * gale_shapley_scan       — the responder's "do I prefer the new suitor"
-//     comparison scans its preference list instead of consulting the rank
-//     table. O(n) per comparison, O(n³) worst case; quantifies what the rank
-//     table buys (DESIGN.md §Key design decisions).
-//   * gale_shapley_scan_simd  — same algorithm, but the list scan is the
-//     vectorized first-of-pair kernel (gs/simd.hpp): 8 entries per AVX2
-//     step, runtime-dispatched, falling back to SSE2/scalar. Identical
-//     scan semantics (earliest hit wins), so identical everything.
+// The responder's "do I prefer the new suitor" comparison scans its
+// preference list instead of consulting the rank table. O(n) per
+// comparison, O(n³) worst case; quantifies what the rank table buys
+// (DESIGN.md §Key design decisions).
 #pragma once
 
 #include "gs/gale_shapley.hpp"
@@ -23,11 +18,5 @@ namespace kstable::gs {
 /// Queue-based GS(i, j) using list scans for every preference comparison.
 /// Returns the same matching and proposal count as gale_shapley_queue.
 GsResult gale_shapley_scan(const KPartiteInstance& inst, Gender i, Gender j);
-
-/// gale_shapley_scan with the vectorized first-of-pair scan kernel
-/// (runtime-dispatched AVX2/SSE2/scalar; KSTABLE_SIMD overrides). Bitwise
-/// identical to gale_shapley_scan and gale_shapley_queue.
-GsResult gale_shapley_scan_simd(const KPartiteInstance& inst, Gender i,
-                                Gender j);
 
 }  // namespace kstable::gs

@@ -7,7 +7,7 @@
 //   pref_at(p, c)        — proposer p's c-th choice
 //   resp_row(r)          — a hoisted handle for responder r's rank row
 //   rank_in(row, p)      — p's rank with responder r (the accept/reject load)
-//   resp_pref_in(row, c) — responder r's c-th choice (scan engines only)
+//   resp_pref_in(row, c) — responder r's c-th choice (scan engine only)
 //
 // plus two hooks the queue loop calls on every proposal, prefetch_pref and
 // prefetch_rank.
@@ -20,8 +20,6 @@
 // with no-op prefetches (there is no memory to warm). with_pref_view()
 // performs the one dispatch per solve; everything inside is monomorphized.
 #pragma once
-
-#include <span>
 
 #include "prefs/kpartite.hpp"
 
@@ -45,16 +43,11 @@ class ExplicitView {
  public:
   using Rank = R;
   /// Hoisted responder row: the rank row for the accept/reject compare plus
-  /// the pref row for the scan engines' list walks.
+  /// the pref row for the scan engine's list walk.
   struct RespRow {
     const R* ranks;
     const Index* prefs;
   };
-  /// Responder pref rows are contiguous memory (the SIMD scan kernel's
-  /// requirement); ImplicitView says false and scan_simd falls back to the
-  /// generic walk there.
-  static constexpr bool kContiguousRows = true;
-
   ExplicitView(const KPartiteInstance& inst, Gender i, Gender j) noexcept
       : pref_(inst.pref_row({i, 0}, j).data()),
         resp_pref_(inst.pref_row({j, 0}, i).data()),
@@ -76,12 +69,6 @@ class ExplicitView {
   [[nodiscard]] static Index resp_pref_in(const RespRow& row,
                                           Index c) noexcept {
     return row.prefs[static_cast<std::size_t>(c)];
-  }
-  /// Responder r's whole pref row, for the vectorized first-of-pair kernel.
-  [[nodiscard]] std::span<const Index> resp_pref_span(Index r,
-                                                      Index n) const noexcept {
-    return {resp_pref_ + static_cast<std::size_t>(r) * stride_,
-            static_cast<std::size_t>(n)};
   }
 
   void prefetch_pref(Index p, Index c) const noexcept {
@@ -107,7 +94,6 @@ class ImplicitView {
  public:
   using Rank = std::uint32_t;
   using RespRow = imp::ImplicitPrefs::Row;
-  static constexpr bool kContiguousRows = false;
 
   ImplicitView(const KPartiteInstance& inst, Gender i, Gender j) noexcept
       : gen_(&inst.implicit_prefs()), i_(i), j_(j) {}

@@ -1,11 +1,9 @@
 // Deterministic, seed-driven fault injection (tarantool ERROR_INJECT idiom).
 //
 // Code under test declares named fault points with KSTABLE_FAULT_POINT("x/y");
-// a disarmed point costs one relaxed atomic load (and the whole macro compiles
-// to nothing when the KSTABLE_FAULT_INJECTION CMake option is OFF — release
-// builds carry zero fault-point code). Tests arm points through the global
-// FaultRegistry (or the RAII ScopedFault) with a FaultConfig; when an armed
-// point's firing rule matches, on_hit throws InjectedFault — an
+// a disarmed point costs one relaxed atomic load. Tests arm points through
+// the global FaultRegistry (or the RAII ScopedFault) with a FaultConfig; when
+// an armed point's firing rule matches, on_hit throws InjectedFault — an
 // ExecutionAborted, so every recovery path (solve_with_fallback, thread-pool
 // error propagation, CLI exit codes) treats an injected fault exactly like a
 // real abort.
@@ -127,7 +125,6 @@ class ScopedFault {
 
 }  // namespace kstable::resilience
 
-#if !defined(KSTABLE_NO_FAULT_INJECTION)
 /// Declares a fault point. Disarmed cost: one relaxed atomic load.
 #define KSTABLE_FAULT_POINT(name)                                              \
   do {                                                                         \
@@ -136,7 +133,3 @@ class ScopedFault {
       ::kstable::resilience::FaultRegistry::instance().on_hit(name);           \
     }                                                                          \
   } while (false)
-#else
-/// Fault injection compiled out (-DKSTABLE_FAULT_INJECTION=OFF).
-#define KSTABLE_FAULT_POINT(name) ((void)0)
-#endif

@@ -242,7 +242,7 @@ void ServeEngine::handle_solve(const Frame& request,
       // Per-request cache ownership: built for this instance, shared across
       // the ladder's rungs (edges completed by an aborted attempt replay for
       // free), destroyed — evicted — when the request finishes.
-      core::GsEdgeCache cache(inst->genders());
+      core::GsEdgeCache cache(*inst);
       opts.cache = &cache;
       auto report = resilience::solve_with_fallback(*inst, opts);
       if (report.succeeded) {

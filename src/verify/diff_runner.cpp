@@ -133,10 +133,6 @@ gs::GsResult gs_engine_checks(const KPartiteInstance& inst, Gender i, Gender j,
   }
   compare(scan, "gs.engine.scan.bitwise", true, "gs.engine.scan.proposals");
 
-  compare(gs::gale_shapley_scan_simd(inst, i, j),
-          "gs.engine.scan_simd.bitwise", true,
-          "gs.engine.scan_simd.proposals");
-
   if (options.pool != nullptr) {
     compare(gs::gale_shapley_parallel(inst, i, j, *options.pool, 8),
             "gs.engine.parallel.bitwise", false, "");
@@ -283,9 +279,6 @@ void implicit_checks(const Recorder& rec, const DiffOptions& options) {
                 "implicit.rounds.bitwise", true, "implicit.rounds.proposals");
         compare(gs::gale_shapley_scan(implicit, i, j),
                 "implicit.scan.bitwise", true, "implicit.scan.proposals");
-        compare(gs::gale_shapley_scan_simd(implicit, i, j),
-                "implicit.scan_simd.bitwise", true,
-                "implicit.scan_simd.proposals");
         if (options.pool != nullptr) {
           compare(gs::gale_shapley_parallel(implicit, i, j, *options.pool, 8),
                   "implicit.parallel.bitwise", false, "");
@@ -383,16 +376,13 @@ void binding_checks(const KPartiteInstance& inst, const Recorder& rec,
     }
   }
 
-  for (const auto policy : {core::GsEdgeCache::Policy::single_flight,
-                            core::GsEdgeCache::Policy::duplicate}) {
-    core::GsEdgeCache cache(k, policy);
+  {
+    core::GsEdgeCache cache(inst);
     core::BindingOptions copts;
     copts.cache = &cache;
-    const char* id = policy == core::GsEdgeCache::Policy::single_flight
-                         ? "binding.cache.single_flight.bitwise"
-                         : "binding.cache.duplicate.bitwise";
     const auto cached = core::iterative_binding(inst, path, copts);
-    compare_matching(cached.matching(), id, "cached binding");
+    compare_matching(cached.matching(), "binding.cache.single_flight.bitwise",
+                     "cached binding");
     // Second pass replays every edge from the memo (all hits) — the replay
     // must still be bitwise-identical and must execute zero proposals.
     const auto replay = core::iterative_binding(inst, path, copts);

@@ -9,8 +9,8 @@
 //     * gs queue vs rounds vs scan vs parallel — identical match arrays AND
 //       identical proposal counts for every ordered gender pair;
 //     * iterative_binding vs sweep_trees on the same (path) tree;
-//     * binding with no cache vs GsEdgeCache single_flight vs duplicate,
-//       including a second cached pass (all hits) — replay must equal compute;
+//     * binding with no cache vs a GsEdgeCache, including a second cached
+//       pass (all hits) — replay must equal compute;
 //     * direct path-tree binding vs solve_with_fallback (attempt 0 is always
 //       the path tree, so an unconstrained ladder must reproduce it exactly);
 //     * fair SMP man_oriented vs men-proposing GS and woman_oriented vs

@@ -366,7 +366,7 @@ std::vector<int> hammer(GsEdgeCache& cache, Gender k, int threads,
                    static_cast<std::size_t>(edge.b)]
               .fetch_add(1);
           // Hold the slot long enough that other threads actually pile up
-          // on it (single-flight waiters / duplicate computes).
+          // on it as single-flight waiters.
           std::this_thread::sleep_for(std::chrono::microseconds(200));
           return fabricated(edge);
         });
@@ -412,37 +412,6 @@ TEST(GsEdgeCacheConcurrency, SingleFlightComputesEachKeyExactlyOnce) {
     EXPECT_EQ(stats.misses, keys);
     EXPECT_LE(stats.single_flight_waits, stats.hits);
   }
-}
-
-TEST(GsEdgeCacheConcurrency, DuplicatePolicyMeasurablyRecomputes) {
-  const Gender k = 5;
-  const auto keys = static_cast<std::int64_t>(k) * (k - 1);
-  std::int64_t total_computes = 0;
-  for (int round = 0; round < 10; ++round) {
-    GsEdgeCache cache(k, GsEdgeCache::Policy::duplicate);
-    std::atomic<std::int64_t> calls{0};
-    const std::vector<int> computes = hammer(cache, k, /*threads=*/8, calls);
-
-    std::int64_t round_computes = 0;
-    for (const int count : computes) round_computes += count;
-    total_computes += round_computes;
-    // Each key computed at least once; first publish won, so the table still
-    // holds one entry per key.
-    EXPECT_GE(round_computes, keys);
-    EXPECT_EQ(cache.size(), static_cast<std::size_t>(keys));
-    const auto stats = cache.stats();
-    // Counting contract under duplication: every compute (published or beaten
-    // to the publish) counts one miss, everything else is a hit, and the
-    // single-flight wait path is never taken.
-    EXPECT_EQ(stats.misses, round_computes);
-    EXPECT_EQ(stats.hits + stats.misses, calls.load());
-    EXPECT_EQ(stats.single_flight_waits, 0);
-  }
-  // What the E18 ablation measures: across rounds, the legacy policy performs
-  // duplicate GS computes that single-flight provably never does. (Any one
-  // round may get lucky; ten rounds of 8 threads piling onto cold keys do
-  // not.)
-  EXPECT_GT(total_computes, 10 * keys);
 }
 
 TEST(GsEdgeCacheConcurrency, LeaderExceptionPromotesNextCaller) {

@@ -117,7 +117,6 @@ TEST(GaleShapley, EveryEngineStampsItsDocumentedLabel) {
   EXPECT_EQ(label(gs::gale_shapley_parallel(inst, 0, 1, pool, 2)),
             "gs.parallel");
   EXPECT_EQ(label(gs::gale_shapley_scan(inst, 0, 1)), "gs.scan");
-  EXPECT_EQ(label(gs::gale_shapley_scan_simd(inst, 0, 1)), "gs.scan_simd");
 }
 
 TEST(GaleShapley, RejectsInvalidGenderArguments) {

@@ -187,7 +187,6 @@ TEST(ImplicitEngines, AllEnginesMatchMaterializedBitwise) {
           // Every engine on the implicit backend...
           expect_same(gs::gale_shapley_rounds(inst, i, j), true);
           expect_same(gs::gale_shapley_scan(inst, i, j), true);
-          expect_same(gs::gale_shapley_scan_simd(inst, i, j), true);
           expect_same(gs::gale_shapley_parallel(inst, i, j, pool, 8), false);
           // ...and the queue engine on both explicit widths.
           expect_same(gs::gale_shapley_queue(wide, i, j), true);

@@ -48,22 +48,7 @@ TEST(ScanEngine, RejectsInvalidArguments) {
   const auto inst = gen::uniform(2, 2, rng);
   EXPECT_THROW(gale_shapley_scan(inst, 0, 0), ContractViolation);
   EXPECT_THROW(gale_shapley_scan(inst, 0, 7), ContractViolation);
-  EXPECT_THROW(gale_shapley_scan_simd(inst, 0, 0), ContractViolation);
   EXPECT_THROW(gale_shapley_queue(inst, 1, 1), ContractViolation);
-}
-
-TEST(SimdScanEngine, MatchesScalarScanOnRandomSweep) {
-  Rng rng(903);
-  for (int trial = 0; trial < 30; ++trial) {
-    const Index n = static_cast<Index>(2 + rng.below(60));
-    const auto inst = gen::uniform(2, n, rng);
-    const auto vec = gale_shapley_scan_simd(inst, 0, 1);
-    const auto scalar = gale_shapley_scan(inst, 0, 1);
-    EXPECT_EQ(vec.proposer_match, scalar.proposer_match)
-        << "n=" << n << " trial=" << trial;
-    EXPECT_EQ(vec.responder_match, scalar.responder_match);
-    EXPECT_EQ(vec.proposals, scalar.proposals);
-  }
 }
 
 }  // namespace

@@ -253,8 +253,6 @@ TEST(ServeEngineTest, TinyDeadlineDegradesOrTimesOutButAccounts) {
   EXPECT_EQ(log.size(), 1u);
 }
 
-#if !defined(KSTABLE_NO_FAULT_INJECTION)
-
 TEST(ServeEngineTest, EnqueueFaultShedsWithRetryAfter) {
   FrameLog log;
   ServeEngine engine(ServeLimits{}, log.sink());
@@ -296,8 +294,6 @@ TEST(ServeEngineTest, TaskDestroyedUnrunIsStillAccounted) {
   EXPECT_EQ(engine.admission().in_flight(), 0u);
 }
 
-#endif  // !KSTABLE_NO_FAULT_INJECTION
-
 // --- pump (transport robustness) -------------------------------------------
 
 TEST(ServePump, GarbageBetweenFramesIsSkipped) {
@@ -313,8 +309,6 @@ TEST(ServePump, GarbageBetweenFramesIsSkipped) {
   EXPECT_EQ(log.count(FrameKind::error), 2u);  // one per garbage line
   EXPECT_EQ(engine.stats().bad_frames.load(), 2);
 }
-
-#if !defined(KSTABLE_NO_FAULT_INJECTION)
 
 TEST(ServePump, FrameParseFaultKeepsStreamSynchronized) {
   FrameLog log;
@@ -332,11 +326,7 @@ TEST(ServePump, FrameParseFaultKeepsStreamSynchronized) {
   EXPECT_EQ(log.frames.back().id, 2u);
 }
 
-#endif  // !KSTABLE_NO_FAULT_INJECTION
-
 // --- overload and drain ----------------------------------------------------
-
-#if !defined(KSTABLE_NO_FAULT_INJECTION)
 
 TEST(ServeOverload, QueueFullShedsNeverHangsAndCountersMatch) {
   ServeLimits limits;
@@ -405,8 +395,6 @@ TEST(ServeDrain, DeadlineExceededReportsAbandonedWork) {
   // and releases admission even after an exceeded drain.
 }
 
-#endif  // !KSTABLE_NO_FAULT_INJECTION
-
 TEST(ServeDrain, DrainsInFlightSolvesCleanly) {
   // TSan-covered shutdown test: N in-flight solves across a real pool, then
   // drain — every request completes or cancels inside the deadline, the
@@ -449,8 +437,6 @@ TEST(ServeDrain, DrainsInFlightSolvesCleanly) {
 }
 
 // --- chaos soak (the ISSUE acceptance pin) ---------------------------------
-
-#if !defined(KSTABLE_NO_FAULT_INJECTION)
 
 TEST(ServeChaos, TenThousandRequestSoakUnderAllServiceFaults) {
   ServeLimits limits;
@@ -504,8 +490,6 @@ TEST(ServeChaos, TenThousandRequestSoakUnderAllServiceFaults) {
   EXPECT_EQ(stats.accounted(), stats.received.load());
   EXPECT_EQ(engine.admission().in_flight(), 0u);
 }
-
-#endif  // !KSTABLE_NO_FAULT_INJECTION
 
 }  // namespace
 }  // namespace kstable::serve
