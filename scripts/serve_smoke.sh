@@ -113,10 +113,11 @@ if ! PORT2="$(wait_for_port "$S2_OUT")"; then
 else
   PING2="$WORK_DIR/ping2.out"
   # Enough requests that the workload is still in flight when the SIGKILL
-  # lands ~0.3s in (a plain 2000-request run finishes in ~0.7s; 5000 keeps
-  # headroom on fast machines); the client's reconnect window (10s) covers
-  # the restart.
-  "$KMATCH" ping --port="$PORT2" --requests=5000 --window=16 --seed=9 \
+  # lands ~0.3s in: the client connects at once (bodies are generated on
+  # first send) and a 30000-request run takes ~0.8s on a 4-vCPU Xeon VM in
+  # a Release build, ~9s under ASan. The client's reconnect window (10s)
+  # covers the restart.
+  "$KMATCH" ping --port="$PORT2" --requests=30000 --window=16 --seed=9 \
     >"$PING2" &
   PING2_PID=$!
   pids+=("$PING2_PID")

@@ -1,31 +1,120 @@
 #include "prefs/io.hpp"
 
 #include <fstream>
-#include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "resilience/errors.hpp"
 #include "resilience/fault_injection.hpp"
 #include "util/check.hpp"
+#include "util/scan.hpp"
 
 namespace kstable::io {
 
 namespace {
 
-constexpr const char* kMagic = "kstable-kpartite";
-constexpr const char* kVersion = "v1";
+constexpr std::string_view kMagic = "kstable-kpartite";
+constexpr std::string_view kVersion = "v1";
 
-/// Strips comments and returns the next non-blank line, or nullopt at EOF.
-std::optional<std::string> next_line(std::istream& is) {
-  std::string line;
-  while (std::getline(is, line)) {
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.erase(hash);
-    }
-    if (line.find_first_not_of(" \t\r") != std::string::npos) return line;
+/// The one v1 parser behind load() and from_string().
+KPartiteInstance parse(util::LineReader& lines) {
+  KSTABLE_FAULT_POINT("io/load");
+  {
+    const auto header = lines.next();
+    KSTABLE_PARSE_REQUIRE(header.has_value(), "empty instance stream");
+    util::TokenScanner hs(*header);
+    KSTABLE_PARSE_REQUIRE(hs.expect(kMagic) && hs.expect(kVersion) &&
+                              hs.at_end(),
+                          "bad header '" << *header << "'");
   }
-  return std::nullopt;
+  Gender k = 0;
+  Index n = 0;
+  {
+    const auto dims = lines.next();
+    KSTABLE_PARSE_REQUIRE(dims.has_value(), "missing dimensions line");
+    util::TokenScanner ds(*dims);
+    const auto k_read = ds.integer<Gender>();
+    const auto n_read = ds.integer<Index>();
+    KSTABLE_PARSE_REQUIRE(k_read && n_read && ds.at_end(),
+                          "bad dimensions line '" << *dims << "'");
+    k = *k_read;
+    n = *n_read;
+    KSTABLE_PARSE_REQUIRE(k >= 2 && n >= 1,
+                          "dimensions out of range: k=" << k << " n=" << n);
+  }
+  KPartiteInstance inst = [&] {
+    try {
+      return KPartiteInstance(k, n);
+    } catch (const std::bad_alloc&) {
+      throw ParseError("parse error: instance dimensions too large");
+    }
+  }();
+  const std::size_t expected_lists = static_cast<std::size_t>(k) *
+                                     static_cast<std::size_t>(n) *
+                                     static_cast<std::size_t>(k - 1);
+  // One slot per (observer member, target gender): duplicates are rejected
+  // outright instead of trusting the final count (a duplicate plus a missing
+  // line would otherwise pass the seen == expected_lists check).
+  std::vector<bool> filled(expected_lists, false);
+  std::vector<Index> order;
+  order.reserve(static_cast<std::size_t>(n));
+  std::size_t seen = 0;
+  while (const auto line = lines.next()) {
+    util::TokenScanner ls(*line);
+    const bool tag_ok = ls.expect("pref");
+    const auto g_read = ls.integer<Gender>();
+    const auto i_read = ls.integer<Index>();
+    const auto h_read = ls.integer<Gender>();
+    KSTABLE_PARSE_REQUIRE(tag_ok && g_read && i_read && h_read &&
+                              ls.expect(":"),
+                          "bad pref line '" << *line << "'");
+    const Gender g = *g_read;
+    const Index i = *i_read;
+    const Gender h = *h_read;
+    // Bounds-check before indexing anything with g/i/h.
+    KSTABLE_PARSE_REQUIRE(g >= 0 && g < k, "gender " << g
+                              << " out of range on line '" << *line << "'");
+    KSTABLE_PARSE_REQUIRE(i >= 0 && i < n, "member " << i
+                              << " out of range on line '" << *line << "'");
+    KSTABLE_PARSE_REQUIRE(h >= 0 && h < k && h != g,
+                          "target gender " << h << " invalid on line '"
+                                           << *line << "'");
+    const std::size_t slot =
+        (static_cast<std::size_t>(g) * static_cast<std::size_t>(n) +
+         static_cast<std::size_t>(i)) *
+            static_cast<std::size_t>(k - 1) +
+        static_cast<std::size_t>(h < g ? h : h - 1);
+    KSTABLE_PARSE_REQUIRE(!filled[slot], "duplicate pref line for member ("
+                                             << g << ',' << i
+                                             << ") over gender " << h);
+    filled[slot] = true;
+    order.clear();
+    while (!ls.at_end()) {
+      const auto idx = ls.integer<Index>();
+      KSTABLE_PARSE_REQUIRE(idx.has_value(), "bad preference entry '"
+                                                 << *ls.token()
+                                                 << "' on line '" << *line
+                                                 << "'");
+      order.push_back(*idx);
+    }
+    try {
+      inst.set_pref_list({g, i}, h, order);
+    } catch (const ContractViolation& e) {
+      // Non-permutation list: malformed input, not a programming error.
+      throw ParseError(std::string("parse error: ") + e.what());
+    }
+    ++seen;
+  }
+  KSTABLE_PARSE_REQUIRE(seen == expected_lists,
+                        "instance has " << seen << " pref lines, expected "
+                                        << expected_lists);
+  try {
+    inst.validate();
+  } catch (const ContractViolation& e) {
+    throw ParseError(std::string("parse error: ") + e.what());
+  }
+  return inst;
 }
 
 }  // namespace
@@ -46,88 +135,8 @@ void save(const KPartiteInstance& inst, std::ostream& os) {
 }
 
 KPartiteInstance load(std::istream& is) {
-  KSTABLE_FAULT_POINT("io/load");
-  auto header = next_line(is);
-  KSTABLE_PARSE_REQUIRE(header.has_value(), "empty instance stream");
-  {
-    std::istringstream hs(*header);
-    std::string magic, version;
-    hs >> magic >> version;
-    KSTABLE_PARSE_REQUIRE(magic == kMagic && version == kVersion,
-                          "bad header '" << *header << "'");
-  }
-  auto dims = next_line(is);
-  KSTABLE_PARSE_REQUIRE(dims.has_value(), "missing dimensions line");
-  Gender k = 0;
-  Index n = 0;
-  {
-    std::istringstream ds(*dims);
-    ds >> k >> n;
-    KSTABLE_PARSE_REQUIRE(!ds.fail(), "bad dimensions line '" << *dims << "'");
-    KSTABLE_PARSE_REQUIRE(k >= 2 && n >= 1,
-                          "dimensions out of range: k=" << k << " n=" << n);
-  }
-  KPartiteInstance inst = [&] {
-    try {
-      return KPartiteInstance(k, n);
-    } catch (const std::bad_alloc&) {
-      throw ParseError("parse error: instance dimensions too large");
-    }
-  }();
-  const std::size_t expected_lists = static_cast<std::size_t>(k) *
-                                     static_cast<std::size_t>(n) *
-                                     static_cast<std::size_t>(k - 1);
-  // One slot per (observer member, target gender): duplicates are rejected
-  // outright instead of trusting the final count (a duplicate plus a missing
-  // line would otherwise pass the seen == expected_lists check).
-  std::vector<bool> filled(expected_lists, false);
-  std::size_t seen = 0;
-  while (auto line = next_line(is)) {
-    std::istringstream ls(*line);
-    std::string tag, colon;
-    Gender g = 0, h = 0;
-    Index i = 0;
-    ls >> tag >> g >> i >> h >> colon;
-    KSTABLE_PARSE_REQUIRE(!ls.fail() && tag == "pref" && colon == ":",
-                          "bad pref line '" << *line << "'");
-    // Bounds-check before indexing anything with g/i/h.
-    KSTABLE_PARSE_REQUIRE(g >= 0 && g < k, "gender " << g
-                              << " out of range on line '" << *line << "'");
-    KSTABLE_PARSE_REQUIRE(i >= 0 && i < n, "member " << i
-                              << " out of range on line '" << *line << "'");
-    KSTABLE_PARSE_REQUIRE(h >= 0 && h < k && h != g,
-                          "target gender " << h << " invalid on line '"
-                                           << *line << "'");
-    const std::size_t slot =
-        (static_cast<std::size_t>(g) * static_cast<std::size_t>(n) +
-         static_cast<std::size_t>(i)) *
-            static_cast<std::size_t>(k - 1) +
-        static_cast<std::size_t>(h < g ? h : h - 1);
-    KSTABLE_PARSE_REQUIRE(!filled[slot], "duplicate pref line for member ("
-                                             << g << ',' << i
-                                             << ") over gender " << h);
-    filled[slot] = true;
-    std::vector<Index> order;
-    order.reserve(static_cast<std::size_t>(n));
-    Index idx = 0;
-    while (ls >> idx) order.push_back(idx);
-    try {
-      inst.set_pref_list({g, i}, h, order);
-    } catch (const ContractViolation& e) {
-      // Non-permutation list: malformed input, not a programming error.
-      throw ParseError(std::string("parse error: ") + e.what());
-    }
-    ++seen;
-  }
-  KSTABLE_PARSE_REQUIRE(seen == expected_lists,
-                        "instance has " << seen << " pref lines, expected "
-                                        << expected_lists);
-  try {
-    inst.validate();
-  } catch (const ContractViolation& e) {
-    throw ParseError(std::string("parse error: ") + e.what());
-  }
-  return inst;
+  util::LineReader lines(is);
+  return parse(lines);
 }
 
 void save_file(const KPartiteInstance& inst, const std::string& path) {
@@ -149,9 +158,9 @@ std::string to_string(const KPartiteInstance& inst) {
   return os.str();
 }
 
-KPartiteInstance from_string(const std::string& text) {
-  std::istringstream is(text);
-  return load(is);
+KPartiteInstance from_string(std::string_view text) {
+  util::LineReader lines(text);
+  return parse(lines);
 }
 
 }  // namespace kstable::io

@@ -1,30 +1,74 @@
 #include "roommates/io.hpp"
 
 #include <fstream>
-#include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "resilience/errors.hpp"
 #include "resilience/fault_injection.hpp"
 #include "util/check.hpp"
+#include "util/scan.hpp"
 
 namespace kstable::rm::io {
 
 namespace {
 
-constexpr const char* kMagic = "kstable-roommates";
-constexpr const char* kVersion = "v1";
+constexpr std::string_view kMagic = "kstable-roommates";
+constexpr std::string_view kVersion = "v1";
 
-std::optional<std::string> next_line(std::istream& is) {
-  std::string line;
-  while (std::getline(is, line)) {
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.erase(hash);
-    }
-    if (line.find_first_not_of(" \t\r") != std::string::npos) return line;
+RoommatesInstance parse(util::LineReader& lines) {
+  KSTABLE_FAULT_POINT("io/load");
+  {
+    const auto header = lines.next();
+    KSTABLE_PARSE_REQUIRE(header.has_value(), "empty roommates stream");
+    util::TokenScanner hs(*header);
+    KSTABLE_PARSE_REQUIRE(hs.expect(kMagic) && hs.expect(kVersion) &&
+                              hs.at_end(),
+                          "bad header '" << *header << "'");
   }
-  return std::nullopt;
+  Person n = 0;
+  {
+    const auto dims = lines.next();
+    KSTABLE_PARSE_REQUIRE(dims.has_value(), "missing size line");
+    util::TokenScanner ds(*dims);
+    const auto n_read = ds.integer<Person>();
+    KSTABLE_PARSE_REQUIRE(n_read && ds.at_end() && *n_read >= 1,
+                          "bad size line '" << *dims << "'");
+    n = *n_read;
+  }
+  std::vector<std::vector<Person>> lists(static_cast<std::size_t>(n));
+  std::vector<bool> seen(static_cast<std::size_t>(n), false);
+  while (const auto line = lines.next()) {
+    util::TokenScanner ls(*line);
+    const bool tag_ok = ls.expect("list");
+    const auto p_read = ls.integer<Person>();
+    KSTABLE_PARSE_REQUIRE(tag_ok && p_read && ls.expect(":"),
+                          "bad list line '" << *line << "'");
+    const Person p = *p_read;
+    KSTABLE_PARSE_REQUIRE(p >= 0 && p < n, "person " << p << " out of range");
+    KSTABLE_PARSE_REQUIRE(!seen[static_cast<std::size_t>(p)],
+                    "duplicate list for person " << p);
+    seen[static_cast<std::size_t>(p)] = true;
+    while (!ls.at_end()) {
+      const auto q = ls.integer<Person>();
+      KSTABLE_PARSE_REQUIRE(q.has_value(), "bad list entry '"
+                                               << *ls.token() << "' on line '"
+                                               << *line << "'");
+      lists[static_cast<std::size_t>(p)].push_back(*q);
+    }
+  }
+  for (Person p = 0; p < n; ++p) {
+    KSTABLE_PARSE_REQUIRE(seen[static_cast<std::size_t>(p)],
+                    "missing list for person " << p);
+  }
+  try {
+    return RoommatesInstance(std::move(lists));
+  } catch (const ContractViolation& e) {
+    // Constructor validation failure (bad entry, self-reference, duplicate):
+    // malformed input, not a programming error.
+    throw ParseError(std::string("parse error: ") + e.what());
+  }
 }
 
 }  // namespace
@@ -39,51 +83,8 @@ void save(const RoommatesInstance& inst, std::ostream& os) {
 }
 
 RoommatesInstance load(std::istream& is) {
-  KSTABLE_FAULT_POINT("io/load");
-  auto header = next_line(is);
-  KSTABLE_PARSE_REQUIRE(header.has_value(), "empty roommates stream");
-  {
-    std::istringstream hs(*header);
-    std::string magic, version;
-    hs >> magic >> version;
-    KSTABLE_PARSE_REQUIRE(magic == kMagic && version == kVersion,
-                    "bad header '" << *header << "'");
-  }
-  auto dims = next_line(is);
-  KSTABLE_PARSE_REQUIRE(dims.has_value(), "missing size line");
-  Person n = 0;
-  {
-    std::istringstream ds(*dims);
-    ds >> n;
-    KSTABLE_PARSE_REQUIRE(!ds.fail() && n >= 1, "bad size line '" << *dims << "'");
-  }
-  std::vector<std::vector<Person>> lists(static_cast<std::size_t>(n));
-  std::vector<bool> seen(static_cast<std::size_t>(n), false);
-  while (auto line = next_line(is)) {
-    std::istringstream ls(*line);
-    std::string tag, colon;
-    Person p = 0;
-    ls >> tag >> p >> colon;
-    KSTABLE_PARSE_REQUIRE(!ls.fail() && tag == "list" && colon == ":",
-                    "bad list line '" << *line << "'");
-    KSTABLE_PARSE_REQUIRE(p >= 0 && p < n, "person " << p << " out of range");
-    KSTABLE_PARSE_REQUIRE(!seen[static_cast<std::size_t>(p)],
-                    "duplicate list for person " << p);
-    seen[static_cast<std::size_t>(p)] = true;
-    Person q = 0;
-    while (ls >> q) lists[static_cast<std::size_t>(p)].push_back(q);
-  }
-  for (Person p = 0; p < n; ++p) {
-    KSTABLE_PARSE_REQUIRE(seen[static_cast<std::size_t>(p)],
-                    "missing list for person " << p);
-  }
-  try {
-    return RoommatesInstance(std::move(lists));
-  } catch (const ContractViolation& e) {
-    // Constructor validation failure (bad entry, self-reference, duplicate):
-    // malformed input, not a programming error.
-    throw ParseError(std::string("parse error: ") + e.what());
-  }
+  util::LineReader lines(is);
+  return parse(lines);
 }
 
 void save_file(const RoommatesInstance& inst, const std::string& path) {
@@ -105,9 +106,9 @@ std::string to_string(const RoommatesInstance& inst) {
   return os.str();
 }
 
-RoommatesInstance from_string(const std::string& text) {
-  std::istringstream is(text);
-  return load(is);
+RoommatesInstance from_string(std::string_view text) {
+  util::LineReader lines(text);
+  return parse(lines);
 }
 
 }  // namespace kstable::rm::io

@@ -87,16 +87,19 @@ bool send_frame(int fd, const Frame& frame) {
 
 }  // namespace
 
+std::string make_request_body(const PingOptions& options, std::size_t i) {
+  // One fork per request: bodies are a pure function of (seed, i), so a
+  // failing request replays from its frame id alone.
+  Rng rng(options.seed + 0x9e3779b97f4a7c15ULL * (i + 1));
+  return io::to_string(gen::uniform(static_cast<Gender>(options.k),
+                                    static_cast<Index>(options.n), rng));
+}
+
 std::vector<std::string> make_request_bodies(const PingOptions& options) {
   std::vector<std::string> bodies;
   bodies.reserve(options.requests);
   for (std::size_t i = 0; i < options.requests; ++i) {
-    // One fork per request: bodies are a pure function of (seed, i), so a
-    // failing request replays from its frame id alone.
-    Rng rng(options.seed + 0x9e3779b97f4a7c15ULL * (i + 1));
-    bodies.push_back(io::to_string(
-        gen::uniform(static_cast<Gender>(options.k),
-                     static_cast<Index>(options.n), rng)));
+    bodies.push_back(make_request_body(options, i));
   }
   return bodies;
 }
@@ -111,11 +114,10 @@ void emit_request_frames(const PingOptions& options, std::ostream& os) {
 
 PingReport run_ping(const PingOptions& options, bool fetch_metrics) {
   PingReport report;
-  auto bodies = make_request_bodies(options);
-  std::vector<RequestState> states(bodies.size());
-  for (std::size_t i = 0; i < bodies.size(); ++i) {
-    states[i].body = std::move(bodies[i]);
-  }
+  // Bodies are generated on first send, not up front: the workload starts
+  // as soon as the client connects, however slow generation is (a large
+  // --requests, a sanitizer build).
+  std::vector<RequestState> states(options.requests);
 
   int fd = connect_with_retry(options.port, options.connect_wait_ms);
   std::unique_ptr<FdReadBuf> buffer;
@@ -166,12 +168,22 @@ PingReport run_ping(const PingOptions& options, bool fetch_metrics) {
     return report;
   }
 
+  // Each send pass starts at the first unsettled request and stops at the
+  // never-sent suffix once the window is full, so a pass costs O(window +
+  // unsettled stragglers), not O(requests).
+  std::size_t first_open = 0;  // every request before it is acked or lost
+  std::size_t next_fresh = 0;  // every request from it on was never sent
   while (settled < states.size()) {
     const auto now = Clock::now();
+    while (first_open < states.size() &&
+           (states[first_open].acked || states[first_open].lost)) {
+      ++first_open;
+    }
 
     // Launch / resend under the window.
     bool send_failed = false;
-    for (std::size_t i = 0; i < states.size() && !send_failed; ++i) {
+    for (std::size_t i = first_open; i < states.size() && !send_failed; ++i) {
+      if (i >= next_fresh && outstanding >= options.window) break;
       auto& state = states[i];
       if (state.acked || state.lost) continue;
       const bool timed_out =
@@ -189,6 +201,10 @@ PingReport run_ping(const PingOptions& options, bool fetch_metrics) {
         continue;
       }
       if (timed_out) ++report.resends;
+      if (state.attempts == 0) {
+        state.body = make_request_body(options, i);
+        next_fresh = i + 1;
+      }
       ++state.attempts;
       state.last_send = now;
       if (!state.outstanding) {

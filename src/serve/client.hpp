@@ -58,8 +58,11 @@ struct PingReport {
   }
 };
 
-/// Generates the deterministic SOLVE bodies `run_ping` would send.
-/// body[i] pairs with frame id i+1.
+/// The deterministic SOLVE body `run_ping` sends with frame id i+1: a pure
+/// function of (options.seed, options.k, options.n, i).
+std::string make_request_body(const PingOptions& options, std::size_t i);
+
+/// Every body of the workload; body[i] pairs with frame id i+1.
 std::vector<std::string> make_request_bodies(const PingOptions& options);
 
 /// Writes the workload as raw frames (ids 1..requests) — the stdio-mode

@@ -5,6 +5,7 @@
 #include <exception>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -70,10 +71,30 @@ void ServeEngine::respond(const Frame& frame, const ResponseSink& sink) {
   }
 }
 
-std::string ServeEngine::metrics_json() {
+std::string ServeEngine::metrics_json() const {
   std::ostringstream os;
   os << "{\"schema\":\"kstable.stats.v1\",\"telemetry\":null,\"metrics\":";
+#if KSTABLE_METRICS_ENABLED
   obs::MetricsRegistry::global().write_json(os);
+#else
+  // The global registry is compiled out; the scrape still carries the
+  // request accounting, from this engine's own ServeStats atomics.
+  obs::MetricsRegistry accounting;
+  const auto put = [&](std::string_view name,
+                       const std::atomic<std::int64_t>& value) {
+    accounting.counter(name).add(value.load(std::memory_order_relaxed));
+  };
+  put("serve.requests.received", stats_.received);
+  put("serve.requests.completed", stats_.completed);
+  put("serve.requests.degraded", stats_.degraded);
+  put("serve.requests.shed", stats_.shed);
+  put("serve.requests.timeout", stats_.timed_out);
+  put("serve.requests.error", stats_.errors);
+  put("serve.responses.sent", stats_.responses_sent);
+  put("serve.responses.dropped", stats_.responses_dropped);
+  put("serve.frames.bad", stats_.bad_frames);
+  accounting.write_json(os);
+#endif
   os << "}";
   return os.str();
 }

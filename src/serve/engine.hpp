@@ -156,8 +156,10 @@ class ServeEngine {
  private:
   void handle_solve(const Frame& request, const ResponseSink& sink);
   void respond(const Frame& frame, const ResponseSink& sink);
-  /// Builds the kstable.stats.v1 JSON body for METRICS responses.
-  [[nodiscard]] static std::string metrics_json();
+  /// Builds the kstable.stats.v1 JSON body for METRICS responses: the
+  /// global registry, or, in a build without metrics, the serve.requests.*,
+  /// serve.responses.* and serve.frames.bad accounting from stats_.
+  [[nodiscard]] std::string metrics_json() const;
 
   ServeLimits limits_;
   ResponseSink sink_;

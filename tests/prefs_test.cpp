@@ -242,6 +242,22 @@ TEST(Io, RoundTripPreservesInstance) {
   EXPECT_EQ(inst, back);
 }
 
+TEST(Io, SeededRoundTripThroughBothEntryPoints) {
+  // k in {2,3,4}; n in [1, 48], except every 50th instance, whose n in
+  // [257, 300] puts ranks past one byte (still the u16 rank width).
+  Rng rng(64);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto k = static_cast<Gender>(2 + trial % 3);
+    const auto n = static_cast<Index>(trial % 50 == 0 ? 257 + rng.below(44)
+                                                      : 1 + rng.below(48));
+    const auto inst = gen::uniform(k, n, rng);
+    const std::string text = io::to_string(inst);
+    EXPECT_EQ(io::from_string(text), inst) << "k=" << k << " n=" << n;
+    std::istringstream is(text);
+    EXPECT_EQ(io::load(is), inst) << "k=" << k << " n=" << n;
+  }
+}
+
 TEST(Io, RejectsBadHeader) {
   EXPECT_THROW(io::from_string("garbage v1\n2 2\n"), ContractViolation);
   EXPECT_THROW(io::from_string(""), ContractViolation);

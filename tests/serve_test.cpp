@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "observability/metrics.hpp"
 #include "prefs/generators.hpp"
 #include "prefs/io.hpp"
 #include "resilience/errors.hpp"
@@ -226,6 +227,36 @@ TEST(ServeEngineTest, MetricsReturnsStatsSchema) {
   std::scoped_lock lock(log.mutex);
   EXPECT_NE(log.frames[0].body.find("\"kstable.stats.v1\""), std::string::npos);
   EXPECT_NE(log.frames[0].body.find("\"metrics\""), std::string::npos);
+}
+
+TEST(ServeEngineTest, MetricsScrapeCarriesAccountingInEveryBuild) {
+  // With KSTABLE_METRICS=OFF the registry is compiled out; the scrape must
+  // still carry the request accounting (from ServeStats), so the serve-smoke
+  // `check_stats_json.py --serve` invariant holds in that build too.
+  FrameLog log;
+  ServeEngine engine(ServeLimits{}, log.sink());
+  engine.handle(Frame::request(FrameKind::solve, 1, small_instance(5)));
+  engine.handle(Frame::request(FrameKind::pong, 2));  // a bad frame
+  ASSERT_TRUE(engine.drain().clean);  // settles every counter
+  engine.handle(Frame::request(FrameKind::metrics, 3));
+  ASSERT_EQ(log.count(FrameKind::stats), 1u);
+  std::scoped_lock lock(log.mutex);
+  const std::string& body = log.frames.back().body;
+  for (const char* name :
+       {"serve.requests.received", "serve.requests.completed",
+        "serve.requests.degraded", "serve.requests.shed",
+        "serve.requests.timeout", "serve.requests.error",
+        "serve.responses.sent", "serve.responses.dropped",
+        "serve.frames.bad"}) {
+    EXPECT_NE(body.find('"' + std::string(name) + "\":"), std::string::npos)
+        << name << " missing from " << body;
+  }
+#if !KSTABLE_METRICS_ENABLED
+  EXPECT_NE(body.find("\"serve.requests.received\":1"), std::string::npos);
+  EXPECT_NE(body.find("\"serve.requests.completed\":1"), std::string::npos);
+  EXPECT_NE(body.find("\"serve.frames.bad\":1"), std::string::npos);
+  EXPECT_NE(body.find("\"serve.responses.sent\":2"), std::string::npos);
+#endif
 }
 
 TEST(ServeEngineTest, ResponseKindAsRequestAnswersError) {

@@ -1,16 +1,21 @@
-// Unit tests for the util substrate: RNG, contracts, tables, timer.
+// Unit tests for the util substrate: RNG, contracts, tables, timer, number
+// parsing and the loaders' line/token scanner.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
+#include "util/scan.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -287,6 +292,56 @@ TEST(ParseNumber, RangeBoundsAreInclusive) {
 TEST(ParseNumber, IntegralPathStillRejectsFloatSyntax) {
   EXPECT_FALSE(util::parse_number<int>("2.5", 0, 10).has_value());
   EXPECT_FALSE(util::parse_number<int>("1e3", 0, 10000).has_value());
+}
+
+/// Every line LineReader yields for `text`, through both of its modes.
+std::vector<std::string> scanned_lines(const std::string& text) {
+  std::vector<std::string> from_view;
+  util::LineReader view(text);
+  while (const auto line = view.next()) from_view.emplace_back(*line);
+  std::istringstream is(text);
+  util::LineReader stream(is);
+  std::vector<std::string> from_stream;
+  while (const auto line = stream.next()) from_stream.emplace_back(*line);
+  EXPECT_EQ(from_view, from_stream) << "view and stream modes disagree";
+  return from_view;
+}
+
+TEST(LineReader, StripsCommentsBlanksAndEmptyLines) {
+  using Lines = std::vector<std::string>;
+  EXPECT_EQ(scanned_lines(""), Lines{});
+  EXPECT_EQ(scanned_lines("\n\n \t\r\n# only a comment\n"), Lines{});
+  EXPECT_EQ(scanned_lines("a b\nc"), (Lines{"a b", "c"}));
+  EXPECT_EQ(scanned_lines("  a b \t# note\r\n\r\n\vc\f\r\n"),
+            (Lines{"a b", "c"}));
+  EXPECT_EQ(scanned_lines("x#y#z\n#\n w \n"), (Lines{"x", "w"}));
+}
+
+TEST(TokenScanner, SplitsOnEveryBlankKind) {
+  util::TokenScanner ts(" a\tbb\r\v c\fd ");
+  EXPECT_EQ(ts.token(), "a");
+  EXPECT_EQ(ts.token(), "bb");
+  EXPECT_FALSE(ts.at_end());
+  EXPECT_TRUE(ts.expect("c"));
+  EXPECT_FALSE(ts.expect("x"));  // consumes "d"
+  EXPECT_TRUE(ts.at_end());
+  EXPECT_EQ(ts.token(), std::nullopt);
+  EXPECT_FALSE(ts.expect(""));
+}
+
+TEST(TokenScanner, IntegersMustBeWholeTokens) {
+  util::TokenScanner ok("0 -7 2147483647 -2147483648 -0");
+  EXPECT_EQ(ok.integer<std::int32_t>(), 0);
+  EXPECT_EQ(ok.integer<std::int32_t>(), -7);
+  EXPECT_EQ(ok.integer<std::int32_t>(), 2147483647);
+  EXPECT_EQ(ok.integer<std::int32_t>(), -2147483647 - 1);
+  EXPECT_EQ(ok.integer<std::int32_t>(), 0);
+  EXPECT_EQ(ok.integer<std::int32_t>(), std::nullopt);  // end of line
+  for (const char* bad : {"0x", "0x1", "junk", "-", "+0", "1x", ":0", "1:",
+                          "2147483648", "-2147483649", "1.0", "1e2"}) {
+    util::TokenScanner ts(bad);
+    EXPECT_EQ(ts.integer<std::int32_t>(), std::nullopt) << bad;
+  }
 }
 
 }  // namespace
