@@ -70,13 +70,16 @@
 // still in flight. `kmatch ping`: 0 when every request was acknowledged
 // exactly-once-consistently, 1 on lost or inconsistent responses, 2 usage.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/kstable.hpp"
@@ -91,51 +94,32 @@ namespace {
 using namespace kstable;
 using examples_cli::parse_arg;
 
-/// Flags shared by every solving command; set once in main().
-resilience::Budget g_budget;
+/// What the flags set (see kFlags). Wherever a library option struct
+/// exists, the flags write straight into it, so kmatch runs the library's
+/// own defaults.
+resilience::Budget g_budget;  ///< --deadline-ms, --max-proposals
 bool g_fallback = false;
 std::size_t g_sweep_threads = 1;
 std::string g_stats_json;
 std::string g_stats_prom;
-/// `kmatch verify` knobs (defaults mirror verify::VerifyOptions).
 verify::VerifyOptions g_verify;
-/// `kmatch serve` knobs (defaults mirror serve::ServeLimits). The global
-/// --deadline-ms doubles as the server's default per-request deadline and
-/// --max-proposals as the per-request proposal cap.
-struct ServeFlags {
-  bool stdio = false;
-  std::optional<std::uint16_t> port;
-  std::size_t workers = 2;
-  std::size_t queue_depth = 16;
-  double max_deadline_ms = 10000.0;
-  double shed_retry_ms = 25.0;
-  double drain_deadline_ms = 2000.0;
-  double drain_grace_ms = 500.0;
-  std::int32_t tree_attempts = 2;
-  bool no_degraded = false;
-  std::string chaos;           ///< comma list of serve/* points, or "all"
-  std::uint64_t chaos_seed = 1;
-  double chaos_prob = 0.05;
-  double chaos_stall_ms = 250.0;
-} g_serve;
-/// `kmatch ping` knobs (defaults mirror serve::PingOptions).
-struct PingFlags {
-  std::size_t requests = 100;
-  std::size_t window = 8;
-  std::int32_t k = 3;
-  std::int32_t n = 4;
-  std::uint64_t seed = 1;
-  double response_timeout_ms = 2000.0;
-  std::string emit;         ///< write the workload as raw frames, don't connect
-  std::string metrics_out;  ///< scrape a STATS body after the workload
-} g_ping;
-/// `kmatch mertens` knobs. n deliberately ranges far beyond what explicit
-/// tables could hold — the experiment runs on the implicit backend only.
-struct MertensFlags {
-  Index n = 100000;
-  std::int64_t samples = 3;
-  std::uint64_t seed = 1;
-} g_mertens;
+/// `kmatch serve`. The one default kmatch changes: an armed serve/stall
+/// point wedges a worker for 250 ms, where the library's default is 0.
+serve::ServeLimits g_limits{.chaos_stall_ms = 250.0};
+bool g_stdio = false;
+std::optional<std::uint16_t> g_port;
+std::vector<std::string> g_chaos;  ///< serve/* fault points to arm
+std::uint64_t g_chaos_seed = 1;
+double g_chaos_prob = 0.05;
+/// `kmatch ping`. --port, --n and --seed also land here.
+serve::PingOptions g_ping;
+std::string g_emit;         ///< write the workload as raw frames, don't connect
+std::string g_metrics_out;  ///< scrape a STATS body after the workload
+/// `kmatch mertens` (--seed is g_ping.seed). n deliberately ranges far
+/// beyond what explicit tables could hold: the experiment runs on the
+/// implicit backend only.
+Index g_mertens_n = 100000;
+std::int64_t g_mertens_samples = 3;
 /// Telemetry of the command's top-level solve, for --stats-json/--stats-prom.
 std::optional<obs::SolveTelemetry> g_telemetry;
 
@@ -472,87 +456,60 @@ int cmd_coalitions(int argc, char** argv) {
   return 0;
 }
 
-/// Arms the serve/* fault points named in --chaos. Returns false (usage) on
-/// an unknown point name.
-bool arm_serve_chaos(const std::string& spec) {
-  static constexpr struct {
-    const char* flag;
-    const char* point;
-  } kPoints[] = {
-      {"accept", "serve/accept"},       {"frame_parse", "serve/frame_parse"},
-      {"enqueue", "serve/enqueue"},     {"respond", "serve/respond"},
-      {"stall", "serve/stall"},
-  };
-  std::vector<std::string> chosen;
-  if (spec == "all") {
-    for (const auto& entry : kPoints) chosen.push_back(entry.point);
-  } else {
-    std::size_t start = 0;
-    while (start <= spec.size()) {
-      const std::size_t comma = spec.find(',', start);
-      const std::string name =
-          spec.substr(start, comma == std::string::npos ? comma : comma - start);
-      bool known = false;
-      for (const auto& entry : kPoints) {
-        if (name == entry.flag) {
-          chosen.push_back(entry.point);
-          known = true;
-          break;
-        }
+/// Parses a --chaos spec ("all" or a comma list of point names) into the
+/// serve/* fault points to arm.
+bool parse_chaos(std::string_view flag, const char* value) {
+  static constexpr std::string_view kPoints[] = {"accept", "frame_parse",
+                                                 "enqueue", "respond", "stall"};
+  const std::string_view spec = value;
+  g_chaos.clear();
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = std::min(spec.find(',', start), spec.size());
+    const std::string_view name = spec.substr(start, comma - start);
+    const std::size_t known = g_chaos.size();
+    for (const auto point : kPoints) {
+      if (name == point || spec == "all") {
+        g_chaos.push_back("serve/" + std::string(point));
       }
-      if (!known) {
-        std::cerr << "unknown --chaos point '" << name
-                  << "' (accept, frame_parse, enqueue, respond, stall, all)\n";
-        return false;
-      }
-      if (comma == std::string::npos) break;
-      start = comma + 1;
     }
+    if (g_chaos.size() == known) {
+      std::cerr << "unknown " << flag << " point '" << name
+                << "' (accept, frame_parse, enqueue, respond, stall, all)\n";
+      return false;
+    }
+    if (comma == spec.size()) return true;
+    start = comma + 1;
   }
-  for (std::size_t i = 0; i < chosen.size(); ++i) {
-    resilience::FaultConfig config;
-    config.probability = g_serve.chaos_prob;
-    config.seed = g_serve.chaos_seed + i;  // decorrelate the points' streams
-    config.max_fires = 0;                  // chaos is continuous, not one-shot
-    resilience::FaultRegistry::instance().arm(chosen[i], config);
-  }
-  return true;
 }
 
 int cmd_serve(int argc, char** /*argv*/) {
   if (argc != 2) return usage();  // everything is flag-driven
-  if (g_serve.stdio == g_serve.port.has_value()) {
+  if (g_stdio == g_port.has_value()) {
     std::cerr << "kmatch serve needs exactly one of --stdio or --port=<p>\n";
     return usage();
   }
-  if (!g_serve.chaos.empty() && !arm_serve_chaos(g_serve.chaos)) {
-    return usage();
+  for (std::size_t i = 0; i < g_chaos.size(); ++i) {
+    resilience::FaultConfig config;
+    config.probability = g_chaos_prob;
+    config.seed = g_chaos_seed + i;  // decorrelate the points' streams
+    config.max_fires = 0;            // chaos is continuous, not one-shot
+    resilience::FaultRegistry::instance().arm(g_chaos[i], config);
   }
+  // The global budget flags double as the per-request defaults.
+  if (g_budget.wall_ms > 0) g_limits.default_deadline_ms = g_budget.wall_ms;
+  g_limits.max_proposals = g_budget.max_proposals;
 
-  serve::ServeLimits limits;
-  limits.workers = g_serve.workers;
-  limits.queue_depth = g_serve.queue_depth;
-  if (g_budget.wall_ms > 0) limits.default_deadline_ms = g_budget.wall_ms;
-  limits.max_deadline_ms = g_serve.max_deadline_ms;
-  limits.shed_retry_ms = g_serve.shed_retry_ms;
-  limits.drain_deadline_ms = g_serve.drain_deadline_ms;
-  limits.drain_grace_ms = g_serve.drain_grace_ms;
-  limits.max_proposals = g_budget.max_proposals;
-  limits.max_tree_attempts = g_serve.tree_attempts;
-  limits.allow_degraded = !g_serve.no_degraded;
-  limits.chaos_stall_ms = g_serve.chaos_stall_ms;
-
-  serve::ServeEngine engine(limits, serve::make_stream_sink(std::cout));
+  serve::ServeEngine engine(g_limits, serve::make_stream_sink(std::cout));
   serve::install_drain_signal_handlers(engine);
 
-  if (g_serve.stdio) {
+  if (g_stdio) {
     // Raw fd 0, not std::cin: FdReadBuf maps EINTR to EOF, so a drain
     // signal pops the blocked read and the pump returns.
     serve::FdReadBuf in(0);
     std::istream is(&in);
     serve::pump_stream(engine, is);
   } else {
-    serve::TcpServer server(engine, *g_serve.port);
+    serve::TcpServer server(engine, *g_port);
     // The smoke script parses this line to learn an ephemeral port.
     std::cout << "listening on port " << server.port() << std::endl;
     server.run();
@@ -582,33 +539,26 @@ int cmd_ping(int argc, char** /*argv*/) {
     std::cerr << "--n value out of range [1, 4096] for ping\n";
     return usage();
   }
-  serve::PingOptions options;
-  options.port = g_serve.port.value_or(0);
-  options.requests = g_ping.requests;
-  options.window = g_ping.window;
-  options.k = g_ping.k;
-  options.n = g_ping.n;
-  options.seed = g_ping.seed;
-  options.deadline_ms = g_budget.wall_ms;
-  options.response_timeout_ms = g_ping.response_timeout_ms;
+  g_ping.deadline_ms = g_budget.wall_ms;
+  const serve::PingOptions& options = g_ping;
 
-  if (!g_ping.emit.empty()) {  // offline: write the workload as raw frames
-    std::ofstream out(g_ping.emit, std::ios::binary);
+  if (!g_emit.empty()) {  // offline: write the workload as raw frames
+    std::ofstream out(g_emit, std::ios::binary);
     if (!out) {
-      std::cerr << "cannot write frames to '" << g_ping.emit << "'\n";
+      std::cerr << "cannot write frames to '" << g_emit << "'\n";
       return 2;
     }
     serve::emit_request_frames(options, out);
-    std::cout << "wrote " << options.requests << " frames to " << g_ping.emit
+    std::cout << "wrote " << options.requests << " frames to " << g_emit
               << '\n';
     return 0;
   }
 
-  if (!g_serve.port.has_value() || *g_serve.port == 0) {
+  if (options.port == 0) {
     std::cerr << "kmatch ping needs --port=<p> (1..65535)\n";
     return usage();
   }
-  const bool fetch_metrics = !g_ping.metrics_out.empty();
+  const bool fetch_metrics = !g_metrics_out.empty();
   const auto report = serve::run_ping(options, fetch_metrics);
   std::cout << "ping: " << options.requests << " requests, acked "
             << report.acked << " (ok " << report.ok << ", degraded "
@@ -623,9 +573,9 @@ int cmd_ping(int argc, char** /*argv*/) {
       std::cerr << "no STATS response for the metrics scrape\n";
       return 1;
     }
-    std::ofstream out(g_ping.metrics_out);
+    std::ofstream out(g_metrics_out);
     if (!out) {
-      std::cerr << "cannot write metrics to '" << g_ping.metrics_out << "'\n";
+      std::cerr << "cannot write metrics to '" << g_metrics_out << "'\n";
       return 2;
     }
     out << report.metrics_body << '\n';
@@ -641,22 +591,22 @@ int cmd_ping(int argc, char** /*argv*/) {
 /// far exceed what explicit tables would hold — memory stays O(n).
 int cmd_mertens(int argc, char** /*argv*/) {
   if (argc != 2) return usage();  // everything is flag-driven
-  const Index n = g_mertens.n;
+  const Index n = g_mertens_n;
   const double ln_n = std::log(static_cast<double>(n));
   const double n_over_ln_n = static_cast<double>(n) / ln_n;
   const double n_ln_n = static_cast<double>(n) * ln_n;
 
   TableWriter table(
       "Mertens asymptotics, implicit uniform bipartite (n=" +
-          std::to_string(n) + ", " + std::to_string(g_mertens.samples) +
+          std::to_string(n) + ", " + std::to_string(g_mertens_samples) +
           " seed(s); expect ~1.0 in the ratio columns)",
       {"seed", "solve ms", "proposals", "/(n ln n)", "proposer mean",
        "/ln n", "responder mean", "/(n/ln n)"});
   double sum_prop_ratio = 0.0;
   double sum_resp_ratio = 0.0;
   double sum_proposals_ratio = 0.0;
-  for (std::int64_t s = 0; s < g_mertens.samples; ++s) {
-    const std::uint64_t seed = g_mertens.seed + static_cast<std::uint64_t>(s);
+  for (std::int64_t s = 0; s < g_mertens_samples; ++s) {
+    const std::uint64_t seed = g_ping.seed + static_cast<std::uint64_t>(s);
     const auto inst = KPartiteInstance::make_implicit(
         2, n, {prefs::imp::Family::uniform, seed});
     const auto result = gs::gale_shapley_queue(inst, 0, 1);
@@ -678,8 +628,8 @@ int cmd_mertens(int argc, char** /*argv*/) {
                    pmean / ln_n, rmean, rmean / n_over_ln_n});
   }
   table.print(std::cout);
-  const double inv = 1.0 / static_cast<double>(g_mertens.samples);
-  std::cout << "means over " << g_mertens.samples
+  const double inv = 1.0 / static_cast<double>(g_mertens_samples);
+  std::cout << "means over " << g_mertens_samples
             << " seed(s): proposer rank = " << sum_prop_ratio * inv
             << "x ln n, responder rank = " << sum_resp_ratio * inv
             << "x n/ln n, proposals = " << sum_proposals_ratio * inv
@@ -703,198 +653,177 @@ int cmd_verify(int argc, char** /*argv*/) {
   return 4;
 }
 
+/// One command-line flag: `--name=<value>`, or a bare `--name` switch. `set`
+/// parses the value (empty for a switch) into the option it names, or
+/// prints why it cannot and returns false.
+struct Flag {
+  std::string_view name;
+  std::function<bool(std::string_view flag, const char* value)> set;
+  bool is_switch = false;
+};
+
+/// A flag whose value is a T in [lo, hi] (examples_cli::parse_arg).
+template <typename T, typename Store>
+Flag number(std::string_view name, T lo, T hi, Store store) {
+  return {name, [=](std::string_view flag, const char* value) {
+            const auto v = parse_arg<T>(
+                value, lo, hi, (std::string(flag) + " value").c_str());
+            if (v) store(*v);
+            return v.has_value();
+          }};
+}
+
+/// A flag whose value is a non-empty path.
+Flag path(std::string_view name, std::string& target) {
+  return {name, [&target](std::string_view flag, const char* value) {
+            if (*value == '\0') {
+              std::cerr << "invalid " << flag
+                        << " value '' (expected a path)\n";
+              return false;
+            }
+            target = value;
+            return true;
+          }};
+}
+
+/// A flag whose value names one of the choices `parse` knows.
+template <typename Parse, typename Store>
+Flag choice(std::string_view name, Parse parse, Store store) {
+  return {name, [=](std::string_view flag, const char* value) {
+            const auto v = parse(value);
+            if (!v) {
+              std::cerr << "unknown " << flag << " '" << value << "'\n";
+              return false;
+            }
+            store(*v);
+            return true;
+          }};
+}
+
+/// A switch: a bare `--name` that sets `target` to `value`.
+Flag toggle(std::string_view name, bool& target, bool value) {
+  return {name, [&target, value](std::string_view, const char*) {
+            target = value;
+            return true;
+          }, true};
+}
+
+constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
+
+const Flag kFlags[] = {
+    // Global flags (every solving command).
+    number("--deadline-ms", 0.0, 1e15, [](double v) { g_budget.wall_ms = v; }),
+    number<std::int64_t>("--max-proposals", 0,
+                         std::numeric_limits<std::int64_t>::max(),
+                         [](std::int64_t v) { g_budget.max_proposals = v; }),
+    toggle("--fallback", g_fallback, true),
+    number<std::int64_t>("--sweep-threads", 1, 4096, [](std::int64_t v) {
+      g_sweep_threads = static_cast<std::size_t>(v);
+    }),
+    path("--stats-json", g_stats_json),
+    path("--stats-prom", g_stats_prom),
+    // kmatch verify.
+    number<std::int64_t>("--seeds", 1, 100'000'000,
+                         [](std::int64_t v) { g_verify.seeds = v; }),
+    number<std::uint64_t>("--base-seed", 0, kU64Max,
+                          [](std::uint64_t v) { g_verify.base_seed = v; }),
+    choice("--shape",
+           [](std::string_view v) -> std::optional<std::vector<verify::Shape>> {
+             if (v == "all") return verify::VerifyOptions{}.shapes;
+             if (const auto shape = verify::parse_shape(v)) {
+               return std::vector{*shape};
+             }
+             return std::nullopt;
+           },
+           [](const std::vector<verify::Shape>& v) { g_verify.shapes = v; }),
+    choice("--dist", verify::parse_dist,
+           [](verify::Dist v) { g_verify.gen.dist = v; }),
+    choice("--sabotage", verify::parse_sabotage,
+           [](verify::Sabotage v) { g_verify.sabotage = v; }),
+    path("--repro-dir", g_verify.repro_dir),
+    number<std::int32_t>("--churn", 0, 1000,
+                         [](std::int32_t v) { g_verify.churn_steps = v; }),
+    // kmatch serve (and --port for ping).
+    toggle("--stdio", g_stdio, true),
+    number<std::int64_t>("--port", 0, 65535, [](std::int64_t v) {
+      g_port = static_cast<std::uint16_t>(v);
+      g_ping.port = *g_port;
+    }),
+    number<std::int64_t>("--workers", 1, 1024, [](std::int64_t v) {
+      g_limits.workers = static_cast<std::size_t>(v);
+    }),
+    number<std::int64_t>("--queue-depth", 1, 1'000'000, [](std::int64_t v) {
+      g_limits.queue_depth = static_cast<std::size_t>(v);
+    }),
+    number("--max-deadline-ms", 1.0, 1e15,
+           [](double v) { g_limits.max_deadline_ms = v; }),
+    number("--shed-retry-ms", 0.0, 1e9,
+           [](double v) { g_limits.shed_retry_ms = v; }),
+    number("--drain-deadline-ms", 0.0, 1e9,
+           [](double v) { g_limits.drain_deadline_ms = v; }),
+    number("--drain-grace-ms", 0.0, 1e9,
+           [](double v) { g_limits.drain_grace_ms = v; }),
+    number<std::int32_t>("--tree-attempts", 0, 64, [](std::int32_t v) {
+      g_limits.max_tree_attempts = v;
+    }),
+    toggle("--no-degraded", g_limits.allow_degraded, false),
+    {"--chaos", parse_chaos},
+    number<std::uint64_t>("--chaos-seed", 0, kU64Max,
+                          [](std::uint64_t v) { g_chaos_seed = v; }),
+    number("--chaos-prob", 0.0, 1.0, [](double v) { g_chaos_prob = v; }),
+    number("--chaos-stall-ms", 0.0, 1e9,
+           [](double v) { g_limits.chaos_stall_ms = v; }),
+    // kmatch ping (and --n, --seed for mertens).
+    number<std::int64_t>("--requests", 1, 10'000'000, [](std::int64_t v) {
+      g_ping.requests = static_cast<std::size_t>(v);
+    }),
+    number<std::int64_t>("--window", 1, 4096, [](std::int64_t v) {
+      g_ping.window = static_cast<std::size_t>(v);
+    }),
+    number<std::int32_t>("--k", 2, 64, [](std::int32_t v) { g_ping.k = v; }),
+    // Ping checks its own 4096 cap at use; mertens runs on the implicit
+    // backend, so n can be huge in O(n) memory.
+    number<std::int32_t>("--n", 1, 2'000'000, [](std::int32_t v) {
+      g_ping.n = v;
+      g_mertens_n = v;
+    }),
+    number<std::int64_t>("--samples", 1, 10'000,
+                         [](std::int64_t v) { g_mertens_samples = v; }),
+    number<std::uint64_t>("--seed", 0, kU64Max,
+                          [](std::uint64_t v) { g_ping.seed = v; }),
+    number("--response-timeout-ms", 1.0, 1e9,
+           [](double v) { g_ping.response_timeout_ms = v; }),
+    path("--emit", g_emit),
+    path("--metrics-out", g_metrics_out),
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip global flags anywhere on the line; commands see the remainder.
+  // Strip flags anywhere on the line; commands see the remainder.
   std::vector<char*> args;
   args.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--deadline-ms=", 0) == 0) {
-      const auto ms = parse_arg<double>(a.c_str() + 14, 0.0, 1e15,
-                                        "--deadline-ms value");
-      if (!ms) return usage();
-      g_budget.wall_ms = *ms;
-    } else if (a.rfind("--max-proposals=", 0) == 0) {
-      const auto cap = parse_arg<std::int64_t>(
-          a.c_str() + 16, 0, std::numeric_limits<std::int64_t>::max(),
-          "--max-proposals value");
-      if (!cap) return usage();
-      g_budget.max_proposals = *cap;
-    } else if (a.rfind("--stats-json=", 0) == 0) {
-      g_stats_json = a.substr(13);
-      if (g_stats_json.empty()) return usage();
-    } else if (a.rfind("--stats-prom=", 0) == 0) {
-      g_stats_prom = a.substr(13);
-      if (g_stats_prom.empty()) return usage();
-    } else if (a.rfind("--sweep-threads=", 0) == 0) {
-      const auto threads = parse_arg<std::int64_t>(
-          a.c_str() + 16, 1, 4096, "--sweep-threads value");
-      if (!threads) return usage();
-      g_sweep_threads = static_cast<std::size_t>(*threads);
-    } else if (a == "--fallback") {
-      g_fallback = true;
-    } else if (a == "--stdio") {
-      g_serve.stdio = true;
-    } else if (a.rfind("--port=", 0) == 0) {
-      const auto port =
-          parse_arg<std::int64_t>(a.c_str() + 7, 0, 65535, "--port value");
-      if (!port) return usage();
-      g_serve.port = static_cast<std::uint16_t>(*port);
-    } else if (a.rfind("--workers=", 0) == 0) {
-      const auto workers =
-          parse_arg<std::int64_t>(a.c_str() + 10, 1, 1024, "--workers value");
-      if (!workers) return usage();
-      g_serve.workers = static_cast<std::size_t>(*workers);
-    } else if (a.rfind("--queue-depth=", 0) == 0) {
-      const auto depth = parse_arg<std::int64_t>(a.c_str() + 14, 1, 1'000'000,
-                                                 "--queue-depth value");
-      if (!depth) return usage();
-      g_serve.queue_depth = static_cast<std::size_t>(*depth);
-    } else if (a.rfind("--max-deadline-ms=", 0) == 0) {
-      const auto value = parse_arg<double>(a.c_str() + 18, 1.0, 1e15,
-                                           "--max-deadline-ms value");
-      if (!value) return usage();
-      g_serve.max_deadline_ms = *value;
-    } else if (a.rfind("--shed-retry-ms=", 0) == 0) {
-      const auto value = parse_arg<double>(a.c_str() + 16, 0.0, 1e9,
-                                           "--shed-retry-ms value");
-      if (!value) return usage();
-      g_serve.shed_retry_ms = *value;
-    } else if (a.rfind("--drain-deadline-ms=", 0) == 0) {
-      const auto value = parse_arg<double>(a.c_str() + 20, 0.0, 1e9,
-                                           "--drain-deadline-ms value");
-      if (!value) return usage();
-      g_serve.drain_deadline_ms = *value;
-    } else if (a.rfind("--drain-grace-ms=", 0) == 0) {
-      const auto value = parse_arg<double>(a.c_str() + 17, 0.0, 1e9,
-                                           "--drain-grace-ms value");
-      if (!value) return usage();
-      g_serve.drain_grace_ms = *value;
-    } else if (a.rfind("--tree-attempts=", 0) == 0) {
-      const auto value = parse_arg<std::int32_t>(a.c_str() + 16, 0, 64,
-                                                 "--tree-attempts value");
-      if (!value) return usage();
-      g_serve.tree_attempts = *value;
-    } else if (a == "--no-degraded") {
-      g_serve.no_degraded = true;
-    } else if (a.rfind("--chaos=", 0) == 0) {
-      g_serve.chaos = a.substr(8);
-      if (g_serve.chaos.empty()) return usage();
-    } else if (a.rfind("--chaos-seed=", 0) == 0) {
-      const auto value = parse_arg<std::uint64_t>(
-          a.c_str() + 13, 0, std::numeric_limits<std::uint64_t>::max(),
-          "--chaos-seed value");
-      if (!value) return usage();
-      g_serve.chaos_seed = *value;
-    } else if (a.rfind("--chaos-prob=", 0) == 0) {
-      const auto value =
-          parse_arg<double>(a.c_str() + 13, 0.0, 1.0, "--chaos-prob value");
-      if (!value) return usage();
-      g_serve.chaos_prob = *value;
-    } else if (a.rfind("--chaos-stall-ms=", 0) == 0) {
-      const auto value = parse_arg<double>(a.c_str() + 17, 0.0, 1e9,
-                                           "--chaos-stall-ms value");
-      if (!value) return usage();
-      g_serve.chaos_stall_ms = *value;
-    } else if (a.rfind("--requests=", 0) == 0) {
-      const auto value = parse_arg<std::int64_t>(a.c_str() + 11, 1, 10'000'000,
-                                                 "--requests value");
-      if (!value) return usage();
-      g_ping.requests = static_cast<std::size_t>(*value);
-    } else if (a.rfind("--window=", 0) == 0) {
-      const auto value =
-          parse_arg<std::int64_t>(a.c_str() + 9, 1, 4096, "--window value");
-      if (!value) return usage();
-      g_ping.window = static_cast<std::size_t>(*value);
-    } else if (a.rfind("--k=", 0) == 0) {
-      const auto value = parse_arg<std::int32_t>(a.c_str() + 4, 2, 64,
-                                                 "--k value");
-      if (!value) return usage();
-      g_ping.k = *value;
-    } else if (a.rfind("--n=", 0) == 0) {
-      // Shared by ping (checked against its own 4096 cap at use) and
-      // mertens (implicit backend, so n can be huge in O(n) memory).
-      const auto value = parse_arg<std::int32_t>(a.c_str() + 4, 1, 2'000'000,
-                                                 "--n value");
-      if (!value) return usage();
-      g_ping.n = *value;
-      g_mertens.n = *value;
-    } else if (a.rfind("--samples=", 0) == 0) {
-      const auto value = parse_arg<std::int64_t>(a.c_str() + 10, 1, 10'000,
-                                                 "--samples value");
-      if (!value) return usage();
-      g_mertens.samples = *value;
-    } else if (a.rfind("--seed=", 0) == 0) {
-      const auto value = parse_arg<std::uint64_t>(
-          a.c_str() + 7, 0, std::numeric_limits<std::uint64_t>::max(),
-          "--seed value");
-      if (!value) return usage();
-      g_ping.seed = *value;
-      g_mertens.seed = *value;
-    } else if (a.rfind("--response-timeout-ms=", 0) == 0) {
-      const auto value = parse_arg<double>(a.c_str() + 22, 1.0, 1e9,
-                                           "--response-timeout-ms value");
-      if (!value) return usage();
-      g_ping.response_timeout_ms = *value;
-    } else if (a.rfind("--emit=", 0) == 0) {
-      g_ping.emit = a.substr(7);
-      if (g_ping.emit.empty()) return usage();
-    } else if (a.rfind("--metrics-out=", 0) == 0) {
-      g_ping.metrics_out = a.substr(14);
-      if (g_ping.metrics_out.empty()) return usage();
-    } else if (a.rfind("--seeds=", 0) == 0) {
-      const auto seeds =
-          parse_arg<std::int64_t>(a.c_str() + 8, 1, 100'000'000,
-                                  "--seeds value");
-      if (!seeds) return usage();
-      g_verify.seeds = *seeds;
-    } else if (a.rfind("--base-seed=", 0) == 0) {
-      const auto base = parse_arg<std::uint64_t>(
-          a.c_str() + 12, 0, std::numeric_limits<std::uint64_t>::max(),
-          "--base-seed value");
-      if (!base) return usage();
-      g_verify.base_seed = *base;
-    } else if (a.rfind("--shape=", 0) == 0) {
-      const std::string value = a.substr(8);
-      if (value == "all") {
-        g_verify.shapes = {verify::Shape::bipartite, verify::Shape::kpartite,
-                           verify::Shape::roommates};
-      } else if (const auto shape = verify::parse_shape(value)) {
-        g_verify.shapes = {*shape};
-      } else {
-        std::cerr << "unknown --shape '" << value << "'\n";
-        return usage();
-      }
-    } else if (a.rfind("--dist=", 0) == 0) {
-      const auto dist = verify::parse_dist(a.substr(7));
-      if (!dist) {
-        std::cerr << "unknown --dist '" << a.substr(7) << "'\n";
-        return usage();
-      }
-      g_verify.gen.dist = *dist;
-    } else if (a.rfind("--sabotage=", 0) == 0) {
-      const auto mode = verify::parse_sabotage(a.substr(11));
-      if (!mode) {
-        std::cerr << "unknown --sabotage '" << a.substr(11) << "'\n";
-        return usage();
-      }
-      g_verify.sabotage = *mode;
-    } else if (a.rfind("--repro-dir=", 0) == 0) {
-      g_verify.repro_dir = a.substr(12);
-      if (g_verify.repro_dir.empty()) return usage();
-    } else if (a.rfind("--churn=", 0) == 0) {
-      const auto churn =
-          parse_arg<std::int32_t>(a.c_str() + 8, 0, 1000, "--churn value");
-      if (!churn) return usage();
-      g_verify.churn_steps = *churn;
-    } else if (a.rfind("--", 0) == 0) {
+    const std::string_view a = argv[i];
+    if (!a.starts_with("--")) {
+      args.push_back(argv[i]);
+      continue;
+    }
+    const std::size_t eq = std::min(a.find('='), a.size());
+    const std::string_view name = a.substr(0, eq);
+    const auto flag =
+        std::find_if(std::begin(kFlags), std::end(kFlags),
+                     [&](const Flag& f) { return name == f.name; });
+    if (flag == std::end(kFlags)) {
       std::cerr << "unknown flag '" << a << "'\n";
       return usage();
-    } else {
-      args.push_back(argv[i]);
     }
+    if ((eq == a.size()) != flag->is_switch) {
+      std::cerr << name << (flag->is_switch ? " takes no value\n"
+                                            : " needs a value\n");
+      return usage();
+    }
+    if (!flag->set(name, argv[i] + std::min(eq + 1, a.size()))) return usage();
   }
   const int nargs = static_cast<int>(args.size());
   if (nargs < 2) return usage();

@@ -15,7 +15,12 @@
 #     diverges, 2 on bad verify flags;
 #   * the `kmatch serve` / `kmatch ping` exit-code contract: bad transport
 #     flags exit 2, a clean stdio drain exits 0, a drain that cannot meet
-#     its deadline exits 3, and `ping` without a reachable server exits 1.
+#     its deadline exits 3, and `ping` without a reachable server exits 1;
+#   * flag parity: usage() names exactly the flags kmatch's flag table
+#     parses, and every one of them rejects a bad value (or, for a switch,
+#     any value) with exit 2 and a message naming the flag;
+#   * the verify repro line stays valid JSON when the repro directory's
+#     name holds a quote and a backslash.
 set -u
 
 BIN_DIR="$1"
@@ -132,6 +137,55 @@ else
   fi
 fi
 
+# --- flag parity: usage() vs the flag table, and every flag's rejection ------
+# Each probe runs `info` on the valid instance above, so exit 2 can only come
+# from the flag parser.
+usage_specs="$("$KMATCH" 2>&1 | grep -oE -- '--[a-z][a-z0-9-]*(=<[^>]*>)?' | sort -u)"
+usage_names="$(printf '%s\n' "$usage_specs" | sed 's/=.*//' | sort -u)"
+table_names="$(grep -oE '"--[a-z][a-z0-9-]*"' "$REPO_ROOT/examples/kmatch_cli.cpp" \
+  | tr -d '"' | sort -u)"
+if [ -z "$usage_names" ] || [ "$usage_names" != "$table_names" ]; then
+  note_failure "usage() and the flag table name different flags: $(
+    printf '%s\n' "$usage_names" | diff - <(printf '%s\n' "$table_names") \
+      | grep '^[<>]' | tr '\n' ' ')"
+else
+  echo "ok: usage() names exactly the $(printf '%s\n' "$usage_names" | wc -l) flags the table parses"
+fi
+
+# expect_flag_rejected <argument> <text stderr must contain>
+expect_flag_rejected() {
+  "$KMATCH" "$1" info "$INST" >/dev/null 2>"$WORK_DIR/flag.err"
+  local rc=$?
+  if [ "$rc" -ne 2 ]; then
+    note_failure "kmatch $1: exit $rc, expected 2"
+  elif ! grep -qF -- "$2" "$WORK_DIR/flag.err"; then
+    note_failure "kmatch $1: stderr lacks '$2'"
+  else
+    return 0
+  fi
+  return 1
+}
+flags_probed=0
+flags_ok=0
+for spec in $usage_specs; do
+  name="${spec%%=*}"
+  flags_probed=$((flags_probed + 1))
+  case "$spec" in
+    --shape=*|--dist=*|--sabotage=*|--chaos=*)  # enum flags
+      expect_flag_rejected "$name=bogus" "unknown $name" ;;
+    *"=<file>"|*"=<dir>")  # paths: only the empty one is bad
+      expect_flag_rejected "$name=" "invalid $name value" ;;
+    *=*)  # numbers
+      expect_flag_rejected "$name=abc" "invalid $name value" \
+        && expect_flag_rejected "$name" "$name needs a value" ;;
+    *)  # switches
+      expect_flag_rejected "$name=1" "$name takes no value" ;;
+  esac && flags_ok=$((flags_ok + 1))
+done
+if [ "$flags_ok" -eq "$flags_probed" ]; then
+  echo "ok: all $flags_probed flags reject bad values with exit 2"
+fi
+
 # --- kary best: parallel sweep matches the sequential sweep -----------------
 SEQ_OUT="$WORK_DIR/cli_reg.best_seq"
 PAR_OUT="$WORK_DIR/cli_reg.best_par"
@@ -183,6 +237,26 @@ elif ! "$KMATCH" info "$REPRO" >/dev/null; then
   note_failure "minimal repro is not loadable by kmatch info"
 else
   echo "ok: sabotaged verify exits 4 with a loadable minimal repro"
+fi
+
+# The repro line is JSON whatever the repro directory is called.
+QUOTED_DIR="$WORK_DIR/q\"d\\e"
+mkdir -p "$QUOTED_DIR"
+"$KMATCH" verify --seeds=2 --shape=kpartite --sabotage=kary_swap \
+  --repro-dir="$QUOTED_DIR" >"$WORK_DIR/verify_quoted.out" 2>/dev/null
+rc=$?
+if [ "$rc" -ne 4 ]; then
+  note_failure "sabotaged verify into a quoted repro dir exited $rc, expected 4"
+elif ! python3 - "$WORK_DIR/verify_quoted.out" "$QUOTED_DIR" <<'PY'
+import json, sys
+lines = [json.loads(line) for line in open(sys.argv[1])]
+repros = [line["repro"] for line in lines if "repro" in line]
+assert repros and all(r.startswith(sys.argv[2] + "/") for r in repros), repros
+PY
+then
+  note_failure "verify report lines are not JSON for a quoted repro dir"
+else
+  echo "ok: verify report lines stay JSON for a repro dir holding \" and \\"
 fi
 
 # --- kmatch serve / ping exit-code contract ---------------------------------

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace kstable::obs {
 
@@ -119,23 +120,6 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::snapshot() const {
 
 namespace {
 
-/// JSON string escaping for metric names (conservative: names are plain
-/// ASCII by convention, but the exporter must never emit malformed JSON).
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-         << "0123456789abcdef"[c & 0xf];
-    } else {
-      os << c;
-    }
-  }
-  os << '"';
-}
-
 /// Prometheus metric name: kstable_ prefix, [a-zA-Z0-9_] body.
 std::string prometheus_name(std::string_view name) {
   std::string out = "kstable_";
@@ -155,7 +139,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   for (const Sample& s : snapshot()) {
     if (!first) os << ',';
     first = false;
-    write_json_string(os, s.name);
+    util::write_json_string(os, s.name);
     os << ':';
     if (s.kind == Sample::Kind::histogram) {
       os << "{\"count\":" << s.count << ",\"sum\":" << s.value

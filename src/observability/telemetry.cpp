@@ -4,30 +4,9 @@
 #include <sstream>
 
 #include "observability/metrics.hpp"
+#include "util/json.hpp"
 
 namespace kstable::obs {
-
-namespace {
-
-/// Escapes a string into a JSON literal (status.detail may carry anything).
-void json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (c == '\n') {
-      os << "\\n";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-         << "0123456789abcdef"[c & 0xf];
-    } else {
-      os << c;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
 
 void SolveTelemetry::write_json(std::ostream& os) const {
   os << "{\"engine\":\"" << engine << "\",\"genders\":" << genders
@@ -39,7 +18,7 @@ void SolveTelemetry::write_json(std::ostream& os) const {
   os << "},\"status\":{\"outcome\":\"" << to_string(status.outcome)
      << "\",\"abort_reason\":\"" << kstable::to_string(status.abort_reason)
      << "\",\"detail\":";
-  json_string(os, status.detail);
+  util::write_json_string(os, status.detail);  // may carry anything
   os << "},\"proposals\":" << proposals
      << ",\"executed_proposals\":" << executed_proposals
      << ",\"cache_hits\":" << cache_hits

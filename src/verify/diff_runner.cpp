@@ -1,7 +1,6 @@
 #include "verify/diff_runner.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -18,6 +17,7 @@
 #include "resilience/solve_ladder.hpp"
 #include "roommates/adapters.hpp"
 #include "roommates/solver.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "verify/cert_checker.hpp"
 
@@ -47,30 +47,6 @@ struct Recorder {
   }
 };
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string describe_diff(const std::vector<Index>& expected,
                           const std::vector<Index>& got) {
   std::ostringstream os;
@@ -87,56 +63,109 @@ std::string describe_diff(const std::vector<Index>& expected,
   return os.str();
 }
 
-/// GS engine cross-checks for one ordered gender pair. The queue engine is
-/// the reference; every other engine must reproduce its match arrays bitwise
-/// (GS confluence), and the sequential engines must also agree on the
-/// proposal count (each proposer walks exactly the prefix of its list down
-/// to its final partner, independent of order — the parallel engine's
-/// speculative proposals are exempt). Returns the reference result so the
-/// bipartite fair-SMP check can reuse it.
+/// "GS(i,j)": names an ordered gender pair in mismatch details.
+std::string gs_pair(Gender i, Gender j) {
+  return "GS(" + std::to_string(i) + "," + std::to_string(j) + ")";
+}
+
+/// GS agreement: `got` must reproduce `want`'s match arrays bitwise (GS is
+/// confluent), checked as `id`. Sequential engines must also make the same
+/// number of proposals (each proposer walks exactly the prefix of its list
+/// down to its final partner, whatever the order): checked as `props_id`, or
+/// inside `id` itself when `props_id` names that same check. A null
+/// `props_id` exempts the count (the parallel engine's speculative
+/// proposals).
+void gs_agree(const Recorder& rec, const std::string& where,
+              const gs::GsResult& want, const gs::GsResult& got,
+              const char* id, const char* props_id = nullptr) {
+  const bool same_count = got.proposals == want.proposals;
+  const bool fold = props_id != nullptr && std::string_view(props_id) == id;
+  const auto count_detail = [&] {
+    std::ostringstream os;
+    os << where << ": " << want.engine << " made " << want.proposals
+       << " proposals, " << got.engine << " made " << got.proposals;
+    return os.str();
+  };
+  std::string detail;
+  if (got.proposer_match != want.proposer_match) {
+    detail = describe_diff(want.proposer_match, got.proposer_match);
+  } else if (got.responder_match != want.responder_match) {
+    detail = describe_diff(want.responder_match, got.responder_match);
+  }
+  if (!detail.empty()) {
+    detail = where + ": " + got.engine + " diverges from " + want.engine +
+             ": " + detail;
+  } else if (fold && !same_count) {
+    detail = count_detail();
+  }
+  rec.check(detail.empty(), id, detail);
+  if (props_id != nullptr && !fold) {
+    rec.check(same_count, props_id, same_count ? "" : count_detail());
+  }
+}
+
+/// k-ary agreement: `got` must be `want`'s matching, bitwise, checked as `id`.
+void kary_agree(const Recorder& rec, const char* id, const KaryMatching& want,
+                const KaryMatching& got, std::string_view what) {
+  const bool ok = got == want;
+  rec.check(ok, id,
+            ok ? "" : std::string(what) + ": " +
+                          describe_diff(want.raw(), got.raw()));
+}
+
+/// Check ids of one family's engine legs.
+struct LegIds {
+  const char* rounds;
+  const char* rounds_props;
+  const char* scan;
+  const char* scan_props;
+  const char* parallel;
+};
+
+/// Engine legs: the rounds, scan and (given a pool) parallel engines must
+/// each agree with the queue engine's `reference` on GS(i, j). `sabotage`
+/// corrupts the scan result before the comparison.
+void engine_legs(const Recorder& rec, const KPartiteInstance& inst, Gender i,
+                 Gender j, const gs::GsResult& reference, ThreadPool* pool,
+                 bool sabotage, const std::string& where, const LegIds& ids) {
+  gs_agree(rec, where, reference, gs::gale_shapley_rounds(inst, i, j),
+           ids.rounds, ids.rounds_props);
+  auto scan = gs::gale_shapley_scan(inst, i, j);
+  if (sabotage) sabotage_gs_result(scan);
+  gs_agree(rec, where, reference, scan, ids.scan, ids.scan_props);
+  if (pool != nullptr) {
+    gs_agree(rec, where, reference,
+             gs::gale_shapley_parallel(inst, i, j, *pool, 8), ids.parallel);
+  }
+}
+
+/// The rank width `inst` is not laid out in, which every width check solves
+/// a twin at; nullopt when that is narrow16 and cannot hold n's ranks.
+std::optional<prefs::RankWidth> other_width(const KPartiteInstance& inst) {
+  if (inst.rank_width() == prefs::RankWidth::narrow16) {
+    return prefs::RankWidth::wide32;
+  }
+  if (prefs::natural_rank_width(inst.per_gender()) ==
+      prefs::RankWidth::narrow16) {
+    return prefs::RankWidth::narrow16;
+  }
+  return std::nullopt;
+}
+
+/// GS engine cross-checks for one ordered gender pair, against the queue
+/// engine. Returns the reference result so the bipartite fair-SMP check can
+/// reuse it.
 gs::GsResult gs_engine_checks(const KPartiteInstance& inst, Gender i, Gender j,
                               const Recorder& rec,
                               const DiffOptions& options) {
   auto reference = gs::gale_shapley_queue(inst, i, j);
   rec.cert(check_gs_certificate(inst, i, j, reference), "gs.queue.cert");
-
-  auto compare = [&](const gs::GsResult& other, const char* id_bits,
-                     bool check_proposals, const char* id_props) {
-    const bool bits_ok = other.proposer_match == reference.proposer_match &&
-                         other.responder_match == reference.responder_match;
-    std::ostringstream os;
-    if (!bits_ok) {
-      os << "engine " << other.engine << " diverges from " << reference.engine
-         << " on GS(" << i << "," << j << "): "
-         << (other.proposer_match == reference.proposer_match
-                 ? describe_diff(reference.responder_match,
-                                 other.responder_match)
-                 : describe_diff(reference.proposer_match,
-                                 other.proposer_match));
-    }
-    rec.check(bits_ok, id_bits, os.str());
-    if (check_proposals) {
-      std::ostringstream ps;
-      ps << "GS(" << i << "," << j << "): " << reference.engine << " made "
-         << reference.proposals << " proposals, " << other.engine << " made "
-         << other.proposals;
-      rec.check(other.proposals == reference.proposals, id_props, ps.str());
-    }
-  };
-
-  compare(gs::gale_shapley_rounds(inst, i, j), "gs.engine.rounds.bitwise",
-          true, "gs.engine.rounds.proposals");
-
-  auto scan = gs::gale_shapley_scan(inst, i, j);
-  if (options.sabotage == Sabotage::gs_swap && i == 0 && j == 1) {
-    sabotage_gs_result(scan);
-  }
-  compare(scan, "gs.engine.scan.bitwise", true, "gs.engine.scan.proposals");
-
-  if (options.pool != nullptr) {
-    compare(gs::gale_shapley_parallel(inst, i, j, *options.pool, 8),
-            "gs.engine.parallel.bitwise", false, "");
-  }
+  engine_legs(rec, inst, i, j, reference, options.pool,
+              options.sabotage == Sabotage::gs_swap && i == 0 && j == 1,
+              gs_pair(i, j),
+              {"gs.engine.rounds.bitwise", "gs.engine.rounds.proposals",
+               "gs.engine.scan.bitwise", "gs.engine.scan.proposals",
+               "gs.engine.parallel.bitwise"});
   return reference;
 }
 
@@ -145,36 +174,17 @@ gs::GsResult gs_engine_checks(const KPartiteInstance& inst, Gender i, Gender j,
 /// produce bitwise-identical solves from the width-monomorphized queue
 /// engine — rank width is a layout choice, never a semantic one.
 void layout_checks(const KPartiteInstance& inst, const Recorder& rec) {
-  const auto other = inst.rank_width() == prefs::RankWidth::narrow16
-                         ? prefs::RankWidth::wide32
-                         : prefs::RankWidth::narrow16;
-  if (other == prefs::RankWidth::narrow16 && inst.per_gender() >= 65536) {
-    return;  // narrow16 cannot represent this instance's ranks
-  }
-  const auto relaid = KPartiteInstance::relaid(inst, other);
+  const auto width = other_width(inst);
+  if (!width) return;
+  const auto relaid = KPartiteInstance::relaid(inst, *width);
   rec.check(relaid == inst, "layout.relaid.equal",
             "re-laid copy is not semantically equal to the original");
-
-  auto compare_widths = [&](const gs::GsResult& a, const gs::GsResult& b,
-                            const char* id) {
-    const bool ok = a.proposer_match == b.proposer_match &&
-                    a.responder_match == b.responder_match &&
-                    a.proposals == b.proposals;
-    std::ostringstream os;
-    if (!ok) {
-      os << a.engine << " diverges between " << prefs::to_string(
-             inst.rank_width()) << " and " << prefs::to_string(other)
-         << " rank layouts: "
-         << (a.proposer_match == b.proposer_match
-                 ? describe_diff(a.responder_match, b.responder_match)
-                 : describe_diff(a.proposer_match, b.proposer_match))
-         << " (proposals " << a.proposals << " vs " << b.proposals << ")";
-    }
-    rec.check(ok, id, os.str());
-  };
-  compare_widths(gs::gale_shapley_queue(inst, 0, 1),
-                 gs::gale_shapley_queue(relaid, 0, 1),
-                 "layout.width.queue.bitwise");
+  gs_agree(rec,
+           gs_pair(0, 1) + " on " + prefs::to_string(inst.rank_width()) +
+               " vs " + prefs::to_string(*width) + " ranks",
+           gs::gale_shapley_queue(inst, 0, 1),
+           gs::gale_shapley_queue(relaid, 0, 1), "layout.width.queue.bitwise",
+           "layout.width.queue.bitwise");
 }
 
 /// Implicit-backend cross-checks (docs/PERFORMANCE.md §Implicit
@@ -195,14 +205,14 @@ void implicit_checks(const Recorder& rec, const DiffOptions& options) {
     const prefs::imp::ImplicitSpec spec{family,
                                         rec.seed ^ 0x8f1bbcdc9aab5a2dULL};
     const auto implicit = KPartiteInstance::make_implicit(k, n, spec);
-    const char* fam = prefs::imp::to_string(family);
+    const std::string fam = prefs::imp::to_string(family);
 
     // Materialization doubles as the bijectivity certificate: set_pref_list
     // rejects any row that is not a permutation, so a broken PRP cannot
     // produce an explicit twin at all.
     const auto wide = implicit.materialized(prefs::RankWidth::wide32);
     rec.check(wide == implicit, "implicit.materialized.equal",
-              std::string("materialized explicit copy (") + fam +
+              "materialized explicit copy (" + fam +
                   ") is not element-wise equal to its implicit source");
 
     {  // pref_at and rank_of must be exact inverses on the generator.
@@ -241,76 +251,36 @@ void implicit_checks(const Recorder& rec, const DiffOptions& options) {
         const auto reference = gs::gale_shapley_queue(implicit, i, j, topt);
         topt.trace = &trace_exp;
         const auto explicit_ref = gs::gale_shapley_queue(wide, i, j, topt);
+        const std::string where = fam + ": implicit " + gs_pair(i, j);
 
-        auto compare = [&](const gs::GsResult& other, const char* id_bits,
-                           bool check_proposals, const char* id_props) {
-          const bool bits_ok =
-              other.proposer_match == reference.proposer_match &&
-              other.responder_match == reference.responder_match;
-          std::ostringstream os;
-          if (!bits_ok) {
-            os << fam << ": engine " << other.engine
-               << " diverges from the implicit queue reference on GS(" << i
-               << "," << j << "): "
-               << (other.proposer_match == reference.proposer_match
-                       ? describe_diff(reference.responder_match,
-                                       other.responder_match)
-                       : describe_diff(reference.proposer_match,
-                                       other.proposer_match));
-          }
-          rec.check(bits_ok, id_bits, os.str());
-          if (check_proposals) {
-            std::ostringstream ps;
-            ps << fam << ": GS(" << i << "," << j << "): implicit queue made "
-               << reference.proposals << " proposals, " << other.engine
-               << " made " << other.proposals;
-            rec.check(other.proposals == reference.proposals, id_props,
-                      ps.str());
-          }
-        };
-
-        compare(explicit_ref, "implicit.queue.bitwise", true,
-                "implicit.queue.proposals");
+        gs_agree(rec, where, reference, explicit_ref, "implicit.queue.bitwise",
+                 "implicit.queue.proposals");
         rec.check(trace_imp == trace_exp, "implicit.queue.trace",
-                  std::string(fam) +
-                      ": implicit and materialized queue solves emitted "
-                      "different proposal traces");
-        compare(gs::gale_shapley_rounds(implicit, i, j),
-                "implicit.rounds.bitwise", true, "implicit.rounds.proposals");
-        compare(gs::gale_shapley_scan(implicit, i, j),
-                "implicit.scan.bitwise", true, "implicit.scan.proposals");
-        if (options.pool != nullptr) {
-          compare(gs::gale_shapley_parallel(implicit, i, j, *options.pool, 8),
-                  "implicit.parallel.bitwise", false, "");
-        }
+                  where + ": implicit and materialized queue solves emitted "
+                          "different proposal traces");
+        engine_legs(rec, implicit, i, j, reference, options.pool, false,
+                    where,
+                    {"implicit.rounds.bitwise", "implicit.rounds.proposals",
+                     "implicit.scan.bitwise", "implicit.scan.proposals",
+                     "implicit.parallel.bitwise"});
       }
     }
 
-    if (n < 65536) {  // narrow16 twin: width stays a pure layout choice
-      const auto narrow = implicit.materialized(prefs::RankWidth::narrow16);
-      const auto a = gs::gale_shapley_queue(implicit, 0, 1);
-      const auto b = gs::gale_shapley_queue(narrow, 0, 1);
-      rec.check(a.proposer_match == b.proposer_match &&
-                    a.responder_match == b.responder_match &&
-                    a.proposals == b.proposals,
-                "implicit.narrow16.bitwise",
-                std::string(fam) +
-                    ": narrow16 materialization diverges from the implicit "
-                    "solve");
+    // narrow16 twin: width stays a pure layout choice.
+    if (const auto narrow = other_width(wide)) {
+      gs_agree(rec, fam + ": implicit vs narrow16 twin " + gs_pair(0, 1),
+               gs::gale_shapley_queue(implicit, 0, 1),
+               gs::gale_shapley_queue(implicit.materialized(*narrow), 0, 1),
+               "implicit.narrow16.bitwise", "implicit.narrow16.bitwise");
     }
 
     {  // Binding + ladder layers across backends.
       const auto path = trees::path(k);
       const auto bound_imp = core::iterative_binding(implicit, path);
       const auto bound_exp = core::iterative_binding(wide, path);
-      std::ostringstream os;
-      if (!(bound_imp.matching() == bound_exp.matching())) {
-        os << fam << ": implicit binding diverges from materialized binding: "
-           << describe_diff(bound_exp.matching().raw(),
-                            bound_imp.matching().raw());
-      }
-      rec.check(bound_imp.matching() == bound_exp.matching(),
-                "implicit.binding.bitwise", os.str());
+      kary_agree(rec, "implicit.binding.bitwise", bound_exp.matching(),
+                 bound_imp.matching(),
+                 fam + ": implicit vs materialized binding");
       rec.cert(check_kary_certificate(implicit, bound_imp.matching(), path),
                "implicit.binding.cert");
 
@@ -333,16 +303,15 @@ void implicit_checks(const Recorder& rec, const DiffOptions& options) {
       rec.check(report.succeeded &&
                     report.matching() == bound_imp.matching(),
                 "implicit.ladder.bitwise",
-                std::string(fam) +
-                    ": fallback ladder on the implicit backend diverges from "
-                    "sequential binding");
+                fam + ": fallback ladder on the implicit backend diverges "
+                      "from sequential binding");
     }
   }
 }
 
 /// Binding-layer cross-checks on the path tree: sequential Algorithm 1 is
-/// the reference; TreeSweep, both cache policies, a cached replay, and the
-/// fallback ladder must all reproduce its matching bitwise.
+/// the reference; TreeSweep, the single-flight edge cache, a cached replay,
+/// and the fallback ladder must all reproduce its matching bitwise.
 void binding_checks(const KPartiteInstance& inst, const Recorder& rec,
                     const DiffOptions& options) {
   const Gender k = inst.genders();
@@ -350,16 +319,6 @@ void binding_checks(const KPartiteInstance& inst, const Recorder& rec,
   const auto reference = core::iterative_binding(inst, path);
   rec.cert(check_kary_certificate(inst, reference.matching(), path),
            "binding.sequential.cert");
-
-  auto compare_matching = [&](const KaryMatching& other, const char* id,
-                              const char* label) {
-    std::ostringstream os;
-    if (!(other == reference.matching())) {
-      os << label << " matching diverges from sequential binding: "
-         << describe_diff(reference.matching().raw(), other.raw());
-    }
-    rec.check(other == reference.matching(), id, os.str());
-  };
 
   {  // TreeSweep over the singleton candidate list.
     const std::vector<BindingStructure> candidates{path};
@@ -372,7 +331,8 @@ void binding_checks(const KPartiteInstance& inst, const Recorder& rec,
       if (options.sabotage == Sabotage::kary_swap) {
         swept = sabotage_kary(swept);
       }
-      compare_matching(swept, "binding.sweep.bitwise", "tree-sweep");
+      kary_agree(rec, "binding.sweep.bitwise", reference.matching(), swept,
+                 "tree-sweep vs sequential binding");
     }
   }
 
@@ -381,13 +341,14 @@ void binding_checks(const KPartiteInstance& inst, const Recorder& rec,
     core::BindingOptions copts;
     copts.cache = &cache;
     const auto cached = core::iterative_binding(inst, path, copts);
-    compare_matching(cached.matching(), "binding.cache.single_flight.bitwise",
-                     "cached binding");
+    kary_agree(rec, "binding.cache.single_flight.bitwise",
+               reference.matching(), cached.matching(),
+               "cached vs sequential binding");
     // Second pass replays every edge from the memo (all hits) — the replay
     // must still be bitwise-identical and must execute zero proposals.
     const auto replay = core::iterative_binding(inst, path, copts);
-    compare_matching(replay.matching(), "binding.cache.replay.bitwise",
-                     "cache-replay binding");
+    kary_agree(rec, "binding.cache.replay.bitwise", reference.matching(),
+               replay.matching(), "cache-replay vs sequential binding");
     std::ostringstream os;
     os << "cache replay executed " << replay.executed_proposals
        << " proposals (hits " << replay.cache_hits << ", misses "
@@ -404,7 +365,8 @@ void binding_checks(const KPartiteInstance& inst, const Recorder& rec,
               "ladder.first-rung",
               "unconstrained ladder did not succeed on the strict first rung");
     if (report.succeeded) {
-      compare_matching(report.matching(), "ladder.bitwise", "ladder");
+      kary_agree(rec, "ladder.bitwise", reference.matching(),
+                 report.matching(), "ladder vs sequential binding");
     }
   }
 
@@ -476,17 +438,6 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
   core::BindingResult previous = core::iterative_binding(inst, path,
                                                          cached_opts);
 
-  auto compare_matching = [&](const core::BindingResult& cold,
-                              const KaryMatching& got, const char* id,
-                              const char* label) {
-    std::ostringstream os;
-    if (!(got == cold.matching())) {
-      os << label << " diverges from the cold re-solve: "
-         << describe_diff(cold.matching().raw(), got.raw());
-    }
-    rec.check(got == cold.matching(), id, os.str());
-  };
-
   for (std::int32_t step = 0; step < options.churn_steps; ++step) {
     auto delta = incremental::random_mutation(inst, rng);
     if (step % 3 == 2) {
@@ -521,8 +472,9 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
       ropts.cache = &cache;
       const auto warm = incremental::rematch(inst, path, previous, delta,
                                              ropts);
-      compare_matching(cold, warm.result.matching(), "churn.rematch.bitwise",
-                       "cached warm rematch");
+      kary_agree(rec, "churn.rematch.bitwise", cold.matching(),
+                 warm.result.matching(),
+                 "cached warm rematch vs cold re-solve");
       std::ostringstream es;
       bool edges_ok = warm.result.edge_results.size() ==
                       cold.edge_results.size();
@@ -556,10 +508,10 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
         ropts.engine = engine;
         const auto warm = incremental::rematch(inst, path, previous, delta,
                                                ropts);
-        std::ostringstream os;
-        os << "provider rematch under engine " << core::to_string(engine);
-        compare_matching(cold, warm.result.matching(),
-                         "churn.rematch.engine.bitwise", os.str().c_str());
+        kary_agree(rec, "churn.rematch.engine.bitwise", cold.matching(),
+                   warm.result.matching(),
+                   std::string("provider rematch under engine ") +
+                       core::to_string(engine) + " vs cold re-solve");
         std::ostringstream es;
         es << "edges reused " << warm.edges_reused << " + warm "
            << warm.edges_warm << " + cold " << warm.edges_cold
@@ -572,14 +524,12 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
 
     {  // Width twin: the relaid copy shares the generation, so the same
        // delta warm-restarts it — and must land on the same matching.
-      const auto other = inst.rank_width() == prefs::RankWidth::narrow16
-                             ? prefs::RankWidth::wide32
-                             : prefs::RankWidth::narrow16;
-      if (other != prefs::RankWidth::narrow16 || inst.per_gender() < 65536) {
-        const auto twin = KPartiteInstance::relaid(inst, other);
+      if (const auto width = other_width(inst)) {
+        const auto twin = KPartiteInstance::relaid(inst, *width);
         const auto warm = incremental::rematch(twin, path, previous, delta);
-        compare_matching(cold, warm.result.matching(), "churn.width.bitwise",
-                         "relaid-width warm rematch");
+        kary_agree(rec, "churn.width.bitwise", cold.matching(),
+                   warm.result.matching(),
+                   "relaid-width warm rematch vs cold re-solve");
       }
     }
 
@@ -591,8 +541,8 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
       rec.check(report.succeeded, "churn.ladder.succeeded",
                 "warm-started ladder failed on an unconstrained solve");
       if (report.succeeded) {
-        compare_matching(cold, report.matching(), "churn.ladder.bitwise",
-                         "warm-started ladder");
+        kary_agree(rec, "churn.ladder.bitwise", cold.matching(),
+                   report.matching(), "warm-started ladder vs cold re-solve");
       }
     }
 
@@ -679,10 +629,13 @@ std::optional<Sabotage> parse_sabotage(std::string_view text) {
 
 std::string Mismatch::to_json() const {
   std::ostringstream os;
-  os << "{\"check\":\"" << json_escape(check) << "\",\"shape\":\""
-     << verify::to_string(shape) << "\",\"dist\":\"" << verify::to_string(dist)
-     << "\",\"seed\":" << seed << ",\"k\":" << k << ",\"n\":" << n
-     << ",\"detail\":\"" << json_escape(detail) << "\"}";
+  os << "{\"check\":";
+  util::write_json_string(os, check);
+  os << ",\"shape\":\"" << verify::to_string(shape) << "\",\"dist\":\""
+     << verify::to_string(dist) << "\",\"seed\":" << seed << ",\"k\":" << k
+     << ",\"n\":" << n << ",\"detail\":";
+  util::write_json_string(os, detail);
+  os << '}';
   return os.str();
 }
 

@@ -2,36 +2,13 @@
 // (docs/VERIFY.md).
 //
 // One generated instance is pushed through every engine pair that promises an
-// agreement relation, and the relations are asserted:
-//
-//   bitwise agreement (GS is confluent; the caches and the ladder are
-//   documented as semantically invisible):
-//     * gs queue vs rounds vs scan vs parallel — identical match arrays AND
-//       identical proposal counts for every ordered gender pair;
-//     * iterative_binding vs sweep_trees on the same (path) tree;
-//     * binding with no cache vs a GsEdgeCache, including a second cached
-//       pass (all hits) — replay must equal compute;
-//     * direct path-tree binding vs solve_with_fallback (attempt 0 is always
-//       the path tree, so an unconstrained ladder must reproduce it exactly);
-//     * fair SMP man_oriented vs men-proposing GS and woman_oriented vs
-//       women-proposing GS (bipartite only — a cross-ALGORITHM check: Irving
-//       phase-1+rotations against Gale-Shapley);
-//     * double-solving a roommates linearization (determinism).
-//
-//   certificate agreement (cert_checker.hpp, the independent raw-list
-//   checkers) where bitwise identity is not promised:
-//     * every GS result, k-ary matching, and roommates matching produced
-//       above must carry a valid stability certificate;
-//     * rm::solve's own has_stable verdict must agree with the independent
-//       roommates checker.
-//
-//   abort-path invariants (ExecutionAborted must leave no partial matching
-//   claimed stable):
-//     * a binding run under half its own proposal budget must throw, and the
-//       control must STILL report exhaustion from check_now() afterwards
-//       (the resilience PR's check_now bug class);
-//     * a strict-only one-attempt ladder under a 1-proposal budget must
-//       report !succeeded with result unset.
+// agreement relation (GS confluence across engines and rank layouts, the
+// implicit backend against its tables, Algorithm 1 across binding drivers,
+// caches and the fallback ladder, incremental rematch against a cold solve,
+// fair SMP against GS, roommates determinism), every result is checked
+// against an independent certificate (cert_checker.hpp), and the abort paths
+// must leave no partial matching claimed stable. The check ids and what each
+// asserts are the check-id table in docs/VERIFY.md, one row per id.
 //
 // Sabotage: the harness can deliberately corrupt one engine's output before
 // comparison (see Sabotage) to prove end to end that the battery detects a

@@ -8,6 +8,7 @@
 #include "observability/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "prefs/io.hpp"
+#include "util/json.hpp"
 #include "util/timer.hpp"
 #include "verify/cert_checker.hpp"
 #include "verify/shrinker.hpp"
@@ -84,7 +85,9 @@ VerifySummary run_verification(const VerifyOptions& options) {
         KSTABLE_COUNTER_ADD("verify.repros", 1);
         summary.repro_paths.push_back(path);
         if (options.report != nullptr) {
-          *options.report << "{\"repro\":\"" << path << "\",\"seed\":" << seed
+          *options.report << "{\"repro\":";
+          util::write_json_string(*options.report, path);
+          *options.report << ",\"seed\":" << seed
                           << ",\"shape\":\"" << to_string(shape)
                           << "\",\"k\":" << minimal.instance.genders()
                           << ",\"n\":" << minimal.instance.per_gender()

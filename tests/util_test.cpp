@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/scan.hpp"
@@ -305,6 +306,15 @@ std::vector<std::string> scanned_lines(const std::string& text) {
   while (const auto line = stream.next()) from_stream.emplace_back(*line);
   EXPECT_EQ(from_view, from_stream) << "view and stream modes disagree";
   return from_view;
+}
+
+TEST(Json, WriteJsonStringEscapesQuotesBackslashesAndControls) {
+  std::ostringstream os;
+  util::write_json_string(os, std::string("a\"b\\c\n\r\t\x01\x1f\0d", 12));
+  EXPECT_EQ(os.str(), "\"a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f\\u0000d\"");
+  std::ostringstream plain;
+  util::write_json_string(plain, "gs.queue.proposals");
+  EXPECT_EQ(plain.str(), "\"gs.queue.proposals\"");
 }
 
 TEST(LineReader, StripsCommentsBlanksAndEmptyLines) {

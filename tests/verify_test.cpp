@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 
@@ -182,35 +183,45 @@ TEST(CertChecker, ScanRankMatchesRankTable) {
 
 // --- DiffRunner ------------------------------------------------------------
 
-TEST(DiffRunner, CleanSweepAcrossAllShapes) {
+// The battery's size is a pure function of (instance, options), so the exact
+// check totals below pin every leg: one that silently stops running, or runs
+// twice, moves them.
+
+/// Runs the battery on seeds 1..seeds of `shape`, fails on any mismatch, and
+/// returns the number of checks evaluated.
+std::int64_t clean_checks(Shape shape, std::uint64_t seeds,
+                          const DiffOptions& options = {}) {
   GenOptions gen_options;
-  for (const Shape shape :
-       {Shape::bipartite, Shape::kpartite, Shape::roommates}) {
-    gen_options.shape = shape;
-    for (std::uint64_t seed = 1; seed <= 15; ++seed) {
-      const auto drawn = generate(gen_options, seed);
-      const auto battery = run_battery(drawn);
-      EXPECT_GT(battery.checks, 0);
-      for (const auto& m : battery.mismatches) {
-        ADD_FAILURE() << "shape " << to_string(shape) << " seed " << seed
-                      << ": " << m.check << " — " << m.detail;
-      }
+  gen_options.shape = shape;
+  std::int64_t checks = 0;
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+    const auto battery = run_battery(generate(gen_options, seed), options);
+    checks += battery.checks;
+    for (const auto& m : battery.mismatches) {
+      ADD_FAILURE() << "shape " << to_string(shape) << " seed " << seed
+                    << ": " << m.check << " — " << m.detail;
     }
   }
+  return checks;
+}
+
+TEST(DiffRunner, CleanSweepAcrossAllShapes) {
+  EXPECT_EQ(clean_checks(Shape::bipartite, 15), 1035);
+  EXPECT_EQ(clean_checks(Shape::kpartite, 15), 4775);
+  EXPECT_EQ(clean_checks(Shape::roommates, 15), 4217);
 }
 
 TEST(DiffRunner, ParallelEngineLegJoinsTheBattery) {
   ThreadPool pool(2);
   DiffOptions options;
   options.pool = &pool;
-  GenOptions gen_options;
-  gen_options.shape = Shape::kpartite;
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const auto battery = run_battery(generate(gen_options, seed), options);
-    EXPECT_TRUE(battery.clean())
-        << battery.mismatches.front().check << ": "
-        << battery.mismatches.front().detail;
-  }
+  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1631);
+}
+
+TEST(DiffRunner, ChurnLegsJoinTheBattery) {
+  DiffOptions options;
+  options.churn_steps = 3;
+  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1607);
 }
 
 TEST(DiffRunner, GsSabotageIsDetected) {
@@ -364,6 +375,27 @@ TEST(RunVerification, SabotageProducesReportAndLoadableMinimalRepro) {
   diff.sabotage = Sabotage::kary_swap;
   EXPECT_FALSE(run_battery(repro, Shape::kpartite, diff).clean());
   std::remove(summary.repro_paths.front().c_str());
+}
+
+TEST(RunVerification, ReproLineEscapesTheReproPath) {
+  // A repro directory with a quote and a backslash in its name must still
+  // yield a JSON repro line.
+  const std::string dir = ::testing::TempDir() + "kverify q\"d\\e";
+  std::filesystem::create_directories(dir);
+  VerifyOptions options;
+  options.shapes = {Shape::kpartite};
+  options.seeds = 1;
+  options.sabotage = Sabotage::kary_swap;
+  options.repro_dir = dir;
+  std::ostringstream report;
+  options.report = &report;
+  const auto summary = run_verification(options);
+  ASSERT_EQ(summary.repro_paths.size(), 1u);
+  EXPECT_NE(report.str().find(
+                "kverify q\\\"d\\\\e/kverify_repro_kpartite_1.kp\","),
+            std::string::npos)
+      << report.str();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RunVerification, MismatchCounterFeedsTheMetricsRegistry) {
