@@ -39,7 +39,7 @@ void report() {
                    report.cost.charged_iterations,
                    static_cast<std::int64_t>(tree.max_degree()) * n * n,
                    report.cost.model_speedup(),
-                   report.wall_seconds * 1e3});
+                   report.binding.status.wall_ms});
   };
   const auto path = trees::path(k);
   const auto star = trees::star(k, 0);

@@ -37,9 +37,9 @@
 //   --max-proposals=<n>    abort the solve after n accumulated proposals
 //   --fallback             (kary only) on abort, retry along different
 //                          spanning trees, then degrade to the priority model
-//   --sweep-threads=<n>    pool size for 'kary <file> best' and the
-//                          speculative --fallback ladder (checked, >= 1;
-//                          1 = sequential, the default)
+//   --sweep-threads=<n>    pool size for 'kary <file> best', and with
+//                          --fallback the pool the strict rungs race on
+//                          (checked, >= 1; 1 = in order, the default)
 //   --stats-json=<file>    write the solve's telemetry + the process metrics
 //                          registry as one JSON object (docs/OBSERVABILITY.md)
 //   --stats-prom=<file>    same data in Prometheus text exposition format
@@ -234,10 +234,9 @@ int cmd_kary(int argc, char** argv) {
     resilience::FallbackOptions opts;
     opts.per_attempt = g_budget;
     if (g_sweep_threads > 1) {
-      // Race the strict rungs speculatively across the pool.
+      // An attached pool races the strict rungs across its threads.
       pool.emplace(g_sweep_threads);
       opts.pool = &*pool;
-      opts.speculative = true;
     }
     auto report = resilience::solve_with_fallback(inst, opts);
     g_telemetry = report.telemetry;

@@ -16,6 +16,9 @@
 #   * the `kmatch serve` / `kmatch ping` exit-code contract: bad transport
 #     flags exit 2, a clean stdio drain exits 0, a drain that cannot meet
 #     its deadline exits 3, and `ping` without a reachable server exits 1;
+#   * `kary --fallback` prints the same output whether its strict rungs
+#     race on a pool (--sweep-threads=4) or run in order, and an exhausted
+#     ladder exits 3 after the same 5 attempts either way;
 #   * flag parity: usage() names exactly the flags kmatch's flag table
 #     parses, and every one of them rejects a bad value (or, for a switch,
 #     any value) with exit 2 and a message naming the flag;
@@ -203,6 +206,38 @@ else
     note_failure "kary best parallel/sequential outputs differ"
   fi
 fi
+
+# --- kary --fallback: the raced ladder logs what the in-order ladder logs ---
+# k = 4: four strict candidate trees plus the degraded rung.
+LADDER_INST="$WORK_DIR/cli_reg_ladder.inst"
+LADDER_SEQ="$WORK_DIR/cli_reg.ladder_seq"
+LADDER_PAR="$WORK_DIR/cli_reg.ladder_par"
+if ! "$KMATCH" gen 4 8 5 "$LADDER_INST" >/dev/null; then
+  note_failure "gen for the ladder instance failed"
+elif ! "$KMATCH" --fallback kary "$LADDER_INST" >"$LADDER_SEQ"; then
+  note_failure "kary --fallback failed"
+elif ! "$KMATCH" --fallback --sweep-threads=4 kary "$LADDER_INST" \
+    >"$LADDER_PAR"; then
+  note_failure "kary --fallback --sweep-threads=4 failed"
+elif cmp -s "$LADDER_SEQ" "$LADDER_PAR" \
+    && grep -q "rung strict-tree" "$LADDER_SEQ" \
+    && grep -q "^family 0: " "$LADDER_SEQ"; then
+  echo "ok: raced --fallback ladder prints the in-order ladder's families"
+else
+  note_failure "raced and in-order --fallback outputs differ"
+fi
+for threads in 1 4; do
+  "$KMATCH" --fallback --sweep-threads="$threads" --max-proposals=5 \
+    kary "$LADDER_INST" >"$WORK_DIR/cli_reg.ladder_fail" 2>&1
+  rc=$?
+  if [ "$rc" -ne 3 ]; then
+    note_failure "--fallback --max-proposals=5 (threads=$threads): exit $rc, expected 3"
+  elif ! grep -q "5 attempt(s), rung none" "$WORK_DIR/cli_reg.ladder_fail"; then
+    note_failure "--fallback --max-proposals=5 (threads=$threads): not 5 attempts, rung none"
+  else
+    echo "ok: exhausted --fallback ladder exits 3 after 5 attempts (threads=$threads)"
+  fi
+done
 
 # --- kmatch verify exit-code contract ---------------------------------------
 expect_usage_error "verify rejects unknown --shape" \

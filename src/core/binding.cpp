@@ -1,12 +1,12 @@
 #include "core/binding.hpp"
 
+#include <atomic>
 #include <utility>
 
 #include "core/gs_cache.hpp"
 #include "gs/parallel_gs.hpp"
 #include "resilience/fault_injection.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace kstable::core {
 
@@ -56,31 +56,6 @@ const char* binding_engine_label(GsEngine engine) {
   return "binding";
 }
 
-/// Fills the result's telemetry from its already-populated counters. The
-/// `engine` label override (nullptr = derive from options.engine) lets the
-/// higher drivers (Algorithm 2, parallel executor, ladder) re-label the same
-/// record shape.
-void finish_telemetry(BindingResult& result, const KPartiteInstance& inst,
-                      const BindingOptions& options, const char* engine) {
-  obs::SolveTelemetry& t = result.telemetry;
-  t.engine = engine != nullptr ? engine : binding_engine_label(options.engine);
-  t.genders = inst.genders();
-  t.size = inst.per_gender();
-  t.wall_ms = result.status.wall_ms;
-  t.status = result.status;
-  t.proposals = result.total_proposals;
-  t.executed_proposals = result.executed_proposals;
-  t.cache_hits = result.cache_hits;
-  t.cache_misses = result.cache_misses;
-  t.attempts = 1;
-  for (const auto& r : result.edge_results) t.rounds += r.rounds;
-  if (options.control != nullptr && options.control->budget().wall_ms > 0.0) {
-    const double margin =
-        options.control->budget().wall_ms - options.control->elapsed_ms();
-    t.deadline_margin_ms = margin > 0.0 ? margin : 0.0;
-  }
-}
-
 }  // namespace
 
 gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,
@@ -111,34 +86,70 @@ gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,
                                        options.control, cache_hit);
 }
 
+void bind_edge(const KPartiteInstance& inst, GenderEdge edge,
+               const BindingOptions& options, gs::GsResult& slot,
+               BindingResult& tally) {
+  KSTABLE_FAULT_POINT("core/binding_edge");
+  if (options.control != nullptr) options.control->check_now();
+  bool hit = false;
+  slot = run_binding(inst, edge, options, &hit);
+  if (!hit) {
+    std::atomic_ref(tally.executed_proposals)
+        .fetch_add(slot.proposals, std::memory_order_relaxed);
+  }
+  if (options.cache != nullptr) {
+    std::atomic_ref(hit ? tally.cache_hits : tally.cache_misses)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void finish_binding(BindingResult& result, const KPartiteInstance& inst,
+                    const BindingStructure& structure,
+                    const BindingOptions& options, const char* engine,
+                    const char* work, const WallTimer& timer) {
+  const double work_ms = timer.millis();
+  for (const auto& r : result.edge_results) {
+    result.total_proposals += r.proposals;
+  }
+  result.equivalence = derive_families(inst, structure, result.edge_results);
+  result.status.proposals = result.total_proposals;
+  result.status.wall_ms = timer.millis();
+
+  obs::SolveTelemetry& t = result.telemetry;
+  t.engine = engine != nullptr ? engine : binding_engine_label(options.engine);
+  t.genders = inst.genders();
+  t.size = inst.per_gender();
+  t.wall_ms = result.status.wall_ms;
+  t.add_phase(work, work_ms);
+  t.add_phase("assemble", t.wall_ms - work_ms);
+  t.status = result.status;
+  t.proposals = result.total_proposals;
+  t.executed_proposals = result.executed_proposals;
+  t.cache_hits = result.cache_hits;
+  t.cache_misses = result.cache_misses;
+  t.attempts = 1;
+  for (const auto& r : result.edge_results) t.rounds += r.rounds;
+  if (options.control != nullptr && options.control->budget().wall_ms > 0.0) {
+    const double margin =
+        options.control->budget().wall_ms - options.control->elapsed_ms();
+    t.deadline_margin_ms = margin > 0.0 ? margin : 0.0;
+  }
+}
+
 BindingResult bind_structure(const KPartiteInstance& inst,
                              const BindingStructure& structure,
                              const BindingOptions& options) {
   KSTABLE_REQUIRE(structure.genders() == inst.genders(),
                   "structure has " << structure.genders()
                                    << " genders, instance " << inst.genders());
+  const WallTimer timer;
+  const auto& edges = structure.edges();
   BindingResult result;
-  WallTimer timer;
-  result.edge_results.reserve(structure.edges().size());
-  for (const auto& edge : structure.edges()) {
-    KSTABLE_FAULT_POINT("core/binding_edge");
-    if (options.control != nullptr) options.control->check_now();
-    bool hit = false;
-    result.edge_results.push_back(run_binding(inst, edge, options, &hit));
-    const auto& edge_result = result.edge_results.back();
-    result.total_proposals += edge_result.proposals;
-    if (!hit) result.executed_proposals += edge_result.proposals;
-    if (options.cache != nullptr) {
-      hit ? ++result.cache_hits : ++result.cache_misses;
-    }
+  result.edge_results.resize(edges.size());
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    bind_edge(inst, edges[e], options, result.edge_results[e], result);
   }
-  const double bind_ms = timer.millis();
-  result.equivalence = derive_families(inst, structure, result.edge_results);
-  result.status.proposals = result.total_proposals;
-  result.status.wall_ms = timer.millis();
-  finish_telemetry(result, inst, options, nullptr);
-  result.telemetry.add_phase("bind", bind_ms);
-  result.telemetry.add_phase("assemble", timer.millis() - bind_ms);
+  finish_binding(result, inst, structure, options, nullptr, "bind", timer);
   obs::record(result.telemetry);
   return result;
 }
@@ -171,7 +182,7 @@ StrengthenResult strengthen_bindings(const KPartiteInstance& inst,
   KSTABLE_REQUIRE(base.is_forest(),
                   "strengthen_bindings starts from an acyclic base");
   StrengthenResult result{BindingStructure(inst.genders()), {}, 0, 0};
-  WallTimer timer;
+  const WallTimer timer;
   // Re-add the base edges, then try every absent pair in (a, b) order.
   std::vector<GenderEdge> candidates = base.edges();
   const auto base_count = static_cast<std::int32_t>(candidates.size());
@@ -185,26 +196,19 @@ StrengthenResult strengthen_bindings(const KPartiteInstance& inst,
     }
   }
 
-  BindingStructure accepted(inst.genders());
+  // Every candidate is bound (and tallied); a rejected one's slot is dropped.
   std::vector<gs::GsResult> edge_results;
   for (std::size_t idx = 0; idx < candidates.size(); ++idx) {
     const auto edge = candidates[idx];
     const bool is_base = static_cast<std::int32_t>(idx) < base_count;
     // Tentatively add the edge and re-derive the classes.
-    BindingStructure trial = accepted;
+    BindingStructure trial = result.structure;
     trial.add_edge(edge);
     auto trial_results = edge_results;
-    bool hit = false;
-    trial_results.push_back(run_binding(inst, edge, options, &hit));
-    if (!hit) {
-      result.binding.executed_proposals += trial_results.back().proposals;
-    }
-    if (options.cache != nullptr) {
-      hit ? ++result.binding.cache_hits : ++result.binding.cache_misses;
-    }
-    const auto report = derive_families(inst, trial, trial_results);
-    if (report.consistent) {
-      accepted = std::move(trial);
+    bind_edge(inst, edge, options, trial_results.emplace_back(),
+              result.binding);
+    if (derive_families(inst, trial, trial_results).consistent) {
+      result.structure = std::move(trial);
       edge_results = std::move(trial_results);
       if (!is_base) ++result.extra_accepted;
     } else {
@@ -212,19 +216,11 @@ StrengthenResult strengthen_bindings(const KPartiteInstance& inst,
       ++result.extra_rejected;
     }
   }
-  result.structure = accepted;
   result.binding.edge_results = std::move(edge_results);
-  for (const auto& r : result.binding.edge_results) {
-    result.binding.total_proposals += r.proposals;
-  }
-  result.binding.status.proposals = result.binding.total_proposals;
-  result.binding.status.wall_ms = timer.millis();
-  result.binding.equivalence =
-      derive_families(inst, result.structure, result.binding.edge_results);
+  finish_binding(result.binding, inst, result.structure, options,
+                 "binding.strengthen", "strengthen", timer);
   KSTABLE_ENSURE(result.binding.equivalence.consistent,
                  "strengthened structure lost consistency");
-  finish_telemetry(result.binding, inst, options, "binding.strengthen");
-  result.binding.telemetry.add_phase("strengthen", timer.millis());
   obs::record(result.binding.telemetry);
   return result;
 }

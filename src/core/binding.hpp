@@ -25,6 +25,7 @@
 #include "prefs/kpartite.hpp"
 #include "prefs/matching.hpp"
 #include "resilience/control.hpp"
+#include "util/timer.hpp"
 
 namespace kstable::core {
 
@@ -140,6 +141,24 @@ struct BindingResult {
 gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,
                          const BindingOptions& options,
                          bool* cache_hit = nullptr);
+
+/// The per-edge step every Algorithm 1 driver runs: the core/binding_edge
+/// fault point, a control check, run_binding into `slot`, then the
+/// executed-proposal and cache tally into `tally` (atomic, so workers may
+/// step distinct slots of one result concurrently).
+void bind_edge(const KPartiteInstance& inst, GenderEdge edge,
+               const BindingOptions& options, gs::GsResult& slot,
+               BindingResult& tally);
+
+/// The finish every Algorithm 1 driver shares: total proposals over
+/// result.edge_results, derive_families over `structure`, status, and
+/// telemetry labelled `engine` (nullptr = the per-engine binding label) with
+/// phases `work` (everything before this call, timed from `timer`) and
+/// `assemble`. Records nothing: the driver adjusts, then calls obs::record.
+void finish_binding(BindingResult& result, const KPartiteInstance& inst,
+                    const BindingStructure& structure,
+                    const BindingOptions& options, const char* engine,
+                    const char* work, const WallTimer& timer);
 
 /// Algorithm 1: iterative binding over a spanning tree. The tree is REQUIRED
 /// to be spanning (use bind_structure for forests/cycles); the result always

@@ -13,18 +13,20 @@ OrientedBindingResult oriented_binding(const KPartiteInstance& inst,
   const Gender k = inst.genders();
   const Index n = inst.per_gender();
 
+  const WallTimer timer;
   OrientedBindingResult result{
       {}, BindingStructure(k),
       std::vector<std::int64_t>(static_cast<std::size_t>(k), 0)};
-
-  std::size_t edge_index = 0;
-  for (const auto& edge : tree.edges()) {
+  const auto& edges = tree.edges();
+  result.binding.edge_results.resize(edges.size());
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const GenderEdge edge = edges[e];
     GenderEdge oriented = edge;
     switch (policy) {
       case OrientationPolicy::as_given:
         break;
       case OrientationPolicy::alternate:
-        if (edge_index % 2 == 1) oriented = {edge.b, edge.a};
+        if (e % 2 == 1) oriented = {edge.b, edge.a};
         break;
       case OrientationPolicy::balance_greedy: {
         // The currently unhappier gender proposes (proposer advantage).
@@ -36,9 +38,9 @@ OrientedBindingResult oriented_binding(const KPartiteInstance& inst,
         break;
       }
     }
-    ++edge_index;
     result.oriented.add_edge(oriented);
-    auto gs_result = run_binding(inst, oriented, options);
+    gs::GsResult& gs_result = result.binding.edge_results[e];
+    bind_edge(inst, oriented, options, gs_result, result.binding);
     // Accumulate both sides' partner-rank costs for the balancing policy.
     for (Index p = 0; p < n; ++p) {
       const Index r = gs_result.proposer_match[static_cast<std::size_t>(p)];
@@ -47,14 +49,12 @@ OrientedBindingResult oriented_binding(const KPartiteInstance& inst,
       result.gender_cost[static_cast<std::size_t>(oriented.b)] +=
           inst.rank_of({oriented.b, r}, {oriented.a, p});
     }
-    result.binding.edge_results.push_back(std::move(gs_result));
-    result.binding.total_proposals +=
-        result.binding.edge_results.back().proposals;
   }
-  result.binding.equivalence =
-      derive_families(inst, result.oriented, result.binding.edge_results);
+  finish_binding(result.binding, inst, result.oriented, options,
+                 "binding.oriented", "bind", timer);
   KSTABLE_ENSURE(result.binding.equivalence.consistent,
                  "oriented spanning-tree binding must be consistent");
+  obs::record(result.binding.telemetry);
   return result;
 }
 

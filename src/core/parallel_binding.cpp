@@ -1,10 +1,11 @@
 #include "core/parallel_binding.hpp"
 
+#include <vector>
+
 #include "graph/scheduling.hpp"
 #include "observability/metrics.hpp"
 #include "resilience/fault_injection.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace kstable::core {
 
@@ -14,20 +15,23 @@ ParallelBindingReport execute_binding(const KPartiteInstance& inst,
                                       resilience::ExecControl* control) {
   KSTABLE_REQUIRE(tree.is_forest(),
                   "parallel binding requires an acyclic structure");
+  const WallTimer timer;
   const auto& edges = tree.edges();
   ParallelBindingReport report;
-  report.binding.edge_results.resize(edges.size());
-  gs::GsOptions gs_options;
-  gs_options.control = control;
+  BindingResult& binding = report.binding;
+  binding.edge_results.resize(edges.size());
+  BindingOptions options;
+  options.control = control;
+  const auto step = [&](std::size_t e) {
+    bind_edge(inst, edges[e], options, binding.edge_results[e], binding);
+  };
 
-  WallTimer timer;
   switch (mode) {
     case ExecutionMode::sequential: {
       for (std::size_t e = 0; e < edges.size(); ++e) {
         KSTABLE_FAULT_POINT("core/parallel_round");
         if (control != nullptr) control->check_now();
-        report.binding.edge_results[e] =
-            gs::gale_shapley_queue(inst, edges[e].a, edges[e].b, gs_options);
+        step(e);
       }
       report.rounds_executed = static_cast<std::int64_t>(edges.size());
       break;
@@ -39,11 +43,8 @@ ParallelBindingReport execute_binding(const KPartiteInstance& inst,
         // the executor between rounds, with no tasks in flight.
         KSTABLE_FAULT_POINT("core/parallel_round");
         if (control != nullptr) control->check_now();
-        pool.for_each_index(round.size(), [&](std::size_t slot) {
-          const std::size_t e = round[slot];
-          report.binding.edge_results[e] =
-              gs::gale_shapley_queue(inst, edges[e].a, edges[e].b, gs_options);
-        });
+        pool.for_each_index(round.size(),
+                            [&](std::size_t slot) { step(round[slot]); });
       }
       report.rounds_executed =
           static_cast<std::int64_t>(schedule.round_count());
@@ -52,54 +53,31 @@ ParallelBindingReport execute_binding(const KPartiteInstance& inst,
     case ExecutionMode::crew_full: {
       KSTABLE_FAULT_POINT("core/parallel_round");
       if (control != nullptr) control->check_now();
-      pool.for_each_index(edges.size(), [&](std::size_t e) {
-        report.binding.edge_results[e] =
-            gs::gale_shapley_queue(inst, edges[e].a, edges[e].b, gs_options);
-      });
+      pool.for_each_index(edges.size(), step);
       report.rounds_executed = edges.empty() ? 0 : 1;
       break;
     }
   }
-  report.wall_seconds = timer.seconds();
 
-  for (const auto& r : report.binding.edge_results) {
-    report.binding.total_proposals += r.proposals;
-    report.edge_proposals.push_back(r.proposals);
-  }
-  report.binding.status.proposals = report.binding.total_proposals;
-  report.binding.status.wall_ms = report.wall_seconds * 1e3;
-  report.binding.equivalence =
-      derive_families(inst, tree, report.binding.edge_results);
-  KSTABLE_ENSURE(!tree.is_spanning_tree() || report.binding.equivalence.consistent,
+  const char* label = mode == ExecutionMode::sequential ? "parallel.sequential"
+                      : mode == ExecutionMode::erew_rounds ? "parallel.erew"
+                                                           : "parallel.crew";
+  finish_binding(binding, inst, tree, options, label, "rounds", timer);
+  KSTABLE_ENSURE(!tree.is_spanning_tree() || binding.equivalence.consistent,
                  "spanning-tree parallel binding produced inconsistent classes");
 
-  const pram::Model model = mode == ExecutionMode::sequential
-                                ? pram::Model::erew
-                                : mode == ExecutionMode::erew_rounds
-                                      ? pram::Model::erew
-                                      : pram::Model::crew;
-  report.cost =
-      pram::charge(tree, report.edge_proposals, model, inst.per_gender());
-
-  obs::SolveTelemetry& t = report.binding.telemetry;
-  t.engine = mode == ExecutionMode::sequential
-                 ? "parallel.sequential"
-                 : mode == ExecutionMode::erew_rounds ? "parallel.erew"
-                                                      : "parallel.crew";
-  t.genders = inst.genders();
-  t.size = inst.per_gender();
-  t.wall_ms = report.wall_seconds * 1e3;
-  t.add_phase("rounds", t.wall_ms);
-  t.status = report.binding.status;
-  t.proposals = report.binding.total_proposals;
-  t.executed_proposals = report.binding.total_proposals;
-  t.rounds = report.rounds_executed;
-  t.attempts = 1;
-  if (control != nullptr && control->budget().wall_ms > 0.0) {
-    const double margin = control->budget().wall_ms - control->elapsed_ms();
-    t.deadline_margin_ms = margin > 0.0 ? margin : 0.0;
+  const pram::Model model = mode == ExecutionMode::crew_full
+                                ? pram::Model::crew
+                                : pram::Model::erew;
+  std::vector<std::int64_t> edge_proposals;
+  edge_proposals.reserve(edges.size());
+  for (const auto& r : binding.edge_results) {
+    edge_proposals.push_back(r.proposals);
   }
-  obs::record(t);
+  report.cost = pram::charge(tree, edge_proposals, model, inst.per_gender());
+
+  binding.telemetry.rounds = report.rounds_executed;
+  obs::record(binding.telemetry);
   KSTABLE_COUNTER_ADD("parallel.rounds", report.rounds_executed);
   return report;
 }

@@ -27,16 +27,16 @@ struct ParallelBindingReport {
   BindingResult binding;          ///< per-edge results + assembled matching
   pram::CostReport cost;          ///< model-charged cost (see pram.hpp)
   std::int64_t rounds_executed = 0;
-  double wall_seconds = 0.0;
-  std::vector<std::int64_t> edge_proposals;  ///< aligned with edges
 };
 
 /// Executes `tree`'s bindings under `mode` using `pool`, then charges the
 /// matching PRAM cost model. The produced matching is identical across all
 /// modes (binding edges are independent); tests assert this determinism.
-/// A non-null `control` is checked at every per-round barrier and charged
-/// inside each edge's GS run (worker aborts propagate through the pool's
-/// exception channel); throws ExecutionAborted on deadline/budget/cancel.
+/// Every edge runs the shared per-edge step (core::bind_edge, engine queue),
+/// on the pool for the EREW/CREW schedules. A non-null `control` is checked
+/// at every per-round barrier and before and inside each edge's GS run
+/// (worker aborts propagate through the pool's exception channel); throws
+/// ExecutionAborted on deadline/budget/cancel.
 ParallelBindingReport execute_binding(const KPartiteInstance& inst,
                                       const BindingStructure& tree,
                                       ExecutionMode mode, ThreadPool& pool,

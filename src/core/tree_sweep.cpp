@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <limits>
 #include <mutex>
 #include <utility>
@@ -10,7 +9,6 @@
 #include "analysis/metrics.hpp"
 #include "graph/prufer.hpp"
 #include "observability/metrics.hpp"
-#include "resilience/errors.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -21,22 +19,11 @@ namespace {
 /// Produces candidate `index` (pure: callable from any worker).
 using TreeProvider = std::function<BindingStructure(std::int64_t)>;
 
-resilience::Budget scaled(const resilience::Budget& base, double scale) {
-  resilience::Budget b = base;
-  if (b.wall_ms > 0.0) b.wall_ms *= scale;
-  if (b.max_proposals > 0) {
-    b.max_proposals =
-        static_cast<std::int64_t>(static_cast<double>(b.max_proposals) * scale);
-  }
-  return b;
-}
-
 /// Per-worker partial fold. Merged in worker order at the end; every field
 /// merges through an order-insensitive operation (sum, or the fold's total
 /// order on (cost, index)), which is what makes the sweep schedule-invariant.
 struct WorkerLocal {
   std::int64_t trees = 0;
-  std::int64_t skipped = 0;
   std::int64_t total_proposals = 0;
   std::int64_t executed_proposals = 0;
   std::int64_t cache_hits = 0;
@@ -48,105 +35,54 @@ struct WorkerLocal {
   std::vector<TreePoint> points;
 };
 
-/// Evaluates candidate `index` into `local`. `first_success` is the shared
-/// first_stable early-exit floor (ignored by the other folds).
+/// Evaluates candidate `index` into `local`. An ExecutionAborted from the
+/// whole-sweep control propagates: it aborts the sweep, never one tree.
 void evaluate_tree(const KPartiteInstance& inst, std::int64_t index,
                    const TreeProvider& provider, const TreeSweepOptions& opt,
-                   gs::GsWorkspace& workspace,
-                   std::atomic<std::int64_t>& first_success,
-                   WorkerLocal& local) {
-  // The whole-sweep control aborts the sweep, never one tree: check it
-  // OUTSIDE the per-tree catch below so its ExecutionAborted propagates.
+                   gs::GsWorkspace& workspace, WorkerLocal& local) {
   if (opt.control != nullptr) opt.control->check_now();
-
-  const bool first_stable = opt.fold == SweepFold::first_stable;
-  if (first_stable && index > first_success.load(std::memory_order_relaxed)) {
-    // An index above the current best success can never win (the floor only
-    // ever decreases), so skipping here cannot change the winner.
-    ++local.skipped;
-    return;
-  }
 
   const BindingStructure tree = provider(index);
 
   BindingOptions bopts;
   bopts.engine = opt.engine;
+  bopts.control = opt.control;
   bopts.cache = opt.cache;
   bopts.warm_start = opt.warm_start;
   bopts.workspace = &workspace;
+  BindingResult result = iterative_binding(inst, tree, bopts);
+  const std::int64_t cost =
+      analysis::kary_tree_costs(inst, result.matching(), tree).total_cost;
 
-  std::optional<resilience::ExecControl> per_tree_control;
-  if (first_stable && !opt.per_tree_budget.unlimited()) {
-    const double scale =
-        std::pow(opt.budget_backoff, static_cast<double>(index));
-    per_tree_control.emplace(scaled(opt.per_tree_budget, scale),
-                             opt.control != nullptr
-                                 ? opt.control->token()
-                                 : resilience::CancellationToken{});
-    bopts.control = &*per_tree_control;
-  } else {
-    bopts.control = opt.control;
-  }
-
-  TreePoint point;
-  point.index = index;
   ++local.trees;
-  const bool keep_point = opt.fold != SweepFold::best_cost;
-  if (keep_point) point.prufer = prufer::encode(tree);
+  local.total_proposals += result.total_proposals;
+  local.executed_proposals += result.executed_proposals;
+  local.cache_hits += result.cache_hits;
+  local.cache_misses += result.cache_misses;
 
-  try {
-    BindingResult result = iterative_binding(inst, tree, bopts);
-    point.succeeded = true;
-    point.status = result.status;
+  if (opt.fold == SweepFold::score_table) {
+    TreePoint point;
+    point.index = index;
+    point.prufer = prufer::encode(tree);
+    point.bound_pair_cost = cost;
+    point.all_pairs_cost =
+        analysis::kary_costs(inst, result.matching()).total_cost;
     point.total_proposals = result.total_proposals;
     point.executed_proposals = result.executed_proposals;
     point.cache_hits = result.cache_hits;
     point.cache_misses = result.cache_misses;
-    point.bound_pair_cost =
-        analysis::kary_tree_costs(inst, result.matching(), tree).total_cost;
-    point.all_pairs_cost =
-        analysis::kary_costs(inst, result.matching()).total_cost;
-    if (keep_point && opt.keep_matchings) point.matching = result.matching();
-
-    local.total_proposals += result.total_proposals;
-    local.executed_proposals += result.executed_proposals;
-    local.cache_hits += result.cache_hits;
-    local.cache_misses += result.cache_misses;
-
-    const bool wins =
-        first_stable
-            ? (local.best_index < 0 || index < local.best_index)
-            : (point.bound_pair_cost < local.best_cost ||
-               (point.bound_pair_cost == local.best_cost &&
-                (local.best_index < 0 || index < local.best_index)));
-    if (wins) {
-      local.best_index = index;
-      local.best_cost = point.bound_pair_cost;
-      local.best = std::move(result);
-      local.best_tree = tree;
-    }
-    if (first_stable) {
-      // Publish the success floor so other workers stop evaluating higher
-      // indices.
-      std::int64_t seen = first_success.load(std::memory_order_relaxed);
-      while (index < seen && !first_success.compare_exchange_weak(
-                                 seen, index, std::memory_order_relaxed)) {
-      }
-    }
-  } catch (const ExecutionAborted& e) {
-    // Only a per-tree budget lands here (the shared control was checked
-    // before the try): the blown attempt is a recorded failure, not a sweep
-    // abort. A cancellation is a caller decision and still stops everything.
-    if (!per_tree_control.has_value() ||
-        e.reason() == AbortReason::cancelled) {
-      throw;
-    }
-    point.succeeded = false;
-    point.status = per_tree_control->aborted_status(e.reason(), e.what());
-    point.executed_proposals = point.status.proposals;
-    local.executed_proposals += point.status.proposals;
+    if (opt.keep_matchings) point.matching = result.matching();
+    local.points.push_back(std::move(point));
   }
-  if (keep_point) local.points.push_back(std::move(point));
+  const bool wins = cost < local.best_cost ||
+                    (cost == local.best_cost &&
+                     (local.best_index < 0 || index < local.best_index));
+  if (wins) {
+    local.best_index = index;
+    local.best_cost = cost;
+    local.best = std::move(result);
+    local.best_tree = tree;
+  }
 }
 
 TreeSweepResult sweep_indexed(const KPartiteInstance& inst, std::int64_t count,
@@ -157,8 +93,6 @@ TreeSweepResult sweep_indexed(const KPartiteInstance& inst, std::int64_t count,
                   "sequential per-edge engine (queue/rounds)");
   KSTABLE_REQUIRE(opt.chunk_trees >= 1,
                   "chunk_trees must be >= 1, got " << opt.chunk_trees);
-  KSTABLE_REQUIRE(opt.budget_backoff >= 1.0,
-                  "budget_backoff must be >= 1, got " << opt.budget_backoff);
   if (opt.cache != nullptr) {
     KSTABLE_REQUIRE(opt.cache->genders() == inst.genders(),
                     "cache built for k=" << opt.cache->genders()
@@ -175,9 +109,6 @@ TreeSweepResult sweep_indexed(const KPartiteInstance& inst, std::int64_t count,
   const bool parallel_run = opt.pool != nullptr && !nested &&
                             opt.pool->thread_count() > 1 && count > 1;
 
-  std::atomic<std::int64_t> first_success{
-      std::numeric_limits<std::int64_t>::max()};
-
   std::vector<WorkerLocal> locals;
   if (parallel_run) {
     locals.resize(opt.pool->thread_count());
@@ -189,8 +120,7 @@ TreeSweepResult sweep_indexed(const KPartiteInstance& inst, std::int64_t count,
           thread_local gs::GsWorkspace workspace;
           WorkerLocal& local = locals[worker];
           for (std::int64_t i = begin; i < end; ++i) {
-            evaluate_tree(inst, i, provider, opt, workspace, first_success,
-                          local);
+            evaluate_tree(inst, i, provider, opt, workspace, local);
           }
         });
     out.stats.chunks = schedule.chunks;
@@ -200,8 +130,7 @@ TreeSweepResult sweep_indexed(const KPartiteInstance& inst, std::int64_t count,
     locals.resize(1);
     gs::GsWorkspace workspace;
     for (std::int64_t i = 0; i < count; ++i) {
-      evaluate_tree(inst, i, provider, opt, workspace, first_success,
-                    locals[0]);
+      evaluate_tree(inst, i, provider, opt, workspace, locals[0]);
     }
     out.stats.workers = 1;
     out.stats.nested_fallback = nested;
@@ -212,19 +141,15 @@ TreeSweepResult sweep_indexed(const KPartiteInstance& inst, std::int64_t count,
   TreeSweepStats& st = out.stats;
   for (auto& local : locals) {
     st.trees += local.trees;
-    st.skipped += local.skipped;
     st.total_proposals += local.total_proposals;
     st.executed_proposals += local.executed_proposals;
     st.cache_hits += local.cache_hits;
     st.cache_misses += local.cache_misses;
     if (!local.best.has_value()) continue;
-    const bool wins =
-        !out.best.has_value() ||
-        (opt.fold == SweepFold::first_stable
-             ? local.best_index < out.best_index
-             : (local.best_cost < out.best_cost ||
-                (local.best_cost == out.best_cost &&
-                 local.best_index < out.best_index)));
+    const bool wins = !out.best.has_value() ||
+                      local.best_cost < out.best_cost ||
+                      (local.best_cost == out.best_cost &&
+                       local.best_index < out.best_index);
     if (wins) {
       out.best_index = local.best_index;
       out.best_cost = local.best_cost;
@@ -232,7 +157,7 @@ TreeSweepResult sweep_indexed(const KPartiteInstance& inst, std::int64_t count,
       out.best_tree = std::move(local.best_tree);
     }
   }
-  if (opt.fold != SweepFold::best_cost) {
+  if (opt.fold == SweepFold::score_table) {
     for (auto& local : locals) {
       for (auto& point : local.points) {
         out.per_tree.push_back(std::move(point));

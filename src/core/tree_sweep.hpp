@@ -2,27 +2,20 @@
 //
 // Cayley's formula (paper §IV.B) gives k^(k-2) spanning binding trees, and
 // every quantitative multi-tree question this library answers — E15's tree
-// ablation, cost-aware tree selection, the exhaustive oracle experiments,
-// solve_with_fallback's retry rungs — is a sweep over some subset of that
-// space. This engine chunks the Prüfer code space (graph/prufer gives random
-// access: tree_at(index, k) is the index-th tree of the enumeration order)
-// across the existing ThreadPool with work stealing, runs iterative_binding
-// per tree on thread_local GsWorkspaces, and reduces through a pluggable
-// fold.
+// ablation, cost-aware tree selection, the exhaustive oracle experiments —
+// is a sweep over some subset of that space. This engine chunks the Prüfer
+// code space (graph/prufer gives random access: tree_at(index, k) is the
+// index-th tree of the enumeration order) across the existing ThreadPool
+// with work stealing, runs iterative_binding per tree on thread_local
+// GsWorkspaces, and reduces through a pluggable fold.
 //
 // Determinism contract: the sweep's outcome is a pure function of
 // (instance, candidate set, fold, engine) — it does NOT depend on thread
 // count, chunking, steal schedule, or which worker evaluated which tree.
-//   * best_cost / score_table: the winner is the argmin of
-//     (bound-pair cost, tree index) lexicographically; per-worker partial
-//     folds are merged by the same total order, so any partition of the
-//     index space yields the same winner. The score table is sorted by tree
-//     index before returning.
-//   * first_stable: the winner is the LOWEST-INDEXED candidate that yields a
-//     stable matching within its per-tree budget. The early-exit filter
-//     only skips indices strictly above the current best success, so every
-//     index below the eventual winner is always evaluated — parallel and
-//     sequential sweeps agree exactly.
+// The winner is the argmin of (bound-pair cost, tree index)
+// lexicographically; per-worker partial folds are merged by the same total
+// order, so any partition of the index space yields the same winner. The
+// score table is sorted by tree index before returning.
 // Per-tree matchings are bitwise-identical to a sequential run because each
 // tree's binding is the same deterministic iterative_binding call (GS
 // confluence; see gs_cache.hpp), property-tested in tree_sweep_test.
@@ -59,10 +52,6 @@ enum class SweepFold {
   best_cost,
   /// best_cost + the full per-tree score table (E15's ablation view).
   score_table,
-  /// Stop at the lowest-indexed candidate that yields a stable matching
-  /// within its per-tree budget (the fallback ladder's speculative rung).
-  /// Keeps a per-tree attempt table like score_table.
-  first_stable,
 };
 
 struct TreeSweepOptions {
@@ -77,8 +66,8 @@ struct TreeSweepOptions {
   /// single-flight instead of duplicating GS runs.
   GsEdgeCache* cache = nullptr;
   /// Whole-sweep deadline/budget/cancellation, checked between trees on
-  /// every worker (and inside per-edge GS runs for folds that share it).
-  /// Throws ExecutionAborted out of the sweep.
+  /// every worker and charged inside every per-edge GS run. Throws
+  /// ExecutionAborted out of the sweep.
   resilience::ExecControl* control = nullptr;
   /// Fold; see SweepFold.
   SweepFold fold = SweepFold::best_cost;
@@ -88,12 +77,6 @@ struct TreeSweepOptions {
   /// Keep each tree's assembled KaryMatching in the score table (memory:
   /// one k×n index table per tree — leave off for k >= 7 full sweeps).
   bool keep_matchings = false;
-  /// first_stable only: budget for each candidate's attempt (unlimited =
-  /// no per-tree control; Theorem 2 then makes candidate 0 the winner).
-  resilience::Budget per_tree_budget{};
-  /// first_stable only: candidate i's budget is per_tree_budget scaled by
-  /// budget_backoff^i, mirroring the fallback ladder's escalation.
-  double budget_backoff = 1.0;
   /// Optional warm-start provider threaded into every tree's per-edge
   /// BindingOptions (see core::WarmStartProvider). Must be thread-safe: the
   /// sweep calls it from every worker.
@@ -107,21 +90,18 @@ struct TreeSweepOptions {
 struct TreePoint {
   std::int64_t index = -1;           ///< position in the candidate order
   std::vector<Gender> prufer;        ///< Prüfer code of the tree
-  bool succeeded = false;            ///< false only under first_stable budgets
   std::int64_t bound_pair_cost = 0;  ///< kary_tree_costs: what binding optimized
   std::int64_t all_pairs_cost = 0;   ///< kary_costs: including unbound pairs
   std::int64_t total_proposals = 0;
   std::int64_t executed_proposals = 0;
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
-  resilience::SolveStatus status;    ///< per-attempt status (first_stable)
-  /// Assembled matching (keep_matchings && succeeded only).
+  /// Assembled matching (keep_matchings only).
   std::optional<KaryMatching> matching;
 };
 
 struct TreeSweepStats {
   std::int64_t trees = 0;    ///< candidates evaluated
-  std::int64_t skipped = 0;  ///< first_stable early-exit skips
   std::int64_t chunks = 0;   ///< work-stealing claims
   std::int64_t steals = 0;   ///< claims taken from another worker's range
   std::size_t workers = 1;
@@ -136,8 +116,7 @@ struct TreeSweepStats {
 };
 
 struct TreeSweepResult {
-  /// Winner per the fold's total order; -1 when nothing succeeded
-  /// (first_stable with every budget blown).
+  /// Winner per the fold's total order; -1 for an empty candidate list.
   std::int64_t best_index = -1;
   std::int64_t best_cost = 0;  ///< winner's bound-pair cost
   std::optional<BindingResult> best;
@@ -159,8 +138,7 @@ struct TreeSweepResult {
 TreeSweepResult sweep_all_trees(const KPartiteInstance& inst,
                                 const TreeSweepOptions& options = {});
 
-/// Sweeps an explicit candidate list (index = list position). Used by the
-/// fallback ladder's speculative strict rungs.
+/// Sweeps an explicit candidate list (index = list position).
 TreeSweepResult sweep_trees(const KPartiteInstance& inst,
                             const std::vector<BindingStructure>& candidates,
                             const TreeSweepOptions& options = {});

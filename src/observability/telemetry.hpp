@@ -40,8 +40,8 @@ struct PhaseTiming {
 
 struct SolveTelemetry {
   /// Static-lifetime engine label: "gs.queue", "gs.rounds", "gs.parallel",
-  /// "binding", "binding.parallel", "binding.priority", "roommates",
-  /// "ladder", "batch.item".
+  /// "binding.queue", "binding.oriented", "binding.priority", "roommates",
+  /// "ladder", "batch.item" (docs/OBSERVABILITY.md lists them all).
   const char* engine = "";
 
   // Instance shape. For k-partite drivers: genders=k, size=n (members per

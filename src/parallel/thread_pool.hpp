@@ -35,7 +35,7 @@ class ThreadPool {
   }
 
   /// True when the calling thread is a worker of ANY ThreadPool. Parallel
-  /// drivers (TreeSweep, the speculative ladder, parallel pair probes) use
+  /// drivers (TreeSweep, the raced fallback ladder, parallel pair probes) use
   /// this to detect pool-within-pool nesting — e.g. a sweep running inside a
   /// BatchSolver item — and degrade to their sequential path instead of
   /// queueing a second thread complement onto an already-saturated pool

@@ -106,14 +106,12 @@ KPartiteInstance parse(util::LineReader& lines) {
     }
     ++seen;
   }
+  // filled[] admits each row once and set_pref_list wrote each one as a
+  // permutation together with its rank row, so once every row has arrived
+  // the instance is complete (validate() would pass).
   KSTABLE_PARSE_REQUIRE(seen == expected_lists,
                         "instance has " << seen << " pref lines, expected "
                                         << expected_lists);
-  try {
-    inst.validate();
-  } catch (const ContractViolation& e) {
-    throw ParseError(std::string("parse error: ") + e.what());
-  }
   return inst;
 }
 

@@ -1,5 +1,7 @@
 #include "resilience/solve_ladder.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <optional>
 #include <set>
@@ -8,7 +10,6 @@
 
 #include "core/gs_cache.hpp"
 #include "core/priority_binding.hpp"
-#include "core/tree_sweep.hpp"
 #include "graph/prufer.hpp"
 #include "observability/metrics.hpp"
 #include "util/check.hpp"
@@ -28,8 +29,57 @@ Budget scaled(const Budget& base, double scale) {
   return b;
 }
 
-SolveStatus abort_status(const ExecControl& control, const ExecutionAborted& e) {
-  return control.aborted_status(e.reason(), e.what());
+/// How one attempt ended: its log entry, its result on success, and the
+/// proposals it actually executed (cache hits are never charged).
+struct Attempt {
+  AttemptLog log;
+  std::optional<core::BindingResult> result;
+  std::int64_t executed = 0;
+};
+
+/// Runs `bind` as the ladder's `step`-th attempt: its own ExecControl with
+/// per_attempt scaled by backoff^step on the shared token. An
+/// ExecutionAborted becomes a recorded failure; anything else propagates.
+template <class Bind>
+void run_attempt(const FallbackOptions& options, std::size_t step,
+                 Attempt& out, Bind&& bind) {
+  ExecControl control(
+      scaled(options.per_attempt,
+             std::pow(options.backoff, static_cast<double>(step))),
+      options.token);
+  core::BindingOptions bopts{options.engine, options.pool, &control};
+  bopts.cache = options.cache;
+  bopts.warm_start = options.warm_start;
+  try {
+    out.result = bind(bopts);
+    out.log.status = out.result->status;
+    out.executed = out.result->executed_proposals;
+  } catch (const ExecutionAborted& e) {
+    out.log.status = control.aborted_status(e.reason(), e.what());
+    out.executed = out.log.status.proposals;
+  }
+}
+
+/// The strict rungs' candidate trees, deduplicated by Prüfer code and capped
+/// by Cayley's k^(k-2) (cayley_count saturates at INT64_MAX for large k).
+/// Candidate 0 is the path tree (the library default); later ones are drawn
+/// from the seeded Prüfer-random stream, skipping repeats.
+std::vector<BindingStructure> candidate_trees(Gender k,
+                                              const FallbackOptions& options) {
+  const std::int64_t count = std::min<std::int64_t>(
+      options.max_tree_attempts, prufer::cayley_count(k));
+  Rng rng(options.tree_seed);
+  std::set<std::vector<Gender>> tried;
+  std::vector<BindingStructure> candidates;
+  candidates.reserve(static_cast<std::size_t>(count));
+  while (static_cast<std::int64_t>(candidates.size()) < count) {
+    BindingStructure tree =
+        candidates.empty() ? trees::path(k) : prufer::random_tree(k, rng);
+    if (tried.insert(prufer::encode(tree)).second) {
+      candidates.push_back(std::move(tree));
+    }
+  }
+  return candidates;
 }
 
 }  // namespace
@@ -40,7 +90,6 @@ FallbackReport solve_with_fallback(const KPartiteInstance& inst,
                   "backoff must be >= 1, got " << options.backoff);
   KSTABLE_REQUIRE(options.max_tree_attempts >= 1,
                   "need at least one strict attempt");
-  const Gender k = inst.genders();
 
   FallbackReport report;
   // Cache counters are read as a delta off the cache's own stats so that
@@ -85,161 +134,82 @@ FallbackReport solve_with_fallback(const KPartiteInstance& inst,
     }
     return r;
   };
-  Rng tree_rng(options.tree_seed);
-  // Distinct candidate trees, deduplicated by Prüfer code. cayley_count
-  // saturates at INT64_MAX for large k, which is fine as an upper bound.
-  // Attempt 0 binds along the path tree (the library default); retries draw
-  // fresh random trees from the deterministic stream, skipping repeats. The
-  // stream is shared by the sequential and speculative paths, so both see
-  // the same candidate list.
-  std::set<std::vector<Gender>> tried;
-  const std::int64_t distinct_trees = prufer::cayley_count(k);
-  const auto next_candidate =
-      [&](std::int32_t attempt) -> std::optional<BindingStructure> {
-    if (static_cast<std::int64_t>(tried.size()) >= distinct_trees) {
-      return std::nullopt;
+  const auto log_attempt = [&report](Attempt& a) {
+    report.executed_proposals += a.executed;
+    report.status = a.log.status;
+    if (a.result.has_value()) {
+      report.succeeded = true;
+      report.rung = a.log.rung;
+      report.result = std::move(a.result);
     }
-    BindingStructure tree =
-        attempt == 0 ? trees::path(k) : prufer::random_tree(k, tree_rng);
-    while (!tried.insert(prufer::encode(tree)).second) {
-      tree = prufer::random_tree(k, tree_rng);
-    }
-    return tree;
+    report.attempts.push_back(std::move(a.log));
   };
 
-  const bool speculate = options.speculative && options.pool != nullptr &&
-                         !ThreadPool::in_worker_thread() &&
-                         options.pool->thread_count() > 1 &&
-                         options.max_tree_attempts > 1 &&
-                         options.engine != core::GsEngine::parallel;
-  if (speculate) {
-    // Race the strict rungs: first_stable fold = lowest-indexed candidate to
-    // succeed within its backoff-scaled budget, which is the sequential
-    // ladder's winner (see FallbackOptions::speculative for the shared-cache
-    // caveat). chunk_trees=1 maximizes how many rungs run concurrently.
-    std::vector<BindingStructure> candidates;
-    candidates.reserve(static_cast<std::size_t>(options.max_tree_attempts));
-    for (std::int32_t attempt = 0; attempt < options.max_tree_attempts;
-         ++attempt) {
-      auto tree = next_candidate(attempt);
-      if (!tree.has_value()) break;
-      candidates.push_back(std::move(*tree));
-    }
-    core::TreeSweepOptions sopts;
-    sopts.engine = options.engine;
-    sopts.pool = options.pool;
-    sopts.cache = options.cache;
-    sopts.fold = core::SweepFold::first_stable;
-    sopts.warm_start = options.warm_start;
-    sopts.per_tree_budget = options.per_attempt;
-    sopts.budget_backoff = options.backoff;
-    sopts.chunk_trees = 1;
-    ExecControl sweep_control(Budget{}, options.token);
-    sopts.control = &sweep_control;
-    try {
-      auto sweep = core::sweep_trees(inst, candidates, sopts);
-      for (auto& point : sweep.per_tree) {
-        report.executed_proposals += point.executed_proposals;
-        if (sweep.best_index >= 0 && point.index > sweep.best_index) {
-          // Speculation overshoot: rungs the sequential ladder would never
-          // have started. Logged as waste, not as attempts.
-          report.speculative_waste += point.executed_proposals;
-          continue;
-        }
-        AttemptLog log;
-        log.rung = Rung::strict_tree;
-        log.tree_edges =
-            candidates[static_cast<std::size_t>(point.index)].edges();
-        log.status = point.status;
-        if (!point.succeeded) report.status = point.status;
-        report.attempts.push_back(std::move(log));
+  // Strict rungs. `stop` is the lowest candidate that succeeded or was
+  // cancelled; the log ends there, so no candidate above it starts. Without
+  // a pool the candidates run in order, which stops at the first success or
+  // cancellation. With one they race, and since `stop` only falls, every
+  // candidate at or below its final value has run: the race logs exactly
+  // what the in-order loop logs.
+  const std::vector<BindingStructure> candidates =
+      candidate_trees(inst.genders(), options);
+  const std::size_t count = candidates.size();
+  std::vector<Attempt> strict(count);
+  std::atomic<std::size_t> stop{count};
+  const auto attempt = [&](std::size_t i) {
+    if (i > stop.load(std::memory_order_relaxed)) return;
+    Attempt& a = strict[i];
+    a.log.tree_edges = candidates[i].edges();
+    run_attempt(options, i, a, [&](const core::BindingOptions& bopts) {
+      return core::iterative_binding(inst, candidates[i], bopts);
+    });
+    if (a.result.has_value() ||
+        a.log.status.abort_reason == AbortReason::cancelled) {
+      std::size_t seen = stop.load(std::memory_order_relaxed);
+      while (i < seen && !stop.compare_exchange_weak(
+                             seen, i, std::memory_order_relaxed)) {
       }
-      if (sweep.succeeded()) {
-        report.succeeded = true;
-        report.rung = Rung::strict_tree;
-        report.status = sweep.best->status;
-        report.result = std::move(sweep.best);
-        return finalize(report);
-      }
-    } catch (const ExecutionAborted& e) {
-      // Only a cancellation escapes the raced rungs (per-candidate budget
-      // blows are folded into per_tree); it stops the whole ladder.
-      report.status = abort_status(sweep_control, e);
-      return finalize(report);
     }
+  };
+  const bool race = options.pool != nullptr &&
+                    !ThreadPool::in_worker_thread() &&
+                    options.pool->thread_count() > 1 && count > 1 &&
+                    options.engine != core::GsEngine::parallel;
+  if (race) {
+    options.pool->for_each_index(count, attempt);
   } else {
-    double scale = 1.0;
-    for (std::int32_t attempt = 0; attempt < options.max_tree_attempts;
-         ++attempt) {
-      auto candidate = next_candidate(attempt);
-      if (!candidate.has_value()) break;
-      const BindingStructure tree = std::move(*candidate);
-
-      ExecControl control(scaled(options.per_attempt, scale), options.token);
-      AttemptLog log;
-      log.rung = Rung::strict_tree;
-      log.tree_edges = tree.edges();
-      try {
-        core::BindingOptions bopts{options.engine, options.pool, &control};
-        bopts.cache = options.cache;
-        bopts.warm_start = options.warm_start;
-        auto result = core::iterative_binding(inst, tree, bopts);
-        log.status = result.status;
-        report.attempts.push_back(std::move(log));
-        report.succeeded = true;
-        report.rung = Rung::strict_tree;
-        report.status = result.status;
-        report.executed_proposals += result.executed_proposals;
-        report.result = std::move(result);
-        return finalize(report);
-      } catch (const ExecutionAborted& e) {
-        log.status = abort_status(control, e);
-        report.status = log.status;
-        // The charged units of the aborted attempt are the proposals it
-        // actually executed (cache hits are never charged).
-        report.executed_proposals += log.status.proposals;
-        report.attempts.push_back(std::move(log));
-        // A cancellation is a caller decision, not a per-tree failure: stop
-        // the whole ladder instead of burning the remaining rungs.
-        if (e.reason() == AbortReason::cancelled) return finalize(report);
-        scale *= options.backoff;
-      }
+    for (std::size_t i = 0; i < count; ++i) attempt(i);
+  }
+  const std::size_t last = stop.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i <= last) {
+      log_attempt(strict[i]);
+    } else {
+      // Race overshoot: a candidate the in-order ladder would never have
+      // started. Its work is waste, not an attempt.
+      report.executed_proposals += strict[i].executed;
+      report.speculative_waste += strict[i].executed;
     }
   }
+  if (report.succeeded) return finalize(report);
 
+  // A cancellation is a caller decision, not a per-tree failure: it also
+  // skips the degraded rung.
   if (options.allow_degraded && !options.token.cancelled()) {
     // Every strict rung failed, so the degraded attempt's budget continues
-    // the escalation: backoff^(failed strict attempts) — the same value the
-    // sequential loop accumulated multiplicatively.
-    const double scale = std::pow(
-        options.backoff, static_cast<double>(report.attempts.size()));
-    ExecControl control(scaled(options.per_attempt, scale), options.token);
-    AttemptLog log;
-    log.rung = Rung::degraded_priority;
-    try {
-      core::PriorityBindingOptions popts;
-      popts.binding = {options.engine, options.pool, &control};
-      popts.binding.cache = options.cache;
-      popts.binding.warm_start = options.warm_start;
-      auto pr = core::priority_binding(inst, popts);
-      log.tree_edges = pr.tree.edges();
-      log.status = pr.binding.status;
-      report.attempts.push_back(std::move(log));
-      report.succeeded = true;
-      report.rung = Rung::degraded_priority;
-      report.status = pr.binding.status;
-      report.executed_proposals += pr.binding.executed_proposals;
-      report.result = std::move(pr.binding);
-      return finalize(report);
-    } catch (const ExecutionAborted& e) {
-      log.status = abort_status(control, e);
-      report.status = log.status;
-      report.executed_proposals += log.status.proposals;
-      report.attempts.push_back(std::move(log));
-    }
+    // the escalation: backoff^(failed strict attempts).
+    Attempt degraded;
+    degraded.log.rung = Rung::degraded_priority;
+    run_attempt(options, report.attempts.size(), degraded,
+                [&](const core::BindingOptions& bopts) {
+                  core::PriorityBindingOptions popts;
+                  popts.binding = bopts;
+                  auto pr = core::priority_binding(inst, popts);
+                  degraded.log.tree_edges = pr.tree.edges();
+                  return std::move(pr.binding);
+                });
+    log_attempt(degraded);
   }
-
-  report.rung = Rung::none;
   return finalize(report);
 }
 

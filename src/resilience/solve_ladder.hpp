@@ -10,6 +10,11 @@
 // mode: still a spanning-tree binding, but grown bitonically from the
 // highest-priority gender. The report records which rung produced the answer
 // so callers can distinguish a first-try success from a degraded one.
+//
+// Every strict rung is one attempt function over candidate i of a fixed
+// deterministic tree stream. Without a pool the attempts run in order; with
+// one they race across it, and the race logs exactly the attempts the
+// in-order ladder would (see FallbackOptions::pool).
 #pragma once
 
 #include <cstdint>
@@ -59,29 +64,28 @@ struct FallbackOptions {
   std::uint64_t tree_seed = 0x5eed;
   /// Shared across all attempts; cancelling stops the whole ladder.
   CancellationToken token{};
-  /// Engine/pool for the per-edge GS runs (control is owned by the ladder).
+  /// Per-edge GS engine (control is owned by the ladder).
   core::GsEngine engine = core::GsEngine::queue;
+  /// With a pool of more than one thread (the caller not itself a pool
+  /// worker, more than one candidate, engine != parallel) the strict rungs
+  /// race across it, each candidate under its own backoff-scaled budget.
+  /// The winner is the lowest-indexed candidate that succeeds: with no
+  /// shared cache that is exactly the in-order ladder's winner; with a
+  /// shared cache under tight budgets it may shift (concurrent attempts warm
+  /// each other's edges), though any given tree's matching stays
+  /// bitwise-identical. Work burnt on candidates above the winner is
+  /// reported as speculative_waste. GsEngine::parallel also needs the pool:
+  /// it runs each edge's GS on it, and the rungs then go in order.
   ThreadPool* pool = nullptr;
   /// Permit the Algorithm 2 last rung. When false the ladder is strict-only.
   bool allow_degraded = true;
-  /// Race the strict rungs speculatively instead of one at a time: with a
-  /// pool attached (and the caller not itself a pool worker), the candidate
-  /// trees are pre-generated from the same deterministic stream and swept
-  /// through core::sweep_trees' first_stable fold, each candidate under its
-  /// own backoff-scaled budget. The winner is the lowest-indexed candidate
-  /// that succeeds — with no shared cache that is exactly the sequential
-  /// ladder's winner; with a shared cache under tight budgets, which rung
-  /// wins may shift (concurrent attempts warm each other's edges), though
-  /// any given tree's matching stays bitwise-identical. Work burnt on
-  /// candidates above the winner is reported as speculative_waste.
-  bool speculative = false;
   /// Optional per-instance edge cache shared across every rung: candidate
   /// trees draw from the same k(k-1)/2 gender-pair set, so edges completed
   /// by an aborted attempt replay for free on the next one (and are not
   /// re-charged against its budget). Must be built for this instance.
   core::GsEdgeCache* cache = nullptr;
   /// Optional warm-start provider (incremental::DeltaWarmStart), threaded
-  /// into every rung's BindingOptions — strict trees, the speculative sweep,
+  /// into every rung's BindingOptions — strict trees, raced or in order,
   /// and the degraded Algorithm 2 attempt alike. Edges outside the previous
   /// solve's tree fall back to the cold engine (the provider answers
   /// nullopt), so retry rungs on different trees stay correct.
@@ -106,9 +110,9 @@ struct FallbackReport {
   /// cache hits contribute nothing. The multi-tree work the cache saves is
   /// visible here.
   std::int64_t executed_proposals = 0;
-  /// Of executed_proposals, the share burnt by speculative strict rungs
-  /// above the winning candidate — work the sequential ladder would never
-  /// have started (0 unless FallbackOptions::speculative).
+  /// Of executed_proposals, the share burnt by raced strict rungs above the
+  /// winning candidate — work the in-order ladder would never have started
+  /// (0 without a pool race).
   std::int64_t speculative_waste = 0;
   /// Per-ladder-run record (engine "ladder", attempts count, final rung,
   /// cumulative counters) for the observability exporters.
@@ -124,8 +128,9 @@ struct FallbackReport {
 
 /// Runs the ladder: up to max_tree_attempts strict Algorithm 1 attempts on
 /// distinct spanning trees with per-attempt budgets (ExecutionAborted from
-/// one attempt moves to the next; a cancellation stops the ladder), then one
-/// Algorithm 2 attempt as the degraded last rung. Never throws for abort-
+/// one attempt moves to the next; a cancellation stops the ladder), in order
+/// or raced across options.pool, then one Algorithm 2 attempt as the
+/// degraded last rung. Never throws for abort-
 /// class failures — the report carries the outcome. ContractViolation (a
 /// programming error) still propagates.
 FallbackReport solve_with_fallback(const KPartiteInstance& inst,

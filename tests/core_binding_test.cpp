@@ -7,7 +7,11 @@
 #include "analysis/oracle.hpp"
 #include "analysis/stability.hpp"
 #include "core/binding.hpp"
+#include "core/gs_cache.hpp"
+#include "core/oriented_binding.hpp"
+#include "core/parallel_binding.hpp"
 #include "graph/prufer.hpp"
+#include "parallel/thread_pool.hpp"
 #include "prefs/examples.hpp"
 #include "prefs/generators.hpp"
 #include "util/check.hpp"
@@ -292,6 +296,100 @@ TEST(BindingResult, ProposalAccountingMatchesEdges) {
   for (const auto& r : result.edge_results) sum += r.proposals;
   EXPECT_EQ(sum, result.total_proposals);
   EXPECT_EQ(result.edge_results.size(), 3U);
+}
+
+/// Every driver tallies through the shared per-edge step: without a cache
+/// each executed proposal is counted once, the telemetry agrees with the
+/// result, and with a fresh cache every edge is exactly one hit or miss.
+TEST(BindingResult, EveryDriverTalliesExecutedProposalsAndCacheOutcomes) {
+  Rng rng(7);
+  const auto inst = gen::uniform(4, 16, rng);
+  const auto tree = trees::path(4);
+  const auto expect_tally = [](const BindingResult& r, const char* driver) {
+    EXPECT_GT(r.total_proposals, 0) << driver;
+    EXPECT_EQ(r.executed_proposals, r.total_proposals) << driver;
+    EXPECT_EQ(r.status.proposals, r.total_proposals) << driver;
+    EXPECT_EQ(r.telemetry.proposals, r.total_proposals) << driver;
+    EXPECT_EQ(r.telemetry.executed_proposals, r.executed_proposals) << driver;
+    EXPECT_EQ(r.cache_hits + r.cache_misses, 0) << driver;
+  };
+
+  expect_tally(iterative_binding(inst, tree), "bind_structure");
+  for (const auto policy :
+       {OrientationPolicy::as_given, OrientationPolicy::alternate,
+        OrientationPolicy::balance_greedy}) {
+    const auto oriented = oriented_binding(inst, tree, policy);
+    expect_tally(oriented.binding, "oriented_binding");
+    EXPECT_STREQ(oriented.binding.telemetry.engine, "binding.oriented");
+  }
+  ThreadPool pool(3);
+  for (const auto mode :
+       {ExecutionMode::sequential, ExecutionMode::erew_rounds,
+        ExecutionMode::crew_full}) {
+    const auto report = execute_binding(inst, tree, mode, pool);
+    expect_tally(report.binding, "execute_binding");
+    EXPECT_EQ(report.binding.telemetry.rounds, report.rounds_executed);
+  }
+
+  // strengthen_bindings binds every candidate pair, rejected ones included:
+  // its executed work is one binding of all C(k,2) pairs in candidate order
+  // (the path's edges, then the absent pairs in (a, b) order).
+  const auto strengthened = strengthen_bindings(inst, tree);
+  BindingStructure all_pairs = tree;
+  for (Gender a = 0; a < 4; ++a) {
+    for (Gender b = a + 1; b < 4; ++b) {
+      bool present = false;
+      for (const auto& e : tree.edges()) {
+        present |= e.normalized() == GenderEdge{a, b};
+      }
+      if (!present) all_pairs.add_edge({a, b});
+    }
+  }
+  const auto every_pair = bind_structure(inst, all_pairs);
+  EXPECT_EQ(strengthened.binding.executed_proposals,
+            every_pair.total_proposals);
+  EXPECT_EQ(strengthened.binding.telemetry.executed_proposals,
+            strengthened.binding.executed_proposals);
+
+  // With a cache: one outcome per bound edge, and a cold cache misses them
+  // all.
+  const auto expect_cached = [](const BindingResult& r, std::int64_t edges,
+                                 const char* driver) {
+    EXPECT_EQ(r.cache_hits + r.cache_misses, edges) << driver;
+    EXPECT_EQ(r.telemetry.cache_hits, r.cache_hits) << driver;
+    EXPECT_EQ(r.telemetry.cache_misses, r.cache_misses) << driver;
+  };
+  {
+    GsEdgeCache cache(inst);
+    BindingOptions options;
+    options.cache = &cache;
+    const auto cold = iterative_binding(inst, tree, options);
+    expect_cached(cold, 3, "bind_structure");
+    EXPECT_EQ(cold.cache_misses, 3);
+    EXPECT_EQ(cold.executed_proposals, cold.total_proposals);
+    const auto warm = iterative_binding(inst, tree, options);
+    expect_cached(warm, 3, "bind_structure");
+    EXPECT_EQ(warm.cache_hits, 3);
+    EXPECT_EQ(warm.executed_proposals, 0);
+  }
+  {
+    GsEdgeCache cache(inst);
+    BindingOptions options;
+    options.cache = &cache;
+    const auto oriented =
+        oriented_binding(inst, tree, OrientationPolicy::as_given, options);
+    expect_cached(oriented.binding, 3, "oriented_binding");
+    EXPECT_EQ(oriented.binding.cache_misses, 3);
+    EXPECT_EQ(oriented.binding.executed_proposals,
+              oriented.binding.total_proposals);
+  }
+  {
+    GsEdgeCache cache(inst);
+    BindingOptions options;
+    options.cache = &cache;
+    expect_cached(strengthen_bindings(inst, tree, options).binding, 6,
+                  "strengthen_bindings");
+  }
 }
 
 }  // namespace

@@ -252,9 +252,15 @@ TEST(Io, SeededRoundTripThroughBothEntryPoints) {
                                                       : 1 + rng.below(48));
     const auto inst = gen::uniform(k, n, rng);
     const std::string text = io::to_string(inst);
-    EXPECT_EQ(io::from_string(text), inst) << "k=" << k << " n=" << n;
+    // The loaders prove completeness while parsing; pin that every instance
+    // they accept passes the full validate() pass too.
+    const auto from_text = io::from_string(text);
+    EXPECT_EQ(from_text, inst) << "k=" << k << " n=" << n;
+    EXPECT_TRUE(from_text.is_complete()) << "k=" << k << " n=" << n;
     std::istringstream is(text);
-    EXPECT_EQ(io::load(is), inst) << "k=" << k << " n=" << n;
+    const auto from_stream = io::load(is);
+    EXPECT_EQ(from_stream, inst) << "k=" << k << " n=" << n;
+    EXPECT_TRUE(from_stream.is_complete()) << "k=" << k << " n=" << n;
   }
 }
 

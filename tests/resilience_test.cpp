@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/stability.hpp"
 #include "core/binding.hpp"
 #include "core/parallel_binding.hpp"
 #include "gs/gale_shapley.hpp"
+#include "parallel/thread_pool.hpp"
 #include "prefs/generators.hpp"
 #include "prefs/io.hpp"
 #include "resilience/control.hpp"
@@ -393,6 +396,122 @@ TEST(FallbackLadder, PerAttemptBudgetsAreScaledByBackoff) {
   EXPECT_EQ(report.attempts[0].status.abort_reason,
             AbortReason::proposal_budget);
   EXPECT_EQ(report.rung, resilience::Rung::strict_tree);
+}
+
+/// Strict budgets of 1, 20, 400 and 8000 proposals. Each of a k = 4 tree's
+/// three edges costs at least n = 12 proposals, so candidates 0 and 1 blow
+/// their budgets and candidate 2 is the lowest that can succeed.
+resilience::FallbackOptions escalating_ladder() {
+  resilience::FallbackOptions options;
+  options.per_attempt = Budget::proposals(1);
+  options.backoff = 20.0;
+  options.max_tree_attempts = 4;
+  return options;
+}
+
+void expect_same_log(const resilience::FallbackReport& raced,
+                     const resilience::FallbackReport& in_order,
+                     std::size_t count) {
+  ASSERT_LE(count, raced.attempts.size());
+  ASSERT_LE(count, in_order.attempts.size());
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(raced.attempts[i].rung, resilience::Rung::strict_tree);
+    EXPECT_EQ(raced.attempts[i].tree_edges, in_order.attempts[i].tree_edges);
+  }
+}
+
+TEST(FallbackLadder, RacedRungsPickTheLowestSucceedingCandidate) {
+  Rng rng(7016);
+  const auto inst = gen::uniform(4, 12, rng);
+  resilience::FallbackOptions options = escalating_ladder();
+  const auto in_order = resilience::solve_with_fallback(inst, options);
+  ASSERT_TRUE(in_order.succeeded);
+  EXPECT_EQ(in_order.rung, resilience::Rung::strict_tree);
+  // Every candidate below the winner is logged, each a budget failure.
+  ASSERT_EQ(in_order.attempts.size(), 3u);
+  EXPECT_EQ(in_order.attempts[0].status.abort_reason,
+            AbortReason::proposal_budget);
+  EXPECT_EQ(in_order.attempts[1].status.abort_reason,
+            AbortReason::proposal_budget);
+  EXPECT_TRUE(in_order.attempts[2].status.ok());
+  EXPECT_EQ(in_order.speculative_waste, 0);
+
+  ThreadPool pool(4);
+  options.pool = &pool;
+  for (int run = 0; run < 8; ++run) {
+    const auto raced = resilience::solve_with_fallback(inst, options);
+    ASSERT_TRUE(raced.succeeded);
+    EXPECT_EQ(raced.rung, resilience::Rung::strict_tree);
+    ASSERT_EQ(raced.attempts.size(), in_order.attempts.size());
+    expect_same_log(raced, in_order, raced.attempts.size());
+    for (std::size_t i = 0; i < raced.attempts.size(); ++i) {
+      EXPECT_EQ(raced.attempts[i].status.abort_reason,
+                in_order.attempts[i].status.abort_reason);
+    }
+    EXPECT_EQ(raced.matching(), in_order.matching());
+    // Without a cache each candidate's work is deterministic: the race
+    // executes the in-order ladder's work plus its overshoot.
+    EXPECT_EQ(raced.executed_proposals - raced.speculative_waste,
+              in_order.executed_proposals);
+  }
+}
+
+/// Cancels the ladder's token from inside the first attempt whose budget
+/// reaches `threshold` proposals, then lets the cold engine run the edge.
+class CancelAtBudget final : public core::WarmStartProvider {
+ public:
+  CancelAtBudget(CancellationToken token, std::int64_t threshold)
+      : token_(std::move(token)), threshold_(threshold) {}
+  [[nodiscard]] std::optional<gs::GsResult> warm_solve(
+      const KPartiteInstance&, GenderEdge,
+      const core::BindingOptions& options) const override {
+    if (options.control->budget().max_proposals >= threshold_) {
+      token_.request_cancel();
+    }
+    return std::nullopt;
+  }
+
+ private:
+  CancellationToken token_;
+  std::int64_t threshold_;
+};
+
+TEST(FallbackLadder, CancellationDuringARaceLogsWhatRanAndSkipsDegraded) {
+  Rng rng(7017);
+  const auto inst = gen::uniform(4, 12, rng);
+  // Candidates 0 and 1 blow their budgets; candidate 2 cancels the ladder.
+  const auto run = [&inst](ThreadPool* pool) {
+    resilience::FallbackOptions options = escalating_ladder();
+    options.pool = pool;
+    const CancelAtBudget cancel(options.token, 400);
+    options.warm_start = &cancel;
+    return resilience::solve_with_fallback(inst, options);
+  };
+  const auto in_order = run(nullptr);
+  EXPECT_FALSE(in_order.succeeded);
+  EXPECT_EQ(in_order.rung, resilience::Rung::none);
+  ASSERT_EQ(in_order.attempts.size(), 3u);
+  EXPECT_EQ(in_order.attempts[2].status.abort_reason, AbortReason::cancelled);
+  EXPECT_EQ(in_order.status.abort_reason, AbortReason::cancelled);
+
+  ThreadPool pool(4);
+  for (int i = 0; i < 8; ++i) {
+    // Which racing candidate sees the cancellation first depends on the
+    // schedule; the log still ends at the lowest cancelled candidate, every
+    // candidate below it ran, and no degraded attempt follows.
+    const auto raced = run(&pool);
+    EXPECT_FALSE(raced.succeeded);
+    EXPECT_EQ(raced.rung, resilience::Rung::none);
+    ASSERT_GE(raced.attempts.size(), 1u);
+    ASSERT_LE(raced.attempts.size(), 3u);
+    expect_same_log(raced, in_order, raced.attempts.size());
+    for (const auto& attempt : raced.attempts) {
+      EXPECT_FALSE(attempt.status.ok());
+    }
+    EXPECT_EQ(raced.attempts.back().status.abort_reason,
+              AbortReason::cancelled);
+    EXPECT_EQ(raced.status.abort_reason, AbortReason::cancelled);
+  }
 }
 
 // --- Error taxonomy --------------------------------------------------------

@@ -69,7 +69,9 @@ TEST(Fuzz, MutatedKPartiteInstancesLoadValidOrThrow) {
       // If it loads, it must be a fully valid instance that the stream path
       // also accepts, and whose re-saved form loads back equal.
       EXPECT_NO_THROW(loaded.validate());
+      EXPECT_TRUE(loaded.is_complete()) << mutated;
       ASSERT_TRUE(streamed.has_value()) << mutated;
+      EXPECT_TRUE(streamed->is_complete()) << mutated;
       EXPECT_EQ(*streamed, loaded);
       EXPECT_EQ(io::from_string(io::to_string(loaded)), loaded);
     } catch (const ContractViolation&) {
