@@ -22,7 +22,7 @@
 #include <string_view>
 #include <thread>
 
-#include "core/kstable.hpp"
+#include "observability/metrics.hpp"
 
 namespace kstable::benchsupport {
 

@@ -12,12 +12,20 @@
 
 #include "bench_common.hpp"
 
+#include "analysis/metrics.hpp"
+#include "core/binding.hpp"
 #include "core/gs_cache.hpp"
 #include "core/oriented_binding.hpp"
 #include "core/tree_selection.hpp"
+#include "core/tree_sweep.hpp"
+#include "graph/binding_structure.hpp"
 #include "graph/prufer.hpp"
+#include "prefs/generators.hpp"
+#include "prefs/kpartite.hpp"
 #include "resilience/fault_injection.hpp"
 #include "resilience/solve_ladder.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
 
 namespace {
 

@@ -16,6 +16,13 @@
 #include "bench_common.hpp"
 
 #include "core/batch_solver.hpp"
+#include "gs/gale_shapley.hpp"
+#include "parallel/thread_pool.hpp"
+#include "prefs/generators.hpp"
+#include "prefs/kpartite.hpp"
+#include "resilience/control.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace {

@@ -22,6 +22,11 @@
 #include "core/gs_cache.hpp"
 #include "core/tree_sweep.hpp"
 #include "graph/prufer.hpp"
+#include "parallel/thread_pool.hpp"
+#include "prefs/generators.hpp"
+#include "prefs/kpartite.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
 
 namespace {
 

@@ -21,7 +21,13 @@
 #include <string>
 
 #include "bench_common.hpp"
+#include "gs/gale_shapley.hpp"
 #include "gs/scan_gs.hpp"
+#include "prefs/compact_ranks.hpp"
+#include "prefs/generators.hpp"
+#include "prefs/kpartite.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
 
 namespace {
 

@@ -10,6 +10,14 @@
 
 #include "bench_common.hpp"
 
+#include "analysis/metrics.hpp"
+#include "gs/gale_shapley.hpp"
+#include "prefs/examples.hpp"
+#include "prefs/generators.hpp"
+#include "prefs/kpartite.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
+
 namespace {
 
 using namespace kstable;

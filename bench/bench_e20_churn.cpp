@@ -22,6 +22,17 @@
 
 #include "bench_common.hpp"
 
+#include "core/binding.hpp"
+#include "core/gs_cache.hpp"
+#include "graph/binding_structure.hpp"
+#include "incremental/mutation.hpp"
+#include "incremental/rematch.hpp"
+#include "prefs/generators.hpp"
+#include "prefs/kpartite.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
+#include "util/timer.hpp"
+
 namespace {
 
 using namespace kstable;

@@ -29,7 +29,12 @@
 #endif
 
 #include "bench_common.hpp"
+#include "gs/gale_shapley.hpp"
 #include "gs/scan_gs.hpp"
+#include "prefs/compact_ranks.hpp"
+#include "prefs/implicit/implicit_prefs.hpp"
+#include "prefs/kpartite.hpp"
+#include "util/table.hpp"
 
 namespace {
 

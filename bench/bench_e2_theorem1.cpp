@@ -11,6 +11,14 @@
 
 #include "bench_common.hpp"
 
+#include "analysis/oracle.hpp"
+#include "core/existence.hpp"
+#include "prefs/generators.hpp"
+#include "roommates/adapters.hpp"
+#include "roommates/solver.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
+
 namespace {
 
 using namespace kstable;

@@ -12,6 +12,15 @@
 
 #include "bench_common.hpp"
 
+#include "analysis/metrics.hpp"
+#include "gs/gale_shapley.hpp"
+#include "prefs/generators.hpp"
+#include "roommates/adapters.hpp"
+#include "roommates/examples.hpp"
+#include "roommates/solver.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
+
 namespace {
 
 using namespace kstable;

@@ -10,6 +10,13 @@
 
 #include "bench_common.hpp"
 
+#include "analysis/stability.hpp"
+#include "core/binding.hpp"
+#include "graph/binding_structure.hpp"
+#include "prefs/generators.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
+
 namespace {
 
 using namespace kstable;

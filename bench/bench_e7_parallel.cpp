@@ -13,6 +13,16 @@
 
 #include "bench_common.hpp"
 
+#include "core/parallel_binding.hpp"
+#include "graph/binding_structure.hpp"
+#include "graph/prufer.hpp"
+#include "gs/parallel_gs.hpp"
+#include "parallel/pram.hpp"
+#include "parallel/thread_pool.hpp"
+#include "prefs/generators.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
+
 namespace {
 
 using namespace kstable;

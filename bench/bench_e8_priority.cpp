@@ -16,6 +16,16 @@
 
 #include "bench_common.hpp"
 
+#include "analysis/stability.hpp"
+#include "core/binding.hpp"
+#include "core/priority_binding.hpp"
+#include "graph/binding_structure.hpp"
+#include "graph/prufer.hpp"
+#include "graph/scheduling.hpp"
+#include "prefs/generators.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
+
 namespace {
 
 using namespace kstable;

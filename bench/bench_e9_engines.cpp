@@ -14,6 +14,15 @@
 
 #include "bench_common.hpp"
 
+#include "gs/gale_shapley.hpp"
+#include "gs/parallel_gs.hpp"
+#include "gs/scan_gs.hpp"
+#include "parallel/thread_pool.hpp"
+#include "prefs/generators.hpp"
+#include "resilience/control.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
+
 namespace {
 
 using namespace kstable;

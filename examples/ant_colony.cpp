@@ -17,8 +17,15 @@
 #include <iostream>
 #include <limits>
 
-#include "core/kstable.hpp"
+#include "analysis/metrics.hpp"
+#include "analysis/stability.hpp"
+#include "core/binding.hpp"
+#include "core/existence.hpp"
 #include "example_args.hpp"
+#include "graph/binding_structure.hpp"
+#include "prefs/generators.hpp"
+#include "roommates/solver.hpp"
+#include "util/rng.hpp"
 
 namespace {
 int usage() {

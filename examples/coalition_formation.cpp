@@ -15,8 +15,11 @@
 #include <iostream>
 #include <limits>
 
-#include "core/kstable.hpp"
+#include "analysis/stability.hpp"
+#include "core/supergender.hpp"
 #include "example_args.hpp"
+#include "prefs/generators.hpp"
+#include "util/rng.hpp"
 
 namespace {
 int usage() {

@@ -13,8 +13,14 @@
 #include <iostream>
 #include <limits>
 
-#include "core/kstable.hpp"
+#include "analysis/metrics.hpp"
 #include "example_args.hpp"
+#include "gs/gale_shapley.hpp"
+#include "prefs/examples.hpp"
+#include "prefs/generators.hpp"
+#include "roommates/adapters.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
 
 namespace {
 

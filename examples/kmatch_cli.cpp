@@ -82,12 +82,39 @@
 #include <string_view>
 #include <vector>
 
-#include "core/kstable.hpp"
+#include "analysis/dot.hpp"
+#include "analysis/metrics.hpp"
+#include "core/binding.hpp"
+#include "core/gs_cache.hpp"
+#include "core/priority_binding.hpp"
+#include "core/supergender.hpp"
+#include "core/tree_selection.hpp"
+#include "core/tree_sweep.hpp"
 #include "example_args.hpp"
+#include "graph/binding_structure.hpp"
+#include "graph/prufer.hpp"
+#include "gs/gale_shapley.hpp"
+#include "observability/metrics.hpp"
+#include "observability/telemetry.hpp"
+#include "parallel/thread_pool.hpp"
+#include "prefs/catalog.hpp"
+#include "prefs/generators.hpp"
+#include "prefs/io.hpp"
+#include "prefs/kpartite.hpp"
+#include "resilience/control.hpp"
+#include "resilience/fault_injection.hpp"
+#include "resilience/solve_ladder.hpp"
+#include "roommates/adapters.hpp"
+#include "roommates/io.hpp"
+#include "roommates/solver.hpp"
 #include "serve/client.hpp"
 #include "serve/engine.hpp"
 #include "serve/fd_stream.hpp"
 #include "serve/server.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
+#include "verify/instance_gen.hpp"
+#include "verify/verify.hpp"
 
 namespace {
 

@@ -11,7 +11,23 @@
 
 #include <iostream>
 
-#include "core/kstable.hpp"
+#include "analysis/dot.hpp"
+#include "analysis/oracle.hpp"
+#include "analysis/stability.hpp"
+#include "core/binding.hpp"
+#include "core/existence.hpp"
+#include "core/parallel_binding.hpp"
+#include "core/priority_binding.hpp"
+#include "graph/binding_structure.hpp"
+#include "graph/prufer.hpp"
+#include "gs/gale_shapley.hpp"
+#include "parallel/thread_pool.hpp"
+#include "prefs/examples.hpp"
+#include "prefs/generators.hpp"
+#include "roommates/adapters.hpp"
+#include "roommates/examples.hpp"
+#include "roommates/solver.hpp"
+#include "util/rng.hpp"
 
 namespace {
 

@@ -9,7 +9,12 @@
 
 #include <iostream>
 
-#include "core/kstable.hpp"
+#include "analysis/metrics.hpp"
+#include "analysis/stability.hpp"
+#include "core/binding.hpp"
+#include "graph/binding_structure.hpp"
+#include "prefs/examples.hpp"
+#include "prefs/kpartite.hpp"
 
 int main() {
   using namespace kstable;

@@ -12,8 +12,18 @@
 #include <iostream>
 #include <limits>
 
-#include "core/kstable.hpp"
+#include "analysis/metrics.hpp"
+#include "analysis/stability.hpp"
+#include "core/parallel_binding.hpp"
+#include "core/priority_binding.hpp"
 #include "example_args.hpp"
+#include "graph/binding_structure.hpp"
+#include "graph/prufer.hpp"
+#include "graph/scheduling.hpp"
+#include "parallel/thread_pool.hpp"
+#include "prefs/generators.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
 
 namespace {
 

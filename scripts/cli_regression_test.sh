@@ -23,7 +23,10 @@
 #     parses, and every one of them rejects a bad value (or, for a switch,
 #     any value) with exit 2 and a message naming the flag;
 #   * the verify repro line stays valid JSON when the repro directory's
-#     name holds a quote and a backslash.
+#     name holds a quote and a backslash;
+#   * one success path for each command that keeps a library surface
+#     (DESIGN.md keeper rows): example, stats, dot, binary, roommates and
+#     coalitions exit 0 and print their expected token.
 set -u
 
 BIN_DIR="$1"
@@ -89,6 +92,23 @@ if [ -e "$WORK_DIR/never.inst" ]; then
   note_failure "a rejected gen still wrote its output file"
 fi
 
+# expect_output <description> <token> -- <command...>
+# The command must exit 0 and print <token> on stdout.
+expect_output() {
+  local description="$1" token="$2"
+  shift 3  # drop description, token and "--"
+  local stdout_file="$WORK_DIR/stdout.txt"
+  "$@" >"$stdout_file" 2>/dev/null
+  local rc=$?
+  if [ "$rc" -ne 0 ]; then
+    note_failure "$description: exit $rc, expected 0"
+  elif ! grep -qF -- "$token" "$stdout_file"; then
+    note_failure "$description: stdout lacks '$token'"
+  else
+    echo "ok: $description"
+  fi
+}
+
 # --- demo binaries reject garbage args -------------------------------------
 expect_usage_error "society_kparent rejects k=x" \
   -- "$BIN_DIR/society_kparent" x
@@ -139,6 +159,31 @@ else
     echo "ok: metrics registry compiled out (KSTABLE_METRICS=OFF build)"
   fi
 fi
+
+# --- commands that keep a library surface: one success path each ----------
+# example -> prefs/catalog, stats -> core/tree_selection, dot ->
+# analysis/dot, binary -> roommates/adapters, roommates -> roommates/io,
+# coalitions -> core/supergender.
+KINST="$WORK_DIR/cli_reg_k4.inst"
+ROOMS="$WORK_DIR/cli_reg.rm"
+"$KMATCH" gen 4 3 5 "$KINST" >/dev/null
+printf 'kstable-roommates v1\n4\nlist 0 : 1 2 3\nlist 1 : 0 2 3\nlist 2 : 3 0 1\nlist 3 : 2 0 1\n' \
+  >"$ROOMS"
+expect_output "example lists the catalog" "fig3" -- "$KMATCH" example
+expect_output "example writes fig3" "wrote 'fig3'" \
+  -- "$KMATCH" example fig3 "$WORK_DIR/cli_reg_fig3.inst"
+expect_output "info loads the written example" "k = 3, n = 2" \
+  -- "$KMATCH" info "$WORK_DIR/cli_reg_fig3.inst"
+expect_output "stats prints the cost-aware tree" "cost-aware" \
+  -- "$KMATCH" stats "$KINST"
+expect_output "dot tree" "graph" -- "$KMATCH" dot "$KINST" tree
+expect_output "dot matching" "graph" -- "$KMATCH" dot "$KINST" matching
+expect_output "binary finds a stable binary matching" "stable binary matching" \
+  -- "$KMATCH" binary "$KINST"
+expect_output "roommates solves a roommates file" "stable matching" \
+  -- "$KMATCH" roommates "$ROOMS"
+expect_output "coalitions of group size 2" "6 coalitions of 2 members" \
+  -- "$KMATCH" coalitions "$KINST" 2
 
 # --- flag parity: usage() vs the flag table, and every flag's rejection ------
 # Each probe runs `info` on the valid instance above, so exit 2 can only come

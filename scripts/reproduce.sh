@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Reproduces everything: build, full test suite, every experiment E1..E19.
+# Reproduces everything: build, full test suite, every experiment (E1..E9,
+# E15, E17..E21).
 # Outputs land in test_output.txt and bench_output.txt at the repo root,
 # plus one machine-readable BENCH_<exp>.json per benchmark binary (google
 # benchmark's JSON reporter; the human console report is unaffected).

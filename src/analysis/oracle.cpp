@@ -1,6 +1,7 @@
 #include "analysis/oracle.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "roommates/solver.hpp"
@@ -40,8 +41,8 @@ void enumerate_binary(const rm::RoommatesInstance& inst,
 
 /// Visits every completion of `families` over genders [from, k): for each
 /// gender in turn, every permutation in lexicographic order (the recursion
-/// behind for_each_kary_matching, split out so the parallel census can start
-/// each task at gender 2 with gender 1 pre-assigned).
+/// behind the sequential census, started at gender 2 with gender 1
+/// pre-assigned by each parallel census task).
 void enumerate_kary_from(const KPartiteInstance& inst,
                          std::vector<Index>& families, Gender from,
                          const std::function<void(const KaryMatching&)>& visit) {
@@ -86,13 +87,6 @@ BinaryCensus binary_census(const rm::RoommatesInstance& inst,
   return census;
 }
 
-void for_each_kary_matching(
-    const KPartiteInstance& inst,
-    const std::function<void(const KaryMatching&)>& visit) {
-  std::vector<Index> families = seeded_families(inst);
-  enumerate_kary_from(inst, families, 1, visit);
-}
-
 KaryCensus kary_census(const KPartiteInstance& inst,
                        const std::vector<std::int32_t>& priority,
                        ThreadPool* pool) {
@@ -115,8 +109,10 @@ KaryCensus kary_census(const KPartiteInstance& inst,
                             pool->thread_count() > 1 && n > 1;
   if (!parallel_run) {
     KaryCensus census;
-    for_each_kary_matching(
-        inst, [&](const KaryMatching& matching) { tally(matching, census); });
+    std::vector<Index> families = seeded_families(inst);
+    enumerate_kary_from(inst, families, 1, [&](const KaryMatching& matching) {
+      tally(matching, census);
+    });
     return census;
   }
 

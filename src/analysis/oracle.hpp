@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -51,9 +50,5 @@ struct KaryCensus {
 KaryCensus kary_census(const KPartiteInstance& inst,
                        const std::vector<std::int32_t>& priority = {},
                        ThreadPool* pool = nullptr);
-
-/// Visits every k-ary matching of `inst` (gender 0 fixed in index order).
-void for_each_kary_matching(const KPartiteInstance& inst,
-                            const std::function<void(const KaryMatching&)>& visit);
 
 }  // namespace kstable::analysis

@@ -68,8 +68,8 @@ RoommatesResult solve(const RoommatesInstance& instance,
                       const SolveOptions& options = {});
 
 /// Runs phase 1 only on an externally owned table; returns false iff some
-/// list emptied (no stable matching). Exposed for tests and the E10
-/// phase-cost experiment. `control` (optional) is charged per proposal.
+/// list emptied (no stable matching). Exposed so tests can check the
+/// phase-1 table invariant. `control` (optional) is charged per proposal.
 bool run_phase1(ReductionTable& table, std::int64_t& proposals,
                 Person& failed_person,
                 resilience::ExecControl* control = nullptr);

@@ -106,10 +106,10 @@ void ServeEngine::on_bad_frame(const std::string& what,
   respond(Frame::response(FrameKind::error, 0, "bad frame: " + what), sink);
 }
 
-void ServeEngine::handle(const Frame& request, const ResponseSink& sink) {
+void ServeEngine::handle(Frame request, const ResponseSink& sink) {
   switch (request.kind) {
     case FrameKind::solve:
-      handle_solve(request, sink);
+      handle_solve(std::move(request), sink);
       return;
     case FrameKind::ping:
       stats_.pings.fetch_add(1, std::memory_order_relaxed);
@@ -134,8 +134,7 @@ void ServeEngine::handle(const Frame& request, const ResponseSink& sink) {
   }
 }
 
-void ServeEngine::handle_solve(const Frame& request,
-                               const ResponseSink& sink) {
+void ServeEngine::handle_solve(Frame request, const ResponseSink& sink) {
   stats_.received.fetch_add(1, std::memory_order_relaxed);
   KSTABLE_COUNTER_ADD("serve.requests.received", 1);
 
@@ -194,7 +193,7 @@ void ServeEngine::handle_solve(const Frame& request,
   };
   auto guard = std::make_shared<TaskGuard>();
   guard->engine = this;
-  guard->request = request;
+  guard->request = std::move(request);
   guard->sink = sink;
 
   pool_->submit([this, guard] {

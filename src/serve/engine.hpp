@@ -39,6 +39,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "parallel/thread_pool.hpp"
 #include "resilience/control.hpp"
@@ -118,9 +119,10 @@ class ServeEngine {
   /// transport endpoint (the TCP server passes the originating connection's
   /// writer; the sink is copied into the worker task and may outlive the
   /// connection — it must fail by throwing, which counts as a dropped
-  /// response).
-  void handle(const Frame& request) { handle(request, sink_); }
-  void handle(const Frame& request, const ResponseSink& sink);
+  /// response). The frame is taken by value so a SOLVE body moves into the
+  /// worker task instead of being copied.
+  void handle(Frame request) { handle(std::move(request), sink_); }
+  void handle(Frame request, const ResponseSink& sink);
 
   /// A transport failed to parse a frame: counts it and emits an ERROR
   /// response (id 0 — the header never yielded one).
@@ -154,7 +156,7 @@ class ServeEngine {
   }
 
  private:
-  void handle_solve(const Frame& request, const ResponseSink& sink);
+  void handle_solve(Frame request, const ResponseSink& sink);
   void respond(const Frame& frame, const ResponseSink& sink);
   /// Builds the kstable.stats.v1 JSON body for METRICS responses: the
   /// global registry, or, in a build without metrics, the serve.requests.*,

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -54,7 +55,7 @@ void pump_stream(ServeEngine& engine, std::istream& is,
       continue;
     }
     if (!frame) break;  // clean EOF (or a drain signal popped the read)
-    engine.handle(*frame, sink);
+    engine.handle(std::move(*frame), sink);
   }
 }
 

@@ -3,7 +3,23 @@
 // together at moderately large sizes.
 #include <gtest/gtest.h>
 
-#include "core/kstable.hpp"
+#include "analysis/metrics.hpp"
+#include "analysis/stability.hpp"
+#include "core/binding.hpp"
+#include "core/existence.hpp"
+#include "core/parallel_binding.hpp"
+#include "core/priority_binding.hpp"
+#include "graph/binding_structure.hpp"
+#include "graph/prufer.hpp"
+#include "graph/scheduling.hpp"
+#include "gs/gale_shapley.hpp"
+#include "parallel/thread_pool.hpp"
+#include "prefs/generators.hpp"
+#include "prefs/ids.hpp"
+#include "prefs/io.hpp"
+#include "roommates/adapters.hpp"
+#include "roommates/solver.hpp"
+#include "util/rng.hpp"
 
 namespace kstable {
 namespace {

@@ -9,7 +9,22 @@
 #include <string>
 #include <vector>
 
-#include "core/kstable.hpp"
+#include "core/batch_solver.hpp"
+#include "core/binding.hpp"
+#include "core/gs_cache.hpp"
+#include "core/parallel_binding.hpp"
+#include "core/priority_binding.hpp"
+#include "graph/binding_structure.hpp"
+#include "gs/gale_shapley.hpp"
+#include "observability/metrics.hpp"
+#include "observability/telemetry.hpp"
+#include "parallel/thread_pool.hpp"
+#include "prefs/generators.hpp"
+#include "prefs/kpartite.hpp"
+#include "resilience/control.hpp"
+#include "resilience/solve_ladder.hpp"
+#include "roommates/adapters.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
