@@ -48,12 +48,13 @@ std::int64_t seed_layout_bytes(Gender k, Index n) {
   return cells * static_cast<std::int64_t>(sizeof(Index) + sizeof(std::int32_t));
 }
 
-/// Bytes a single proposal touches in the tables: one pref cell, the
-/// responder-match slot, and the two rank cells of the accept/reject compare.
+/// Bytes a single proposal touches: one pref cell, the responder-match slot,
+/// the responder's held-rank slot, and the proposer's rank cell of the
+/// accept/reject compare.
 std::int64_t bytes_per_proposal(const KPartiteInstance& inst) {
   return static_cast<std::int64_t>(
-      sizeof(Index) + sizeof(Index) +
-      2 * prefs::rank_entry_bytes(inst.rank_width()));
+      sizeof(Index) + sizeof(Index) + sizeof(std::uint32_t) +
+      prefs::rank_entry_bytes(inst.rank_width()));
 }
 
 void report() {

@@ -7,8 +7,8 @@
 //    instances at n = 10^5..2·10^5 solve in O(n) process memory, where the
 //    explicit layout would need ~75-300 GiB of tables;
 //  * the implicit and materialized-explicit solves are bitwise identical
-//    (matching AND proposal count) across engines — the self-check line
-//    below is grepped by CI;
+//    (matching AND proposal count) across the queue, rounds and scan
+//    engines — the self-check line below is grepped by CI;
 //  * the per-proposal generator overhead vs hot explicit tables is a small
 //    constant factor (pinned as a within-file time ratio by the
 //    compare_bench gate, so it cannot silently blow up);
@@ -119,12 +119,17 @@ void report() {
     const auto a = gs::gale_shapley_queue(imp, 0, 1);
     const auto b = gs::gale_shapley_queue(tables, 0, 1);
     const auto c = gs::gale_shapley_scan(imp, 0, 1);
+    const auto d = gs::gale_shapley_rounds(imp, 0, 1);
+    const auto e = gs::gale_shapley_rounds(tables, 0, 1);
     all_identical = all_identical &&
                     a.proposer_match == b.proposer_match &&
                     a.responder_match == b.responder_match &&
                     a.proposals == b.proposals &&
                     c.proposer_match == b.proposer_match &&
-                    c.proposals == b.proposals;
+                    c.proposals == b.proposals &&
+                    d.proposer_match == b.proposer_match &&
+                    d.proposals == e.proposals && d.rounds == e.rounds &&
+                    e.proposer_match == b.proposer_match;
     duel.add_row({std::int64_t{n}, a.wall_ms, b.wall_ms, a.proposals,
                   static_cast<std::int64_t>(imp.pref_bytes() +
                                             imp.rank_bytes()),
@@ -132,7 +137,7 @@ void report() {
                                             tables.rank_bytes())});
   }
   duel.print(std::cout);
-  std::cout << "implicit/explicit queue+scan outcomes bitwise "
+  std::cout << "implicit/explicit queue+rounds+scan outcomes bitwise "
                "identical: "
             << (all_identical ? "yes (backend is semantics-free)"
                               : "NO (BUG)")

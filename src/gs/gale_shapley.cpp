@@ -27,27 +27,35 @@ const bool kInstrumentsWarm = [] {
 }();
 #endif
 
+/// The per-solve arrays the proposal step reads and updates.
+struct MatchArrays {
+  Index* proposer_match;
+  Index* responder_match;
+  std::uint32_t* held_rank;  ///< GsWorkspace::held_rank
+};
+
 /// One §II.A proposal p -> r with its accept/reject decision: r keeps the
-/// better of p and its current holder (`row` is r's hoisted rank-row
-/// handle), the match arrays and the trace record the outcome. Returns the
-/// proposer it frees — the displaced holder, p itself if rejected, -1 if r
-/// was free. The one definition of the step every rank-table engine runs.
-template <typename View>
-Index resolve_proposal(const View& view, Index p, Index r,
-                       const typename View::RespRow& row,
-                       Index* const proposer_match,
-                       Index* const responder_match,
-                       const GsOptions& options) {
-  const Index holder = responder_match[static_cast<std::size_t>(r)];
+/// better of p (at `rank`, p's rank in r's list) and its current holder,
+/// whose rank held_rank remembers, so the decision evaluates p's rank only;
+/// the match arrays and the trace record the outcome. Returns the proposer
+/// it frees — the displaced holder, p itself if rejected, -1 if r was free.
+/// The one definition of the step every rank-table engine runs; forced
+/// inline, since it is the body of every engine's hot loop.
+[[gnu::always_inline]] inline Index resolve_proposal(
+    Index p, Index r, std::uint32_t rank, const MatchArrays& m,
+    const GsOptions& options) {
+  const auto rs = static_cast<std::size_t>(r);
+  const Index holder = m.responder_match[rs];
   ProposalEvent event{p, r, false, -1};
   Index freed = p;
-  if (holder < 0 || view.rank_in(row, p) < view.rank_in(row, holder)) {
-    responder_match[static_cast<std::size_t>(r)] = p;
-    proposer_match[static_cast<std::size_t>(p)] = r;
+  if (rank < m.held_rank[rs]) {
+    m.responder_match[rs] = p;
+    m.held_rank[rs] = rank;
+    m.proposer_match[static_cast<std::size_t>(p)] = r;
     event.accepted = true;
     freed = holder;
     if (holder >= 0) {
-      proposer_match[static_cast<std::size_t>(holder)] = -1;
+      m.proposer_match[static_cast<std::size_t>(holder)] = -1;
       event.displaced = holder;
     }
   }
@@ -58,33 +66,47 @@ Index resolve_proposal(const View& view, Index p, Index r,
 /// The seeded queue loop, monomorphized on the preference view
 /// (prefs/implicit/pref_view.hpp): ExplicitView<R> compiles to raw
 /// hoisted-pointer loads, ImplicitView evaluates the same entries from the
-/// seeded generator in O(1) each. Stack discipline: a freed proposer (the
-/// displaced holder or a rejected p) proposes next, otherwise the stack top.
-/// Each proposal prefetches its two rank cells as soon as the responder is
-/// known, and the pref cell of the likely proposal-after-next (the stack
-/// top); a mispredicted prefetch wastes a cache line, never changes the
-/// outcome. The hooks compile to nothing on the implicit backend.
+/// seeded generator in O(1) each. held_rank is derived once from the seeded
+/// responder_match (all-free for a cold solve). Stack discipline: a freed
+/// proposer (the displaced holder or a rejected p) proposes next, otherwise
+/// the stack top. A proposer keeps its row handle while it is rejected, and
+/// every proposal fetches p's next choice together with p's rank
+/// (rank_and_next), so a rejected p proposes again at once; the fetched
+/// choice is dropped when p is accepted. Each proposal prefetches its rank
+/// cell as soon as the responder is known, and the pref cell of the likely
+/// proposal-after-next (the stack top); a mispredicted prefetch wastes a
+/// cache line, never changes the outcome. The hooks compile to nothing on
+/// the implicit backend.
 template <typename View>
-void queue_loop(const View view, [[maybe_unused]] Index n,
-                const GsOptions& options, GsWorkspace& workspace,
-                GsResult& result) {
+void queue_loop(const View view, Index n, const GsOptions& options,
+                GsWorkspace& workspace, GsResult& result) {
   auto& free_stack = workspace.free_list;
   if (free_stack.empty()) return;
-  Index* const proposer_match = result.proposer_match.data();
   Index* const responder_match = result.responder_match.data();
+  workspace.held_rank.resize(static_cast<std::size_t>(n));
+  for (Index r = 0; r < n; ++r) {
+    const Index holder = responder_match[static_cast<std::size_t>(r)];
+    workspace.held_rank[static_cast<std::size_t>(r)] =
+        holder < 0 ? GsWorkspace::kFree
+                   : static_cast<std::uint32_t>(
+                         view.rank_in(view.resp_row(r), holder));
+  }
+  const MatchArrays arrays{result.proposer_match.data(), responder_match,
+                           workspace.held_rank.data()};
   Index* const next_choice = workspace.next_choice.data();
 
   Index p = free_stack.back();
   free_stack.pop_back();
+  // Pigeonhole: a proposer is never displaced off the end of its list
+  // (responders once matched stay matched); a valid seed preserves this.
+  KSTABLE_ASSERT(next_choice[static_cast<std::size_t>(p)] < n);
+  auto prow = view.prop_row(p);
+  Index r = view.choice_in(prow, next_choice[static_cast<std::size_t>(p)]);
   while (true) {
-    // Pigeonhole: a proposer is never displaced off the end of its list
-    // (responders once matched stay matched); a valid seed preserves this.
-    KSTABLE_ASSERT(next_choice[static_cast<std::size_t>(p)] < n);
-    const Index r = view.pref_at(p, next_choice[static_cast<std::size_t>(p)]++);
+    // r is p's choice at rank next_choice[p]; proposing consumes that rank.
+    const Index c = ++next_choice[static_cast<std::size_t>(p)];
     const auto row = view.resp_row(r);
     view.prefetch_rank(row, p);
-    const Index holder = responder_match[static_cast<std::size_t>(r)];
-    if (holder >= 0) view.prefetch_rank(row, holder);
     if (!free_stack.empty()) {
       const Index spec = free_stack.back();
       view.prefetch_pref(spec, next_choice[static_cast<std::size_t>(spec)]);
@@ -92,13 +114,25 @@ void queue_loop(const View view, [[maybe_unused]] Index n,
     ++result.proposals;
     if (options.control != nullptr) options.control->charge();
 
-    p = resolve_proposal(view, p, r, row, proposer_match, responder_match,
-                         options);
+    // c == n only when p cannot be rejected (pigeonhole); the clamp keeps
+    // the unused fetch inside p's list.
+    const auto [rank, next] =
+        view.rank_and_next(row, p, prow, std::min(c, n - 1));
+    const Index freed = resolve_proposal(p, r, rank, arrays, options);
+    if (freed == p) {
+      KSTABLE_ASSERT(c < n);
+      r = next;
+      continue;
+    }
+    p = freed;
     if (p < 0) {
       if (free_stack.empty()) break;
       p = free_stack.back();
       free_stack.pop_back();
     }
+    KSTABLE_ASSERT(next_choice[static_cast<std::size_t>(p)] < n);
+    prow = view.prop_row(p);
+    r = view.choice_in(prow, next_choice[static_cast<std::size_t>(p)]);
   }
 }
 
@@ -114,9 +148,11 @@ void rounds_loop(const View view, Index n, const GsOptions& options,
   auto& still_free = workspace.still_free;
   still_free.clear();
   still_free.reserve(static_cast<std::size_t>(n));
+  workspace.held_rank.assign(static_cast<std::size_t>(n), GsWorkspace::kFree);
 
-  Index* const proposer_match = result.proposer_match.data();
-  Index* const responder_match = result.responder_match.data();
+  const MatchArrays arrays{result.proposer_match.data(),
+                           result.responder_match.data(),
+                           workspace.held_rank.data()};
   Index* const next_choice = workspace.next_choice.data();
 
   while (!free_list.empty()) {
@@ -134,9 +170,9 @@ void rounds_loop(const View view, Index n, const GsOptions& options,
       const Index r =
           view.pref_at(p, next_choice[static_cast<std::size_t>(p)]++);
       ++result.proposals;
-      const Index freed = resolve_proposal(view, p, r, view.resp_row(r),
-                                           proposer_match, responder_match,
-                                           options);
+      const auto rank =
+          static_cast<std::uint32_t>(view.rank_in(view.resp_row(r), p));
+      const Index freed = resolve_proposal(p, r, rank, arrays, options);
       if (freed >= 0) still_free.push_back(freed);
     }
     free_list.swap(still_free);

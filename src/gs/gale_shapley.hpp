@@ -4,13 +4,18 @@
 // Every engine resolves a proposal the same way (one accept/reject step,
 // shared by the queue and round engines) and reaches the same outcome (GS is
 // confluent: the proposer-optimal matching does not depend on proposal
-// order):
+// order). The shared step remembers each responder's holder rank
+// (GsWorkspace::held_rank), so deciding a proposal evaluates one rank — the
+// proposer's — not two:
 //   * queue engine  — the seeded free-stack loop: the caller seeds the match
 //                     arrays, next_choice and the free stack (all-free for a
 //                     cold solve, the dirty closure for a warm restart,
 //                     incremental/warm_gs.hpp) and the loop proposes until
-//                     the stack is empty. It software-prefetches the next
-//                     proposal's rank cells and the stack top's pref cell
+//                     the stack is empty. Each proposal also fetches the
+//                     proposer's next choice (one lockstep generator walk
+//                     with the rank on the implicit backend), which a
+//                     rejected proposer uses at once. It software-prefetches
+//                     the proposal's rank cell and the stack top's pref cell
 //                     (no-ops on the implicit backend); O(n²) worst case;
 //   * round engine  — the paper's description: per round, every unengaged
 //                     proposer proposes, every responder keeps the best
@@ -86,9 +91,16 @@ struct GsOptions {
 /// one thread at a time; it carries no instance state and may be reused
 /// across instances, gender pairs, and engines freely.
 struct GsWorkspace {
+  /// held_rank's sentinel for a free responder: every real rank beats it.
+  static constexpr std::uint32_t kFree = UINT32_MAX;
+
   std::vector<Index> next_choice;  ///< per-proposer next rank to try
   std::vector<Index> free_list;    ///< free proposers (stack / current round)
   std::vector<Index> still_free;   ///< rounds engine: next round's free list
+  /// Per-responder rank of its current holder in its own list (kFree if
+  /// unmatched). The proposal step keeps it in sync with responder_match,
+  /// so an accept/reject decision evaluates only the proposer's rank.
+  std::vector<std::uint32_t> held_rank;
 
   /// Pre-grows every buffer to capacity `n` (optional; the first solve warms
   /// the workspace as a side effect anyway).
@@ -97,6 +109,7 @@ struct GsWorkspace {
     next_choice.reserve(cap);
     free_list.reserve(cap);
     still_free.reserve(cap);
+    held_rank.reserve(cap);
   }
 };
 
@@ -130,8 +143,10 @@ void gale_shapley_rounds(const KPartiteInstance& inst, Gender i, Gender j,
 /// `result`'s match arrays must hold a valid GS execution prefix (every
 /// matched pair consistent in both arrays), `workspace.next_choice[p]` the
 /// next rank proposer p tries, and `workspace.free_list` the free proposers
-/// (popped from the back). Proposes until the free stack is empty — an empty
-/// seed returns at once with zero proposals — adding to result.proposals.
+/// (popped from the back). The loop derives workspace.held_rank from the
+/// seeded responder_match itself. Proposes until the free stack is empty —
+/// an empty seed returns at once with zero proposals — adding to
+/// result.proposals.
 /// The caller sets the label and checks the postcondition (finish_engine).
 void run_seeded_queue(const KPartiteInstance& inst, Gender i, Gender j,
                       const GsOptions& options, GsWorkspace& workspace,

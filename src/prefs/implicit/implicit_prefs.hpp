@@ -21,8 +21,10 @@
 //     smoke-test family whose lists are human-predictable.
 //
 // A Row handle caches one row's derived keys the way the explicit engines
-// hoist one row pointer: derive once per proposal (responder side), then
-// rank_in is a pure PRP inversion.
+// hoist one row pointer: the queue engine derives the responder's row once
+// per proposal and the proposer's row once per run of consecutive proposals
+// by the same proposer, then rank_in / pref_in are pure PRP walks (and
+// rank_and_pref runs one of each in lockstep).
 #pragma once
 
 #include <string_view>
@@ -95,6 +97,19 @@ class ImplicitPrefs {
       return diff < 0 ? diff + n_ : diff;
     }
     return prp_inverse(geom_, row.keys, target);
+  }
+
+  /// rank_in(rank_row, target) and pref_in(pref_row, rank) in one call. On
+  /// the uniform family the two PRP walks run in lockstep
+  /// (prp_forward_inverse), so together they cost about one walk's latency.
+  [[nodiscard]] ForwardInverse rank_and_pref(const Row& rank_row,
+                                             Index target, const Row& pref_row,
+                                             Index rank) const noexcept {
+    if (spec_.family == Family::cyclic) {
+      return {pref_in(pref_row, rank), rank_in(rank_row, target)};
+    }
+    return prp_forward_inverse(geom_, pref_row.keys, rank, rank_row.keys,
+                               target);
   }
 
   /// Convenience forms that derive the row handle per call.

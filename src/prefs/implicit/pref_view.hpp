@@ -1,13 +1,21 @@
 // PrefView: the per-backend preference accessors the GS engines monomorphize
 // on (docs/PERFORMANCE.md §Implicit preferences).
 //
-// The engines' hot loops need exactly four operations for one oriented
-// gender pair (i proposes to j):
+// The engines' hot loops need these operations for one oriented gender pair
+// (i proposes to j):
 //
 //   pref_at(p, c)        — proposer p's c-th choice
 //   resp_row(r)          — a hoisted handle for responder r's rank row
 //   rank_in(row, p)      — p's rank with responder r (the accept/reject load)
 //   resp_pref_in(row, c) — responder r's c-th choice (scan engine only)
+//
+// The queue engine also hoists the proposer's row, which stays put while a
+// rejected proposer keeps proposing, and asks for the accept/reject rank and
+// the proposer's next choice in one call:
+//
+//   prop_row(p)                      — a hoisted handle for p's pref row
+//   choice_in(prow, c)               — pref_at(p, c) through the handle
+//   rank_and_next(row, p, prow, c)   — {rank_in(row, p), choice_in(prow, c)}
 //
 // plus two hooks the queue loop calls on every proposal, prefetch_pref and
 // prefetch_rank.
@@ -17,16 +25,24 @@
 // loads, real software prefetches) — the explicit backend keeps its
 // zero-overhead path, checked by the E19 baseline gate. ImplicitView
 // implements them as O(1) generator evaluations (prefs/implicit/feistel.hpp)
-// with no-op prefetches (there is no memory to warm). with_pref_view()
-// performs the one dispatch per solve; everything inside is monomorphized.
+// with no-op prefetches (there is no memory to warm); its rank_and_next runs
+// the two PRP walks in lockstep. with_pref_view() performs the one dispatch
+// per solve; everything inside is monomorphized.
 #pragma once
 
 #include "prefs/kpartite.hpp"
 
 namespace kstable::prefs {
 
-/// Read-mostly software prefetch with low temporal locality: rank rows are
-/// touched twice per proposal and then usually not again for a long time.
+/// rank_and_next's result: the proposer's rank with the responder and the
+/// proposer's choice at the requested rank.
+struct RankNext {
+  std::uint32_t rank;
+  Index next;
+};
+
+/// Read-mostly software prefetch with low temporal locality: a rank cell is
+/// touched once per proposal and then usually not again for a long time.
 inline void view_prefetch_ro(const void* p) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
@@ -55,9 +71,15 @@ class ExplicitView {
         stride_(static_cast<std::size_t>(inst.genders() - 1) *
                 static_cast<std::size_t>(inst.per_gender())) {}
 
+  using PropRow = const Index*;
+  [[nodiscard]] PropRow prop_row(Index p) const noexcept {
+    return pref_ + static_cast<std::size_t>(p) * stride_;
+  }
+  [[nodiscard]] static Index choice_in(PropRow prow, Index c) noexcept {
+    return prow[static_cast<std::size_t>(c)];
+  }
   [[nodiscard]] Index pref_at(Index p, Index c) const noexcept {
-    return pref_[static_cast<std::size_t>(p) * stride_ +
-                 static_cast<std::size_t>(c)];
+    return choice_in(prop_row(p), c);
   }
   [[nodiscard]] RespRow resp_row(Index r) const noexcept {
     const std::size_t off = static_cast<std::size_t>(r) * stride_;
@@ -71,9 +93,13 @@ class ExplicitView {
     return row.prefs[static_cast<std::size_t>(c)];
   }
 
+  [[nodiscard]] static RankNext rank_and_next(const RespRow& row, Index p,
+                                              PropRow prow, Index c) noexcept {
+    return {rank_in(row, p), choice_in(prow, c)};
+  }
+
   void prefetch_pref(Index p, Index c) const noexcept {
-    view_prefetch_ro(pref_ + static_cast<std::size_t>(p) * stride_ +
-                     static_cast<std::size_t>(c));
+    view_prefetch_ro(prop_row(p) + static_cast<std::size_t>(c));
   }
   static void prefetch_rank(const RespRow& row, Index p) noexcept {
     view_prefetch_ro(row.ranks + static_cast<std::size_t>(p));
@@ -87,9 +113,9 @@ class ExplicitView {
 };
 
 /// Generator view: every accessor is an O(1) Feistel evaluation. resp_row
-/// derives the responder's round keys once per proposal — the implicit
-/// analogue of hoisting the rank-row pointer — and rank_in is then a pure
-/// PRP inversion. Ranks surface as uint32_t (any rank < n fits).
+/// and prop_row derive a row's round keys — the implicit analogue of
+/// hoisting a row pointer — and rank_in / choice_in are then pure PRP walks.
+/// Ranks surface as uint32_t (any rank < n fits).
 class ImplicitView {
  public:
   using Rank = std::uint32_t;
@@ -98,8 +124,15 @@ class ImplicitView {
   ImplicitView(const KPartiteInstance& inst, Gender i, Gender j) noexcept
       : gen_(&inst.implicit_prefs()), i_(i), j_(j) {}
 
+  using PropRow = imp::ImplicitPrefs::Row;
+  [[nodiscard]] PropRow prop_row(Index p) const noexcept {
+    return gen_->row({i_, p}, j_);
+  }
+  [[nodiscard]] Index choice_in(const PropRow& prow, Index c) const noexcept {
+    return gen_->pref_in(prow, c);
+  }
   [[nodiscard]] Index pref_at(Index p, Index c) const noexcept {
-    return gen_->pref({i_, p}, j_, c);
+    return choice_in(prop_row(p), c);
   }
   [[nodiscard]] RespRow resp_row(Index r) const noexcept {
     return gen_->row({j_, r}, i_);
@@ -109,6 +142,13 @@ class ImplicitView {
   }
   [[nodiscard]] Index resp_pref_in(const RespRow& row, Index c) const noexcept {
     return gen_->pref_in(row, c);
+  }
+
+  [[nodiscard]] RankNext rank_and_next(const RespRow& row, Index p,
+                                       const PropRow& prow,
+                                       Index c) const noexcept {
+    const auto both = gen_->rank_and_pref(row, p, prow, c);
+    return {static_cast<Rank>(both.inverse), both.forward};
   }
 
   static void prefetch_pref(Index, Index) noexcept {}

@@ -17,6 +17,15 @@ void fill_all(T* data, std::size_t count, T value) {
   std::fill_n(data, count, value);
 }
 
+/// set_pref_list's "seen" bitset over [0, n): one buffer per thread, grown
+/// to the largest n it has checked and cleared per call, so a warm thread
+/// checks every row without allocating.
+std::vector<std::uint64_t>& seen_bits(Index n) {
+  thread_local std::vector<std::uint64_t> words;
+  words.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
+  return words;
+}
+
 }  // namespace
 
 const char* to_string(PrefBackend backend) noexcept {
@@ -199,13 +208,16 @@ void KPartiteInstance::set_pref_list(MemberId m, Gender g,
                   "list for " << m << " over gender " << g << " has "
                               << order.size() << " entries, expected " << n_);
   // Permutation check (fail-fast, I.6): each index in [0, n) exactly once.
-  std::vector<bool> seen(static_cast<std::size_t>(n_), false);
+  // It runs before any write, so a rejected list changes nothing.
+  std::vector<std::uint64_t>& seen = seen_bits(n_);
   for (Index idx : order) {
     KSTABLE_REQUIRE(idx >= 0 && idx < n_, "preference entry " << idx
                                               << " out of range for " << m);
-    KSTABLE_REQUIRE(!seen[static_cast<std::size_t>(idx)],
+    std::uint64_t& word = seen[static_cast<std::size_t>(idx) / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+    KSTABLE_REQUIRE((word & bit) == 0,
                     "duplicate preference entry " << idx << " for " << m);
-    seen[static_cast<std::size_t>(idx)] = true;
+    word |= bit;
   }
   const std::size_t base = row_base(m, g);
   Index* const pref = pref_data();

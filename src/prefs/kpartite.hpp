@@ -122,8 +122,11 @@ class KPartiteInstance {
   [[nodiscard]] std::span<const Index> pref_list(MemberId m, Gender g) const;
 
   /// Overwrites the preference order of `m` over gender `g`. `order` must be
-  /// a permutation of [0, n) — enforced here (fail-fast on malformed input).
-  /// A mutation: bumps generation() (see below).
+  /// a permutation of [0, n) — enforced here (fail-fast on malformed input)
+  /// before anything is written, so a rejected list leaves the pref row, the
+  /// rank row and generation() unchanged. Allocates nothing once the calling
+  /// thread has checked a list of this length. A mutation: bumps
+  /// generation() (see below).
   void set_pref_list(MemberId m, Gender g, std::span<const Index> order);
 
   /// Swaps the entries at ranks `rank_a` and `rank_b` in m's list over gender

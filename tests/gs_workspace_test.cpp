@@ -1,9 +1,10 @@
-// Allocation tests for the zero-allocation GS hot path: this binary replaces
-// the global operator new/delete with counting hooks so the tests can assert
-// that gale_shapley_queue / gale_shapley_rounds with a warm GsWorkspace and a
-// warm GsResult perform ZERO heap allocations per solve, and that traced runs
-// reserve the Theorem 3 bound (n² events) up front instead of growing
-// geometrically.
+// Allocation tests: this binary replaces the global operator new/delete with
+// counting hooks so the tests can assert that gale_shapley_queue /
+// gale_shapley_rounds with a warm GsWorkspace and a warm GsResult perform
+// ZERO heap allocations per solve, that traced runs reserve the Theorem 3
+// bound (n² events) up front instead of growing geometrically, and that the
+// instance loader allocates a fixed number of times per instance, not per
+// preference row.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,8 @@
 #include "core/binding.hpp"
 #include "gs/gale_shapley.hpp"
 #include "prefs/generators.hpp"
+#include "prefs/io.hpp"
+#include "serve/client.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -33,7 +36,20 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
+// Over-aligned allocations (the instance arena) are counted too.
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a nonzero multiple of the alignment.
+  if (void* p = std::aligned_alloc(a, (size / a + 1) * a)) return p;
+  throw std::bad_alloc();
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
@@ -201,6 +217,21 @@ TEST(GsTrace, TracedRunsReserveTheTheorem3Bound) {
   gale_shapley_rounds(inst, 1, 0, options);
   EXPECT_GE(trace.capacity(),
             first_run + static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+}
+
+TEST(IoAllocations, FromStringAllocatesPerInstanceNotPerRow) {
+  // A k = 3, n = 64 SOLVE body of the serve workload: 384 preference rows.
+  serve::PingOptions ping;
+  ping.requests = 2;
+  ping.n = 64;
+  const auto bodies = serve::make_request_bodies(ping);
+  // The first load on this thread may grow set_pref_list's reused bitset.
+  // After that a load makes three allocations: the instance arena, the
+  // loader's filled[] row bitmap and its one reused row buffer.
+  (void)io::from_string(bodies[0]);
+  const std::int64_t allocs =
+      allocations_during([&] { (void)io::from_string(bodies[1]); });
+  EXPECT_EQ(allocs, 3);
 }
 
 }  // namespace

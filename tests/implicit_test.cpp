@@ -6,6 +6,7 @@
 // introspection reports the true O(1)-per-instance footprint.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/batch_solver.hpp"
@@ -73,6 +74,37 @@ TEST(Feistel, DistinctRowsGetDistinctPermutations) {
               prefs::imp::prp_forward(g, b, x);
   }
   EXPECT_TRUE(differs) << "rows 0 and 1 produced the same permutation";
+}
+
+TEST(Feistel, LockstepWalkEqualsSeparateWalks) {
+  // prp_forward_inverse must return exactly prp_forward(x) and
+  // prp_inverse(y) for every pair, whichever of the two walks is longer.
+  // The sizes cover tiny domains, both sides of each power of four, and a
+  // non-power.
+  for (const Index n : {1, 2, 3, 4, 5, 15, 16, 17, 255, 256, 257, 1000}) {
+    const auto g = prefs::imp::feistel_geometry(n);
+    for (const auto& [fwd_row, inv_row] :
+         {std::pair{0ULL, 1ULL}, std::pair{977ULL, 3ULL},
+          std::pair{5ULL, 5ULL}}) {
+      const auto fk = prefs::imp::derive_row_keys(0x5eedULL, fwd_row);
+      const auto ik = prefs::imp::derive_row_keys(0x5eedULL, inv_row);
+      std::vector<Index> forward(static_cast<std::size_t>(n));
+      std::vector<Index> inverse(static_cast<std::size_t>(n));
+      for (Index v = 0; v < n; ++v) {
+        forward[static_cast<std::size_t>(v)] = prefs::imp::prp_forward(g, fk, v);
+        inverse[static_cast<std::size_t>(v)] = prefs::imp::prp_inverse(g, ik, v);
+      }
+      for (Index x = 0; x < n; ++x) {
+        for (Index y = 0; y < n; ++y) {
+          const auto both = prefs::imp::prp_forward_inverse(g, fk, x, ik, y);
+          ASSERT_EQ(both.forward, forward[static_cast<std::size_t>(x)])
+              << "n=" << n << " x=" << x << " y=" << y;
+          ASSERT_EQ(both.inverse, inverse[static_cast<std::size_t>(y)])
+              << "n=" << n << " x=" << x << " y=" << y;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -209,6 +241,56 @@ TEST(ImplicitEngines, TracesMatchMaterializedExactly) {
   opt.trace = &trace_exp;
   (void)gs::gale_shapley_queue(wide, 0, 1, opt);
   EXPECT_EQ(trace_imp, trace_exp);
+}
+
+TEST(ImplicitEngines, ProposalBudgetAbortsWhereMaterializedDoes) {
+  // A proposal budget must trip after the same number of proposals, with
+  // the same events recorded, on the generator as on its tables: both
+  // backends charge exactly one unit per real proposal (the rounds engine
+  // one batch per round).
+  const auto inst =
+      KPartiteInstance::make_implicit(2, 64, {Family::uniform, 31});
+  const auto wide = inst.materialized(prefs::RankWidth::wide32);
+  const std::int64_t cold = gs::gale_shapley_queue(inst, 0, 1).proposals;
+  using Engine = void (*)(const KPartiteInstance&, Gender, Gender,
+                          const gs::GsOptions&, gs::GsWorkspace&,
+                          gs::GsResult&);
+  for (const Engine engine :
+       {static_cast<Engine>(gs::gale_shapley_queue),
+        static_cast<Engine>(gs::gale_shapley_rounds)}) {
+    for (const std::int64_t budget : {std::int64_t{1}, cold / 2, cold - 1}) {
+      struct Aborted {
+        std::int64_t spent = -1;
+        std::int64_t proposals = -1;
+        std::vector<gs::ProposalEvent> trace;
+      };
+      auto run = [&](const KPartiteInstance& on) {
+        Aborted out;
+        resilience::ExecControl control{
+            resilience::Budget::proposals(budget)};
+        gs::GsOptions options;
+        options.control = &control;
+        options.trace = &out.trace;
+        gs::GsWorkspace workspace;
+        gs::GsResult result;
+        try {
+          engine(on, 0, 1, options, workspace, result);
+          ADD_FAILURE() << "budget " << budget << " never tripped";
+        } catch (const ExecutionAborted& e) {
+          EXPECT_EQ(e.reason(), AbortReason::proposal_budget);
+        }
+        out.spent = control.spent();
+        out.proposals = result.proposals;
+        return out;
+      };
+      const Aborted a = run(inst);
+      const Aborted b = run(wide);
+      EXPECT_GT(a.spent, budget);
+      EXPECT_EQ(a.spent, b.spent) << "budget " << budget;
+      EXPECT_EQ(a.proposals, b.proposals) << "budget " << budget;
+      EXPECT_EQ(a.trace, b.trace) << "budget " << budget;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

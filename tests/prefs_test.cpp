@@ -68,6 +68,49 @@ TEST(KPartite, RejectsMalformedLists) {
                ContractViolation);  // member out of range
 }
 
+/// Sets row (0,0)->1 of a fresh 2 x n instance to the reversed order, then
+/// submits `bad` and checks it is rejected with nothing changed: the pref
+/// row, every rank cell of the row and generation(), at both rank widths.
+void expect_rejected_list_changes_nothing(const std::vector<Index>& bad) {
+  const auto n = static_cast<Index>(bad.size());
+  std::vector<Index> good(bad.size());
+  for (Index r = 0; r < n; ++r) good[static_cast<std::size_t>(r)] = n - 1 - r;
+  for (const auto width :
+       {prefs::RankWidth::narrow16, prefs::RankWidth::wide32}) {
+    KPartiteInstance inst(2, n, width);
+    inst.set_pref_list({0, 0}, 1, good);
+    const std::uint64_t generation = inst.generation();
+    EXPECT_THROW(inst.set_pref_list({0, 0}, 1, bad), ContractViolation);
+    const auto list = inst.pref_list({0, 0}, 1);
+    EXPECT_EQ(std::vector<Index>(list.begin(), list.end()), good);
+    for (Index t = 0; t < n; ++t) {
+      EXPECT_EQ(inst.rank_of({0, 0}, {1, t}), n - 1 - t) << "member " << t;
+    }
+    EXPECT_EQ(inst.generation(), generation);
+    // The check's reused bitset does not leak into the next list.
+    inst.set_pref_list({0, 0}, 1, good);
+    EXPECT_EQ(inst.generation(), generation + 1);
+  }
+}
+
+TEST(KPartite, RejectedDuplicateEntryChangesNothing) {
+  // 70 entries span two words of the check's bitset; the duplicate comes
+  // last, after every other entry has been marked.
+  std::vector<Index> bad(70);
+  for (Index r = 0; r < 70; ++r) bad[static_cast<std::size_t>(r)] = r;
+  bad.back() = 3;
+  expect_rejected_list_changes_nothing(bad);
+}
+
+TEST(KPartite, RejectedOutOfRangeEntryChangesNothing) {
+  std::vector<Index> bad(70);
+  for (Index r = 0; r < 70; ++r) bad[static_cast<std::size_t>(r)] = r;
+  bad[40] = 70;
+  expect_rejected_list_changes_nothing(bad);
+  bad[40] = -1;
+  expect_rejected_list_changes_nothing(bad);
+}
+
 TEST(KPartite, ValidateDetectsUnsetLists) {
   KPartiteInstance inst(2, 2);
   inst.set_pref_list({0, 0}, 1, std::vector<Index>{0, 1});
