@@ -10,7 +10,10 @@
 //    delta size leaves the warm proposal count roughly flat while the cold
 //    count grows with n;
 //  * targeted cache invalidation drops only the touched oriented slots of
-//    the k-1 tree edges, so untouched edges replay for free.
+//    the k-1 tree edges, so untouched edges replay for free;
+//  * on the frozen scenario's touched edge, the report shows how many
+//    proposers and responders the warm restart's dirty closure re-solves
+//    (reported only, not gated).
 //
 // The google-benchmark rows pin the timing ratio (bm_rematch_warm vs
 // bm_resolve_cold at the same n) and the deterministic warm_proposals /
@@ -25,8 +28,10 @@
 #include "core/binding.hpp"
 #include "core/gs_cache.hpp"
 #include "graph/binding_structure.hpp"
+#include "gs/gale_shapley.hpp"
 #include "incremental/mutation.hpp"
 #include "incremental/rematch.hpp"
+#include "incremental/warm_gs.hpp"
 #include "prefs/generators.hpp"
 #include "prefs/kpartite.hpp"
 #include "util/rng.hpp"
@@ -64,6 +69,27 @@ incremental::MutationDelta apply_churn(KPartiteInstance& inst, int swaps,
     }
   }
   return delta;
+}
+
+/// One frozen churn scenario per n: the pre-churn solve, the mutated
+/// instance, and the single-swap delta bridging them. Both benchmarks replay
+/// the same scenario every iteration, so their proposal counters are exactly
+/// reproducible across machines.
+struct Scenario {
+  KPartiteInstance inst;          // post-delta instance
+  core::BindingResult previous;   // solved on the pre-delta instance
+  incremental::MutationDelta delta;
+};
+
+Scenario make_scenario(Index n) {
+  Rng rng(202);
+  auto inst = gen::uniform(kGenders, n, rng);
+  Scenario s{std::move(inst), {}, {}};
+  s.previous = core::iterative_binding(s.inst, trees::path(kGenders), {});
+  // One swap at the top of a proposer's list over a tree edge: the smallest
+  // delta that still forces a warm continuation (not a pure replay).
+  s.delta = incremental::swap_entries(s.inst, {0, n / 2}, 1, 0, 1);
+  return s;
 }
 
 void report() {
@@ -116,28 +142,30 @@ void report() {
             << (all_identical ? "yes (incremental path is semantics-free)"
                               : "NO (BUG)")
             << "\n\n";
+
+  // The benchmarks' frozen scenario, on the one edge its swap touches: how
+  // much of the population the warm restart's dirty closure re-solves.
+  TableWriter closure(
+      "warm closure on the frozen scenario's touched edge (reported, not gated)",
+      {"n", "dirty p", "dirty r", "warm props", "cold props"});
+  for (Index n : {64, 256, 1024}) {
+    const auto scenario = make_scenario(n);
+    const auto& previous = scenario.previous.edge_results[0];
+    incremental::WarmGsStats stats;
+    const auto warm = incremental::warm_gale_shapley(
+        scenario.inst, previous.proposer_gender, previous.responder_gender,
+        previous, scenario.delta, {}, &stats);
+    const auto cold = gs::gale_shapley_queue(
+        scenario.inst, previous.proposer_gender, previous.responder_gender);
+    closure.add_row({std::int64_t{n}, std::int64_t{stats.dirty_proposers},
+                     std::int64_t{stats.dirty_responders}, warm.proposals,
+                     cold.proposals});
+  }
+  closure.print(std::cout);
+  std::cout << "\n";
 }
 
-/// One frozen churn scenario per n: the pre-churn solve, the mutated
-/// instance, and the single-swap delta bridging them. Both benchmarks replay
-/// the same scenario every iteration, so their proposal counters are exactly
-/// reproducible across machines.
-struct Scenario {
-  KPartiteInstance inst;          // post-delta instance
-  core::BindingResult previous;   // solved on the pre-delta instance
-  incremental::MutationDelta delta;
-};
 
-Scenario make_scenario(Index n) {
-  Rng rng(202);
-  auto inst = gen::uniform(kGenders, n, rng);
-  Scenario s{std::move(inst), {}, {}};
-  s.previous = core::iterative_binding(s.inst, trees::path(kGenders), {});
-  // One swap at the top of a proposer's list over a tree edge: the smallest
-  // delta that still forces a warm continuation (not a pure replay).
-  s.delta = incremental::swap_entries(s.inst, {0, n / 2}, 1, 0, 1);
-  return s;
-}
 
 void bm_rematch_warm(benchmark::State& state) {
   const auto scenario = make_scenario(static_cast<Index>(state.range(0)));

@@ -1,6 +1,7 @@
 #include "core/equivalence.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -68,19 +69,40 @@ EquivalenceReport derive_families(const KPartiteInstance& inst,
   // Gender-level components drive the expected class shape.
   const auto gender_component = structure.component_labels();
 
-  // Collect classes.
-  std::vector<std::vector<std::int32_t>> classes;  // members (flat) per class
-  std::vector<std::int32_t> class_of_root(static_cast<std::size_t>(k * n), -1);
-  for (std::int32_t f = 0; f < k * n; ++f) {
-    const std::int32_t root = uf.find(f);
-    auto& cls = class_of_root[static_cast<std::size_t>(root)];
-    if (cls == -1) {
-      cls = static_cast<std::int32_t>(classes.size());
-      classes.emplace_back();
-    }
-    classes[static_cast<std::size_t>(cls)].push_back(f);
+  // Number the classes in first-appearance order over flat ids, then
+  // counting-sort the members into one flat table: class c's members are
+  // members[class_start[c] .. class_start[c + 1]), ascending by flat id, so
+  // a class's first member is the one of its smallest gender.
+  const std::int32_t total = k * n;
+  std::vector<std::int32_t> class_of_root(static_cast<std::size_t>(total), -1);
+  std::vector<std::int32_t> class_of(static_cast<std::size_t>(total));
+  std::vector<std::int32_t> class_start(static_cast<std::size_t>(total) + 1, 0);
+  std::int32_t classes = 0;
+  for (std::int32_t f = 0; f < total; ++f) {
+    auto& cls = class_of_root[static_cast<std::size_t>(uf.find(f))];
+    if (cls == -1) cls = classes++;
+    class_of[static_cast<std::size_t>(f)] = cls;
+    ++class_start[static_cast<std::size_t>(cls)];
   }
-  report.class_count = static_cast<std::int32_t>(classes.size());
+  // Inclusive prefix sum: class_start[c] is now the end of class c. The
+  // descending fill decrements it back to the start, keeping members sorted.
+  for (std::int32_t c = 1; c <= classes; ++c) {
+    class_start[static_cast<std::size_t>(c)] +=
+        class_start[static_cast<std::size_t>(c - 1)];
+  }
+  std::vector<std::int32_t> members(static_cast<std::size_t>(total));
+  for (std::int32_t f = total - 1; f >= 0; --f) {
+    const auto cls =
+        static_cast<std::size_t>(class_of[static_cast<std::size_t>(f)]);
+    members[static_cast<std::size_t>(--class_start[cls])] = f;
+  }
+  report.class_count = classes;
+  const auto class_members = [&](std::int32_t c) {
+    return std::span<const std::int32_t>(members).subspan(
+        static_cast<std::size_t>(class_start[static_cast<std::size_t>(c)]),
+        static_cast<std::size_t>(class_start[static_cast<std::size_t>(c) + 1] -
+                                 class_start[static_cast<std::size_t>(c)]));
+  };
 
   // Validate each class: all members in one gender-component, exactly one
   // member per gender of that component.
@@ -90,14 +112,16 @@ EquivalenceReport derive_families(const KPartiteInstance& inst,
         std::sort(labels.begin(), labels.end());
         return std::unique(labels.begin(), labels.end()) - labels.begin();
       }());
-  // classes_by_component[label] -> list of class ids.
-  std::vector<std::vector<std::int32_t>> classes_by_component(
-      static_cast<std::size_t>(k));  // indexed by component label (a gender id)
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    std::vector<std::int32_t> gender_count(static_cast<std::size_t>(k), 0);
+  // classes_in_component[label] counts the valid classes of each component
+  // (indexed by component label, a gender id).
+  std::vector<Index> classes_in_component(static_cast<std::size_t>(k), 0);
+  std::vector<std::int32_t> gender_count(static_cast<std::size_t>(k));
+  for (std::int32_t c = 0; c < classes; ++c) {
+    const auto cls = class_members(c);
+    std::fill(gender_count.begin(), gender_count.end(), 0);
     const std::int32_t label = gender_component[static_cast<std::size_t>(
-        member_of(classes[c].front(), n).gender)];
-    for (const std::int32_t f : classes[c]) {
+        member_of(cls.front(), n).gender)];
+    for (const std::int32_t f : cls) {
       const MemberId m = member_of(f, n);
       ++gender_count[static_cast<std::size_t>(m.gender)];
       if (gender_component[static_cast<std::size_t>(m.gender)] != label) {
@@ -120,52 +144,35 @@ EquivalenceReport derive_families(const KPartiteInstance& inst,
         return report;
       }
     }
-    classes_by_component[static_cast<std::size_t>(label)].push_back(
-        static_cast<std::int32_t>(c));
+    ++classes_in_component[static_cast<std::size_t>(label)];
   }
 
   // Each component must contribute exactly n classes.
   for (Gender label = 0; label < k; ++label) {
-    auto& ids = classes_by_component[static_cast<std::size_t>(label)];
-    if (ids.empty()) continue;  // not a component label
-    if (static_cast<Index>(ids.size()) != n) {
+    const Index count = classes_in_component[static_cast<std::size_t>(label)];
+    if (count == 0) continue;  // not a component label
+    if (count != n) {
       std::ostringstream os;
-      os << "component " << label << " produced " << ids.size()
+      os << "component " << label << " produced " << count
          << " classes, expected " << n;
       report.inconsistency = os.str();
       return report;
     }
-    // Deterministic assembly order: sort by the index of the class's member
-    // of the component's smallest gender.
-    auto anchor_index = [&](std::int32_t cls) {
-      Index best_index = -1;
-      Gender best_gender = k;
-      for (const std::int32_t f : classes[static_cast<std::size_t>(cls)]) {
-        const MemberId m = member_of(f, n);
-        if (m.gender < best_gender) {
-          best_gender = m.gender;
-          best_index = m.index;
-        }
-      }
-      return best_index;
-    };
-    std::sort(ids.begin(), ids.end(), [&](std::int32_t a, std::int32_t b) {
-      return anchor_index(a) < anchor_index(b);
-    });
   }
 
-  // Assemble: family t = union over components of their t-th class.
+  // Assemble: family t = union over components of their class whose first
+  // member (the one of the component's smallest gender) has index t. Every
+  // class holds one member of that gender, so a component's n anchors are a
+  // permutation of 0..n-1 and no sort is needed.
   std::vector<Index> families(
       static_cast<std::size_t>(n) * static_cast<std::size_t>(k), Index{-1});
-  for (Gender label = 0; label < k; ++label) {
-    const auto& ids = classes_by_component[static_cast<std::size_t>(label)];
-    for (Index t = 0; t < static_cast<Index>(ids.size()); ++t) {
-      for (const std::int32_t f :
-           classes[static_cast<std::size_t>(ids[static_cast<std::size_t>(t)])]) {
-        const MemberId m = member_of(f, n);
-        families[static_cast<std::size_t>(t) * static_cast<std::size_t>(k) +
-                 static_cast<std::size_t>(m.gender)] = m.index;
-      }
+  for (std::int32_t c = 0; c < classes; ++c) {
+    const auto cls = class_members(c);
+    const auto t = static_cast<std::size_t>(member_of(cls.front(), n).index);
+    for (const std::int32_t f : cls) {
+      const MemberId m = member_of(f, n);
+      families[t * static_cast<std::size_t>(k) +
+               static_cast<std::size_t>(m.gender)] = m.index;
     }
   }
   report.consistent = true;

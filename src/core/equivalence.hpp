@@ -40,7 +40,7 @@ struct EquivalenceReport {
   std::string inconsistency;
 };
 
-/// Minimal union-find over dense int ids (path halving + union by size).
+/// Minimal union-find over dense int ids (path halving + union by rank).
 class UnionFind {
  public:
   explicit UnionFind(std::int32_t size);

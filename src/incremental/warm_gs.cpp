@@ -64,8 +64,11 @@ gs::GsResult warm_gale_shapley(const KPartiteInstance& inst, Gender i,
   std::vector<Index> opr(static_cast<std::size_t>(n));
   std::vector<char> dirty_p(static_cast<std::size_t>(n), 0);
   std::vector<char> dirty_r(static_cast<std::size_t>(n), 0);
+  // Each member is queued at most once, so capacity n never regrows.
   std::vector<Index> queue_p;
   std::vector<Index> queue_r;
+  queue_p.reserve(static_cast<std::size_t>(n));
+  queue_r.reserve(static_cast<std::size_t>(n));
   const auto mark_p = [&](Index p) {
     if (dirty_p[static_cast<std::size_t>(p)] == 0) {
       dirty_p[static_cast<std::size_t>(p)] = 1;
@@ -120,15 +123,31 @@ gs::GsResult warm_gale_shapley(const KPartiteInstance& inst, Gender i,
     }
   }
 
-  // suitors[r] = proposers whose old STRICT walked prefix contains r (they
-  // were rejected by r, or displaced from it, before settling). Built in
-  // O(total old proposals); this is the rule-5 adjacency.
-  std::vector<std::vector<Index>> suitors(static_cast<std::size_t>(n));
+  // Rule 5's adjacency as one flat table: suitor_list[suitor_start[r] ..
+  // suitor_start[r + 1]) = proposers whose old STRICT walked prefix contains
+  // r (they were rejected by r, or displaced from it, before settling),
+  // ascending by p. Built by counting sort in O(total old proposals).
+  std::vector<Index> suitor_start(static_cast<std::size_t>(n) + 1, 0);
   for (Index p = 0; p < n; ++p) {
     const auto row = old_rows[static_cast<std::size_t>(p)];
     for (Index t = 0; t < opr[static_cast<std::size_t>(p)]; ++t) {
-      suitors[static_cast<std::size_t>(row[static_cast<std::size_t>(t)])]
-          .push_back(p);
+      ++suitor_start[static_cast<std::size_t>(
+          row[static_cast<std::size_t>(t)])];
+    }
+  }
+  // Inclusive prefix sum: suitor_start[r] is now the end of r's list. The
+  // descending fill decrements it back to the start, keeping lists sorted.
+  for (Index r = 1; r <= n; ++r) {
+    suitor_start[static_cast<std::size_t>(r)] +=
+        suitor_start[static_cast<std::size_t>(r - 1)];
+  }
+  std::vector<Index> suitor_list(
+      static_cast<std::size_t>(suitor_start[static_cast<std::size_t>(n)]));
+  for (Index p = n - 1; p >= 0; --p) {
+    const auto row = old_rows[static_cast<std::size_t>(p)];
+    for (Index t = 0; t < opr[static_cast<std::size_t>(p)]; ++t) {
+      const auto r = static_cast<std::size_t>(row[static_cast<std::size_t>(t)]);
+      suitor_list[static_cast<std::size_t>(--suitor_start[r])] = p;
     }
   }
 
@@ -149,7 +168,10 @@ gs::GsResult warm_gale_shapley(const KPartiteInstance& inst, Gender i,
       // Rule 4: the held match may not survive.
       mark_p(previous.responder_match[static_cast<std::size_t>(r)]);
       // Rule 5: a rejection r issued might now be an acceptance.
-      for (const Index q : suitors[static_cast<std::size_t>(r)]) mark_p(q);
+      for (Index slot = suitor_start[static_cast<std::size_t>(r)];
+           slot < suitor_start[static_cast<std::size_t>(r) + 1]; ++slot) {
+        mark_p(suitor_list[static_cast<std::size_t>(slot)]);
+      }
     }
   }
 
@@ -160,6 +182,7 @@ gs::GsResult warm_gale_shapley(const KPartiteInstance& inst, Gender i,
   gs::reset_result(result, i, j, n);
   gs::GsWorkspace seed;
   seed.next_choice.assign(static_cast<std::size_t>(n), Index{0});
+  seed.free_list.reserve(static_cast<std::size_t>(n));
   WarmGsStats local{};
   for (Index p = 0; p < n; ++p) {
     if (dirty_p[static_cast<std::size_t>(p)] != 0) {

@@ -1,6 +1,9 @@
 // Tests for union-find and the equivalence-class derivation of §IV.A.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+
 #include "core/equivalence.hpp"
 #include "graph/prufer.hpp"
 #include "gs/gale_shapley.hpp"
@@ -174,6 +177,184 @@ TEST(DeriveFamilies, ConsistentCycleIsAccepted) {
       EXPECT_EQ(report.matching->member_at(t, g).index, t);
     }
   }
+}
+
+/// Reference class derivation with per-class member vectors and an anchor
+/// sort per component: derive_families must agree with it bit for bit,
+/// inconsistency text included.
+EquivalenceReport reference_derive(Gender k, Index n,
+                                   const BindingStructure& structure,
+                                   const std::vector<gs::GsResult>& results) {
+  UnionFind uf(k * n);
+  for (std::size_t e = 0; e < results.size(); ++e) {
+    const GenderEdge edge = structure.edges()[e];
+    for (Index p = 0; p < n; ++p) {
+      uf.unite(flat_id({edge.a, p}, n),
+               flat_id({edge.b, results[e].proposer_match[
+                                    static_cast<std::size_t>(p)]},
+                       n));
+    }
+  }
+  const auto label = structure.component_labels();
+  std::vector<std::vector<std::int32_t>> classes;
+  std::vector<std::int32_t> class_of_root(static_cast<std::size_t>(k * n), -1);
+  for (std::int32_t f = 0; f < k * n; ++f) {
+    auto& cls = class_of_root[static_cast<std::size_t>(uf.find(f))];
+    if (cls == -1) {
+      cls = static_cast<std::int32_t>(classes.size());
+      classes.emplace_back();
+    }
+    classes[static_cast<std::size_t>(cls)].push_back(f);
+  }
+  EquivalenceReport report;
+  report.class_count = static_cast<std::int32_t>(classes.size());
+  std::vector<std::vector<std::size_t>> by_component(
+      static_cast<std::size_t>(k));
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    std::vector<std::int32_t> count(static_cast<std::size_t>(k), 0);
+    const auto home =
+        label[static_cast<std::size_t>(member_of(classes[c].front(), n).gender)];
+    for (const std::int32_t f : classes[c]) {
+      const Gender g = member_of(f, n).gender;
+      ++count[static_cast<std::size_t>(g)];
+      if (label[static_cast<std::size_t>(g)] != home) {
+        report.inconsistency = "class spans binding components";
+        return report;
+      }
+    }
+    for (Gender g = 0; g < k; ++g) {
+      const int expected = label[static_cast<std::size_t>(g)] == home ? 1 : 0;
+      if (count[static_cast<std::size_t>(g)] != expected) {
+        std::ostringstream os;
+        os << "equivalence class has " << count[static_cast<std::size_t>(g)]
+           << " members of gender " << g << " (expected " << expected
+           << "); binding structure "
+           << (structure.has_cycle() ? "contains a cycle" : "is acyclic");
+        report.inconsistency = os.str();
+        return report;
+      }
+    }
+    by_component[static_cast<std::size_t>(home)].push_back(c);
+  }
+  std::vector<Index> families(static_cast<std::size_t>(k * n), Index{-1});
+  for (Gender home = 0; home < k; ++home) {
+    auto& ids = by_component[static_cast<std::size_t>(home)];
+    if (ids.empty()) continue;
+    if (static_cast<Index>(ids.size()) != n) {
+      std::ostringstream os;
+      os << "component " << home << " produced " << ids.size()
+         << " classes, expected " << n;
+      report.inconsistency = os.str();
+      return report;
+    }
+    // The anchor is the index of the member of the smallest gender.
+    const auto anchor = [&](std::size_t c) {
+      const auto smallest = std::min_element(
+          classes[c].begin(), classes[c].end(), [n](auto a, auto b) {
+            return member_of(a, n).gender < member_of(b, n).gender;
+          });
+      return member_of(*smallest, n).index;
+    };
+    std::sort(ids.begin(), ids.end(), [&](std::size_t a, std::size_t b) {
+      return anchor(a) < anchor(b);
+    });
+    for (std::size_t t = 0; t < ids.size(); ++t) {
+      for (const std::int32_t f : classes[ids[t]]) {
+        const MemberId m = member_of(f, n);
+        families[t * static_cast<std::size_t>(k) +
+                 static_cast<std::size_t>(m.gender)] = m.index;
+      }
+    }
+  }
+  report.consistent = true;
+  report.matching.emplace(k, n, std::move(families));
+  return report;
+}
+
+TEST(DeriveFamilies, MatchesPerClassReferenceOnRandomStructures) {
+  // Bindings are read off hidden families (family t holds index hidden[g][t]
+  // of gender g), so they agree around any cycle; every other cycle case
+  // replaces the matching of the last edge, which closed a cycle, by a
+  // random one to break that agreement.
+  Rng rng(204);
+  int cycles = 0;
+  int inconsistent = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    const auto k = static_cast<Gender>(2 + rng.below(5));
+    const auto n = static_cast<Index>(1 + rng.below(8));
+    std::vector<std::vector<Index>> hidden;
+    for (Gender g = 0; g < k; ++g) hidden.push_back(rng.permutation(n));
+
+    // Cases cycle through: spanning tree, forest, empty, cyclic.
+    const int shape = trial % 4;
+    BindingStructure structure(k);
+    if (shape != 2) {
+      const auto tree = prufer::random_tree(k, rng);
+      for (const GenderEdge e : tree.edges()) {
+        if (shape == 1 && rng.chance(0.5)) continue;  // forest: drop edges
+        structure.add_edge(rng.chance(0.5) ? e : GenderEdge{e.b, e.a});
+      }
+    }
+    if (shape == 3) {
+      // Close one or two cycles with edges the tree does not have.
+      std::vector<GenderEdge> missing;
+      for (Gender a = 0; a < k; ++a) {
+        for (Gender b = 0; b < a; ++b) {
+          if (!std::any_of(structure.edges().begin(), structure.edges().end(),
+                           [&](GenderEdge x) {
+                             return x.normalized() == GenderEdge{b, a};
+                           })) {
+            missing.push_back(rng.chance(0.5) ? GenderEdge{a, b}
+                                              : GenderEdge{b, a});
+          }
+        }
+      }
+      rng.shuffle(missing);
+      missing.resize(std::min<std::size_t>(missing.size(), 1 + rng.below(2)));
+      for (const GenderEdge e : missing) structure.add_edge(e);
+    }
+    cycles += structure.has_cycle() ? 1 : 0;
+
+    std::vector<gs::GsResult> results;
+    for (const GenderEdge e : structure.edges()) {
+      gs::GsResult r;
+      gs::reset_result(r, e.a, e.b, n);
+      for (Index t = 0; t < n; ++t) {
+        const auto slot = static_cast<std::size_t>(t);
+        const Index p = hidden[static_cast<std::size_t>(e.a)][slot];
+        const Index q = hidden[static_cast<std::size_t>(e.b)][slot];
+        r.proposer_match[static_cast<std::size_t>(p)] = q;
+        r.responder_match[static_cast<std::size_t>(q)] = p;
+      }
+      results.push_back(std::move(r));
+    }
+    if (shape == 3 && structure.has_cycle() && (trial / 4) % 2 == 1) {
+      auto& r = results.back();
+      const auto scrambled = rng.permutation(n);
+      for (Index p = 0; p < n; ++p) {
+        const auto q = scrambled[static_cast<std::size_t>(p)];
+        r.proposer_match[static_cast<std::size_t>(p)] = q;
+        r.responder_match[static_cast<std::size_t>(q)] = p;
+      }
+    }
+
+    const auto expected = reference_derive(k, n, structure, results);
+    const auto report =
+        derive_families(KPartiteInstance(k, n), structure, results);
+    ASSERT_EQ(report.consistent, expected.consistent) << "trial " << trial;
+    EXPECT_EQ(report.class_count, expected.class_count) << "trial " << trial;
+    EXPECT_EQ(report.inconsistency, expected.inconsistency)
+        << "trial " << trial;
+    ASSERT_EQ(report.matching.has_value(), expected.matching.has_value());
+    if (expected.matching) {
+      EXPECT_EQ(report.matching->raw(), expected.matching->raw())
+          << "trial " << trial;
+    }
+    inconsistent += expected.consistent ? 0 : 1;
+  }
+  // The sample must reach both the cyclic and the inconsistent paths.
+  EXPECT_GT(cycles, 20);
+  EXPECT_GT(inconsistent, 15);
 }
 
 TEST(DeriveFamilies, RejectsMismatchedResults) {

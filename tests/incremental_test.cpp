@@ -259,6 +259,40 @@ TEST(WarmGs, FullyDirtySeedReplaysTheColdTrace) {
   EXPECT_EQ(warm_trace, cold_trace);
 }
 
+TEST(WarmGs, ClosureSizesOnChurnArePinned) {
+  // Fifty fixed-seed random edits at the perfbench churn shape (k = 3,
+  // n = 128), warm-restarting GS(0, 1) after each edit that touches it. The
+  // closure is a least fixpoint, so how its adjacency is stored cannot
+  // change what it dirties: the summed closure sizes and continuation
+  // proposals are pinned to the values the per-responder layout produced.
+  Rng rng(2020);
+  auto inst = gen::uniform(3, 128, rng);
+  auto previous = gs::gale_shapley_queue(inst, 0, 1);
+  std::int64_t restarts = 0;
+  std::int64_t dirty_proposers = 0;
+  std::int64_t dirty_responders = 0;
+  std::int64_t proposals = 0;
+  for (int edit = 0; edit < 50; ++edit) {
+    const auto delta = random_mutation(inst, rng);
+    // An edit elsewhere leaves GS(0, 1)'s rows, and so `previous`, intact.
+    if (!delta.touches(0, 1)) continue;
+    WarmGsStats stats;
+    auto warm = warm_gale_shapley(inst, 0, 1, previous, delta, {}, &stats);
+    ASSERT_EQ(warm.proposer_match,
+              gs::gale_shapley_queue(inst, 0, 1).proposer_match)
+        << "edit " << edit;
+    ++restarts;
+    dirty_proposers += stats.dirty_proposers;
+    dirty_responders += stats.dirty_responders;
+    proposals += warm.proposals;
+    previous = std::move(warm);
+  }
+  EXPECT_EQ(restarts, 17);
+  EXPECT_EQ(dirty_proposers, 2159);
+  EXPECT_EQ(dirty_responders, 2159);
+  EXPECT_EQ(proposals, 10168);
+}
+
 TEST(WarmGs, RejectsShapeChangeStaleDeltaAndWrongOrientation) {
   Rng rng(9);
   auto inst = gen::uniform(3, 4, rng);
