@@ -4,16 +4,14 @@
 // Claims regenerated:
 //  * after a small preference delta, rematch() reproduces the cold re-solve
 //    of the mutated instance bitwise (the self-check line below is grepped
-//    by CI) while executing only the warm-continuation proposals — orders of
-//    magnitude below the cold proposal count for single-swap deltas;
-//  * the work scales with the delta, not the instance: growing n at a fixed
-//    delta size leaves the warm proposal count roughly flat while the cold
-//    count grows with n;
+//    by CI) while executing only the cold proposals of the tree edges the
+//    delta touched: a touched edge is re-solved cold, which GS confluence
+//    makes exact;
+//  * the saving is the untouched edges: each returns its previous result
+//    (or a cache hit) at zero proposals, so the work scales with the number
+//    of touched tree edges, not with the tree;
 //  * targeted cache invalidation drops only the touched oriented slots of
-//    the k-1 tree edges, so untouched edges replay for free;
-//  * on the frozen scenario's touched edge, the report shows how many
-//    proposers and responders the warm restart's dirty closure re-solves
-//    (reported only, not gated).
+//    the k-1 tree edges, so untouched edges replay for free.
 //
 // The google-benchmark rows pin the timing ratio (bm_rematch_warm vs
 // bm_resolve_cold at the same n) and the deterministic warm_proposals /
@@ -28,10 +26,8 @@
 #include "core/binding.hpp"
 #include "core/gs_cache.hpp"
 #include "graph/binding_structure.hpp"
-#include "gs/gale_shapley.hpp"
 #include "incremental/mutation.hpp"
 #include "incremental/rematch.hpp"
-#include "incremental/warm_gs.hpp"
 #include "prefs/generators.hpp"
 #include "prefs/kpartite.hpp"
 #include "util/rng.hpp"
@@ -87,7 +83,7 @@ Scenario make_scenario(Index n) {
   Scenario s{std::move(inst), {}, {}};
   s.previous = core::iterative_binding(s.inst, trees::path(kGenders), {});
   // One swap at the top of a proposer's list over a tree edge: the smallest
-  // delta that still forces a warm continuation (not a pure replay).
+  // delta that still re-solves an edge (not a pure reuse).
   s.delta = incremental::swap_entries(s.inst, {0, n / 2}, 1, 0, 1);
   return s;
 }
@@ -98,8 +94,8 @@ void report() {
 
   TableWriter table(
       "rematch() vs cold re-solve (proposals are deterministic)",
-      {"n", "swaps", "cold props", "warm props", "props ratio",
-       "edges reused/warm", "slots dropped", "cold ms", "warm ms"});
+      {"n", "swaps", "cold props", "rematch props", "props ratio",
+       "edges reused/re-solved", "slots dropped", "cold ms", "rematch ms"});
   bool all_identical = true;
   const auto tree = trees::path(kGenders);
   Rng rng(201);
@@ -142,30 +138,7 @@ void report() {
             << (all_identical ? "yes (incremental path is semantics-free)"
                               : "NO (BUG)")
             << "\n\n";
-
-  // The benchmarks' frozen scenario, on the one edge its swap touches: how
-  // much of the population the warm restart's dirty closure re-solves.
-  TableWriter closure(
-      "warm closure on the frozen scenario's touched edge (reported, not gated)",
-      {"n", "dirty p", "dirty r", "warm props", "cold props"});
-  for (Index n : {64, 256, 1024}) {
-    const auto scenario = make_scenario(n);
-    const auto& previous = scenario.previous.edge_results[0];
-    incremental::WarmGsStats stats;
-    const auto warm = incremental::warm_gale_shapley(
-        scenario.inst, previous.proposer_gender, previous.responder_gender,
-        previous, scenario.delta, {}, &stats);
-    const auto cold = gs::gale_shapley_queue(
-        scenario.inst, previous.proposer_gender, previous.responder_gender);
-    closure.add_row({std::int64_t{n}, std::int64_t{stats.dirty_proposers},
-                     std::int64_t{stats.dirty_responders}, warm.proposals,
-                     cold.proposals});
-  }
-  closure.print(std::cout);
-  std::cout << "\n";
 }
-
-
 
 void bm_rematch_warm(benchmark::State& state) {
   const auto scenario = make_scenario(static_cast<Index>(state.range(0)));

@@ -61,7 +61,8 @@ python3 scripts/compare_bench.py \
 python3 scripts/compare_bench.py \
   --baseline bench/baselines/BENCH_E19.json --fresh BENCH_e19.json \
   --ratio bm_gs_queue_narrow bm_gs_queue_wide
-# E20: warm must stay cheaper than cold by the frozen-scenario counters.
+# E20: rematch executes only the touched tree edge's cold solve, pinned by
+# the frozen-scenario counters.
 python3 scripts/compare_bench.py \
   --baseline bench/baselines/BENCH_E20.json --fresh BENCH_e20.json \
   --exact-counter warm_proposals --exact-counter cold_proposals

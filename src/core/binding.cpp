@@ -59,8 +59,10 @@ const char* binding_engine_label(GsEngine engine) {
 }  // namespace
 
 gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,
-                         const BindingOptions& options, bool* cache_hit) {
+                         const BindingOptions& options, bool* cache_hit,
+                         bool* executed) {
   if (cache_hit != nullptr) *cache_hit = false;
+  if (executed != nullptr) *executed = false;
   // Warm-or-cold compute: the warm-start provider (if any) gets first
   // refusal; a nullopt answer falls through to the selected cold engine.
   const auto compute = [&]() -> gs::GsResult {
@@ -69,6 +71,7 @@ gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,
         return std::move(*warm);
       }
     }
+    if (executed != nullptr) *executed = true;
     return run_engine(inst, edge, options);
   };
   if (options.cache == nullptr) return compute();
@@ -92,8 +95,9 @@ void bind_edge(const KPartiteInstance& inst, GenderEdge edge,
   KSTABLE_FAULT_POINT("core/binding_edge");
   if (options.control != nullptr) options.control->check_now();
   bool hit = false;
-  slot = run_binding(inst, edge, options, &hit);
-  if (!hit) {
+  bool executed = false;
+  slot = run_binding(inst, edge, options, &hit, &executed);
+  if (executed) {
     std::atomic_ref(tally.executed_proposals)
         .fetch_add(slot.proposals, std::memory_order_relaxed);
   }

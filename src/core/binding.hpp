@@ -29,7 +29,7 @@
 
 namespace kstable::core {
 
-/// Which Gale-Shapley engine runs each binary binding: the seeded queue loop
+/// Which Gale-Shapley engine runs each binary binding: the queue loop
 /// (prefetch-pipelined, the default), the paper's rounds (§II.A verbatim),
 /// or the speculative parallel engine (Cor. 1-2).
 enum class GsEngine { queue, rounds, parallel };
@@ -57,14 +57,13 @@ struct BindingOptions;
 /// docs/INCREMENTAL.md). When BindingOptions::warm_start is attached,
 /// run_binding asks the provider for each oriented edge BEFORE running the
 /// selected engine cold: the provider may return a complete GsResult derived
-/// from a previous solve (an untouched edge's old result reused verbatim, or
-/// a warm GS continuation re-enqueueing only the proposers a preference
-/// delta dirtied), or nullopt to fall back to the cold engine. Contract: a
-/// returned result must be bitwise-identical (match arrays) to what the cold
-/// engine would produce on `inst` — GS confluence makes the warm
-/// continuation satisfy this, and the DiffRunner churn battery pins it. The
-/// provider must be safe to call concurrently (TreeSweep workers share one
-/// BindingOptions); implementations are const and use atomic counters.
+/// from a previous solve (an untouched edge's old result reused verbatim),
+/// or nullopt to fall back to the cold engine. Contract: a returned result
+/// must be bitwise-identical (match arrays) to what the cold engine would
+/// produce on `inst` — the DiffRunner churn battery pins it. A returned
+/// result counts as executing no proposals. The provider must be safe to
+/// call concurrently (raced ladder rungs share one BindingOptions);
+/// implementations are const and use atomic counters.
 class WarmStartProvider {
  public:
   virtual ~WarmStartProvider() = default;
@@ -110,9 +109,10 @@ struct BindingResult {
   /// edges contribute the proposals of their original computation, so this
   /// stays the semantic per-tree quantity the Theorem 3 bound is about.
   std::int64_t total_proposals = 0;
-  /// Proposals actually executed by THIS call — cache hits contribute
-  /// nothing. Equals total_proposals when no cache is attached; the E15
-  /// cache ablation accumulates this across trees.
+  /// Proposals actually executed by THIS call — cache hits and warm-start
+  /// answers contribute nothing. Equals total_proposals when neither a cache
+  /// nor a provider is attached; the E15 cache ablation accumulates this
+  /// across trees.
   std::int64_t executed_proposals = 0;
   /// Edge-cache outcomes for this call's edges (both 0 without a cache).
   std::int64_t cache_hits = 0;
@@ -137,10 +137,11 @@ struct BindingResult {
 /// Runs one binary binding GS(edge.a proposes, edge.b responds) with the
 /// selected engine. With options.cache attached, a memoized result is
 /// returned without re-running GS; `cache_hit` (if non-null) reports whether
-/// that happened.
+/// that happened. `executed` (if non-null) reports whether this call ran a
+/// GS engine: false for a cache hit and for a warm-start provider's answer.
 gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,
                          const BindingOptions& options,
-                         bool* cache_hit = nullptr);
+                         bool* cache_hit = nullptr, bool* executed = nullptr);
 
 /// The per-edge step every Algorithm 1 driver runs: the core/binding_edge
 /// fault point, a control check, run_binding into `slot`, then the

@@ -48,7 +48,6 @@ void evaluate_tree(const KPartiteInstance& inst, std::int64_t index,
   bopts.engine = opt.engine;
   bopts.control = opt.control;
   bopts.cache = opt.cache;
-  bopts.warm_start = opt.warm_start;
   bopts.workspace = &workspace;
   BindingResult result = iterative_binding(inst, tree, bopts);
   const std::int64_t cost =

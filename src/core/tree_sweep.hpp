@@ -77,10 +77,6 @@ struct TreeSweepOptions {
   /// Keep each tree's assembled KaryMatching in the score table (memory:
   /// one k×n index table per tree — leave off for k >= 7 full sweeps).
   bool keep_matchings = false;
-  /// Optional warm-start provider threaded into every tree's per-edge
-  /// BindingOptions (see core::WarmStartProvider). Must be thread-safe: the
-  /// sweep calls it from every worker.
-  const WarmStartProvider* warm_start = nullptr;
   /// Refuse full-space sweeps above this many trees (k=9 is ~4.8M; the
   /// guard forces the caller to opt into genuinely huge sweeps).
   std::int64_t max_trees = 5'000'000;

@@ -27,6 +27,15 @@ const bool kInstrumentsWarm = [] {
 }();
 #endif
 
+/// Traced runs reserve the Theorem 3 per-binding bound (n² events) up front.
+void reserve_trace(const GsOptions& options, Index n) {
+  if (options.trace != nullptr) {
+    options.trace->reserve(options.trace->size() +
+                           static_cast<std::size_t>(n) *
+                               static_cast<std::size_t>(n));
+  }
+}
+
 /// The per-solve arrays the proposal step reads and updates.
 struct MatchArrays {
   Index* proposer_match;
@@ -63,42 +72,40 @@ struct MatchArrays {
   return freed;
 }
 
-/// The seeded queue loop, monomorphized on the preference view
+/// The queue loop, monomorphized on the preference view
 /// (prefs/implicit/pref_view.hpp): ExplicitView<R> compiles to raw
 /// hoisted-pointer loads, ImplicitView evaluates the same entries from the
-/// seeded generator in O(1) each. held_rank is derived once from the seeded
-/// responder_match (all-free for a cold solve). Stack discipline: a freed
-/// proposer (the displaced holder or a rejected p) proposes next, otherwise
-/// the stack top. A proposer keeps its row handle while it is rejected, and
-/// every proposal fetches p's next choice together with p's rank
-/// (rank_and_next), so a rejected p proposes again at once; the fetched
-/// choice is dropped when p is accepted. Each proposal prefetches its rank
-/// cell as soon as the responder is known, and the pref cell of the likely
-/// proposal-after-next (the stack top); a mispredicted prefetch wastes a
-/// cache line, never changes the outcome. The hooks compile to nothing on
-/// the implicit backend.
+/// seeded generator in O(1) each. Every proposer starts free, pushed so pops
+/// ascend by index, and every responder unmatched (held_rank kFree). Stack
+/// discipline: a freed proposer (the displaced holder or a rejected p)
+/// proposes next, otherwise the stack top. A proposer keeps its row handle
+/// while it is rejected, and every proposal fetches p's next choice together
+/// with p's rank (rank_and_next), so a rejected p proposes again at once;
+/// the fetched choice is dropped when p is accepted. Each proposal
+/// prefetches its rank cell as soon as the responder is known, and the pref
+/// cell of the likely proposal-after-next (the stack top); a mispredicted
+/// prefetch wastes a cache line, never changes the outcome. The hooks
+/// compile to nothing on the implicit backend.
 template <typename View>
 void queue_loop(const View view, Index n, const GsOptions& options,
                 GsWorkspace& workspace, GsResult& result) {
+  workspace.next_choice.assign(static_cast<std::size_t>(n), Index{0});
   auto& free_stack = workspace.free_list;
-  if (free_stack.empty()) return;
-  Index* const responder_match = result.responder_match.data();
-  workspace.held_rank.resize(static_cast<std::size_t>(n));
-  for (Index r = 0; r < n; ++r) {
-    const Index holder = responder_match[static_cast<std::size_t>(r)];
-    workspace.held_rank[static_cast<std::size_t>(r)] =
-        holder < 0 ? GsWorkspace::kFree
-                   : static_cast<std::uint32_t>(
-                         view.rank_in(view.resp_row(r), holder));
+  free_stack.resize(static_cast<std::size_t>(n));
+  for (Index p = 0; p < n; ++p) {
+    free_stack[static_cast<std::size_t>(p)] = n - 1 - p;
   }
-  const MatchArrays arrays{result.proposer_match.data(), responder_match,
+  workspace.held_rank.assign(static_cast<std::size_t>(n), GsWorkspace::kFree);
+
+  const MatchArrays arrays{result.proposer_match.data(),
+                           result.responder_match.data(),
                            workspace.held_rank.data()};
   Index* const next_choice = workspace.next_choice.data();
 
   Index p = free_stack.back();
   free_stack.pop_back();
   // Pigeonhole: a proposer is never displaced off the end of its list
-  // (responders once matched stay matched); a valid seed preserves this.
+  // (responders once matched stay matched).
   KSTABLE_ASSERT(next_choice[static_cast<std::size_t>(p)] < n);
   auto prow = view.prop_row(p);
   Index r = view.choice_in(prow, next_choice[static_cast<std::size_t>(p)]);
@@ -198,14 +205,6 @@ void reset_result(GsResult& result, Gender i, Gender j, Index n) {
   result.rounds = 0;
 }
 
-void reserve_trace(const GsOptions& options, Index n) {
-  if (options.trace != nullptr) {
-    options.trace->reserve(options.trace->size() +
-                           static_cast<std::size_t>(n) *
-                               static_cast<std::size_t>(n));
-  }
-}
-
 void finish_engine(const KPartiteInstance& inst, const char* engine,
                    double wall_ms, GsResult& result) {
   result.engine = engine;
@@ -223,16 +222,6 @@ void finish_engine(const KPartiteInstance& inst, const char* engine,
   }
 }
 
-void run_seeded_queue(const KPartiteInstance& inst, Gender i, Gender j,
-                      const GsOptions& options, GsWorkspace& workspace,
-                      GsResult& result) {
-  // One backend + width dispatch per solve; identical matchings every way
-  // (the DiffRunner layout and implicit batteries pin this bitwise).
-  prefs::with_pref_view(inst, i, j, [&](const auto view) {
-    queue_loop(view, inst.per_gender(), options, workspace, result);
-  });
-}
-
 void gale_shapley_queue(const KPartiteInstance& inst, Gender i, Gender j,
                         const GsOptions& options, GsWorkspace& workspace,
                         GsResult& result) {
@@ -241,13 +230,11 @@ void gale_shapley_queue(const KPartiteInstance& inst, Gender i, Gender j,
   const Index n = inst.per_gender();
   reset_result(result, i, j, n);
   reserve_trace(options, n);
-  // All-free seed: nobody has proposed yet, pops ascend by index.
-  workspace.next_choice.assign(static_cast<std::size_t>(n), Index{0});
-  workspace.free_list.resize(static_cast<std::size_t>(n));
-  for (Index p = 0; p < n; ++p) {
-    workspace.free_list[static_cast<std::size_t>(p)] = n - 1 - p;
-  }
-  run_seeded_queue(inst, i, j, options, workspace, result);
+  // One backend + width dispatch per solve; identical matchings every way
+  // (the DiffRunner layout and implicit batteries pin this bitwise).
+  prefs::with_pref_view(inst, i, j, [&](const auto view) {
+    queue_loop(view, n, options, workspace, result);
+  });
   result.rounds = result.proposals;
   finish_engine(inst, "gs.queue", timer.millis(), result);
   KSTABLE_COUNTER_ADD("gs.queue.solves", 1);

@@ -7,14 +7,12 @@
 // order). The shared step remembers each responder's holder rank
 // (GsWorkspace::held_rank), so deciding a proposal evaluates one rank — the
 // proposer's — not two:
-//   * queue engine  — the seeded free-stack loop: the caller seeds the match
-//                     arrays, next_choice and the free stack (all-free for a
-//                     cold solve, the dirty closure for a warm restart,
-//                     incremental/warm_gs.hpp) and the loop proposes until
-//                     the stack is empty. Each proposal also fetches the
-//                     proposer's next choice (one lockstep generator walk
-//                     with the rank on the implicit backend), which a
-//                     rejected proposer uses at once. It software-prefetches
+//   * queue engine  — the free-stack loop: every proposer starts free on the
+//                     stack and the loop proposes until the stack is empty.
+//                     Each proposal also fetches the proposer's next choice
+//                     (one lockstep generator walk with the rank on the
+//                     implicit backend), which a rejected proposer uses at
+//                     once. It software-prefetches
 //                     the proposal's rank cell and the stack top's pref cell
 //                     (no-ops on the implicit backend); O(n²) worst case;
 //   * round engine  — the paper's description: per round, every unengaged
@@ -62,7 +60,7 @@ struct GsResult {
   /// Wall time of the engine run in milliseconds (0 for cache replays).
   double wall_ms = 0.0;
   /// Static-lifetime label of the engine that produced this result
-  /// ("gs.queue", "gs.rounds", "gs.parallel", "gs.scan", "gs.warm").
+  /// ("gs.queue", "gs.rounds", "gs.parallel", "gs.scan").
   const char* engine = "";
 };
 
@@ -139,26 +137,11 @@ void gale_shapley_rounds(const KPartiteInstance& inst, Gender i, Gender j,
                          const GsOptions& options, GsWorkspace& workspace,
                          GsResult& result);
 
-/// Runs the queue engine's loop from a caller-supplied seed, with no reset:
-/// `result`'s match arrays must hold a valid GS execution prefix (every
-/// matched pair consistent in both arrays), `workspace.next_choice[p]` the
-/// next rank proposer p tries, and `workspace.free_list` the free proposers
-/// (popped from the back). The loop derives workspace.held_rank from the
-/// seeded responder_match itself. Proposes until the free stack is empty —
-/// an empty seed returns at once with zero proposals — adding to
-/// result.proposals.
-/// The caller sets the label and checks the postcondition (finish_engine).
-void run_seeded_queue(const KPartiteInstance& inst, Gender i, Gender j,
-                      const GsOptions& options, GsWorkspace& workspace,
-                      GsResult& result);
-
-/// Engine plumbing shared by every GS engine (gs/ and incremental/).
+/// Engine plumbing shared by every GS engine.
 /// Throws ContractViolation unless 0 <= i, j < k and i != j.
 void check_genders(const KPartiteInstance& inst, Gender i, Gender j);
 /// Resets `result` for a fresh all-free (i, j) solve, reusing capacity.
 void reset_result(GsResult& result, Gender i, Gender j, Index n);
-/// Traced runs reserve the Theorem 3 per-binding bound (n² events) up front.
-void reserve_trace(const GsOptions& options, Index n);
 /// Stamps label and wall time, then enforces the postcondition: a perfect
 /// matching with consistent match arrays (ContractViolation otherwise).
 void finish_engine(const KPartiteInstance& inst, const char* engine,

@@ -9,12 +9,6 @@ namespace kstable::incremental {
 
 namespace {
 
-/// Copies a pref row span into owned storage (the row is about to be
-/// overwritten in place, so the delta must own the old order).
-std::vector<Index> snapshot(std::span<const Index> row) {
-  return {row.begin(), row.end()};
-}
-
 /// Rank width for a rebuilt instance of per-gender size `n`: preserve the
 /// source's layout choice unless n outgrew narrow16.
 prefs::RankWidth width_for(const KPartiteInstance& src, Index n) {
@@ -63,9 +57,7 @@ void MutationDelta::merge(const MutationDelta& later) {
                       << to_generation << ", later starts at "
                       << later.from_generation);
   for (const RowDelta& row : later.rows) {
-    // Earliest old row wins: if this delta already rewrote (member, target),
-    // its old_row is the state the last solve saw; later rewrites of the
-    // same row only move the *current* contents, which the instance holds.
+    // A row rewritten again stays one row: the instance holds its contents.
     const bool seen =
         std::any_of(rows.begin(), rows.end(), [&](const RowDelta& mine) {
           return mine.member == row.member && mine.target == row.target;
@@ -80,7 +72,7 @@ MutationDelta swap_entries(KPartiteInstance& inst, MemberId m, Gender g,
                            Index rank_a, Index rank_b) {
   MutationDelta delta;
   delta.from_generation = inst.generation();
-  delta.rows.push_back({m, g, snapshot(inst.pref_list(m, g))});
+  delta.rows.push_back({m, g});
   inst.swap_pref_entries(m, g, rank_a, rank_b);
   delta.to_generation = inst.generation();
   return delta;
@@ -90,7 +82,7 @@ MutationDelta replace_list(KPartiteInstance& inst, MemberId m, Gender g,
                            std::span<const Index> order) {
   MutationDelta delta;
   delta.from_generation = inst.generation();
-  delta.rows.push_back({m, g, snapshot(inst.pref_list(m, g))});
+  delta.rows.push_back({m, g});
   inst.set_pref_list(m, g, order);
   delta.to_generation = inst.generation();
   return delta;

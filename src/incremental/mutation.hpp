@@ -3,19 +3,15 @@
 // A service at scale does not rebuild a KPartiteInstance because one user
 // edited one preference list. The mutators here rewrite the arena pref/rank
 // rows IN PLACE (KPartiteInstance::swap_pref_entries / set_pref_list), bump
-// the per-instance generation counter, and return a MutationDelta — the
-// record every downstream consumer needs:
+// the per-instance generation counter, and return a MutationDelta: which
+// rows changed between two generations. That is all rematch() needs — the
+// touched gender pairs name the GsEdgeCache slots to invalidate() before
+// rebind()ing to the new generation, and the binding-tree edges to re-solve
+// cold; every other edge keeps its previous result.
 //
-//   * core::GsEdgeCache — which oriented edges to invalidate() before
-//     rebind()ing to the new generation;
-//   * incremental::warm_gale_shapley — the OLD rows of the changed lists,
-//     from which the dirty-proposer closure is computed;
-//   * incremental::rematch — the one-call driver tying both together.
-//
-// Deltas compose: merge() folds a later delta into an earlier one, keeping
-// the EARLIEST old row per (member, target) — exactly the row state the last
-// solved matching was computed against, which is what the warm restart needs
-// after several mutations between re-stabilizations.
+// Deltas compose: merge() folds a later delta into an earlier one, one row
+// per (member, target), so a delta covers several mutations between
+// re-stabilizations.
 //
 // Membership changes (add_member / remove_member) cannot rewrite in place —
 // the arena is sized by n — so they rebuild a new instance and mark the
@@ -33,18 +29,16 @@
 
 namespace kstable::incremental {
 
-/// One rewritten preference row: `member`'s list over gender `target`,
-/// with the full pre-mutation order captured for the warm-restart closure.
+/// One rewritten preference row: `member`'s list over gender `target`.
 struct RowDelta {
   MemberId member{};
   Gender target = -1;
-  std::vector<Index> old_row;
 };
 
 /// The difference between two instance generations, as a set of rewritten
 /// rows (plus the shape_changed escape hatch for membership churn).
 struct MutationDelta {
-  std::uint64_t from_generation = 0;  ///< generation the old rows belong to
+  std::uint64_t from_generation = 0;  ///< instance generation before applying
   std::uint64_t to_generation = 0;    ///< instance generation after applying
   bool shape_changed = false;         ///< add/remove member: everything stale
   std::vector<RowDelta> rows;
@@ -62,15 +56,14 @@ struct MutationDelta {
   /// of each are stale — see GsEdgeCache::invalidate).
   [[nodiscard]] std::vector<GenderEdge> touched_pairs() const;
 
-  /// Folds `later` (a delta that starts where this one ends) into this one:
-  /// per (member, target) the EARLIEST old row wins, so the merged delta
-  /// still describes the change since from_generation. Requires
-  /// later.from_generation == to_generation.
+  /// Folds `later` (a delta that starts where this one ends) into this one,
+  /// one row per (member, target), so the merged delta describes the change
+  /// since from_generation. Requires later.from_generation == to_generation.
   void merge(const MutationDelta& later);
 };
 
 /// Swaps the entries at `rank_a`/`rank_b` of m's list over `g` in place and
-/// returns the single-row delta (old row captured before the swap).
+/// returns the single-row delta.
 MutationDelta swap_entries(KPartiteInstance& inst, MemberId m, Gender g,
                            Index rank_a, Index rank_b);
 

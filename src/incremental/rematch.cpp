@@ -1,8 +1,5 @@
 #include "incremental/rematch.hpp"
 
-#include <utility>
-
-#include "incremental/warm_gs.hpp"
 #include "util/check.hpp"
 
 namespace kstable::incremental {
@@ -17,7 +14,7 @@ DeltaWarmStart::DeltaWarmStart(const core::BindingResult& previous,
 
 std::optional<gs::GsResult> DeltaWarmStart::warm_solve(
     const KPartiteInstance& inst, GenderEdge edge,
-    const core::BindingOptions& options) const {
+    const core::BindingOptions& /*options*/) const {
   const gs::GsResult* prev = nullptr;
   for (const gs::GsResult& r : previous_.edge_results) {
     if (r.proposer_gender == edge.a && r.responder_gender == edge.b) {
@@ -29,31 +26,26 @@ std::optional<gs::GsResult> DeltaWarmStart::warm_solve(
       prev->proposer_match.size() !=
           static_cast<std::size_t>(inst.per_gender())) {
     // A tree edge the previous solve never ran (retry ladder on a different
-    // tree) — nothing to continue from.
+    // tree): nothing to reuse.
     edges_cold_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  if (!delta_.touches(edge.a, edge.b)) {
-    // Neither side's rows over the other changed: the previous result is the
-    // new instance's proposer-optimal matching verbatim.
-    edges_reused_.fetch_add(1, std::memory_order_relaxed);
-    return *prev;
+  if (delta_.touches(edge.a, edge.b)) {
+    // A rewritten row over this pair: the selected engine re-solves it cold,
+    // which GS confluence makes exact.
+    edges_warm_.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
   }
-  gs::GsOptions gs_options;
-  gs_options.control = options.control;
-  gs_options.trace = options.trace;
-  gs::GsResult warm =
-      warm_gale_shapley(inst, edge.a, edge.b, *prev, delta_, gs_options);
-  edges_warm_.fetch_add(1, std::memory_order_relaxed);
-  warm_executed_.fetch_add(warm.proposals, std::memory_order_relaxed);
-  return warm;
+  // Neither side's rows over the other changed: the previous result is the
+  // new instance's proposer-optimal matching verbatim.
+  edges_reused_.fetch_add(1, std::memory_order_relaxed);
+  return *prev;
 }
 
 DeltaWarmStart::Stats DeltaWarmStart::stats() const noexcept {
   return {edges_reused_.load(std::memory_order_relaxed),
           edges_warm_.load(std::memory_order_relaxed),
-          edges_cold_.load(std::memory_order_relaxed),
-          warm_executed_.load(std::memory_order_relaxed)};
+          edges_cold_.load(std::memory_order_relaxed)};
 }
 
 RematchReport rematch(const KPartiteInstance& inst,
@@ -87,14 +79,14 @@ RematchReport rematch(const KPartiteInstance& inst,
     options.cache->rebind(inst);
   }
 
-  // Step 2: re-solve, warm where the delta permits.
+  // Step 2: re-solve, reusing every edge the delta left untouched.
   core::BindingOptions bopts;
   bopts.engine = options.engine;
   bopts.pool = options.pool;
   bopts.control = options.control;
   bopts.cache = options.cache;
-  if (delta.shape_changed || !options.warm_start) {
-    report.cold_fallback = delta.shape_changed;
+  if (delta.shape_changed) {
+    report.cold_fallback = true;
     report.result = core::iterative_binding(inst, tree, bopts);
     return report;
   }
@@ -105,7 +97,7 @@ RematchReport rematch(const KPartiteInstance& inst,
   report.edges_reused = stats.edges_reused;
   report.edges_warm = stats.edges_warm;
   report.edges_cold = stats.edges_cold;
-  report.warm_executed_proposals = stats.warm_executed_proposals;
+  report.warm_executed_proposals = report.result.executed_proposals;
   return report;
 }
 

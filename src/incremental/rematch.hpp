@@ -8,13 +8,14 @@
 //      generation — or clear()s everything when the shape changed;
 //   2. re-runs Algorithm 1 with a DeltaWarmStart provider attached, so
 //      untouched edges reuse the previous per-edge results verbatim and
-//      touched edges run the warm GS continuation instead of a cold solve;
+//      touched edges re-solve cold with the selected engine;
 //   3. reports exact work accounting: slots invalidated, edges
-//      reused/warm/cold, and the continuation proposals actually executed —
-//      the counters the churn batteries prove "strictly less than a cold
+//      reused/re-solved/cold, and the proposals actually executed — the
+//      counters the churn batteries prove "strictly less than a cold
 //      re-solve" with.
 // The resulting matching is bitwise-identical to a cold solve of the mutated
-// instance (GS confluence; pinned by the DiffRunner churn battery).
+// instance: a cold solve of a touched edge is exact, and an untouched edge's
+// rows did not change (pinned by the DiffRunner churn battery).
 #pragma once
 
 #include <atomic>
@@ -33,9 +34,9 @@ namespace kstable::incremental {
 /// WarmStartProvider backed by a previous BindingResult plus the delta since
 /// it was computed. Per oriented edge: an edge the delta does not touch
 /// returns the previous result verbatim (zero proposals executed); a touched
-/// edge runs warm_gale_shapley; an edge absent from the previous result
-/// (different tree) answers nullopt and falls back to the cold engine.
-/// Thread-safe: const with atomic counters (TreeSweep workers may share it).
+/// edge, or one absent from the previous result (different tree) or sized
+/// for another n, answers nullopt, so the selected engine solves it cold.
+/// Thread-safe: const with atomic counters (ladder workers may share it).
 /// Holds references — `previous` and `delta` must outlive the provider.
 class DeltaWarmStart final : public core::WarmStartProvider {
  public:
@@ -48,13 +49,12 @@ class DeltaWarmStart final : public core::WarmStartProvider {
       const KPartiteInstance& inst, GenderEdge edge,
       const core::BindingOptions& options) const override;
 
-  /// Exact work accounting, independent of the cache's hit/miss counters
-  /// (which cannot distinguish a warm compute from a cold one).
+  /// Per-edge answers, independent of the cache's hit/miss counters (which
+  /// cannot tell a reused result from a computed one).
   struct Stats {
     std::int64_t edges_reused = 0;  ///< untouched: previous result returned
-    std::int64_t edges_warm = 0;    ///< touched: warm continuation ran
+    std::int64_t edges_warm = 0;    ///< touched: re-solved cold
     std::int64_t edges_cold = 0;    ///< not in previous result: cold fallback
-    std::int64_t warm_executed_proposals = 0;  ///< continuation work only
   };
   [[nodiscard]] Stats stats() const noexcept;
 
@@ -64,7 +64,6 @@ class DeltaWarmStart final : public core::WarmStartProvider {
   mutable std::atomic<std::int64_t> edges_reused_{0};
   mutable std::atomic<std::int64_t> edges_warm_{0};
   mutable std::atomic<std::int64_t> edges_cold_{0};
-  mutable std::atomic<std::int64_t> warm_executed_{0};
 };
 
 struct RematchOptions {
@@ -76,9 +75,6 @@ struct RematchOptions {
   /// the targeted invalidation + rebind itself; the caller only guarantees
   /// quiescence (no concurrent solve is using the cache during rematch).
   core::GsEdgeCache* cache = nullptr;
-  /// Escape hatch: false forces a cold re-solve (cache still invalidated),
-  /// for A/B measurement of what the warm start buys.
-  bool warm_start = true;
 };
 
 struct RematchReport {
@@ -88,18 +84,25 @@ struct RematchReport {
   /// clear() would drop for single-pair deltas at k >= 3 — the churn battery
   /// asserts this.
   std::size_t slots_invalidated = 0;
+  /// Edges answered from `previous` (cache hits count in
+  /// result.cache_hits instead).
   std::int64_t edges_reused = 0;
+  /// Touched tree edges re-solved cold.
   std::int64_t edges_warm = 0;
+  /// Edges `previous` lacks (another tree), solved cold.
   std::int64_t edges_cold = 0;
-  /// Proposals the warm continuations executed (reused edges add zero).
+  /// Proposals executed on the edges this call solved (result's
+  /// executed_proposals): the touched edges' cold work, plus edges_cold's;
+  /// reused edges and cache hits add zero. 0 on a cold fallback.
   std::int64_t warm_executed_proposals = 0;
   /// True when the delta's shape_changed forced a full cold solve.
   bool cold_fallback = false;
 };
 
 /// Re-stabilizes `inst` (already mutated; delta.to_generation must equal
-/// inst.generation()) over `tree`, warm-starting from `previous` — the
-/// binding result solved on the pre-delta instance over the same tree.
+/// inst.generation()) over `tree`, reusing `previous` — the binding result
+/// solved on the pre-delta instance over the same tree — for every edge the
+/// delta left untouched.
 /// Returns the new proposer-optimal matching, bitwise-identical to a cold
 /// iterative_binding of the mutated instance.
 RematchReport rematch(const KPartiteInstance& inst,

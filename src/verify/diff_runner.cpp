@@ -420,9 +420,10 @@ void binding_checks(const KPartiteInstance& inst, const Recorder& rec,
 /// A mutable copy of the instance absorbs `churn_steps` seeded random
 /// preference deltas; after every step the incremental pipeline must agree
 /// bitwise with a cold solve of the mutated instance, the generation-bound
-/// cache must refuse stale lookups, and the warm path must provably do less
-/// work than starting over (the counter checks are scoped to single-pair
-/// deltas at k >= 3, where "strictly fewer" is a theorem, not a heuristic).
+/// cache must refuse stale lookups, and rematch must provably do less work
+/// than starting over (the counter checks are scoped to single-pair deltas
+/// at k >= 3, where "strictly fewer" is a theorem, not a heuristic: only the
+/// touched tree edge, if any, is re-solved).
 void churn_checks(const KPartiteInstance& original, const Recorder& rec,
                   const DiffOptions& options) {
   const Gender k = original.genders();
@@ -442,7 +443,7 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
     auto delta = incremental::random_mutation(inst, rng);
     if (step % 3 == 2) {
       // Every third step stacks a second mutation before re-stabilizing, so
-      // the merged-delta path (earliest-old-row-wins) is exercised too.
+      // the merged-delta path is exercised too.
       delta.merge(incremental::random_mutation(inst, rng));
     }
 
@@ -467,14 +468,14 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
     const bool single_pair = !delta.shape_changed &&
                              delta.touched_pairs().size() == 1;
 
-    {  // Cached warm rematch: the headline incremental path.
+    {  // Cached rematch: the headline incremental path.
       incremental::RematchOptions ropts;
       ropts.cache = &cache;
       const auto warm = incremental::rematch(inst, path, previous, delta,
                                              ropts);
       kary_agree(rec, "churn.rematch.bitwise", cold.matching(),
                  warm.result.matching(),
-                 "cached warm rematch vs cold re-solve");
+                 "cached rematch vs cold re-solve");
       std::ostringstream es;
       bool edges_ok = warm.result.edge_results.size() ==
                       cold.edge_results.size();
@@ -493,15 +494,15 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
         rec.check(warm.slots_invalidated < ready_before,
                   "churn.cache.invalidate.targeted", os.str());
         std::ostringstream ps;
-        ps << "warm rematch executed " << warm.result.executed_proposals
+        ps << "rematch executed " << warm.result.executed_proposals
            << " proposals, cold re-solve " << cold.total_proposals;
         rec.check(warm.result.executed_proposals < cold.total_proposals,
                   "churn.cache.executed.fewer", ps.str());
       }
     }
 
-    {  // Pure-provider path (no cache): every engine's cold fallback must
-       // not matter — reused + warm answers cover the whole tree.
+    {  // Pure-provider path (no cache): the selected engine re-solves the
+       // touched edges — reused + re-solved answers cover the whole tree.
       for (const auto engine :
            {core::GsEngine::queue, core::GsEngine::rounds}) {
         incremental::RematchOptions ropts;
@@ -513,7 +514,7 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
                    std::string("provider rematch under engine ") +
                        core::to_string(engine) + " vs cold re-solve");
         std::ostringstream es;
-        es << "edges reused " << warm.edges_reused << " + warm "
+        es << "edges reused " << warm.edges_reused << " + re-solved "
            << warm.edges_warm << " + cold " << warm.edges_cold
            << " != " << (k - 1) << " tree edges";
         rec.check(warm.edges_reused + warm.edges_warm + warm.edges_cold ==
@@ -523,13 +524,13 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
     }
 
     {  // Width twin: the relaid copy shares the generation, so the same
-       // delta warm-restarts it — and must land on the same matching.
+       // delta rematches it — and must land on the same matching.
       if (const auto width = other_width(inst)) {
         const auto twin = KPartiteInstance::relaid(inst, *width);
         const auto warm = incremental::rematch(twin, path, previous, delta);
         kary_agree(rec, "churn.width.bitwise", cold.matching(),
                    warm.result.matching(),
-                   "relaid-width warm rematch vs cold re-solve");
+                   "relaid-width rematch vs cold re-solve");
       }
     }
 
@@ -546,7 +547,7 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
       }
     }
 
-    previous = cold;  // the next step warm-starts from this solve
+    previous = cold;  // the next step reuses this solve
   }
 }
 

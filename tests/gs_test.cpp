@@ -280,80 +280,5 @@ TEST(StabilityCheck, RejectsPartialMatching) {
   EXPECT_FALSE(gs::is_stable_binding(inst, fake));
 }
 
-/// Replays the first `t` events of a traced cold queue solve of (i, j) into
-/// a seed — match arrays, next_choice, and the free stack with the proposer
-/// in flight on top — and runs gs::run_seeded_queue from it. The seeded run
-/// must finish the cold run exactly: same matching, the cold trace's
-/// remaining events, and t + its proposals = the cold proposals. Seeds with
-/// held pairs pin that the loop re-derives each holder's rank.
-void expect_seeded_run_continues_cold(const KPartiteInstance& inst, Gender i,
-                                      Gender j) {
-  const Index n = inst.per_gender();
-  std::vector<gs::ProposalEvent> cold_trace;
-  gs::GsOptions traced;
-  traced.trace = &cold_trace;
-  const auto cold = gs::gale_shapley_queue(inst, i, j, traced);
-  const auto total = static_cast<std::size_t>(cold.proposals);
-  ASSERT_EQ(cold_trace.size(), total);
-
-  for (const std::size_t t : {std::size_t{0}, std::size_t{1}, total / 3,
-                              total / 2, total - 1, total}) {
-    gs::GsWorkspace seed;
-    gs::GsResult result;
-    gs::reset_result(result, i, j, n);
-    seed.next_choice.assign(static_cast<std::size_t>(n), Index{0});
-    for (Index p = n - 1; p >= 0; --p) seed.free_list.push_back(p);
-    Index in_flight = -1;
-    for (std::size_t e = 0; e < t; ++e) {
-      const auto& ev = cold_trace[e];
-      if (in_flight < 0) {
-        ASSERT_EQ(seed.free_list.back(), ev.proposer);
-        seed.free_list.pop_back();
-      }
-      ASSERT_EQ(seed.next_choice[static_cast<std::size_t>(ev.proposer)]++,
-                inst.rank_of({i, ev.proposer}, {j, ev.responder}));
-      in_flight = ev.proposer;
-      if (ev.accepted) {
-        result.responder_match[static_cast<std::size_t>(ev.responder)] =
-            ev.proposer;
-        result.proposer_match[static_cast<std::size_t>(ev.proposer)] =
-            ev.responder;
-        in_flight = ev.displaced;
-        if (ev.displaced >= 0) {
-          result.proposer_match[static_cast<std::size_t>(ev.displaced)] = -1;
-        }
-      }
-    }
-    if (in_flight >= 0) seed.free_list.push_back(in_flight);
-
-    std::vector<gs::ProposalEvent> seeded_trace;
-    gs::GsOptions options;
-    options.trace = &seeded_trace;
-    gs::run_seeded_queue(inst, i, j, options, seed, result);
-    EXPECT_EQ(result.proposer_match, cold.proposer_match) << "t=" << t;
-    EXPECT_EQ(result.responder_match, cold.responder_match) << "t=" << t;
-    EXPECT_EQ(static_cast<std::size_t>(result.proposals), total - t)
-        << "t=" << t;
-    EXPECT_TRUE(std::equal(seeded_trace.begin(), seeded_trace.end(),
-                           cold_trace.begin() + static_cast<std::ptrdiff_t>(t),
-                           cold_trace.end()))
-        << "t=" << t;
-  }
-}
-
-TEST(SeededQueue, ContinuesAColdRunFromAnyPrefix) {
-  Rng rng(2024);
-  const auto narrow = gen::uniform(3, 40, rng);
-  ASSERT_EQ(narrow.rank_width(), prefs::RankWidth::narrow16);
-  const auto wide = KPartiteInstance::relaid(narrow, prefs::RankWidth::wide32);
-  const auto implicit = KPartiteInstance::make_implicit(
-      3, 40, {prefs::imp::Family::uniform, 0x5eedULL});
-  for (const KPartiteInstance* inst : {&narrow, &wide, &implicit}) {
-    SCOPED_TRACE(to_string(inst->backend()));
-    expect_seeded_run_continues_cold(*inst, 0, 1);
-    expect_seeded_run_continues_cold(*inst, 2, 0);
-  }
-}
-
 }  // namespace
 }  // namespace kstable

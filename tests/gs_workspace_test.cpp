@@ -4,9 +4,8 @@
 // ZERO heap allocations per solve, that traced runs reserve the Theorem 3
 // bound (n² events) up front instead of growing geometrically, that the
 // instance loader allocates a fixed number of times per instance, not per
-// preference row, and that Algorithm 1's class derivation and the warm
-// restart allocate a fixed number of flat tables, not one vector per class
-// or per responder.
+// preference row, and that Algorithm 1's class derivation allocates a fixed
+// number of flat tables, not one vector per class.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,8 +16,6 @@
 #include "core/equivalence.hpp"
 #include "graph/prufer.hpp"
 #include "gs/gale_shapley.hpp"
-#include "incremental/mutation.hpp"
-#include "incremental/warm_gs.hpp"
 #include "prefs/generators.hpp"
 #include "prefs/io.hpp"
 #include "serve/client.hpp"
@@ -266,33 +263,6 @@ TEST(DeriveFamiliesAllocations, SameCountAtEverySize) {
     EXPECT_EQ(small, large) << "k = " << tree.genders();
     EXPECT_LE(large, 16) << "k = " << tree.genders();
   }
-}
-
-/// Allocations of one warm restart of GS(0, 1) after a swap at the top of
-/// proposer n/2's list over gender 1 (a delta that always dirties someone).
-std::int64_t warm_allocations(Index n, Rng& rng) {
-  auto inst = gen::uniform(3, n, rng);
-  const auto previous = gale_shapley_queue(inst, 0, 1);
-  const auto delta = incremental::swap_entries(inst, {0, n / 2}, 1, 0, 1);
-  GsResult warm;
-  incremental::WarmGsStats stats;
-  const std::int64_t allocs = allocations_during([&] {
-    warm = incremental::warm_gale_shapley(inst, 0, 1, previous, delta, {},
-                                          &stats);
-  });
-  EXPECT_GT(stats.dirty_proposers, 0);
-  EXPECT_EQ(warm.proposer_match, gale_shapley_queue(inst, 0, 1).proposer_match);
-  return allocs;
-}
-
-TEST(WarmGsAllocations, SameCountAtEverySize) {
-  // Rule 5's suitor lists are one flat table and every queue is reserved at
-  // n, so a warm restart's allocations do not grow with n.
-  Rng rng(80);
-  const std::int64_t small = warm_allocations(16, rng);
-  const std::int64_t large = warm_allocations(512, rng);
-  EXPECT_EQ(small, large);
-  EXPECT_LE(large, 16);
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
-// Tests for src/incremental/: preference-churn mutations, the warm-restart
-// GS continuation, and the rematch() driver. The load-bearing property —
-// after any in-place delta, the incremental path reproduces a cold solve of
-// the mutated instance bit for bit, with counter proof of strictly less
-// work — is pinned here deterministically and at scale by the DiffRunner
-// churn battery (kmatch verify --churn).
+// Tests for src/incremental/: preference-churn mutations and the rematch()
+// driver. The load-bearing property — after any in-place delta, the
+// incremental path reproduces a cold solve of the mutated instance bit for
+// bit, executing only the touched tree edges' cold work — is pinned here
+// deterministically and at scale by the DiffRunner churn battery
+// (kmatch verify --churn).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/binding.hpp"
@@ -17,7 +16,6 @@
 #include "gs/gale_shapley.hpp"
 #include "incremental/mutation.hpp"
 #include "incremental/rematch.hpp"
-#include "incremental/warm_gs.hpp"
 #include "prefs/generators.hpp"
 #include "resilience/fault_injection.hpp"
 #include "resilience/solve_ladder.hpp"
@@ -52,7 +50,6 @@ TEST(Mutation, SwapEntriesCapturesOldRowAndBumpsGeneration) {
   ASSERT_EQ(delta.rows.size(), 1u);
   EXPECT_EQ(delta.rows[0].member, m);
   EXPECT_EQ(delta.rows[0].target, 1);
-  EXPECT_EQ(delta.rows[0].old_row, before);
 
   auto expected = before;
   std::swap(expected[0], expected[3]);
@@ -67,13 +64,13 @@ TEST(Mutation, ReplaceListCapturesOldRow) {
   Rng rng(2);
   auto inst = gen::uniform(3, 4, rng);
   const MemberId m{2, 1};
-  const auto before = row_copy(inst, m, 0);
   const std::vector<Index> order{3, 1, 0, 2};
 
   const auto delta = replace_list(inst, m, 0, order);
 
   ASSERT_EQ(delta.rows.size(), 1u);
-  EXPECT_EQ(delta.rows[0].old_row, before);
+  EXPECT_EQ(delta.rows[0].member, m);
+  EXPECT_EQ(delta.rows[0].target, 0);
   EXPECT_EQ(row_copy(inst, m, 0), order);
   EXPECT_EQ(delta.to_generation, inst.generation());
   EXPECT_NO_THROW(inst.validate());
@@ -110,10 +107,14 @@ TEST(Mutation, MergeKeepsEarliestOldRowAndChecksAdjacency) {
   const auto second = swap_entries(inst, m, 1, 2, 4);
   delta.merge(second);
 
-  // Same (member, target) twice: one row, the pre-FIRST-mutation order — the
-  // state the last solved matching saw, which is what warm restart replays.
+  // Same (member, target) twice: one row, and the instance holds both swaps.
   ASSERT_EQ(delta.rows.size(), 1u);
-  EXPECT_EQ(delta.rows[0].old_row, original);
+  EXPECT_EQ(delta.rows[0].member, m);
+  EXPECT_EQ(delta.rows[0].target, 1);
+  auto expected = original;
+  std::swap(expected[0], expected[1]);
+  std::swap(expected[2], expected[4]);
+  EXPECT_EQ(row_copy(inst, m, 1), expected);
   EXPECT_EQ(delta.from_generation, inst.generation() - 2);
   EXPECT_EQ(delta.to_generation, inst.generation());
 
@@ -138,10 +139,10 @@ TEST(Mutation, AddMemberGrowsEveryGenderAndBridgesGenerations) {
   EXPECT_TRUE(grown.instance.is_complete());
   // The source is untouched, and old relative orders survive the splice.
   EXPECT_EQ(inst.per_gender(), 4);
-  const auto old_row = row_copy(inst, {0, 1}, 2);
+  const auto source_row = row_copy(inst, {0, 1}, 2);
   auto new_row = row_copy(grown.instance, {0, 1}, 2);
   std::erase(new_row, Index{4});
-  EXPECT_EQ(new_row, old_row);
+  EXPECT_EQ(new_row, source_row);
 }
 
 TEST(Mutation, RemoveMemberReindexesSurvivors) {
@@ -165,152 +166,6 @@ TEST(Mutation, RemoveMemberReindexesSurvivors) {
   EXPECT_EQ(row_copy(shrunk.instance, {1, 2}, 0), expected);
 
   EXPECT_THROW(remove_member(shrunk.instance, Index{7}), ContractViolation);
-}
-
-// ---------------------------------------------------------------------------
-// Warm-restart GS: bitwise agreement with a cold solve, contract checks,
-// and the closure stats.
-
-TEST(WarmGs, MatchesColdSolveAcrossRandomChurn) {
-  Rng seeds(8);
-  for (int trial = 0; trial < 30; ++trial) {
-    Rng rng(seeds.below(1u << 30));
-    auto inst = gen::uniform(3, 6, rng);
-    const auto previous = gs::gale_shapley_queue(inst, 0, 1);
-
-    auto delta = random_mutation(inst, rng);
-    if (trial % 3 == 0) delta.merge(random_mutation(inst, rng));
-
-    WarmGsStats stats;
-    const auto warm =
-        warm_gale_shapley(inst, 0, 1, previous, delta, {}, &stats);
-    const auto cold = gs::gale_shapley_queue(inst, 0, 1);
-
-    ASSERT_EQ(warm.proposer_match, cold.proposer_match) << "trial " << trial;
-    ASSERT_EQ(warm.responder_match, cold.responder_match);
-    EXPECT_EQ(std::string_view(warm.engine), "gs.warm");
-    // Continuation work never exceeds a full cold re-solve, and the closure
-    // is bounded by the population.
-    EXPECT_LE(warm.proposals, cold.proposals);
-    EXPECT_LE(stats.dirty_proposers, inst.per_gender());
-    EXPECT_LE(stats.dirty_responders, inst.per_gender());
-    // A delta that does not touch (0, 1) dirties nobody: pure replay.
-    if (!delta.touches(0, 1)) {
-      EXPECT_EQ(warm.proposals, 0);
-      EXPECT_EQ(stats.dirty_proposers, 0);
-    }
-  }
-}
-
-TEST(WarmGs, EmptySeedReturnsPreviousWithZeroProposals) {
-  // An empty dirty closure seeds an empty free stack: the seeded queue loop
-  // must return without proposing and hand back the previous match arrays.
-  Rng rng(11);
-  for (const auto width : {prefs::RankWidth::narrow16,
-                           prefs::RankWidth::wide32}) {
-    auto inst = KPartiteInstance::relaid(gen::uniform(3, 7, rng), width);
-    const auto previous = gs::gale_shapley_queue(inst, 0, 1);
-    // A delta over another gender pair cannot affect GS(0, 1).
-    const auto elsewhere = swap_entries(inst, {2, 3}, 1, 0, 4);
-    ASSERT_FALSE(elsewhere.touches(0, 1));
-    MutationDelta empty;
-    empty.from_generation = inst.generation();
-    empty.to_generation = inst.generation();
-
-    const MutationDelta* const deltas[] = {&empty, &elsewhere};
-    for (const MutationDelta* delta : deltas) {
-      WarmGsStats stats;
-      const auto warm =
-          warm_gale_shapley(inst, 0, 1, previous, *delta, {}, &stats);
-      EXPECT_EQ(warm.proposer_match, previous.proposer_match);
-      EXPECT_EQ(warm.responder_match, previous.responder_match);
-      EXPECT_EQ(warm.proposals, 0);
-      EXPECT_EQ(stats.dirty_proposers, 0);
-      EXPECT_EQ(std::string_view(warm.engine), "gs.warm");
-    }
-  }
-}
-
-TEST(WarmGs, FullyDirtySeedReplaysTheColdTrace) {
-  // When every proposer is dirty the seed is the all-free cold seed, so the
-  // warm continuation must replay the cold queue engine event for event.
-  Rng rng(12);
-  auto inst = gen::uniform(2, 9, rng);
-  const auto previous = gs::gale_shapley_queue(inst, 0, 1);
-  MutationDelta delta = swap_entries(inst, {0, 0}, 1, 0, 1);
-  for (Index p = 1; p < inst.per_gender(); ++p) {
-    delta.merge(swap_entries(inst, {0, p}, 1, 0, 1));
-  }
-
-  std::vector<gs::ProposalEvent> warm_trace;
-  std::vector<gs::ProposalEvent> cold_trace;
-  gs::GsOptions warm_options;
-  warm_options.trace = &warm_trace;
-  gs::GsOptions cold_options;
-  cold_options.trace = &cold_trace;
-  WarmGsStats stats;
-  const auto warm =
-      warm_gale_shapley(inst, 0, 1, previous, delta, warm_options, &stats);
-  const auto cold = gs::gale_shapley_queue(inst, 0, 1, cold_options);
-
-  EXPECT_EQ(stats.dirty_proposers, inst.per_gender());
-  EXPECT_EQ(warm.proposer_match, cold.proposer_match);
-  EXPECT_EQ(warm.proposals, cold.proposals);
-  EXPECT_EQ(warm_trace, cold_trace);
-}
-
-TEST(WarmGs, ClosureSizesOnChurnArePinned) {
-  // Fifty fixed-seed random edits at the perfbench churn shape (k = 3,
-  // n = 128), warm-restarting GS(0, 1) after each edit that touches it. The
-  // closure is a least fixpoint, so how its adjacency is stored cannot
-  // change what it dirties: the summed closure sizes and continuation
-  // proposals are pinned to the values the per-responder layout produced.
-  Rng rng(2020);
-  auto inst = gen::uniform(3, 128, rng);
-  auto previous = gs::gale_shapley_queue(inst, 0, 1);
-  std::int64_t restarts = 0;
-  std::int64_t dirty_proposers = 0;
-  std::int64_t dirty_responders = 0;
-  std::int64_t proposals = 0;
-  for (int edit = 0; edit < 50; ++edit) {
-    const auto delta = random_mutation(inst, rng);
-    // An edit elsewhere leaves GS(0, 1)'s rows, and so `previous`, intact.
-    if (!delta.touches(0, 1)) continue;
-    WarmGsStats stats;
-    auto warm = warm_gale_shapley(inst, 0, 1, previous, delta, {}, &stats);
-    ASSERT_EQ(warm.proposer_match,
-              gs::gale_shapley_queue(inst, 0, 1).proposer_match)
-        << "edit " << edit;
-    ++restarts;
-    dirty_proposers += stats.dirty_proposers;
-    dirty_responders += stats.dirty_responders;
-    proposals += warm.proposals;
-    previous = std::move(warm);
-  }
-  EXPECT_EQ(restarts, 17);
-  EXPECT_EQ(dirty_proposers, 2159);
-  EXPECT_EQ(dirty_responders, 2159);
-  EXPECT_EQ(proposals, 10168);
-}
-
-TEST(WarmGs, RejectsShapeChangeStaleDeltaAndWrongOrientation) {
-  Rng rng(9);
-  auto inst = gen::uniform(3, 4, rng);
-  const auto previous = gs::gale_shapley_queue(inst, 0, 1);
-
-  auto shape = add_member(inst, rng);
-  EXPECT_THROW(warm_gale_shapley(shape.instance, 0, 1, previous, shape.delta),
-               ContractViolation);
-
-  auto delta = swap_entries(inst, {0, 0}, 1, 0, 1);
-  swap_entries(inst, {0, 0}, 1, 0, 1);  // generation moved past the delta
-  EXPECT_THROW(warm_gale_shapley(inst, 0, 1, previous, delta),
-               ContractViolation);
-
-  auto fresh = swap_entries(inst, {0, 1}, 1, 0, 2);
-  // `previous` solved (0, 1); presenting it as the (1, 0) result must throw.
-  EXPECT_THROW(warm_gale_shapley(inst, 1, 0, previous, fresh),
-               ContractViolation);
 }
 
 // ---------------------------------------------------------------------------
@@ -347,7 +202,8 @@ TEST(Rematch, BitwiseEqualsColdWithTargetedInvalidation) {
     }
     // One mutated row touches one gender pair: at most 2 oriented slots were
     // ready, strictly fewer than the k-1 a clear() would have dropped, and
-    // the warm continuations did strictly less work than the cold re-solve.
+    // re-solving the touched edge did strictly less work than re-solving
+    // every edge.
     EXPECT_LT(report.slots_invalidated, static_cast<std::size_t>(k - 1));
     EXPECT_LE(report.slots_invalidated, 2u);
     EXPECT_EQ(report.edges_reused + report.edges_warm + report.edges_cold +
@@ -355,25 +211,56 @@ TEST(Rematch, BitwiseEqualsColdWithTargetedInvalidation) {
               k - 1);
     EXPECT_LT(report.warm_executed_proposals, cold.total_proposals);
     EXPECT_EQ(*cache.bound_generation(), inst.generation());
-    previous = cold;  // next step warm-starts from this step's ground truth
+    previous = cold;  // next step reuses this step's ground truth
   }
 }
 
-TEST(Rematch, WarmStartOffStillInvalidatesAndMatchesCold) {
-  const Gender k = 3;
-  Rng rng(11);
-  auto inst = gen::uniform(k, 5, rng);
-  const auto tree = trees::path(k);
-  const auto previous = core::iterative_binding(inst, tree, {});
+TEST(Rematch, ExecutedProposalsAreTheTouchedEdgesColdWork) {
+  // What rematch executes is exactly the cold queue-engine work of the tree
+  // edges the delta touched: untouched edges come from `previous` (no cache)
+  // or from cache hits, and neither adds a proposal.
+  for (const Gender k : {Gender{3}, Gender{5}}) {
+    for (const bool cached : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " cached=" << cached);
+      Rng rng(15 + static_cast<std::uint64_t>(k));
+      auto inst = gen::uniform(k, 24, rng);
+      const auto tree = trees::path(k);
+      core::GsEdgeCache cache(inst);
+      RematchOptions options;
+      core::BindingOptions init;
+      if (cached) {
+        options.cache = &cache;
+        init.cache = &cache;
+      }
+      auto previous = core::iterative_binding(inst, tree, init);
 
-  const auto delta = random_mutation(inst, rng);
-  RematchOptions options;
-  options.warm_start = false;
-  const auto report = rematch(inst, tree, previous, delta, options);
-  const auto cold = core::iterative_binding(inst, tree, {});
-  EXPECT_EQ(report.result.matching(), cold.matching());
-  EXPECT_EQ(report.edges_warm, 0);
-  EXPECT_EQ(report.warm_executed_proposals, 0);
+      {  // Pair (0, 2) is not a path-tree edge: nothing to re-solve.
+        const auto delta = swap_entries(inst, {0, 1}, 2, 0, 1);
+        const auto report = rematch(inst, tree, previous, delta, options);
+        EXPECT_EQ(report.edges_warm, 0);
+        EXPECT_EQ(report.warm_executed_proposals, 0);
+        EXPECT_EQ(report.result.matching(),
+                  core::iterative_binding(inst, tree, {}).matching());
+        previous = report.result;
+      }
+      for (int step = 0; step < 12; ++step) {
+        auto delta = random_mutation(inst, rng);
+        if (step % 3 == 2) delta.merge(random_mutation(inst, rng));
+        const auto report = rematch(inst, tree, previous, delta, options);
+        std::int64_t touched = 0;
+        std::int64_t cold_work = 0;
+        for (const GenderEdge& e : tree.edges()) {
+          if (!delta.touches(e.a, e.b)) continue;
+          ++touched;
+          cold_work += gs::gale_shapley_queue(inst, e.a, e.b).proposals;
+        }
+        EXPECT_EQ(report.edges_warm, touched) << "step " << step;
+        EXPECT_EQ(report.warm_executed_proposals, cold_work) << "step " << step;
+        EXPECT_EQ(report.result.executed_proposals, cold_work);
+        previous = report.result;
+      }
+    }
+  }
 }
 
 TEST(Rematch, ShapeChangeFallsBackToColdSolve) {
