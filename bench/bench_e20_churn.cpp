@@ -3,19 +3,24 @@
 //
 // Claims regenerated:
 //  * after a small preference delta, rematch() reproduces the cold re-solve
-//    of the mutated instance bitwise (the self-check line below is grepped
-//    by CI) while executing only the cold proposals of the tree edges the
-//    delta touched: a touched edge is re-solved cold, which GS confluence
-//    makes exact;
-//  * the saving is the untouched edges: each returns its previous result
-//    (or a cache hit) at zero proposals, so the work scales with the number
-//    of touched tree edges, not with the tree;
-//  * targeted cache invalidation drops only the touched oriented slots of
-//    the k-1 tree edges, so untouched edges replay for free.
+//    of the mutated instance bitwise (the self-check lines below are
+//    grepped by CI) while executing only the cold proposals of the tree
+//    edges whose previous result the delta invalidated;
+//  * exact replay: a touched edge whose changed ranks lie outside what
+//    Gale-Shapley read (the proposers' walks, the responders' order over
+//    their suitors) keeps its previous result, and when no tree edge needs
+//    a re-solve rematch skips Algorithm 1 altogether (0 proposals);
+//  * the saving is the untouched and replayed edges: each returns its
+//    previous result (or a cache hit) at zero proposals, so the work scales
+//    with the number of re-solved tree edges, not with the tree;
+//  * targeted cache invalidation drops only the stale oriented slots of
+//    the k-1 tree edges, so untouched and replayed edges replay for free.
 //
 // The google-benchmark rows pin the timing ratio (bm_rematch_warm vs
 // bm_resolve_cold at the same n) and the deterministic warm_proposals /
-// cold_proposals counters that scripts/compare_bench.py gates exactly.
+// cold_proposals counters that scripts/compare_bench.py gates exactly;
+// bm_rematch_replay's frozen edit misses the read region, so its
+// warm_proposals is pinned at 0.
 
 #include <string>
 #include <utility>
@@ -68,7 +73,7 @@ incremental::MutationDelta apply_churn(KPartiteInstance& inst, int swaps,
 }
 
 /// One frozen churn scenario per n: the pre-churn solve, the mutated
-/// instance, and the single-swap delta bridging them. Both benchmarks replay
+/// instance, and the single-swap delta bridging them. The benchmarks replay
 /// the same scenario every iteration, so their proposal counters are exactly
 /// reproducible across machines.
 struct Scenario {
@@ -77,15 +82,40 @@ struct Scenario {
   incremental::MutationDelta delta;
 };
 
-Scenario make_scenario(Index n) {
+/// Where the frozen swap lands in proposer (0, n/2)'s list over gender 1,
+/// the path tree's first edge.
+enum class Edit {
+  top,     ///< ranks 0 and 1: inside the walk, so the edge re-solves
+  bottom,  ///< ranks n-2 and n-1: below the walk, so the edge replays
+};
+
+Scenario make_scenario(Index n, Edit edit) {
   Rng rng(202);
   auto inst = gen::uniform(kGenders, n, rng);
   Scenario s{std::move(inst), {}, {}};
   s.previous = core::iterative_binding(s.inst, trees::path(kGenders), {});
-  // One swap at the top of a proposer's list over a tree edge: the smallest
-  // delta that still re-solves an edge (not a pure reuse).
-  s.delta = incremental::swap_entries(s.inst, {0, n / 2}, 1, 0, 1);
+  const MemberId proposer{0, n / 2};
+  s.delta = edit == Edit::top
+                ? incremental::swap_entries(s.inst, proposer, 1, 0, 1)
+                : incremental::swap_entries(s.inst, proposer, 1, n - 2, n - 1);
   return s;
+}
+
+/// The bm_rematch_replay scenarios really replay: their rematch re-solves
+/// nothing, skips Algorithm 1 and still equals the cold solve.
+bool replay_scenarios_hold() {
+  const auto tree = trees::path(kGenders);
+  bool held = true;
+  for (Index n : {64, 256, 1024}) {
+    const auto scenario = make_scenario(n, Edit::bottom);
+    const auto report = incremental::rematch(scenario.inst, tree,
+                                             scenario.previous, scenario.delta);
+    const auto cold = core::iterative_binding(scenario.inst, tree, {});
+    held = held && report.edges_replayed == 1 && report.binding_skipped &&
+           report.warm_executed_proposals == 0 &&
+           report.result.matching() == cold.matching();
+  }
+  return held;
 }
 
 void report() {
@@ -95,7 +125,8 @@ void report() {
   TableWriter table(
       "rematch() vs cold re-solve (proposals are deterministic)",
       {"n", "swaps", "cold props", "rematch props", "props ratio",
-       "edges reused/re-solved", "slots dropped", "cold ms", "rematch ms"});
+       "edges reused/replayed/re-solved", "slots dropped", "cold ms",
+       "rematch ms"});
   bool all_identical = true;
   const auto tree = trees::path(kGenders);
   Rng rng(201);
@@ -121,7 +152,7 @@ void report() {
       all_identical =
           all_identical && warm.result.matching() == cold.matching();
       std::ostringstream edges;
-      edges << (warm.edges_reused + warm.result.cache_hits) << "/"
+      edges << warm.edges_reused << "/" << warm.edges_replayed << "/"
             << warm.edges_warm;
       std::ostringstream slots;
       slots << warm.slots_invalidated << " of " << (kGenders - 1);
@@ -137,11 +168,13 @@ void report() {
   std::cout << "rematch/cold matchings bitwise identical: "
             << (all_identical ? "yes (incremental path is semantics-free)"
                               : "NO (BUG)")
-            << "\n\n";
+            << "\n";
+  std::cout << "replay scenarios skip Algorithm 1 at 0 proposals: "
+            << (replay_scenarios_hold() ? "yes" : "NO (BUG)") << "\n\n";
 }
 
-void bm_rematch_warm(benchmark::State& state) {
-  const auto scenario = make_scenario(static_cast<Index>(state.range(0)));
+void run_rematch(benchmark::State& state, Edit edit) {
+  const auto scenario = make_scenario(static_cast<Index>(state.range(0)), edit);
   const auto tree = trees::path(kGenders);
   std::int64_t proposals = 0;
   for (auto _ : state) {
@@ -155,8 +188,15 @@ void bm_rematch_warm(benchmark::State& state) {
                          benchmark::Counter::kAvgIterations);
 }
 
+void bm_rematch_warm(benchmark::State& state) { run_rematch(state, Edit::top); }
+
+void bm_rematch_replay(benchmark::State& state) {
+  run_rematch(state, Edit::bottom);
+}
+
 void bm_resolve_cold(benchmark::State& state) {
-  const auto scenario = make_scenario(static_cast<Index>(state.range(0)));
+  const auto scenario =
+      make_scenario(static_cast<Index>(state.range(0)), Edit::top);
   const auto tree = trees::path(kGenders);
   std::int64_t proposals = 0;
   for (auto _ : state) {
@@ -170,6 +210,7 @@ void bm_resolve_cold(benchmark::State& state) {
 }
 
 BENCHMARK(bm_rematch_warm)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(bm_rematch_replay)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(bm_resolve_cold)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace

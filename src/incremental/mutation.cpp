@@ -57,12 +57,19 @@ void MutationDelta::merge(const MutationDelta& later) {
                       << to_generation << ", later starts at "
                       << later.from_generation);
   for (const RowDelta& row : later.rows) {
-    // A row rewritten again stays one row: the instance holds its contents.
-    const bool seen =
-        std::any_of(rows.begin(), rows.end(), [&](const RowDelta& mine) {
-          return mine.member == row.member && mine.target == row.target;
+    // A row rewritten again stays one row: the instance holds its contents,
+    // and every rank either edit moved lies in the union of the windows.
+    const auto mine =
+        std::find_if(rows.begin(), rows.end(), [&](const RowDelta& earlier) {
+          return earlier.member == row.member && earlier.target == row.target;
         });
-    if (!seen) rows.push_back(row);
+    if (mine == rows.end()) {
+      rows.push_back(row);
+      continue;
+    }
+    mine->lo = std::min(mine->lo, row.lo);
+    mine->hi = std::max(mine->hi, row.hi);
+    mine->single_swap = false;
   }
   shape_changed = shape_changed || later.shape_changed;
   to_generation = later.to_generation;
@@ -72,8 +79,13 @@ MutationDelta swap_entries(KPartiteInstance& inst, MemberId m, Gender g,
                            Index rank_a, Index rank_b) {
   MutationDelta delta;
   delta.from_generation = inst.generation();
-  delta.rows.push_back({m, g});
   inst.swap_pref_entries(m, g, rank_a, rank_b);
+  if (rank_a == rank_b) {
+    delta.rows.push_back({m, g, inst.per_gender(), -1, false});
+  } else {
+    delta.rows.push_back(
+        {m, g, std::min(rank_a, rank_b), std::max(rank_a, rank_b), true});
+  }
   delta.to_generation = inst.generation();
   return delta;
 }
@@ -82,8 +94,27 @@ MutationDelta replace_list(KPartiteInstance& inst, MemberId m, Gender g,
                            std::span<const Index> order) {
   MutationDelta delta;
   delta.from_generation = inst.generation();
-  delta.rows.push_back({m, g});
+  RowDelta row{m, g};
+  // set_pref_list rejects a list of the wrong length or content; only a
+  // row-sized list is compared, and the whole-row default covers the rest.
+  const Index n = inst.per_gender();
+  if (order.size() == static_cast<std::size_t>(n)) {
+    const auto current = inst.pref_list(m, g);
+    Index changed = 0;
+    row.lo = n;
+    row.hi = -1;
+    for (Index rank = 0; rank < n; ++rank) {
+      const auto i = static_cast<std::size_t>(rank);
+      if (current[i] == order[i]) continue;
+      row.lo = std::min(row.lo, rank);
+      row.hi = rank;
+      ++changed;
+    }
+    // Two changed ranks of a permutation are an exchange of their entries.
+    row.single_swap = changed == 2;
+  }
   inst.set_pref_list(m, g, order);
+  delta.rows.push_back(row);
   delta.to_generation = inst.generation();
   return delta;
 }

@@ -4,14 +4,16 @@
 // edited one preference list. The mutators here rewrite the arena pref/rank
 // rows IN PLACE (KPartiteInstance::swap_pref_entries / set_pref_list), bump
 // the per-instance generation counter, and return a MutationDelta: which
-// rows changed between two generations. That is all rematch() needs — the
-// touched gender pairs name the GsEdgeCache slots to invalidate() before
-// rebind()ing to the new generation, and the binding-tree edges to re-solve
-// cold; every other edge keeps its previous result.
+// rows changed between two generations, and within each row the window of
+// ranks whose entries changed. That is all rematch() needs: the touched
+// gender pairs name the binding-tree edges whose previous result must be
+// checked, and the windows decide the check (an edit outside the region
+// Gale-Shapley read replays the previous result exactly; otherwise the edge
+// is re-solved cold and its GsEdgeCache slots invalidated).
 //
 // Deltas compose: merge() folds a later delta into an earlier one, one row
-// per (member, target), so a delta covers several mutations between
-// re-stabilizations.
+// per (member, target) with the union of its windows, so a delta covers
+// several mutations between re-stabilizations.
 //
 // Membership changes (add_member / remove_member) cannot rewrite in place —
 // the arena is sized by n — so they rebuild a new instance and mark the
@@ -19,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -29,10 +32,20 @@
 
 namespace kstable::incremental {
 
-/// One rewritten preference row: `member`'s list over gender `target`.
+/// One rewritten preference row: `member`'s list over gender `target`, whose
+/// entries changed only at ranks lo..hi (every entry outside the window is
+/// the one the row held at the delta's from_generation). An empty window
+/// (lo > hi) means the row was rewritten with its own contents. The default
+/// window is the whole row: it claims nothing about where the row changed.
 struct RowDelta {
   MemberId member{};
   Gender target = -1;
+  Index lo = 0;  ///< first rank whose entry changed
+  Index hi = std::numeric_limits<Index>::max();  ///< last rank that changed
+  /// True iff the row differs from its old contents by exchanging exactly
+  /// the entries at lo and hi (one swap): the ranks strictly between them
+  /// hold their old entries.
+  bool single_swap = false;
 };
 
 /// The difference between two instance generations, as a set of rewritten
@@ -57,18 +70,23 @@ struct MutationDelta {
   [[nodiscard]] std::vector<GenderEdge> touched_pairs() const;
 
   /// Folds `later` (a delta that starts where this one ends) into this one,
-  /// one row per (member, target), so the merged delta describes the change
-  /// since from_generation. Requires later.from_generation == to_generation.
+  /// one row per (member, target) with the union of both windows (a row
+  /// edited twice is no longer a single swap), so the merged delta describes
+  /// the change since from_generation. Requires later.from_generation ==
+  /// to_generation.
   void merge(const MutationDelta& later);
 };
 
 /// Swaps the entries at `rank_a`/`rank_b` of m's list over `g` in place and
-/// returns the single-row delta.
+/// returns the single-row delta, whose window is the two ranks (empty when
+/// they are equal).
 MutationDelta swap_entries(KPartiteInstance& inst, MemberId m, Gender g,
                            Index rank_a, Index rank_b);
 
 /// Replaces m's whole list over `g` (order must be a permutation of [0, n),
-/// enforced by set_pref_list) and returns the single-row delta.
+/// enforced by set_pref_list) and returns the single-row delta. Its window
+/// comes from one compare of `order` with the current row before the
+/// overwrite (no allocation); an identical list gives an empty window.
 MutationDelta replace_list(KPartiteInstance& inst, MemberId m, Gender g,
                            std::span<const Index> order);
 

@@ -1,51 +1,120 @@
 #include "incremental/rematch.hpp"
 
+#include "observability/metrics.hpp"
 #include "util/check.hpp"
 
 namespace kstable::incremental {
 
-DeltaWarmStart::DeltaWarmStart(const core::BindingResult& previous,
+namespace {
+
+/// Proposer row test: the walk 0..rank(previous match) lies below the
+/// window, so the proposer's walked prefix is the one GS read before.
+bool proposer_replays(const KPartiteInstance& inst,
+                      const gs::GsResult& previous, const RowDelta& row) {
+  const Index match = previous.proposer_match[static_cast<std::size_t>(
+      row.member.index)];
+  return inst.rank_row(row.member, row.target)[static_cast<std::size_t>(
+             match)] < row.lo;
+}
+
+/// Responder row test: the row's order over its inclusive suitors — every
+/// proposer that ranks it at or above its own previous match — is intact.
+bool responder_replays(const KPartiteInstance& inst,
+                       const gs::GsResult& previous, const RowDelta& row) {
+  const Gender proposers = row.target;
+  const Gender responders = row.member.gender;
+  const auto responder = static_cast<std::size_t>(row.member.index);
+  const prefs::RankRow ranks = inst.rank_row(row.member, proposers);
+  const auto suitor = [&](Index q) {
+    const prefs::RankRow walk = inst.rank_row({proposers, q}, responders);
+    return walk[responder] <=
+           walk[static_cast<std::size_t>(
+               previous.proposer_match[static_cast<std::size_t>(q)])];
+  };
+  int in_window = 0;
+  for (Index q = 0; q < inst.per_gender(); ++q) {
+    const std::int32_t rank = ranks[static_cast<std::size_t>(q)];
+    if (rank < row.lo || rank > row.hi || !suitor(q)) continue;
+    if (++in_window > 1) break;
+  }
+  if (in_window <= 1) return true;
+  // A single swap moved only the two entries at lo and hi; if neither is a
+  // suitor, no suitor's rank changed.
+  const auto entries = inst.pref_row(row.member, proposers);
+  return row.single_swap &&
+         !suitor(entries[static_cast<std::size_t>(row.lo)]) &&
+         !suitor(entries[static_cast<std::size_t>(row.hi)]);
+}
+
+}  // namespace
+
+bool replays(const KPartiteInstance& inst, const gs::GsResult& previous,
+             const MutationDelta& delta) {
+  const Gender a = previous.proposer_gender;
+  const Gender b = previous.responder_gender;
+  for (const RowDelta& row : delta.rows) {
+    const Gender observer = row.member.gender;
+    if (observer == a && row.target == b) {
+      if (!proposer_replays(inst, previous, row)) return false;
+    } else if (observer == b && row.target == a) {
+      if (!responder_replays(inst, previous, row)) return false;
+    }
+  }
+  return true;
+}
+
+DeltaWarmStart::DeltaWarmStart(const KPartiteInstance& inst,
+                               const core::BindingResult& previous,
                                const MutationDelta& delta)
-    : previous_(previous), delta_(delta) {
+    : previous_(previous) {
   KSTABLE_REQUIRE(!delta.shape_changed,
                   "DeltaWarmStart cannot warm a shape-changed delta; "
                   "cold-solve the rebuilt instance");
+  KSTABLE_REQUIRE(delta.to_generation == inst.generation(),
+                  "delta ends at generation " << delta.to_generation
+                                              << " but instance is at "
+                                              << inst.generation());
+  verdicts_.reserve(previous.edge_results.size());
+  for (const gs::GsResult& r : previous.edge_results) {
+    if (r.proposer_match.size() !=
+        static_cast<std::size_t>(inst.per_gender())) {
+      verdicts_.push_back(EdgeVerdict::cold);
+    } else if (!delta.touches(r.proposer_gender, r.responder_gender)) {
+      verdicts_.push_back(EdgeVerdict::reused);
+    } else {
+      verdicts_.push_back(replays(inst, r, delta) ? EdgeVerdict::replayed
+                                                  : EdgeVerdict::resolved);
+    }
+  }
+}
+
+std::ptrdiff_t DeltaWarmStart::find(GenderEdge edge) const noexcept {
+  const auto& results = previous_.edge_results;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (results[i].proposer_gender == edge.a &&
+        results[i].responder_gender == edge.b) {
+      return static_cast<std::ptrdiff_t>(i);
+    }
+  }
+  return -1;
+}
+
+EdgeVerdict DeltaWarmStart::verdict(GenderEdge edge) const noexcept {
+  const std::ptrdiff_t i = find(edge);
+  return i < 0 ? EdgeVerdict::cold : verdicts_[static_cast<std::size_t>(i)];
 }
 
 std::optional<gs::GsResult> DeltaWarmStart::warm_solve(
-    const KPartiteInstance& inst, GenderEdge edge,
+    const KPartiteInstance& /*inst*/, GenderEdge edge,
     const core::BindingOptions& /*options*/) const {
-  const gs::GsResult* prev = nullptr;
-  for (const gs::GsResult& r : previous_.edge_results) {
-    if (r.proposer_gender == edge.a && r.responder_gender == edge.b) {
-      prev = &r;
-      break;
-    }
+  const std::ptrdiff_t i = find(edge);
+  if (i < 0) return std::nullopt;
+  const auto at = static_cast<std::size_t>(i);
+  const EdgeVerdict v = verdicts_[at];
+  if (v == EdgeVerdict::reused || v == EdgeVerdict::replayed) {
+    return previous_.edge_results[at];
   }
-  if (prev == nullptr ||
-      prev->proposer_match.size() !=
-          static_cast<std::size_t>(inst.per_gender())) {
-    // A tree edge the previous solve never ran (retry ladder on a different
-    // tree): nothing to reuse.
-    edges_cold_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  if (delta_.touches(edge.a, edge.b)) {
-    // A rewritten row over this pair: the selected engine re-solves it cold,
-    // which GS confluence makes exact.
-    edges_warm_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  // Neither side's rows over the other changed: the previous result is the
-  // new instance's proposer-optimal matching verbatim.
-  edges_reused_.fetch_add(1, std::memory_order_relaxed);
-  return *prev;
-}
-
-DeltaWarmStart::Stats DeltaWarmStart::stats() const noexcept {
-  return {edges_reused_.load(std::memory_order_relaxed),
-          edges_warm_.load(std::memory_order_relaxed),
-          edges_cold_.load(std::memory_order_relaxed)};
+  return std::nullopt;
 }
 
 RematchReport rematch(const KPartiteInstance& inst,
@@ -60,44 +129,83 @@ RematchReport rematch(const KPartiteInstance& inst,
                       << " — rematch needs the delta covering every mutation "
                          "since the previous solve");
   RematchReport report;
-
-  // Step 1: bring the cache forward. Targeted invalidation for row deltas,
-  // full clear for shape churn (slot results are sized for the old n).
-  if (options.cache != nullptr) {
-    if (delta.shape_changed) {
-      report.slots_invalidated = options.cache->clear();
-    } else {
-      for (const GenderEdge pair : delta.touched_pairs()) {
-        // Both orientations: responder preferences decide accept/reject, so
-        // GS(a,b) and GS(b,a) are both stale (gs_cache.hpp contract).
-        report.slots_invalidated +=
-            options.cache->invalidate({pair.a, pair.b});
-        report.slots_invalidated +=
-            options.cache->invalidate({pair.b, pair.a});
-      }
-    }
-    options.cache->rebind(inst);
-  }
-
-  // Step 2: re-solve, reusing every edge the delta left untouched.
   core::BindingOptions bopts;
   bopts.engine = options.engine;
   bopts.pool = options.pool;
   bopts.control = options.control;
   bopts.cache = options.cache;
+
+  const auto emit = [&report] {
+    KSTABLE_COUNTER_ADD("rematch.edges_reused", report.edges_reused);
+    KSTABLE_COUNTER_ADD("rematch.edges_replayed", report.edges_replayed);
+    KSTABLE_COUNTER_ADD("rematch.edges_resolved", report.edges_warm);
+    KSTABLE_COUNTER_ADD("rematch.edges_cold", report.edges_cold);
+    KSTABLE_COUNTER_ADD(
+        "rematch.slots_invalidated",
+        static_cast<std::int64_t>(report.slots_invalidated));
+    KSTABLE_COUNTER_ADD("rematch.binding_skipped",
+                        report.binding_skipped ? 1 : 0);
+  };
+
   if (delta.shape_changed) {
+    // Membership churn: every slot result is sized for the old n.
+    if (options.cache != nullptr) {
+      report.slots_invalidated = options.cache->clear();
+      options.cache->rebind(inst);
+    }
     report.cold_fallback = true;
+    report.edges_cold = static_cast<std::int64_t>(tree.edges().size());
     report.result = core::iterative_binding(inst, tree, bopts);
+    emit();
     return report;
   }
-  const DeltaWarmStart provider(previous, delta);
+
+  // Step 1: one verdict per tree edge.
+  const DeltaWarmStart provider(inst, previous, delta);
+  const auto& edges = tree.edges();
+  bool aligned = previous.edge_results.size() == edges.size();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    switch (provider.verdict(edges[i])) {
+      case EdgeVerdict::reused: ++report.edges_reused; break;
+      case EdgeVerdict::replayed: ++report.edges_replayed; break;
+      case EdgeVerdict::resolved: ++report.edges_warm; break;
+      case EdgeVerdict::cold: ++report.edges_cold; break;
+    }
+    aligned = aligned && previous.edge_results[i].proposer_gender ==
+                             edges[i].a &&
+              previous.edge_results[i].responder_gender == edges[i].b;
+  }
+
+  // Step 2: bring the cache forward. Responder preferences decide
+  // accept/reject, so both orientations of a touched pair are stale
+  // (gs_cache.hpp contract), unless the orientation is a replayed tree edge:
+  // its slot holds the result the replay proved exact.
+  if (options.cache != nullptr) {
+    for (const GenderEdge pair : delta.touched_pairs()) {
+      for (const GenderEdge slot :
+           {GenderEdge{pair.a, pair.b}, GenderEdge{pair.b, pair.a}}) {
+        if (provider.verdict(slot) != EdgeVerdict::replayed) {
+          report.slots_invalidated += options.cache->invalidate(slot);
+        }
+      }
+    }
+    options.cache->rebind(inst);
+  }
+
+  // Step 3: nothing to re-solve means Algorithm 1 would rebuild `previous`.
+  if (aligned && report.edges_warm == 0 && report.edges_cold == 0) {
+    report.result = previous;
+    report.result.executed_proposals = 0;
+    report.result.cache_hits = 0;
+    report.result.cache_misses = 0;
+    report.binding_skipped = true;
+    emit();
+    return report;
+  }
   bopts.warm_start = &provider;
   report.result = core::iterative_binding(inst, tree, bopts);
-  const DeltaWarmStart::Stats stats = provider.stats();
-  report.edges_reused = stats.edges_reused;
-  report.edges_warm = stats.edges_warm;
-  report.edges_cold = stats.edges_cold;
   report.warm_executed_proposals = report.result.executed_proposals;
+  emit();
   return report;
 }
 

@@ -3,24 +3,30 @@
 // The driver that ties the churn pipeline together. Given the mutated
 // instance, the binding tree, the PREVIOUS solve's BindingResult, and the
 // MutationDelta bridging the two generations, it:
-//   1. invalidates exactly the stale cache slots (both orientations of every
-//      gender pair the delta touched) and rebinds the cache to the new
-//      generation — or clear()s everything when the shape changed;
-//   2. re-runs Algorithm 1 with a DeltaWarmStart provider attached, so
-//      untouched edges reuse the previous per-edge results verbatim and
-//      touched edges re-solve cold with the selected engine;
-//   3. reports exact work accounting: slots invalidated, edges
-//      reused/re-solved/cold, and the proposals actually executed — the
-//      counters the churn batteries prove "strictly less than a cold
-//      re-solve" with.
+//   1. gives every tree edge one verdict: untouched (no changed row over its
+//      gender pair), replayed (its rows changed, but outside the region
+//      Gale-Shapley read, so the previous result is exact), or re-solved;
+//   2. invalidates exactly the stale cache slots (both orientations of every
+//      touched gender pair, except a replayed tree edge's, whose slot is
+//      exact) and rebinds the cache to the new generation, or clear()s
+//      everything when the shape changed;
+//   3. returns `previous` as it is when no tree edge needs a re-solve, and
+//      otherwise re-runs Algorithm 1 with a DeltaWarmStart provider
+//      attached, so untouched and replayed edges reuse the previous per-edge
+//      results verbatim and the rest re-solve cold with the selected engine;
+//   4. reports exact work accounting: slots invalidated, per-verdict edge
+//      counts, and the proposals actually executed.
 // The resulting matching is bitwise-identical to a cold solve of the mutated
-// instance: a cold solve of a touched edge is exact, and an untouched edge's
-// rows did not change (pinned by the DiffRunner churn battery).
+// instance: a cold solve of a re-solved edge is exact, an untouched edge's
+// rows did not change, and a replayed edge's previous execution is a valid
+// Gale-Shapley execution on the new rows, which GS confluence makes exact
+// (pinned by the DiffRunner churn battery).
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "core/binding.hpp"
 #include "core/gs_cache.hpp"
@@ -31,39 +37,63 @@
 
 namespace kstable::incremental {
 
+/// What a previous per-edge result is worth on the mutated instance.
+enum class EdgeVerdict : std::uint8_t {
+  reused,    ///< the delta changed no row over the edge's gender pair
+  replayed,  ///< rows changed outside the region GS read: previous is exact
+  resolved,  ///< an edit reached the read region: re-solve cold
+  cold,      ///< no previous result for this edge (another tree, another n)
+};
+
+/// True iff the delta's rows over gender pair (a, b) all missed the region
+/// that `previous` — GS(a proposes, b responds) solved on the pre-delta
+/// instance — read, so `previous` is still the exact result on `inst` (the
+/// post-delta instance, explicit backend). Two tests, one per changed row:
+///   * a proposer row (a over b) passes iff the new rank of the proposer's
+///     previous match is below the row's window: the walked prefix is
+///     intact;
+///   * a responder row (b over a) passes iff its window holds at
+///     most one inclusive suitor (a proposer that ranks the responder at or
+///     above its own previous match, i.e. proposed to it), or the row is a
+///     single swap of two non-suitors: the order over the suitors is intact.
+/// The proposer test is exact for a single swap: a failing row changes the
+/// proposer's walk. The responder test is sufficient only: a reordered pair
+/// of suitors that never met as proposer and holder leaves the old
+/// execution valid too.
+[[nodiscard]] bool replays(const KPartiteInstance& inst,
+                           const gs::GsResult& previous,
+                           const MutationDelta& delta);
+
 /// WarmStartProvider backed by a previous BindingResult plus the delta since
-/// it was computed. Per oriented edge: an edge the delta does not touch
-/// returns the previous result verbatim (zero proposals executed); a touched
-/// edge, or one absent from the previous result (different tree) or sized
-/// for another n, answers nullopt, so the selected engine solves it cold.
-/// Thread-safe: const with atomic counters (ladder workers may share it).
-/// Holds references — `previous` and `delta` must outlive the provider.
+/// it was computed. The constructor gives every previous per-edge result its
+/// verdict once; per oriented edge, warm_solve then returns the previous
+/// result verbatim for an untouched or replayed edge (zero proposals
+/// executed), and nullopt for a re-solved edge or one absent from the
+/// previous result (different tree) or sized for another n, so the selected
+/// engine solves it cold. Immutable after construction, so ladder workers
+/// may share it. Holds references: `previous` must outlive the provider.
 class DeltaWarmStart final : public core::WarmStartProvider {
  public:
   /// Requires !delta.shape_changed (membership churn cannot warm-start;
-  /// rematch() answers it with a cold solve instead of building a provider).
-  DeltaWarmStart(const core::BindingResult& previous,
+  /// rematch() answers it with a cold solve instead of building a provider)
+  /// and delta.to_generation == inst.generation().
+  DeltaWarmStart(const KPartiteInstance& inst,
+                 const core::BindingResult& previous,
                  const MutationDelta& delta);
 
   [[nodiscard]] std::optional<gs::GsResult> warm_solve(
       const KPartiteInstance& inst, GenderEdge edge,
       const core::BindingOptions& options) const override;
 
-  /// Per-edge answers, independent of the cache's hit/miss counters (which
-  /// cannot tell a reused result from a computed one).
-  struct Stats {
-    std::int64_t edges_reused = 0;  ///< untouched: previous result returned
-    std::int64_t edges_warm = 0;    ///< touched: re-solved cold
-    std::int64_t edges_cold = 0;    ///< not in previous result: cold fallback
-  };
-  [[nodiscard]] Stats stats() const noexcept;
+  /// The verdict on oriented edge `edge` (cold when `previous` lacks it).
+  [[nodiscard]] EdgeVerdict verdict(GenderEdge edge) const noexcept;
 
  private:
+  /// Index of `edge` in previous_.edge_results, or -1.
+  [[nodiscard]] std::ptrdiff_t find(GenderEdge edge) const noexcept;
+
   const core::BindingResult& previous_;
-  const MutationDelta& delta_;
-  mutable std::atomic<std::int64_t> edges_reused_{0};
-  mutable std::atomic<std::int64_t> edges_warm_{0};
-  mutable std::atomic<std::int64_t> edges_cold_{0};
+  std::vector<EdgeVerdict> verdicts_;  ///< aligned with edge_results
 };
 
 struct RematchOptions {
@@ -77,6 +107,9 @@ struct RematchOptions {
   core::GsEdgeCache* cache = nullptr;
 };
 
+/// Per-tree-edge verdict counts: edges_reused + edges_replayed + edges_warm
+/// + edges_cold is the tree's edge count, with or without a cache (whether
+/// the cache or `previous` then served an edge shows in result.cache_hits).
 struct RematchReport {
   core::BindingResult result;
   /// Ready cache slots dropped by the targeted invalidation (or by clear()
@@ -84,17 +117,24 @@ struct RematchReport {
   /// clear() would drop for single-pair deltas at k >= 3 — the churn battery
   /// asserts this.
   std::size_t slots_invalidated = 0;
-  /// Edges answered from `previous` (cache hits count in
-  /// result.cache_hits instead).
+  /// Tree edges whose gender pair the delta did not touch.
   std::int64_t edges_reused = 0;
+  /// Touched tree edges whose previous result replays exactly.
+  std::int64_t edges_replayed = 0;
   /// Touched tree edges re-solved cold.
   std::int64_t edges_warm = 0;
-  /// Edges `previous` lacks (another tree), solved cold.
+  /// Tree edges `previous` lacks (another tree, or a shape change), solved
+  /// cold.
   std::int64_t edges_cold = 0;
   /// Proposals executed on the edges this call solved (result's
-  /// executed_proposals): the touched edges' cold work, plus edges_cold's;
-  /// reused edges and cache hits add zero. 0 on a cold fallback.
+  /// executed_proposals): the re-solved edges' cold work, plus edges_cold's;
+  /// reused and replayed edges and cache hits add zero. 0 on a cold
+  /// fallback.
   std::int64_t warm_executed_proposals = 0;
+  /// True when no tree edge needed a re-solve, so `result` is `previous`
+  /// (executed_proposals and cache counters zeroed) and Algorithm 1 did not
+  /// run.
+  bool binding_skipped = false;
   /// True when the delta's shape_changed forced a full cold solve.
   bool cold_fallback = false;
 };
@@ -102,7 +142,7 @@ struct RematchReport {
 /// Re-stabilizes `inst` (already mutated; delta.to_generation must equal
 /// inst.generation()) over `tree`, reusing `previous` — the binding result
 /// solved on the pre-delta instance over the same tree — for every edge the
-/// delta left untouched.
+/// delta left untouched or whose previous result replays exactly.
 /// Returns the new proposer-optimal matching, bitwise-identical to a cold
 /// iterative_binding of the mutated instance.
 RematchReport rematch(const KPartiteInstance& inst,

@@ -298,11 +298,20 @@ PingReport run_ping(const PingOptions& options, bool fetch_metrics) {
 
   if (fetch_metrics && fd >= 0) {
     // One METRICS round-trip after the workload; id beyond the workload
-    // range so a stale SOLVE answer cannot be mistaken for it.
+    // range so a stale SOLVE answer cannot be mistaken for it. Like a SOLVE,
+    // the request is resent when no answer arrives within the response
+    // timeout (a dropped response or an eaten frame), up to max_attempts
+    // sends; a resend's duplicate answer is ignored.
     const std::uint64_t metrics_id = states.size() + 1;
-    if (send_frame(fd, Frame::request(FrameKind::metrics, metrics_id))) {
+    bool answered = false;
+    bool broken = false;
+    for (std::size_t attempt = 0;
+         attempt < options.max_attempts && !answered && !broken; ++attempt) {
+      if (!send_frame(fd, Frame::request(FrameKind::metrics, metrics_id))) {
+        break;
+      }
       const auto deadline = Clock::now() + ms(options.response_timeout_ms);
-      while (Clock::now() < deadline) {
+      while (!answered && !broken && Clock::now() < deadline) {
         if (buffer->in_avail() <= 0) {
           pollfd pfd{};
           pfd.fd = fd;
@@ -315,12 +324,15 @@ PingReport run_ping(const PingOptions& options, bool fetch_metrics) {
         } catch (const ExecutionAborted&) {
           continue;  // injected parse fault: frame consumed, stream synced
         } catch (const ParseError&) {
-          break;
+          broken = true;
+          continue;
         }
-        if (!frame) break;
-        if (frame->kind == FrameKind::stats && frame->id == metrics_id) {
+        if (!frame) {
+          broken = true;
+        } else if (frame->kind == FrameKind::stats &&
+                   frame->id == metrics_id) {
           report.metrics_body = frame->body;
-          break;
+          answered = true;
         }
       }
     }

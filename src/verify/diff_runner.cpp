@@ -416,6 +416,30 @@ void binding_checks(const KPartiteInstance& inst, const Recorder& rec,
   }
 }
 
+/// Per-edge agreement of two binding results over one tree: both match
+/// arrays and the proposal count of every edge, so a reused or replayed
+/// edge must carry the right counter, not only the right matching. Writes
+/// the first divergence to `detail`.
+bool edges_agree(const core::BindingResult& want,
+                 const core::BindingResult& got, std::ostringstream& detail) {
+  if (got.edge_results.size() != want.edge_results.size()) {
+    detail << "edge count " << got.edge_results.size() << " vs "
+           << want.edge_results.size();
+    return false;
+  }
+  for (std::size_t e = 0; e < want.edge_results.size(); ++e) {
+    const gs::GsResult& mine = got.edge_results[e];
+    const gs::GsResult& theirs = want.edge_results[e];
+    if (mine.proposer_match != theirs.proposer_match ||
+        mine.responder_match != theirs.responder_match ||
+        mine.proposals != theirs.proposals) {
+      detail << "per-edge divergence at tree edge " << e;
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Incremental re-stabilization legs (src/incremental/, docs/INCREMENTAL.md).
 /// A mutable copy of the instance absorbs `churn_steps` seeded random
 /// preference deltas; after every step the incremental pipeline must agree
@@ -477,15 +501,7 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
                  warm.result.matching(),
                  "cached rematch vs cold re-solve");
       std::ostringstream es;
-      bool edges_ok = warm.result.edge_results.size() ==
-                      cold.edge_results.size();
-      for (std::size_t e = 0; edges_ok && e < cold.edge_results.size(); ++e) {
-        edges_ok = warm.result.edge_results[e].proposer_match ==
-                       cold.edge_results[e].proposer_match &&
-                   warm.result.edge_results[e].responder_match ==
-                       cold.edge_results[e].responder_match;
-        if (!edges_ok) es << "per-edge divergence at tree edge " << e;
-      }
+      const bool edges_ok = edges_agree(cold, warm.result, es);
       rec.check(edges_ok, "churn.rematch.edges.bitwise", es.str());
       if (single_pair && k >= 3) {
         std::ostringstream os;
@@ -502,22 +518,34 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
     }
 
     {  // Pure-provider path (no cache): the selected engine re-solves the
-       // touched edges — reused + re-solved answers cover the whole tree.
+       // touched edges that fail replay — reused + replayed + re-solved
+       // verdicts cover the whole tree.
       for (const auto engine :
            {core::GsEngine::queue, core::GsEngine::rounds}) {
         incremental::RematchOptions ropts;
         ropts.engine = engine;
         const auto warm = incremental::rematch(inst, path, previous, delta,
                                                ropts);
-        kary_agree(rec, "churn.rematch.engine.bitwise", cold.matching(),
-                   warm.result.matching(),
-                   std::string("provider rematch under engine ") +
-                       core::to_string(engine) + " vs cold re-solve");
+        // The provider's own answers are what this leg returns for reused
+        // and replayed edges, so their per-edge arrays and counts are
+        // checked with the matching.
+        std::ostringstream ms;
+        ms << "provider rematch under engine " << core::to_string(engine)
+           << " vs cold re-solve: ";
+        const bool same_matching = warm.result.matching() == cold.matching();
+        if (!same_matching) {
+          ms << describe_diff(cold.matching().raw(),
+                              warm.result.matching().raw());
+        }
+        const bool agree = same_matching && edges_agree(cold, warm.result, ms);
+        rec.check(agree, "churn.rematch.engine.bitwise", ms.str());
         std::ostringstream es;
-        es << "edges reused " << warm.edges_reused << " + re-solved "
-           << warm.edges_warm << " + cold " << warm.edges_cold
-           << " != " << (k - 1) << " tree edges";
-        rec.check(warm.edges_reused + warm.edges_warm + warm.edges_cold ==
+        es << "edges reused " << warm.edges_reused << " + replayed "
+           << warm.edges_replayed << " + re-solved " << warm.edges_warm
+           << " + cold " << warm.edges_cold << " != " << (k - 1)
+           << " tree edges";
+        rec.check(warm.edges_reused + warm.edges_replayed + warm.edges_warm +
+                          warm.edges_cold ==
                       static_cast<std::int64_t>(k) - 1,
                   "churn.rematch.edge-accounting", es.str());
       }
@@ -535,7 +563,7 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
     }
 
     {  // Ladder integration: warm_start threads through every rung.
-      const incremental::DeltaWarmStart provider(previous, delta);
+      const incremental::DeltaWarmStart provider(inst, previous, delta);
       resilience::FallbackOptions fopts;
       fopts.warm_start = &provider;
       const auto report = resilience::solve_with_fallback(inst, fopts);

@@ -467,6 +467,41 @@ TEST(ServeDrain, DrainsInFlightSolvesCleanly) {
   for (int i = 1; i <= kInFlight; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], 1);
 }
 
+// --- client ----------------------------------------------------------------
+
+TEST(ServeClient, MetricsScrapeIsResentWhenItsAnswerIsDropped) {
+  ServeEngine engine(ServeLimits{}, [](const Frame&) {});
+  TcpServer server(engine, 0);
+  std::thread server_thread([&server] { server.run(); });
+
+  PingOptions options;
+  options.port = server.port();
+  options.requests = 4;
+  options.window = 1;  // one at a time: no shedding, one answer per SOLVE
+  options.response_timeout_ms = 1000.0;
+  // The first four responses are the SOLVE answers; the fifth, the first
+  // METRICS answer, is dropped.
+  FaultConfig eat_first_scrape;
+  eat_first_scrape.fire_after = static_cast<std::int64_t>(options.requests);
+  eat_first_scrape.max_fires = 1;
+  PingReport report;
+  {
+    ScopedFault respond_fault("serve/respond", eat_first_scrape);
+    report = run_ping(options, /*fetch_metrics=*/true);
+  }
+
+  EXPECT_EQ(report.acked, options.requests);
+  EXPECT_EQ(report.resends, 0u);
+  EXPECT_FALSE(report.metrics_body.empty());
+  EXPECT_NE(report.metrics_body.find("kstable.stats.v1"), std::string::npos);
+
+  engine.request_drain();
+  server_thread.join();
+  EXPECT_TRUE(engine.drain().clean);
+  EXPECT_EQ(engine.stats().responses_dropped.load(), 1);
+  EXPECT_EQ(engine.stats().metrics_requests.load(), 2);  // sent, resent
+}
+
 // --- chaos soak (the ISSUE acceptance pin) ---------------------------------
 
 TEST(ServeChaos, TenThousandRequestSoakUnderAllServiceFaults) {
