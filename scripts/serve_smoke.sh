@@ -16,6 +16,9 @@
 #      on the same port; the client must reconnect, resend every
 #      unacknowledged request, and finish with zero lost and zero
 #      inconsistent responses.
+#
+# Every server and client log stays in <work-dir>; a leg that fails also
+# prints the last 40 lines of each of its logs to stderr.
 set -u
 
 BIN_DIR="$1"
@@ -30,6 +33,20 @@ pids=()
 note_failure() {
   echo "FAIL: $1" >&2
   failures=$((failures + 1))
+}
+
+# dump_leg_logs <leg> <failures-before-leg> <log>... — when the leg added a
+# failure, print the last 40 lines of each of its logs to stderr (the work
+# dir keeps them whole).
+dump_leg_logs() {
+  local leg="$1" before="$2" log
+  shift 2
+  [ "$failures" -gt "$before" ] || return 0
+  for log in "$@"; do
+    [ -f "$log" ] || continue
+    echo "--- $leg: last 40 lines of $log ---" >&2
+    tail -n 40 "$log" >&2
+  done
 }
 
 cleanup() {
@@ -62,8 +79,10 @@ ping_field() {
 }
 
 # --- leg 1: chaos + overload + metrics scrape + clean drain -----------------
+LEG1_BEFORE=$failures
 S1_OUT="$WORK_DIR/serve1.out"
 S1_ERR="$WORK_DIR/serve1.err"
+PING1="$WORK_DIR/ping1.out"
 "$KMATCH" serve --port=0 --workers=2 --queue-depth=4 \
   --chaos=all --chaos-prob=0.03 --chaos-seed=7 --chaos-stall-ms=5 \
   >"$S1_OUT" 2>"$S1_ERR" &
@@ -73,7 +92,6 @@ pids+=("$S1")
 if ! PORT1="$(wait_for_port "$S1_OUT")"; then
   note_failure "chaos server never announced its port ($(cat "$S1_ERR"))"
 else
-  PING1="$WORK_DIR/ping1.out"
   STATS1="$WORK_DIR/serve1.stats.json"
   # window 16 against 2 workers + queue 4: offered load beyond capacity, so
   # the shed/backoff path is exercised for real.
@@ -101,8 +119,13 @@ else
   fi
 fi
 
+dump_leg_logs "chaos leg" "$LEG1_BEFORE" "$S1_OUT" "$S1_ERR" "$PING1"
+
 # --- leg 2: SIGKILL mid-workload, restart on the same port ------------------
+LEG2_BEFORE=$failures
 S2_OUT="$WORK_DIR/serve2a.out"
+PING2="$WORK_DIR/ping2.out"
+S2B_ERR="$WORK_DIR/serve2b.err"
 "$KMATCH" serve --port=0 --workers=2 --queue-depth=8 \
   >"$S2_OUT" 2>"$WORK_DIR/serve2a.err" &
 S2A=$!
@@ -111,7 +134,6 @@ pids+=("$S2A")
 if ! PORT2="$(wait_for_port "$S2_OUT")"; then
   note_failure "restart-leg server never announced its port"
 else
-  PING2="$WORK_DIR/ping2.out"
   # Enough requests that the workload is still in flight when the SIGKILL
   # lands ~0.3s in: the client connects at once (bodies are generated on
   # first send) and a 30000-request run takes ~0.8s on a 4-vCPU Xeon VM in
@@ -125,7 +147,6 @@ else
   kill -9 "$S2A" 2>/dev/null
   wait "$S2A" 2>/dev/null
 
-  S2B_ERR="$WORK_DIR/serve2b.err"
   "$KMATCH" serve --port="$PORT2" --workers=2 --queue-depth=8 \
     >"$WORK_DIR/serve2b.out" 2>"$S2B_ERR" &
   S2B=$!
@@ -155,6 +176,9 @@ else
     note_failure "restarted server drain failed ($(cat "$S2B_ERR"))"
   fi
 fi
+
+dump_leg_logs "kill/restart leg" "$LEG2_BEFORE" "$S2_OUT" \
+  "$WORK_DIR/serve2a.err" "$PING2" "$WORK_DIR/serve2b.out" "$S2B_ERR"
 
 if [ "$failures" -ne 0 ]; then
   echo "serve_smoke: $failures failure(s)" >&2

@@ -90,14 +90,10 @@ KPartiteInstance parse(util::LineReader& lines) {
                                              << ") over gender " << h);
     filled[slot] = true;
     order.clear();
-    while (!ls.at_end()) {
-      const auto idx = ls.integer<Index>();
-      KSTABLE_PARSE_REQUIRE(idx.has_value(), "bad preference entry '"
-                                                 << *ls.token()
-                                                 << "' on line '" << *line
-                                                 << "'");
-      order.push_back(*idx);
-    }
+    const bool row_read = ls.integers(order);
+    KSTABLE_PARSE_REQUIRE(row_read, "bad preference entry '"
+                                        << *ls.token() << "' on line '"
+                                        << *line << "'");
     try {
       inst.set_pref_list({g, i}, h, order);
     } catch (const ContractViolation& e) {

@@ -17,13 +17,42 @@ void fill_all(T* data, std::size_t count, T value) {
   std::fill_n(data, count, value);
 }
 
-/// set_pref_list's "seen" bitset over [0, n): one buffer per thread, grown
-/// to the largest n it has checked and cleared per call, so a warm thread
-/// checks every row without allocating.
-std::vector<std::uint64_t>& seen_bits(Index n) {
-  thread_local std::vector<std::uint64_t> words;
-  words.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
-  return words;
+/// set_pref_list's candidate rank row: one buffer per thread and rank width,
+/// grown to the largest n it has checked, so a warm thread checks every row
+/// without allocating.
+template <typename Rank>
+Rank* rank_scratch(std::size_t n) {
+  thread_local std::vector<Rank> ranks;
+  if (ranks.size() < n) ranks.resize(n);
+  return ranks.data();
+}
+
+/// Writes `order` and its inverse into a pref row and its rank row when
+/// `order` is a permutation of [0, n); returns false, writing nothing,
+/// otherwise. No step waits on the previous entry's store: a branch-free
+/// range check, then the inverse scattered into scratch, which is a
+/// permutation's inverse iff every entry reads back its own rank.
+template <typename Rank>
+bool write_if_permutation(std::span<const Index> order, Index* pref_row,
+                          Rank* rank_row) {
+  const std::size_t n = order.size();
+  bool in_range = true;
+  for (const Index idx : order) {
+    in_range &= static_cast<std::uint32_t>(idx) < static_cast<std::uint32_t>(n);
+  }
+  if (!in_range) return false;
+  Rank* const scratch = rank_scratch<Rank>(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    scratch[order[r]] = static_cast<Rank>(r);
+  }
+  bool distinct = true;
+  for (std::size_t r = 0; r < n; ++r) {
+    distinct &= scratch[order[r]] == static_cast<Rank>(r);
+  }
+  if (!distinct) return false;
+  std::memmove(pref_row, order.data(), n * sizeof(Index));  // may alias
+  std::memcpy(rank_row, scratch, n * sizeof(Rank));
+  return true;
 }
 
 }  // namespace
@@ -208,32 +237,24 @@ void KPartiteInstance::set_pref_list(MemberId m, Gender g,
                   "list for " << m << " over gender " << g << " has "
                               << order.size() << " entries, expected " << n_);
   // Permutation check (fail-fast, I.6): each index in [0, n) exactly once.
-  // It runs before any write, so a rejected list changes nothing.
-  std::vector<std::uint64_t>& seen = seen_bits(n_);
-  for (Index idx : order) {
-    KSTABLE_REQUIRE(idx >= 0 && idx < n_, "preference entry " << idx
-                                              << " out of range for " << m);
-    std::uint64_t& word = seen[static_cast<std::size_t>(idx) / 64];
-    const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
-    KSTABLE_REQUIRE((word & bit) == 0,
-                    "duplicate preference entry " << idx << " for " << m);
-    word |= bit;
-  }
+  // It passes before any write, so a rejected list changes nothing.
   const std::size_t base = row_base(m, g);
-  Index* const pref = pref_data();
-  if (width_ == prefs::RankWidth::narrow16) {
-    std::uint16_t* const rank = rank16_data();
-    for (std::size_t r = 0; r < order.size(); ++r) {
-      pref[base + r] = order[r];
-      rank[base + static_cast<std::size_t>(order[r])] =
-          static_cast<std::uint16_t>(r);
-    }
-  } else {
-    std::uint32_t* const rank = rank32_data();
-    for (std::size_t r = 0; r < order.size(); ++r) {
-      pref[base + r] = order[r];
-      rank[base + static_cast<std::size_t>(order[r])] =
-          static_cast<std::uint32_t>(r);
+  const bool written =
+      width_ == prefs::RankWidth::narrow16
+          ? write_if_permutation(order, pref_data() + base, rank16_data() + base)
+          : write_if_permutation(order, pref_data() + base, rank32_data() + base);
+  if (!written) {
+    // Not a permutation: name the first entry that is out of range or
+    // repeats an earlier one, in list order.
+    std::vector<std::uint64_t> seen((static_cast<std::size_t>(n_) + 63) / 64);
+    for (Index idx : order) {
+      KSTABLE_REQUIRE(idx >= 0 && idx < n_, "preference entry " << idx
+                                                << " out of range for " << m);
+      std::uint64_t& word = seen[static_cast<std::size_t>(idx) / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+      KSTABLE_REQUIRE((word & bit) == 0,
+                      "duplicate preference entry " << idx << " for " << m);
+      word |= bit;
     }
   }
   ++generation_;

@@ -124,9 +124,10 @@ class KPartiteInstance {
   /// Overwrites the preference order of `m` over gender `g`. `order` must be
   /// a permutation of [0, n) — enforced here (fail-fast on malformed input)
   /// before anything is written, so a rejected list leaves the pref row, the
-  /// rank row and generation() unchanged. Allocates nothing once the calling
-  /// thread has checked a list of this length. A mutation: bumps
-  /// generation() (see below).
+  /// rank row and generation() unchanged; its error names the first entry
+  /// that is out of range or repeats an earlier one. An accepted list
+  /// allocates nothing once the calling thread has checked a list of this
+  /// length at this rank width. A mutation: bumps generation() (see below).
   void set_pref_list(MemberId m, Gender g, std::span<const Index> order);
 
   /// Swaps the entries at ranks `rank_a` and `rank_b` in m's list over gender

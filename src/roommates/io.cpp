@@ -50,13 +50,10 @@ RoommatesInstance parse(util::LineReader& lines) {
     KSTABLE_PARSE_REQUIRE(!seen[static_cast<std::size_t>(p)],
                     "duplicate list for person " << p);
     seen[static_cast<std::size_t>(p)] = true;
-    while (!ls.at_end()) {
-      const auto q = ls.integer<Person>();
-      KSTABLE_PARSE_REQUIRE(q.has_value(), "bad list entry '"
-                                               << *ls.token() << "' on line '"
-                                               << *line << "'");
-      lists[static_cast<std::size_t>(p)].push_back(*q);
-    }
+    const bool list_read = ls.integers(lists[static_cast<std::size_t>(p)]);
+    KSTABLE_PARSE_REQUIRE(list_read, "bad list entry '"
+                                         << *ls.token() << "' on line '"
+                                         << *line << "'");
   }
   for (Person p = 0; p < n; ++p) {
     KSTABLE_PARSE_REQUIRE(seen[static_cast<std::size_t>(p)],

@@ -6,7 +6,10 @@
 // server, a client that vanished mid-frame is routine, not exceptional).
 // EINTR returns EOF too, ON PURPOSE: the serve signal handlers are installed
 // without SA_RESTART, so a SIGTERM must pop the transport out of a blocking
-// read to start the drain.
+// read to start the drain. A bulk read (read_frame's body) drains the buffer
+// and then reads the rest straight into its destination, one ::read per
+// whole buffer or more instead of one per 4 KiB plus a copy; it stops short
+// on EOF, an error or EINTR alike, so a cut body reads as truncated.
 //
 // Write side: none — frames are written with send_all() (MSG_NOSIGNAL, full
 // write loop), bypassing buffering so a response is on the wire when the
@@ -14,8 +17,10 @@
 // sink (counted as a dropped response) instead of a SIGPIPE.
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <cstddef>
+#include <cstring>
 #include <streambuf>
 
 #include <sys/socket.h>
@@ -35,6 +40,29 @@ class FdReadBuf final : public std::streambuf {
     if (got <= 0) return traits_type::eof();
     setg(buffer_, buffer_, buffer_ + got);
     return traits_type::to_int_type(*gptr());
+  }
+
+  std::streamsize xsgetn(char* out, std::streamsize count) override {
+    std::streamsize done = 0;
+    while (done < count) {
+      const std::streamsize want = count - done;
+      if (gptr() < egptr()) {
+        const std::streamsize chunk = std::min<std::streamsize>(
+            want, egptr() - gptr());
+        std::memcpy(out + done, gptr(), static_cast<std::size_t>(chunk));
+        gbump(static_cast<int>(chunk));
+        done += chunk;
+      } else if (want >= static_cast<std::streamsize>(sizeof buffer_)) {
+        const ssize_t got = ::read(fd_, out + done, static_cast<std::size_t>(want));
+        if (got <= 0) break;
+        done += got;
+      } else if (underflow() == traits_type::eof()) {
+        // A short tail refills the buffer, so what follows it (the next
+        // frame's header) arrives in the same ::read.
+        break;
+      }
+    }
+    return done;
   }
 
  private:

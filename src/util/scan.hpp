@@ -18,14 +18,30 @@
 // modes run the same strip logic, so the two loader entry points accept
 // exactly the same language. TokenScanner then walks one line; loaders end
 // each line with at_end() so trailing junk is an error, not silently ignored.
+//
+// integers() reads the rest of a line as a list of integers, the shape of
+// every preference row. A row is most of a loader's input (k(k-1)n² entries
+// for a k-partite instance), so it has a fast path: while 8 bytes remain, one
+// unaligned 8-byte load classifies the bytes as digits or not, SWAR-style, and
+// a token of 1-7 plain digits followed by a blank is converted with three
+// multiply-shift steps (accepted when it is at most max(T)). Every other token
+// (a sign, 8 or more digits, junk, the last token of a line) goes through
+// integer(), so the accepted language and every value are from_chars' by
+// construction; the fast path only decides sooner on tokens from_chars would
+// accept anyway.
 #pragma once
 
+#include <bit>
 #include <charconv>
+#include <cstdint>
+#include <cstring>
 #include <iosfwd>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <vector>
 
 namespace kstable::util {
 
@@ -89,6 +105,27 @@ class TokenScanner {
     return value;
   }
 
+  /// Appends every remaining token of the line to `out` as a T. Stops at the
+  /// first token integer<T>() would reject, leaving it unconsumed so token()
+  /// names it; returns true iff the line ended instead.
+  template <typename T>
+  [[nodiscard]] bool integers(std::vector<T>& out) {
+    while (!at_end()) {
+      std::uint64_t fast = 0;
+      const std::size_t len = short_digits(fast);
+      if (len > 0 &&
+          fast <= static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+        out.push_back(static_cast<T>(fast));
+        rest_.remove_prefix(len + 1);  // the token and the blank after it
+        continue;
+      }
+      const auto value = integer<T>();
+      if (!value) return false;
+      out.push_back(*value);
+    }
+    return true;
+  }
+
   /// Consumes the next token; true iff there was one and it equals `word`.
   [[nodiscard]] bool expect(std::string_view word) noexcept {
     return token() == word;
@@ -103,6 +140,33 @@ class TokenScanner {
   }
 
  private:
+  /// When at least 8 bytes remain and the token at the front is 1-7 plain
+  /// digits followed by a blank: its length, with its value in `value`.
+  /// Otherwise 0.
+  [[nodiscard]] std::size_t short_digits(std::uint64_t& value) const noexcept {
+    if constexpr (std::endian::native != std::endian::little) return 0;
+    if (rest_.size() < 8) return 0;
+    std::uint64_t word;
+    std::memcpy(&word, rest_.data(), 8);
+    // A byte is a digit iff (byte ^ '0') < 10. Adding 0x76 to the low seven
+    // bits carries into the high bit iff they are >= 10 (and never across
+    // bytes); or-ing the xor keeps bytes >= 0x80 flagged too.
+    word ^= 0x3030303030303030;
+    const std::uint64_t not_digit =
+        (((word & 0x7f7f7f7f7f7f7f7f) + 0x7676767676767676) | word) &
+        0x8080808080808080;
+    const auto len = static_cast<std::size_t>(std::countr_zero(not_digit)) / 8;
+    if (len == 0 || len == 8 || !is_blank(rest_[len])) return 0;
+    // Move the digits to the top of the word behind zero bytes (byte 0 is
+    // the leading digit), then fold adjacent digits, pairs and quads.
+    std::uint64_t v = (word & ((std::uint64_t{1} << (8 * len)) - 1))
+                      << (64 - 8 * len);
+    v = (v * 10 + (v >> 8)) & 0x00ff00ff00ff00ff;
+    v = (v * 100 + (v >> 16)) & 0x0000ffff0000ffff;
+    value = (v * 10000 + (v >> 32)) & 0xffffffff;
+    return len;
+  }
+
   std::string_view rest_;
 };
 

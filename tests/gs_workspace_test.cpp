@@ -228,9 +228,9 @@ TEST(IoAllocations, FromStringAllocatesPerInstanceNotPerRow) {
   ping.requests = 2;
   ping.n = 64;
   const auto bodies = serve::make_request_bodies(ping);
-  // The first load on this thread may grow set_pref_list's reused bitset.
-  // After that a load makes three allocations: the instance arena, the
-  // loader's filled[] row bitmap and its one reused row buffer.
+  // The first load on this thread may grow set_pref_list's reused rank
+  // buffer. After that a load makes three allocations: the instance arena,
+  // the loader's filled[] row bitmap and its one reused row buffer.
   (void)io::from_string(bodies[0]);
   const std::int64_t allocs =
       allocations_during([&] { (void)io::from_string(bodies[1]); });

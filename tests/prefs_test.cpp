@@ -4,6 +4,7 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "prefs/examples.hpp"
 #include "prefs/generators.hpp"
@@ -71,7 +72,9 @@ TEST(KPartite, RejectsMalformedLists) {
 /// Sets row (0,0)->1 of a fresh 2 x n instance to the reversed order, then
 /// submits `bad` and checks it is rejected with nothing changed: the pref
 /// row, every rank cell of the row and generation(), at both rank widths.
-void expect_rejected_list_changes_nothing(const std::vector<Index>& bad) {
+/// A non-empty `error` must appear in the rejection's message.
+void expect_rejected_list_changes_nothing(const std::vector<Index>& bad,
+                                          const std::string& error = {}) {
   const auto n = static_cast<Index>(bad.size());
   std::vector<Index> good(bad.size());
   for (Index r = 0; r < n; ++r) good[static_cast<std::size_t>(r)] = n - 1 - r;
@@ -80,22 +83,27 @@ void expect_rejected_list_changes_nothing(const std::vector<Index>& bad) {
     KPartiteInstance inst(2, n, width);
     inst.set_pref_list({0, 0}, 1, good);
     const std::uint64_t generation = inst.generation();
-    EXPECT_THROW(inst.set_pref_list({0, 0}, 1, bad), ContractViolation);
+    try {
+      inst.set_pref_list({0, 0}, 1, bad);
+      ADD_FAILURE() << "a non-permutation was accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(error), std::string::npos)
+          << e.what();
+    }
     const auto list = inst.pref_list({0, 0}, 1);
     EXPECT_EQ(std::vector<Index>(list.begin(), list.end()), good);
     for (Index t = 0; t < n; ++t) {
       EXPECT_EQ(inst.rank_of({0, 0}, {1, t}), n - 1 - t) << "member " << t;
     }
     EXPECT_EQ(inst.generation(), generation);
-    // The check's reused bitset does not leak into the next list.
+    // The check's reused rank buffer does not leak into the next list.
     inst.set_pref_list({0, 0}, 1, good);
     EXPECT_EQ(inst.generation(), generation + 1);
   }
 }
 
 TEST(KPartite, RejectedDuplicateEntryChangesNothing) {
-  // 70 entries span two words of the check's bitset; the duplicate comes
-  // last, after every other entry has been marked.
+  // The duplicate comes last, after every other entry has been seen.
   std::vector<Index> bad(70);
   for (Index r = 0; r < 70; ++r) bad[static_cast<std::size_t>(r)] = r;
   bad.back() = 3;
@@ -109,6 +117,16 @@ TEST(KPartite, RejectedOutOfRangeEntryChangesNothing) {
   expect_rejected_list_changes_nothing(bad);
   bad[40] = -1;
   expect_rejected_list_changes_nothing(bad);
+}
+
+TEST(Prefs, SetPrefListFirstBadEntryNamesTheError) {
+  // Whichever fault comes first in list order is the one reported.
+  std::vector<Index> bad = {5, 99, 5, 0, 1, 2, 3, 4};
+  expect_rejected_list_changes_nothing(
+      bad, "preference entry 99 out of range for a0");
+  bad = {5, 5, 99, 0, 1, 2, 3, 4};
+  expect_rejected_list_changes_nothing(
+      bad, "duplicate preference entry 5 for a0");
 }
 
 TEST(KPartite, ValidateDetectsUnsetLists) {

@@ -14,6 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "observability/metrics.hpp"
 #include "prefs/generators.hpp"
 #include "prefs/io.hpp"
@@ -22,6 +25,7 @@
 #include "serve/admission.hpp"
 #include "serve/client.hpp"
 #include "serve/engine.hpp"
+#include "serve/fd_stream.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "util/rng.hpp"
@@ -116,6 +120,77 @@ TEST(ServeProtocol, OversizedLenRejectedBeforeAllocation) {
 TEST(ServeProtocol, TruncatedBodyThrows) {
   std::stringstream stream("kmatch/1 SOLVE id=1 len=10\nabc");
   EXPECT_THROW(read_frame(stream), ParseError);
+}
+
+/// The bytes of `frames` as write_frame puts them on the wire.
+std::string wire_bytes(const std::vector<Frame>& frames) {
+  std::ostringstream os;
+  for (const Frame& frame : frames) write_frame(os, frame);
+  return os.str();
+}
+
+/// Sends `bytes` down `fd` in uneven chunks (1, 4095 and 4097 bytes, then
+/// the rest), pausing between them so the reader sees each one apart, then
+/// closes `fd`.
+void send_chunked(int fd, const std::string& bytes) {
+  std::size_t at = 0;
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{4095},
+                                  std::size_t{4097}, bytes.size()}) {
+    const std::size_t size = std::min(chunk, bytes.size() - at);
+    EXPECT_TRUE(send_all(fd, bytes.data() + at, size));
+    at += size;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ::close(fd);
+}
+
+TEST(ServeProtocol, SocketFrameBodyReadsWholeAcrossUnevenChunks) {
+  // A k = 3, n = 64 SOLVE body (~75 KB) crosses many 4 KiB buffer refills;
+  // the PING behind it must still parse from the same stream.
+  const Frame solve = Frame::request(FrameKind::solve, 11,
+                                     small_instance(23, 3, 64), 0.0);
+  ASSERT_GT(solve.body.size(), 60000u);
+  const Frame ping = Frame::request(FrameKind::ping, 12, {}, 0.0);
+  const std::string bytes = wire_bytes({solve, ping});
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread writer(send_chunked, fds[1], bytes);
+  FdReadBuf buffer(fds[0]);
+  std::istream is(&buffer);
+  const auto first = read_frame(is);
+  const auto second = read_frame(is);
+  const auto end = read_frame(is);
+  writer.join();
+  ::close(fds[0]);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->id, 11u);
+  EXPECT_EQ(first->body, solve.body);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->kind, FrameKind::ping);
+  EXPECT_EQ(second->id, 12u);
+  EXPECT_FALSE(end.has_value());
+}
+
+TEST(ServeProtocol, SocketClosedMidBodyIsTruncated) {
+  const Frame solve = Frame::request(FrameKind::solve, 13,
+                                     small_instance(29, 3, 64), 0.0);
+  const std::string bytes = wire_bytes({solve});
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  // Header plus about half the body, then the writer closes.
+  std::thread writer(send_chunked, fds[1], bytes.substr(0, bytes.size() / 2));
+  FdReadBuf buffer(fds[0]);
+  std::istream is(&buffer);
+  try {
+    (void)read_frame(is);
+    ADD_FAILURE() << "a body cut mid-way parsed";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated frame body"),
+              std::string::npos)
+        << e.what();
+  }
+  writer.join();
+  ::close(fds[0]);
 }
 
 TEST(ServeProtocol, MissingRequiredAttributesThrow) {

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -352,6 +354,85 @@ TEST(TokenScanner, IntegersMustBeWholeTokens) {
     util::TokenScanner ts(bad);
     EXPECT_EQ(ts.integer<std::int32_t>(), std::nullopt) << bad;
   }
+}
+
+/// One token of the kinds a preference row can hold or get wrong: plain
+/// numbers of 1-11 digits, the int32 and int16 edges, signs and junk.
+std::string edge_token(Rng& rng) {
+  static const std::vector<std::string> kFixed = {
+      "0",          "-0",          "+1",         "0x",         "0x1f",
+      "1x",         "-",           "+",          "x",          ":",
+      "007",        "0000000",     "00000000",   "9999999",    "10000000",
+      "2147483647", "2147483648",  "2147483646", "-2147483648", "-2147483649",
+      "32767",      "32768",       "-32768",     "65535",      "1.5",
+      "1e3",        "12\x7f",     "\xff" "1",  "99999999999"};
+  switch (rng.below(4)) {
+    case 0:
+      return kFixed[rng.below(kFixed.size())];
+    case 1: {
+      std::string digits(static_cast<std::size_t>(rng.range(8, 11)), '0');
+      for (char& c : digits) c = static_cast<char>('0' + rng.below(10));
+      return digits;
+    }
+    default: {
+      std::string digits(static_cast<std::size_t>(rng.range(1, 7)), '0');
+      for (char& c : digits) c = static_cast<char>('0' + rng.below(10));
+      if (rng.below(16) == 0) digits.insert(0, "-");
+      if (rng.below(64) == 0) digits.push_back('\x80');
+      return digits;
+    }
+  }
+}
+
+/// integers<T>() against the whole-token from_chars rule applied token by
+/// token: the same values, the same verdict, the same token left unconsumed.
+template <typename T>
+void expect_integers_agree(std::uint64_t seed, int lines) {
+  Rng rng(seed);
+  static const char kBlanks[] = {' ', ' ', ' ', '\t', '\r', '\v', '\f'};
+  for (int line_no = 0; line_no < lines; ++line_no) {
+    std::string line;
+    std::vector<std::string> tokens(static_cast<std::size_t>(rng.range(0, 12)));
+    for (std::string& token : tokens) {
+      token = edge_token(rng);
+      for (auto gap = rng.range(1, 2); gap > 0; --gap) {
+        line.push_back(kBlanks[rng.below(sizeof kBlanks)]);
+      }
+      line += token;
+    }
+    if (rng.below(2) == 0) line.push_back(kBlanks[rng.below(sizeof kBlanks)]);
+
+    std::vector<T> want;
+    std::optional<std::string> want_stop;
+    for (const std::string& token : tokens) {
+      T value{};
+      const char* const last = token.data() + token.size();
+      const auto [ptr, ec] = std::from_chars(token.data(), last, value, 10);
+      if (ec != std::errc{} || ptr != last) {
+        want_stop = token;
+        break;
+      }
+      want.push_back(value);
+    }
+
+    util::TokenScanner ts(line);
+    std::vector<T> got{T{7}};  // integers() appends
+    const bool ended = ts.integers(got);
+    got.erase(got.begin());
+    ASSERT_EQ(got, want) << "line '" << line << "'";
+    ASSERT_EQ(ended, !want_stop.has_value()) << "line '" << line << "'";
+    const auto stop = ts.token();
+    ASSERT_EQ(stop.has_value(), want_stop.has_value()) << "line '" << line << "'";
+    if (stop) {
+      ASSERT_EQ(*stop, *want_stop) << "line '" << line << "'";
+    }
+  }
+}
+
+TEST(Scan, IntegersAgreeWithFromChars) {
+  expect_integers_agree<std::int32_t>(0x5ca9, 100000);
+  // A narrower T rejects short digit runs above its max on both paths.
+  expect_integers_agree<std::int16_t>(0x5cb0, 20000);
 }
 
 }  // namespace
