@@ -4,10 +4,10 @@
 #
 # Usage: check_keepers.sh <repo-root>
 #
-# Every header under src/{analysis,core,gs,incremental,parallel,roommates},
-# every bench/bench_e*.cpp and every examples/*.cpp keeps exactly one row in
-# the "What keeps each surface" section of DESIGN.md, starting with the path
-# in backticks and naming its keeper in the third cell:
+# Every header under src/{analysis,core,gs,incremental,parallel,resilience,
+# roommates}, every bench/bench_e*.cpp and every examples/*.cpp keeps exactly
+# one row in the "What keeps each surface" section of DESIGN.md, starting
+# with the path in backticks and naming its keeper in the third cell:
 #   | `src/core/binding.hpp` | header | Algorithm 1, Theorems 2-3 (E4, E5) |
 # Fails when a path in that scope has no row, when a row names a file that
 # does not exist, when a path has more than one row or a row has an empty
@@ -18,11 +18,12 @@ set -u
 
 ROOT="$1"
 DESIGN="$ROOT/DESIGN.md"
-path_re='(src/(analysis|core|gs|incremental|parallel|roommates)/[^`/]+\.hpp|bench/bench_e[^`/]+\.cpp|examples/[^`/]+\.cpp)'
+path_re='(src/(analysis|core|gs|incremental|parallel|resilience|roommates)/[^`/]+\.hpp|bench/bench_e[^`/]+\.cpp|examples/[^`/]+\.cpp)'
 
 scope_paths() {
   (cd "$ROOT" && ls src/analysis/*.hpp src/core/*.hpp src/gs/*.hpp \
-    src/incremental/*.hpp src/parallel/*.hpp src/roommates/*.hpp \
+    src/incremental/*.hpp src/parallel/*.hpp src/resilience/*.hpp \
+    src/roommates/*.hpp \
     bench/bench_e*.cpp examples/*.cpp 2>/dev/null) | sort
 }
 

@@ -60,19 +60,10 @@ const char* binding_engine_label(GsEngine engine) {
 
 gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,
                          const BindingOptions& options, bool* cache_hit,
-                         bool* executed) {
+                         const gs::GsResult* known) {
   if (cache_hit != nullptr) *cache_hit = false;
-  if (executed != nullptr) *executed = false;
-  // Warm-or-cold compute: the warm-start provider (if any) gets first
-  // refusal; a nullopt answer falls through to the selected cold engine.
   const auto compute = [&]() -> gs::GsResult {
-    if (options.warm_start != nullptr) {
-      if (auto warm = options.warm_start->warm_solve(inst, edge, options)) {
-        return std::move(*warm);
-      }
-    }
-    if (executed != nullptr) *executed = true;
-    return run_engine(inst, edge, options);
+    return known != nullptr ? *known : run_engine(inst, edge, options);
   };
   if (options.cache == nullptr) return compute();
   KSTABLE_REQUIRE(options.cache->genders() == inst.genders(),
@@ -91,13 +82,12 @@ gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,
 
 void bind_edge(const KPartiteInstance& inst, GenderEdge edge,
                const BindingOptions& options, gs::GsResult& slot,
-               BindingResult& tally) {
+               BindingResult& tally, const gs::GsResult* known) {
   KSTABLE_FAULT_POINT("core/binding_edge");
   if (options.control != nullptr) options.control->check_now();
   bool hit = false;
-  bool executed = false;
-  slot = run_binding(inst, edge, options, &hit, &executed);
-  if (executed) {
+  slot = run_binding(inst, edge, options, &hit, known);
+  if (!hit && known == nullptr) {
     std::atomic_ref(tally.executed_proposals)
         .fetch_add(slot.proposals, std::memory_order_relaxed);
   }
@@ -116,6 +106,21 @@ void finish_binding(BindingResult& result, const KPartiteInstance& inst,
     result.total_proposals += r.proposals;
   }
   result.equivalence = derive_families(inst, structure, result.edge_results);
+  if (structure.is_spanning_tree()) {
+    // Theorem 2: a spanning tree always yields consistent k-tuples.
+    KSTABLE_ENSURE(result.equivalence.consistent,
+                   "spanning-tree binding produced inconsistent classes: "
+                       << result.equivalence.inconsistency);
+    // Theorem 3: at most (k-1) n² accumulated proposals.
+    const std::int64_t bound =
+        static_cast<std::int64_t>(inst.genders() - 1) *
+        static_cast<std::int64_t>(inst.per_gender()) *
+        static_cast<std::int64_t>(inst.per_gender());
+    KSTABLE_ENSURE(result.total_proposals <= bound,
+                   "proposal count " << result.total_proposals
+                                     << " exceeds the Theorem 3 bound "
+                                     << bound);
+  }
   result.status.proposals = result.total_proposals;
   result.status.wall_ms = timer.millis();
 
@@ -164,20 +169,7 @@ BindingResult iterative_binding(const KPartiteInstance& inst,
   KSTABLE_REQUIRE(tree.is_spanning_tree(),
                   "Algorithm 1 requires a spanning binding tree; "
                   "use bind_structure for forests/cycles");
-  BindingResult result = bind_structure(inst, tree, options);
-  // Theorem 2: a spanning tree always yields consistent k-tuples.
-  KSTABLE_ENSURE(result.equivalence.consistent,
-                 "spanning-tree binding produced inconsistent classes: "
-                     << result.equivalence.inconsistency);
-  // Theorem 3: at most (k-1) n² accumulated proposals.
-  const std::int64_t bound =
-      static_cast<std::int64_t>(inst.genders() - 1) *
-      static_cast<std::int64_t>(inst.per_gender()) *
-      static_cast<std::int64_t>(inst.per_gender());
-  KSTABLE_ENSURE(result.total_proposals <= bound,
-                 "proposal count " << result.total_proposals
-                                   << " exceeds the Theorem 3 bound " << bound);
-  return result;
+  return bind_structure(inst, tree, options);
 }
 
 StrengthenResult strengthen_bindings(const KPartiteInstance& inst,

@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/equivalence.hpp"
@@ -51,26 +50,6 @@ inline constexpr std::size_t kGsEngineCount = 3;
 }
 
 class GsEdgeCache;  // core/gs_cache.hpp
-struct BindingOptions;
-
-/// Warm-start hook for incremental re-stabilization (src/incremental/,
-/// docs/INCREMENTAL.md). When BindingOptions::warm_start is attached,
-/// run_binding asks the provider for each oriented edge BEFORE running the
-/// selected engine cold: the provider may return a complete GsResult derived
-/// from a previous solve (an untouched edge's old result reused verbatim),
-/// or nullopt to fall back to the cold engine. Contract: a returned result
-/// must be bitwise-identical (match arrays) to what the cold engine would
-/// produce on `inst` — the DiffRunner churn battery pins it. A returned
-/// result counts as executing no proposals. The provider must be safe to
-/// call concurrently (raced ladder rungs share one BindingOptions);
-/// implementations are const and use atomic counters.
-class WarmStartProvider {
- public:
-  virtual ~WarmStartProvider() = default;
-  [[nodiscard]] virtual std::optional<gs::GsResult> warm_solve(
-      const KPartiteInstance& inst, GenderEdge edge,
-      const BindingOptions& options) const = 0;
-};
 
 struct BindingOptions {
   GsEngine engine = GsEngine::queue;
@@ -93,10 +72,6 @@ struct BindingOptions {
   /// If non-null, every per-edge proposal event is appended (small instances
   /// only). Cache hits replay no events — only freshly computed edges trace.
   std::vector<gs::ProposalEvent>* trace = nullptr;
-  /// Optional warm-start provider (incremental::DeltaWarmStart): consulted
-  /// per edge before the cold engine, composing with the cache (a cache hit
-  /// still wins; on a miss the provider's result is what gets published).
-  const WarmStartProvider* warm_start = nullptr;
 };
 
 /// Result of binding a structure (tree, forest, or cyclic edge set).
@@ -109,10 +84,10 @@ struct BindingResult {
   /// edges contribute the proposals of their original computation, so this
   /// stays the semantic per-tree quantity the Theorem 3 bound is about.
   std::int64_t total_proposals = 0;
-  /// Proposals actually executed by THIS call — cache hits and warm-start
-  /// answers contribute nothing. Equals total_proposals when neither a cache
-  /// nor a provider is attached; the E15 cache ablation accumulates this
-  /// across trees.
+  /// Proposals actually executed by THIS call — cache hits and the previous
+  /// results incremental::rematch hands in as known contribute nothing.
+  /// Equals total_proposals for a cold, uncached solve; the E15 cache
+  /// ablation accumulates this across trees.
   std::int64_t executed_proposals = 0;
   /// Edge-cache outcomes for this call's edges (both 0 without a cache).
   std::int64_t cache_hits = 0;
@@ -134,28 +109,33 @@ struct BindingResult {
   }
 };
 
-/// Runs one binary binding GS(edge.a proposes, edge.b responds) with the
-/// selected engine. With options.cache attached, a memoized result is
-/// returned without re-running GS; `cache_hit` (if non-null) reports whether
-/// that happened. `executed` (if non-null) reports whether this call ran a
-/// GS engine: false for a cache hit and for a warm-start provider's answer.
+/// Runs one binary binding GS(edge.a proposes, edge.b responds): returns
+/// `*known` if given — the caller vouches that it is bitwise what the
+/// selected engine would return on `inst` — and runs the engine otherwise.
+/// With options.cache attached, a memoized result wins and a miss publishes
+/// the returned result; `cache_hit` (if non-null) reports whether the cache
+/// answered.
 gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,
                          const BindingOptions& options,
-                         bool* cache_hit = nullptr, bool* executed = nullptr);
+                         bool* cache_hit = nullptr,
+                         const gs::GsResult* known = nullptr);
 
 /// The per-edge step every Algorithm 1 driver runs: the core/binding_edge
 /// fault point, a control check, run_binding into `slot`, then the
 /// executed-proposal and cache tally into `tally` (atomic, so workers may
-/// step distinct slots of one result concurrently).
+/// step distinct slots of one result concurrently). An edge counts as
+/// executed unless the cache answered or `known` was given.
 void bind_edge(const KPartiteInstance& inst, GenderEdge edge,
                const BindingOptions& options, gs::GsResult& slot,
-               BindingResult& tally);
+               BindingResult& tally, const gs::GsResult* known = nullptr);
 
 /// The finish every Algorithm 1 driver shares: total proposals over
 /// result.edge_results, derive_families over `structure`, status, and
 /// telemetry labelled `engine` (nullptr = the per-engine binding label) with
 /// phases `work` (everything before this call, timed from `timer`) and
-/// `assemble`. Records nothing: the driver adjusts, then calls obs::record.
+/// `assemble`. On a spanning tree it also ensures Theorem 2 (consistent
+/// classes) and Theorem 3 (at most (k-1)n² accumulated proposals). Records
+/// nothing: the driver adjusts, then calls obs::record.
 void finish_binding(BindingResult& result, const KPartiteInstance& inst,
                     const BindingStructure& structure,
                     const BindingOptions& options, const char* engine,

@@ -52,8 +52,6 @@ OrientedBindingResult oriented_binding(const KPartiteInstance& inst,
   }
   finish_binding(result.binding, inst, result.oriented, options,
                  "binding.oriented", "bind", timer);
-  KSTABLE_ENSURE(result.binding.equivalence.consistent,
-                 "oriented spanning-tree binding must be consistent");
   obs::record(result.binding.telemetry);
   return result;
 }

@@ -63,8 +63,6 @@ ParallelBindingReport execute_binding(const KPartiteInstance& inst,
                       : mode == ExecutionMode::erew_rounds ? "parallel.erew"
                                                            : "parallel.crew";
   finish_binding(binding, inst, tree, options, label, "rounds", timer);
-  KSTABLE_ENSURE(!tree.is_spanning_tree() || binding.equivalence.consistent,
-                 "spanning-tree parallel binding produced inconsistent classes");
 
   const pram::Model model = mode == ExecutionMode::crew_full
                                 ? pram::Model::crew

@@ -58,9 +58,9 @@ struct GsResult {
   /// Number of proposal rounds (1 per proposal for the queue engine).
   std::int64_t rounds = 0;
   /// Wall time of the engine run that computed this result, in
-  /// milliseconds. A core::GsEdgeCache hit or a warm-start provider's answer
-  /// hands back the stored result, so it carries its original run's time,
-  /// not the (near-zero) cost of the replay.
+  /// milliseconds. A core::GsEdgeCache hit or a result rematch reuses hands
+  /// back the stored result, so it carries its original run's time, not the
+  /// (near-zero) cost of the reuse.
   double wall_ms = 0.0;
   /// Static-lifetime label of the engine that produced this result
   /// ("gs.queue", "gs.rounds", "gs.parallel", "gs.scan").

@@ -1,7 +1,10 @@
 #include "incremental/rematch.hpp"
 
+#include <vector>
+
 #include "observability/metrics.hpp"
 #include "util/check.hpp"
+#include "util/timer.hpp"
 
 namespace kstable::incremental {
 
@@ -46,6 +49,26 @@ bool responder_replays(const KPartiteInstance& inst,
          !suitor(entries[static_cast<std::size_t>(row.hi)]);
 }
 
+/// What a previous per-edge result is worth on the mutated instance.
+enum class EdgeVerdict : std::uint8_t {
+  reused,    ///< the delta changed no row over the edge's gender pair
+  replayed,  ///< rows changed outside the region GS read: previous is exact
+  resolved,  ///< an edit reached the read region: re-solve cold
+  cold,      ///< no previous result for this edge (another tree, another n)
+};
+
+/// Index of oriented `edge` in previous.edge_results, or -1.
+std::ptrdiff_t find(const core::BindingResult& previous, GenderEdge edge) {
+  const auto& results = previous.edge_results;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (results[i].proposer_gender == edge.a &&
+        results[i].responder_gender == edge.b) {
+      return static_cast<std::ptrdiff_t>(i);
+    }
+  }
+  return -1;
+}
+
 }  // namespace
 
 bool replays(const KPartiteInstance& inst, const gs::GsResult& previous,
@@ -63,65 +86,18 @@ bool replays(const KPartiteInstance& inst, const gs::GsResult& previous,
   return true;
 }
 
-DeltaWarmStart::DeltaWarmStart(const KPartiteInstance& inst,
-                               const core::BindingResult& previous,
-                               const MutationDelta& delta)
-    : previous_(previous) {
-  KSTABLE_REQUIRE(!delta.shape_changed,
-                  "DeltaWarmStart cannot warm a shape-changed delta; "
-                  "cold-solve the rebuilt instance");
-  KSTABLE_REQUIRE(delta.to_generation == inst.generation(),
-                  "delta ends at generation " << delta.to_generation
-                                              << " but instance is at "
-                                              << inst.generation());
-  verdicts_.reserve(previous.edge_results.size());
-  for (const gs::GsResult& r : previous.edge_results) {
-    if (r.proposer_match.size() !=
-        static_cast<std::size_t>(inst.per_gender())) {
-      verdicts_.push_back(EdgeVerdict::cold);
-    } else if (!delta.touches(r.proposer_gender, r.responder_gender)) {
-      verdicts_.push_back(EdgeVerdict::reused);
-    } else {
-      verdicts_.push_back(replays(inst, r, delta) ? EdgeVerdict::replayed
-                                                  : EdgeVerdict::resolved);
-    }
-  }
-}
-
-std::ptrdiff_t DeltaWarmStart::find(GenderEdge edge) const noexcept {
-  const auto& results = previous_.edge_results;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (results[i].proposer_gender == edge.a &&
-        results[i].responder_gender == edge.b) {
-      return static_cast<std::ptrdiff_t>(i);
-    }
-  }
-  return -1;
-}
-
-EdgeVerdict DeltaWarmStart::verdict(GenderEdge edge) const noexcept {
-  const std::ptrdiff_t i = find(edge);
-  return i < 0 ? EdgeVerdict::cold : verdicts_[static_cast<std::size_t>(i)];
-}
-
-std::optional<gs::GsResult> DeltaWarmStart::warm_solve(
-    const KPartiteInstance& /*inst*/, GenderEdge edge,
-    const core::BindingOptions& /*options*/) const {
-  const std::ptrdiff_t i = find(edge);
-  if (i < 0) return std::nullopt;
-  const auto at = static_cast<std::size_t>(i);
-  const EdgeVerdict v = verdicts_[at];
-  if (v == EdgeVerdict::reused || v == EdgeVerdict::replayed) {
-    return previous_.edge_results[at];
-  }
-  return std::nullopt;
-}
-
 RematchReport rematch(const KPartiteInstance& inst,
                       const BindingStructure& tree,
                       const core::BindingResult& previous,
                       const MutationDelta& delta,
                       const RematchOptions& options) {
+  KSTABLE_REQUIRE(options.engine != core::GsEngine::parallel,
+                  "rematch re-solves its edges in sequence; use "
+                  "GsEngine::queue or GsEngine::rounds");
+  KSTABLE_REQUIRE(tree.is_spanning_tree() &&
+                      tree.genders() == inst.genders(),
+                  "rematch re-stabilizes a spanning binding tree over the "
+                  "instance's genders");
   KSTABLE_REQUIRE(delta.to_generation == inst.generation(),
                   "delta ends at generation "
                       << delta.to_generation << " but instance is at "
@@ -131,8 +107,6 @@ RematchReport rematch(const KPartiteInstance& inst,
   RematchReport report;
   core::BindingOptions bopts;
   bopts.engine = options.engine;
-  bopts.pool = options.pool;
-  bopts.control = options.control;
   bopts.cache = options.cache;
 
   const auto emit = [&report] {
@@ -160,16 +134,38 @@ RematchReport rematch(const KPartiteInstance& inst,
     return report;
   }
 
-  // Step 1: one verdict per tree edge.
-  const DeltaWarmStart provider(inst, previous, delta);
+  // Step 1: one verdict per previous edge result, so one per tree edge.
+  std::vector<EdgeVerdict> verdicts;
+  verdicts.reserve(previous.edge_results.size());
+  for (const gs::GsResult& r : previous.edge_results) {
+    if (r.proposer_match.size() !=
+        static_cast<std::size_t>(inst.per_gender())) {
+      verdicts.push_back(EdgeVerdict::cold);
+    } else if (!delta.touches(r.proposer_gender, r.responder_gender)) {
+      verdicts.push_back(EdgeVerdict::reused);
+    } else {
+      verdicts.push_back(replays(inst, r, delta) ? EdgeVerdict::replayed
+                                                 : EdgeVerdict::resolved);
+    }
+  }
+  const auto verdict = [&](std::ptrdiff_t at) {
+    return at < 0 ? EdgeVerdict::cold : verdicts[static_cast<std::size_t>(at)];
+  };
+  // An untouched or replayed tree edge's previous result is known exact.
   const auto& edges = tree.edges();
+  std::vector<const gs::GsResult*> known(edges.size(), nullptr);
   bool aligned = previous.edge_results.size() == edges.size();
   for (std::size_t i = 0; i < edges.size(); ++i) {
-    switch (provider.verdict(edges[i])) {
+    const std::ptrdiff_t at = find(previous, edges[i]);
+    const EdgeVerdict v = verdict(at);
+    switch (v) {
       case EdgeVerdict::reused: ++report.edges_reused; break;
       case EdgeVerdict::replayed: ++report.edges_replayed; break;
       case EdgeVerdict::resolved: ++report.edges_warm; break;
       case EdgeVerdict::cold: ++report.edges_cold; break;
+    }
+    if (v == EdgeVerdict::reused || v == EdgeVerdict::replayed) {
+      known[i] = &previous.edge_results[static_cast<std::size_t>(at)];
     }
     aligned = aligned && previous.edge_results[i].proposer_gender ==
                              edges[i].a &&
@@ -184,7 +180,7 @@ RematchReport rematch(const KPartiteInstance& inst,
     for (const GenderEdge pair : delta.touched_pairs()) {
       for (const GenderEdge slot :
            {GenderEdge{pair.a, pair.b}, GenderEdge{pair.b, pair.a}}) {
-        if (provider.verdict(slot) != EdgeVerdict::replayed) {
+        if (verdict(find(previous, slot)) != EdgeVerdict::replayed) {
           report.slots_invalidated += options.cache->invalidate(slot);
         }
       }
@@ -202,9 +198,18 @@ RematchReport rematch(const KPartiteInstance& inst,
     emit();
     return report;
   }
-  bopts.warm_start = &provider;
-  report.result = core::iterative_binding(inst, tree, bopts);
-  report.warm_executed_proposals = report.result.executed_proposals;
+
+  // Step 4: Algorithm 1 over the tree, known edges handed in.
+  const WallTimer timer;
+  core::BindingResult& result = report.result;
+  result.edge_results.resize(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    core::bind_edge(inst, edges[i], bopts, result.edge_results[i], result,
+                    known[i]);
+  }
+  core::finish_binding(result, inst, tree, bopts, nullptr, "bind", timer);
+  obs::record(result.telemetry);
+  report.warm_executed_proposals = result.executed_proposals;
   emit();
   return report;
 }

@@ -11,9 +11,10 @@
 //      exact) and rebinds the cache to the new generation, or clear()s
 //      everything when the shape changed;
 //   3. returns `previous` as it is when no tree edge needs a re-solve, and
-//      otherwise re-runs Algorithm 1 with a DeltaWarmStart provider
-//      attached, so untouched and replayed edges reuse the previous per-edge
-//      results verbatim and the rest re-solve cold with the selected engine;
+//      otherwise walks the tree with core::bind_edge, handing each untouched
+//      or replayed edge its previous result as known (reused verbatim) and
+//      re-solving the rest cold with the selected engine, then finishes
+//      through core::finish_binding like every Algorithm 1 driver;
 //   4. reports exact work accounting: slots invalidated, per-verdict edge
 //      counts, and the proposals actually executed.
 // The resulting matching is bitwise-identical to a cold solve of the mutated
@@ -25,25 +26,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "core/binding.hpp"
 #include "core/gs_cache.hpp"
 #include "graph/binding_structure.hpp"
 #include "incremental/mutation.hpp"
-#include "parallel/thread_pool.hpp"
-#include "resilience/control.hpp"
 
 namespace kstable::incremental {
-
-/// What a previous per-edge result is worth on the mutated instance.
-enum class EdgeVerdict : std::uint8_t {
-  reused,    ///< the delta changed no row over the edge's gender pair
-  replayed,  ///< rows changed outside the region GS read: previous is exact
-  resolved,  ///< an edit reached the read region: re-solve cold
-  cold,      ///< no previous result for this edge (another tree, another n)
-};
 
 /// True iff the delta's rows over gender pair (a, b) all missed the region
 /// that `previous` — GS(a proposes, b responds) solved on the pre-delta
@@ -64,43 +53,10 @@ enum class EdgeVerdict : std::uint8_t {
                            const gs::GsResult& previous,
                            const MutationDelta& delta);
 
-/// WarmStartProvider backed by a previous BindingResult plus the delta since
-/// it was computed. The constructor gives every previous per-edge result its
-/// verdict once; per oriented edge, warm_solve then returns the previous
-/// result verbatim for an untouched or replayed edge (zero proposals
-/// executed), and nullopt for a re-solved edge or one absent from the
-/// previous result (different tree) or sized for another n, so the selected
-/// engine solves it cold. Immutable after construction, so ladder workers
-/// may share it. Holds references: `previous` must outlive the provider.
-class DeltaWarmStart final : public core::WarmStartProvider {
- public:
-  /// Requires !delta.shape_changed (membership churn cannot warm-start;
-  /// rematch() answers it with a cold solve instead of building a provider)
-  /// and delta.to_generation == inst.generation().
-  DeltaWarmStart(const KPartiteInstance& inst,
-                 const core::BindingResult& previous,
-                 const MutationDelta& delta);
-
-  [[nodiscard]] std::optional<gs::GsResult> warm_solve(
-      const KPartiteInstance& inst, GenderEdge edge,
-      const core::BindingOptions& options) const override;
-
-  /// The verdict on oriented edge `edge` (cold when `previous` lacks it).
-  [[nodiscard]] EdgeVerdict verdict(GenderEdge edge) const noexcept;
-
- private:
-  /// Index of `edge` in previous_.edge_results, or -1.
-  [[nodiscard]] std::ptrdiff_t find(GenderEdge edge) const noexcept;
-
-  const core::BindingResult& previous_;
-  std::vector<EdgeVerdict> verdicts_;  ///< aligned with edge_results
-};
-
 struct RematchOptions {
-  /// Cold-fallback engine (and the engine key cached results publish under).
+  /// Engine for the edges re-solved cold (and the engine key cached results
+  /// publish under): queue or rounds. rematch() rejects GsEngine::parallel.
   core::GsEngine engine = core::GsEngine::queue;
-  ThreadPool* pool = nullptr;
-  resilience::ExecControl* control = nullptr;
   /// Optional edge cache carried across re-stabilizations. rematch() performs
   /// the targeted invalidation + rebind itself; the caller only guarantees
   /// quiescence (no concurrent solve is using the cache during rematch).
@@ -140,9 +96,10 @@ struct RematchReport {
 };
 
 /// Re-stabilizes `inst` (already mutated; delta.to_generation must equal
-/// inst.generation()) over `tree`, reusing `previous` — the binding result
-/// solved on the pre-delta instance over the same tree — for every edge the
-/// delta left untouched or whose previous result replays exactly.
+/// inst.generation()) over the spanning tree `tree`, reusing `previous` —
+/// the binding result solved on the pre-delta instance over the same tree —
+/// for every edge the delta left untouched or whose previous result replays
+/// exactly. Requires a sequential engine (queue or rounds).
 /// Returns the new proposer-optimal matching, bitwise-identical to a cold
 /// iterative_binding of the mutated instance.
 RematchReport rematch(const KPartiteInstance& inst,

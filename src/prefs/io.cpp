@@ -98,7 +98,7 @@ KPartiteInstance parse(util::LineReader& lines) {
       inst.set_pref_list({g, i}, h, order);
     } catch (const ContractViolation& e) {
       // Non-permutation list: malformed input, not a programming error.
-      throw ParseError(std::string("parse error: ") + e.what());
+      throw ParseError("parse error: " + e.reason());
     }
     ++seen;
   }

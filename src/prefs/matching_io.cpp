@@ -70,7 +70,7 @@ KaryMatching parse_kary(util::LineReader& lines) {
   try {
     return KaryMatching(k, n, std::move(families));
   } catch (const ContractViolation& e) {
-    throw ParseError(std::string("parse error: ") + e.what());
+    throw ParseError("parse error: " + e.reason());
   }
 }
 
@@ -103,7 +103,7 @@ BinaryMatchingKP parse_binary(util::LineReader& lines) {
   try {
     return BinaryMatchingKP(k, n, std::move(partner));
   } catch (const ContractViolation& e) {
-    throw ParseError(std::string("parse error: ") + e.what());
+    throw ParseError("parse error: " + e.reason());
   }
 }
 

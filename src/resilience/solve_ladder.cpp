@@ -49,7 +49,6 @@ void run_attempt(const FallbackOptions& options, std::size_t step,
       options.token);
   core::BindingOptions bopts{options.engine, options.pool, &control};
   bopts.cache = options.cache;
-  bopts.warm_start = options.warm_start;
   try {
     out.result = bind(bopts);
     out.log.status = out.result->status;
@@ -60,6 +59,9 @@ void run_attempt(const FallbackOptions& options, std::size_t step,
   }
 }
 
+/// Seed of the deterministic candidate-tree stream.
+constexpr std::uint64_t kTreeSeed = 0x5eed;
+
 /// The strict rungs' candidate trees, deduplicated by Prüfer code and capped
 /// by Cayley's k^(k-2) (cayley_count saturates at INT64_MAX for large k).
 /// Candidate 0 is the path tree (the library default); later ones are drawn
@@ -68,7 +70,7 @@ std::vector<BindingStructure> candidate_trees(Gender k,
                                               const FallbackOptions& options) {
   const std::int64_t count = std::min<std::int64_t>(
       options.max_tree_attempts, prufer::cayley_count(k));
-  Rng rng(options.tree_seed);
+  Rng rng(kTreeSeed);
   std::set<std::vector<Gender>> tried;
   std::vector<BindingStructure> candidates;
   candidates.reserve(static_cast<std::size_t>(count));

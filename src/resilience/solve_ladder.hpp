@@ -59,9 +59,6 @@ struct FallbackOptions {
   /// Strict rungs (distinct spanning trees) to try before degrading; capped
   /// by Cayley's k^(k-2) distinct trees.
   std::int32_t max_tree_attempts = 4;
-  /// Seed of the deterministic candidate-tree stream (attempt 0 is always
-  /// the path tree; later attempts draw distinct Prüfer-random trees).
-  std::uint64_t tree_seed = 0x5eed;
   /// Shared across all attempts; cancelling stops the whole ladder.
   CancellationToken token{};
   /// Per-edge GS engine (control is owned by the ladder).
@@ -84,12 +81,6 @@ struct FallbackOptions {
   /// by an aborted attempt replay for free on the next one (and are not
   /// re-charged against its budget). Must be built for this instance.
   core::GsEdgeCache* cache = nullptr;
-  /// Optional warm-start provider (incremental::DeltaWarmStart), threaded
-  /// into every rung's BindingOptions — strict trees, raced or in order,
-  /// and the degraded Algorithm 2 attempt alike. Edges outside the previous
-  /// solve's tree fall back to the cold engine (the provider answers
-  /// nullopt), so retry rungs on different trees stay correct.
-  const core::WarmStartProvider* warm_start = nullptr;
 };
 
 struct FallbackReport {

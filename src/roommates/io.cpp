@@ -64,7 +64,7 @@ RoommatesInstance parse(util::LineReader& lines) {
   } catch (const ContractViolation& e) {
     // Constructor validation failure (bad entry, self-reference, duplicate):
     // malformed input, not a programming error.
-    throw ParseError(std::string("parse error: ") + e.what());
+    throw ParseError("parse error: " + e.reason());
   }
 }
 

@@ -6,6 +6,7 @@
 // Hot inner loops use KSTABLE_ASSERT, compiled out in NDEBUG builds.
 #pragma once
 
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,20 @@ namespace kstable {
 class ContractViolation : public std::logic_error {
  public:
   explicit ContractViolation(const std::string& what) : std::logic_error(what) {}
+  /// `what` with the source location at [at, at + length) of it.
+  ContractViolation(const std::string& what, std::size_t at,
+                    std::size_t length)
+      : std::logic_error(what), location_at_(at), location_length_(length) {}
+
+  /// what() without the " at <file>:<line>" a contract check adds: the
+  /// text a loader may hand to whoever sent the malformed input.
+  [[nodiscard]] std::string reason() const {
+    return std::string(what()).erase(location_at_, location_length_);
+  }
+
+ private:
+  std::size_t location_at_ = 0;
+  std::size_t location_length_ = 0;
 };
 
 namespace detail {
@@ -23,9 +38,12 @@ namespace detail {
                                        const char* file, int line,
                                        const std::string& msg) {
   std::ostringstream os;
-  os << kind << " failed: (" << expr << ") at " << file << ':' << line;
+  os << kind << " failed: (" << expr << ')';
+  const auto at = static_cast<std::size_t>(os.tellp());
+  os << " at " << file << ':' << line;
+  const auto length = static_cast<std::size_t>(os.tellp()) - at;
   if (!msg.empty()) os << " — " << msg;
-  throw ContractViolation(os.str());
+  throw ContractViolation(os.str(), at, length);
 }
 }  // namespace detail
 

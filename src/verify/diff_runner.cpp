@@ -517,20 +517,20 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
       }
     }
 
-    {  // Pure-provider path (no cache): the selected engine re-solves the
-       // touched edges that fail replay — reused + replayed + re-solved
-       // verdicts cover the whole tree.
+    {  // Uncached path: the selected engine re-solves the touched edges
+       // that fail replay — reused + replayed + re-solved verdicts cover the
+       // whole tree.
       for (const auto engine :
            {core::GsEngine::queue, core::GsEngine::rounds}) {
         incremental::RematchOptions ropts;
         ropts.engine = engine;
         const auto warm = incremental::rematch(inst, path, previous, delta,
                                                ropts);
-        // The provider's own answers are what this leg returns for reused
+        // `previous`'s own results are what this leg returns for reused
         // and replayed edges, so their per-edge arrays and counts are
         // checked with the matching.
         std::ostringstream ms;
-        ms << "provider rematch under engine " << core::to_string(engine)
+        ms << "uncached rematch under engine " << core::to_string(engine)
            << " vs cold re-solve: ";
         const bool same_matching = warm.result.matching() == cold.matching();
         if (!same_matching) {
@@ -559,19 +559,6 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
         kary_agree(rec, "churn.width.bitwise", cold.matching(),
                    warm.result.matching(),
                    "relaid-width rematch vs cold re-solve");
-      }
-    }
-
-    {  // Ladder integration: warm_start threads through every rung.
-      const incremental::DeltaWarmStart provider(inst, previous, delta);
-      resilience::FallbackOptions fopts;
-      fopts.warm_start = &provider;
-      const auto report = resilience::solve_with_fallback(inst, fopts);
-      rec.check(report.succeeded, "churn.ladder.succeeded",
-                "warm-started ladder failed on an unconstrained solve");
-      if (report.succeeded) {
-        kary_agree(rec, "churn.ladder.bitwise", cold.matching(),
-                   report.matching(), "warm-started ladder vs cold re-solve");
       }
     }
 

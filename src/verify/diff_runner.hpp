@@ -45,11 +45,12 @@ struct DiffOptions {
   Sabotage sabotage = Sabotage::none;
   /// Incremental re-stabilization legs (src/incremental/): apply this many
   /// seeded random preference mutations to a copy of the instance and, after
-  /// every step, assert that rematch() — warm restart + targeted cache
-  /// invalidation — reproduces a cold solve of the mutated instance bitwise,
-  /// that a stale generation-bound cache refuses to serve, and that the
-  /// warm path provably does less work (fewer slots reset than clear(),
-  /// fewer proposals executed than cold, on single-pair deltas at k >= 3).
+  /// every step, assert that rematch() — previous results reused for the
+  /// edges the delta missed, targeted cache invalidation — reproduces a cold
+  /// solve of the mutated instance bitwise, that a stale generation-bound
+  /// cache refuses to serve, and that rematch provably does less work
+  /// (fewer slots reset than clear(), fewer proposals executed than cold,
+  /// on single-pair deltas at k >= 3).
   /// 0 skips the churn legs.
   std::int32_t churn_steps = 0;
 };

@@ -21,8 +21,6 @@
 #include "incremental/rematch.hpp"
 #include "observability/metrics.hpp"
 #include "prefs/generators.hpp"
-#include "resilience/fault_injection.hpp"
-#include "resilience/solve_ladder.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -685,43 +683,63 @@ TEST(Rematch, StaleDeltaIsRejected) {
   EXPECT_THROW(rematch(inst, tree, previous, delta), ContractViolation);
 }
 
-// ---------------------------------------------------------------------------
-// Ladder integration: a warm-start provider threaded through
-// solve_with_fallback survives injected faults with the cold ladder's answer.
-
-TEST(Rematch, LadderWithWarmStartSurvivesInjectedFaults) {
+TEST(Rematch, EmptyCacheIsFilledFromPreviousAtZeroProposals) {
+  // A fresh cache misses on every tree edge: each reused edge publishes its
+  // previous result at no cost and the re-solved edge its cold work, so the
+  // next cached solve of the tree is all hits.
   const Gender k = 4;
-  Rng rng(14);
-  auto inst = gen::uniform(k, 6, rng);
-  const auto previous = resilience::solve_with_fallback(inst, {});
-  ASSERT_TRUE(previous.succeeded);
+  Rng rng(18);
+  auto inst = gen::uniform(k, 16, rng);
+  const auto tree = trees::path(k);
+  const auto previous = core::iterative_binding(inst, tree, {});
+  // Rank 0 of a gender-0 row over gender 1 lies on every walk, so tree edge
+  // (0, 1) re-solves; the other edges are untouched.
+  const auto delta = swap_entries(inst, {0, 0}, 1, 0, 1);
+  core::GsEdgeCache cache(inst);
+  RematchOptions options;
+  options.cache = &cache;
+  const auto report = rematch(inst, tree, previous, delta, options);
 
-  const auto delta = random_mutation(inst, rng);
-  DeltaWarmStart provider(inst, *previous.result, delta);
+  EXPECT_FALSE(report.binding_skipped);
+  EXPECT_EQ(report.edges_warm, 1);
+  EXPECT_EQ(report.edges_reused, k - 2);
+  EXPECT_EQ(report.result.cache_misses, k - 1);
+  EXPECT_EQ(report.result.cache_hits, 0);
+  EXPECT_EQ(report.result.executed_proposals,
+            gs::gale_shapley_queue(inst, 0, 1).proposals);
+  EXPECT_EQ(report.warm_executed_proposals, report.result.executed_proposals);
+  EXPECT_EQ(cache.size(), static_cast<std::size_t>(k - 1));
 
-  resilience::FaultConfig config;
-  config.fire_after = 1;
-  config.probability = 1.0;
-  config.max_fires = 1;
+  core::BindingOptions cached_options;
+  cached_options.cache = &cache;
+  const auto cached = core::iterative_binding(inst, tree, cached_options);
+  EXPECT_EQ(cached.cache_hits, k - 1);
+  EXPECT_EQ(cached.cache_misses, 0);
+  EXPECT_EQ(cached.executed_proposals, 0);
+  const auto cold = core::iterative_binding(inst, tree, {});
+  EXPECT_EQ(cached.matching(), cold.matching());
+  EXPECT_EQ(report.result.matching(), cold.matching());
+}
 
-  resilience::FallbackReport cold;
-  {
-    resilience::ScopedFault fault("core/binding_edge", config);
-    cold = resilience::solve_with_fallback(inst, {});
+TEST(Rematch, ParallelEngineIsRejected) {
+  Rng rng(19);
+  auto inst = gen::uniform(3, 16, rng);
+  const auto tree = trees::path(3);
+  const auto previous = core::iterative_binding(inst, tree, {});
+  RematchOptions parallel;
+  parallel.engine = core::GsEngine::parallel;
+  {  // Pair (0, 2) is not a path-tree edge: the binding would be skipped.
+    const auto delta = swap_entries(inst, {0, 1}, 2, 0, 1);
+    EXPECT_THROW(rematch(inst, tree, previous, delta, parallel),
+                 ContractViolation);
+    EXPECT_TRUE(rematch(inst, tree, previous, delta).binding_skipped);
   }
-  resilience::FallbackOptions warm_options;
-  warm_options.warm_start = &provider;
-  resilience::FallbackReport warm;
-  {
-    resilience::ScopedFault fault("core/binding_edge", config);
-    warm = resilience::solve_with_fallback(inst, warm_options);
+  {  // Rank 0 of a gender-0 row over gender 1: edge (0, 1) would re-solve.
+    auto next = inst;
+    const auto delta = swap_entries(next, {0, 0}, 1, 0, 1);
+    EXPECT_THROW(rematch(next, tree, previous, delta, parallel),
+                 ContractViolation);
   }
-
-  ASSERT_TRUE(cold.succeeded);
-  ASSERT_TRUE(warm.succeeded);
-  EXPECT_EQ(warm.matching(), cold.matching());
-  // The provider answered edges the cold ladder had to run.
-  EXPECT_LT(warm.executed_proposals, cold.executed_proposals);
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 // Tests for RoommatesInstance text serialization.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "resilience/errors.hpp"
 #include "roommates/examples.hpp"
 #include "roommates/io.hpp"
 #include "util/check.hpp"
@@ -65,6 +69,31 @@ TEST(RoommatesIo, RejectsMalformedInput) {
   EXPECT_THROW(io::from_string(
                    "kstable-roommates v1\n2\nlist 0 : 1\nlist 1 :\n"),
                ContractViolation);
+}
+
+TEST(RoommatesIo, ContractRejectNamesNoSourceLocation) {
+  // Complete lists over 12 people, but person 3's long list ends in 99:
+  // the instance constructor's contract check rejects it, and the
+  // ParseError keeps its text but not its file:line.
+  std::ostringstream text;
+  text << "kstable-roommates v1\n12\n";
+  for (int p = 0; p < 12; ++p) {
+    text << "list " << p << " :";
+    for (int q = 0; q < 12; ++q) {
+      if (q != p) text << ' ' << (p == 3 && q == 11 ? 99 : q);
+    }
+    text << '\n';
+  }
+  try {
+    (void)io::from_string(text.str());
+    FAIL() << "an out-of-range entry was accepted";
+  } catch (const ParseError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("out-of-range id 99"), std::string::npos)
+        << message;
+    EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
+    EXPECT_EQ(message.find(".hpp:"), std::string::npos) << message;
+  }
 }
 
 TEST(RoommatesIo, CommentsIgnored) {

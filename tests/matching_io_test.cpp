@@ -5,6 +5,7 @@
 #include "core/existence.hpp"
 #include "prefs/generators.hpp"
 #include "prefs/matching_io.hpp"
+#include "resilience/errors.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -61,6 +62,35 @@ TEST(MatchingIo, BinaryRejectsMalformed) {
   EXPECT_THROW(
       io::binary_from_string("kstable-binary v1\n2 2\npair 0 1\npair 2 3\n"),
       ContractViolation);
+}
+
+TEST(MatchingIo, ContractRejectsNameNoSourceLocation) {
+  // Each text passes the parser's own checks and is rejected by the
+  // matching's constructor contract; the ParseError keeps the check's text
+  // but not its file:line.
+  const auto expect_located_nowhere = [](const auto& load,
+                                         const std::string& text,
+                                         const std::string& reason) {
+    try {
+      (void)load(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const ParseError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(reason), std::string::npos) << message;
+      EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
+      EXPECT_EQ(message.find(".hpp:"), std::string::npos) << message;
+    }
+  };
+  // A family of 9 whose last member is out of range.
+  expect_located_nowhere(
+      [](const std::string& t) { return io::kary_from_string(t); },
+      "kstable-kary v1\n9 2\nfamily 0 : 0 0 0 0 0 0 0 0 0\n"
+      "family 1 : 1 1 1 1 1 1 1 1 7\n",
+      "member index 7 out of range");
+  // Nobody paired: every partner is -1.
+  expect_located_nowhere(
+      [](const std::string& t) { return io::binary_from_string(t); },
+      "kstable-binary v1\n2 1\n", "out of range: -1");
 }
 
 TEST(MatchingIo, CommentsAllowed) {

@@ -11,6 +11,7 @@
 #include "prefs/io.hpp"
 #include "prefs/kpartite.hpp"
 #include "prefs/matching.hpp"
+#include "resilience/errors.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -337,6 +338,29 @@ TEST(Io, RejectsMissingLists) {
   // Drop the last line.
   text.erase(text.rfind("pref"));
   EXPECT_THROW(io::from_string(text), ContractViolation);
+}
+
+TEST(Io, ContractRejectNamesNoSourceLocation) {
+  // An out-of-range entry in a long row passes the scanner and is caught by
+  // set_pref_list's contract check; the ParseError keeps the check's text
+  // but not its file:line.
+  Rng rng(63);
+  const auto inst = gen::uniform(3, 24, rng);
+  auto text = io::to_string(inst);
+  const std::string row = "pref 1 5 2 : ";
+  const std::size_t entry = text.find(row) + row.size();
+  text.replace(entry, text.find(' ', entry) - entry, "99");
+  try {
+    (void)io::from_string(text);
+    FAIL() << "an out-of-range entry was accepted";
+  } catch (const ParseError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("preference entry 99 out of range"),
+              std::string::npos)
+        << message;
+    EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
+    EXPECT_EQ(message.find(".hpp:"), std::string::npos) << message;
+  }
 }
 
 TEST(Io, CommentsAndBlankLinesIgnored) {

@@ -294,6 +294,28 @@ TEST(ServeEngineTest, UnparsableSolveBodyAnswersError) {
   EXPECT_EQ(engine.stats().accounted(), engine.stats().received.load());
 }
 
+TEST(ServeEngineTest, ContractRejectErrorBodyNamesNoSourceLocation) {
+  // An out-of-range entry in a long row is rejected by a contract check
+  // inside the loader: the ERROR frame tells the client what is wrong, not
+  // where in the server's source the check sits.
+  std::string body = small_instance(12, 3, 24);
+  const std::string row = "pref 2 7 0 : ";
+  const std::size_t entry = body.find(row) + row.size();
+  body.replace(entry, body.find(' ', entry) - entry, "99");
+  FrameLog log;
+  ServeEngine engine(ServeLimits{}, log.sink());
+  engine.handle(Frame::request(FrameKind::solve, 4, body));
+  EXPECT_TRUE(engine.drain().clean);
+  ASSERT_EQ(log.count(FrameKind::error), 1u);
+  std::scoped_lock lock(log.mutex);
+  const std::string& error = log.frames[0].body;
+  EXPECT_EQ(error.rfind("bad instance: parse error: ", 0), 0u) << error;
+  EXPECT_NE(error.find("preference entry 99 out of range"), std::string::npos)
+      << error;
+  EXPECT_EQ(error.find(".cpp:"), std::string::npos) << error;
+  EXPECT_EQ(error.find(".hpp:"), std::string::npos) << error;
+}
+
 TEST(ServeEngineTest, MetricsReturnsStatsSchema) {
   FrameLog log;
   ServeEngine engine(ServeLimits{}, log.sink());

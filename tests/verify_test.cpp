@@ -221,7 +221,7 @@ TEST(DiffRunner, ParallelEngineLegJoinsTheBattery) {
 TEST(DiffRunner, ChurnLegsJoinTheBattery) {
   DiffOptions options;
   options.churn_steps = 3;
-  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1607);
+  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1577);
 }
 
 TEST(DiffRunner, GsSabotageIsDetected) {
