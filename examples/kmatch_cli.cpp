@@ -285,13 +285,13 @@ int cmd_kary(int argc, char** argv) {
     g_telemetry = result.telemetry;
     tree = pr.tree;
   } else if (shape == "best") {
-    core::TreeSweepOptions sopts;
-    if (prufer::cayley_count(k) > sopts.max_trees) {
+    if (prufer::cayley_count(k) > core::kMaxSweepTrees) {
       std::cerr << "kary best sweeps all k^(k-2) trees; k = " << k
-                << " spans " << prufer::cayley_count(k)
-                << ", above the " << sopts.max_trees << "-tree guard\n";
+                << " spans " << prufer::cayley_count(k) << ", above the "
+                << core::kMaxSweepTrees << "-tree guard\n";
       return 2;
     }
+    core::TreeSweepOptions sopts;
     resilience::ExecControl* control = budget_control();
     sopts.control = control;
     core::GsEdgeCache cache(inst);

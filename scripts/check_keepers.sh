@@ -4,56 +4,122 @@
 #
 # Usage: check_keepers.sh <repo-root>
 #
-# Every header under src/{analysis,core,gs,incremental,parallel,resilience,
-# roommates}, every bench/bench_e*.cpp and every examples/*.cpp keeps exactly
-# one row in the "What keeps each surface" section of DESIGN.md, starting
-# with the path in backticks and naming its keeper in the third cell:
-#   | `src/core/binding.hpp` | header | Algorithm 1, Theorems 2-3 (E4, E5) |
-# Fails when a path in that scope has no row, when a row names a file that
-# does not exist, when a path has more than one row or a row has an empty
-# keeper cell, and when a file outside perfbench/ includes the
-# core/kstable.hpp umbrella. Then it checks that it can fail: the table
-# check must reject a copy of DESIGN.md with any one row deleted.
+# The "What keeps each surface" section of DESIGN.md keeps exactly one row
+# per surface below, starting with the surface in backticks and naming its
+# keeper in the third cell:
+#   * every header under src/ (any depth), every bench/bench_e*.cpp and
+#     every examples/*.cpp:
+#       | `src/core/binding.hpp` | header | Algorithm 1, Theorems 2-3 (E4, E5) |
+#   * every field of every struct named *Options, ServeLimits or FaultConfig
+#     declared in a header under src/, as <namespace>::<struct>::<field>:
+#       | `core::BatchOptions::tree` | option | E17 (`bench/bench_e17_batch.cpp`) |
+#     A file outside tests/ that an option row's keeper cell names in
+#     backticks must mention the field as `.field` or `->field`.
+# Fails when a surface has no row, when a row names a surface that does not
+# exist, when a surface has more than one row or a row has an empty keeper
+# cell, when an option row's keeper file does not mention its field, and
+# when a file outside perfbench/ includes the core/kstable.hpp umbrella.
+# Then it checks that it can fail: the table check must reject a copy of
+# DESIGN.md with any one row deleted, and the keeper-file check a copy with
+# one keeper file swapped for a file that does not mention the field.
 set -u
+export LC_ALL=C
 
 ROOT="$1"
 DESIGN="$ROOT/DESIGN.md"
-path_re='(src/(analysis|core|gs|incremental|parallel|resilience|roommates)/[^`/]+\.hpp|bench/bench_e[^`/]+\.cpp|examples/[^`/]+\.cpp)'
+path_re='(src/[^`]+\.hpp|bench/bench_e[^`/]+\.cpp|examples/[^`/]+\.cpp)'
+option_re='[a-z]+::[A-Za-z]+::[A-Za-z_0-9]+'
 
-scope_paths() {
-  (cd "$ROOT" && ls src/analysis/*.hpp src/core/*.hpp src/gs/*.hpp \
-    src/incremental/*.hpp src/parallel/*.hpp src/resilience/*.hpp \
-    src/roommates/*.hpp \
-    bench/bench_e*.cpp examples/*.cpp 2>/dev/null) | sort
+# Every field of every options struct in a src/ header, as ns::Struct::field.
+option_fields() {
+  (cd "$ROOT" && find src -name '*.hpp' | sort | xargs awk '
+    FNR == 1 { ns = ""; name = "" }
+    /^namespace kstable::[a-z_:]+ \{/ { ns = $2; sub(/^kstable::/, "", ns) }
+    name == "" && /^struct ([A-Za-z]*Options|ServeLimits|FaultConfig) \{/ {
+      name = $2; body = ""; next
+    }
+    name != "" && /^};/ {
+      count = split(body, statements, ";")
+      for (i = 1; i < count; ++i) {
+        s = statements[i]
+        while (gsub(/\{[^{}]*\}/, "", s)) {}
+        sub(/=.*/, "", s)
+        sub(/[ \t]+$/, "", s)
+        if (match(s, /[A-Za-z_][A-Za-z_0-9]*$/)) {
+          print ns "::" name "::" substr(s, RSTART, RLENGTH)
+        }
+      }
+      name = ""; next
+    }
+    name != "" { line = $0; sub(/\/\/.*/, "", line); body = body " " line }
+  ') | sort
 }
+
+# Every surface that needs a row.
+surfaces() {
+  { (cd "$ROOT" && find src -name '*.hpp' && ls bench/bench_e*.cpp \
+      examples/*.cpp) 2>/dev/null; option_fields; } | sort
+}
+
+expected="$(mktemp)"
+tmp="$(mktemp)"
+trap 'rm -f "$expected" "$tmp"' EXIT
+surfaces > "$expected"
 
 # The keeper rows of the "What keeps each surface" section of $1.
 keeper_rows() {
   awk '/^## /{in_section = ($0 == "## What keeps each surface")}
-       in_section' "$1" | grep -E "^\| \`$path_re\` \|"
+       in_section' "$1" \
+    | grep -E "^\| \`($path_re\` \||$option_re\` \| option \|)"
 }
+
+row_surface() { sed -E 's/^\| `([^`]*)`.*/\1/'; }
 
 # Prints one FAIL line per table problem in design file $1.
 table_failures() {
-  local rows row_paths listed
+  local rows row_surfaces listed
   rows="$(keeper_rows "$1")"
-  row_paths="$(printf '%s\n' "$rows" | sed -E 's/^\| `([^`]*)`.*/\1/' \
-    | grep -v '^$' | sort)"
-  listed="$(printf '%s\n' "$row_paths" | sort -u)"
-  for missing in $(comm -23 <(scope_paths) <(printf '%s\n' "$listed")); do
+  row_surfaces="$(printf '%s\n' "$rows" | row_surface | grep -v '^$' | sort)"
+  listed="$(printf '%s\n' "$row_surfaces" | sort -u)"
+  for missing in $(comm -23 "$expected" <(printf '%s\n' "$listed")); do
     echo "FAIL: $missing has no keeper row in DESIGN.md"
   done
-  for stale in $(comm -13 <(scope_paths) <(printf '%s\n' "$listed")); do
+  for stale in $(comm -13 "$expected" <(printf '%s\n' "$listed")); do
     echo "FAIL: DESIGN.md has a keeper row for $stale, which does not exist"
   done
-  for dup in $(printf '%s\n' "$row_paths" | uniq -d); do
+  for dup in $(printf '%s\n' "$row_surfaces" | uniq -d); do
     echo "FAIL: DESIGN.md has more than one keeper row for $dup"
   done
   printf '%s\n' "$rows" | grep -vE '^\| `[^`]*` \| [a-z ]+ \| *[^ |]' \
     | grep -v '^$' | sed -E 's/^\| `([^`]*)`.*/FAIL: the row for \1 names no keeper/'
 }
 
+# The files outside tests/ that option row $1's keeper cell names.
+keeper_files() {
+  printf '%s\n' "$1" | sed -E 's/^\| `[^`]*` \| option \|//' \
+    | grep -oE '`[A-Za-z0-9_./-]+\.(cpp|hpp|py|sh)`' | tr -d '`' \
+    | grep -v '^tests/'
+}
+
+# Prints one FAIL line per option row of design file $1 whose keeper file
+# does not mention the field.
+setter_failures() {
+  local row option field file
+  while IFS= read -r row; do
+    option="$(printf '%s\n' "$row" | row_surface)"
+    field="${option##*::}"
+    for file in $(keeper_files "$row"); do
+      if [ ! -f "$ROOT/$file" ]; then
+        echo "FAIL: the row for $option names $file, which does not exist"
+      elif ! grep -qE "(\.|->)$field\b" "$ROOT/$file"; then
+        echo "FAIL: the row for $option names $file, which never mentions .$field"
+      fi
+    done
+  done < <(keeper_rows "$1" | grep -E "^\| \`$option_re\` \| option \|")
+}
+
 failures="$(table_failures "$DESIGN")"
+failures+=$'\n'"$(setter_failures "$DESIGN")"
 
 umbrella="$(grep -rlE '^[[:space:]]*#[[:space:]]*include[[:space:]]*"core/kstable\.hpp"' \
   "$ROOT" --include='*.cpp' --include='*.hpp' --include='*.h' \
@@ -64,21 +130,46 @@ for file in $umbrella; do
 done
 
 # A gate that passes with a row missing cannot catch a missing row.
-tmp="$(mktemp)"
-trap 'rm -f "$tmp"' EXIT
 rows="$(keeper_rows "$DESIGN")"
 if [ -z "$rows" ]; then
   failures+=$'\n'"FAIL: no keeper rows found in DESIGN.md"
 fi
 while IFS= read -r row; do
   [ -n "$row" ] || continue
-  path="$(printf '%s' "$row" | sed -E 's/^\| `([^`]*)`.*/\1/')"
-  [ -e "$ROOT/$path" ] || continue  # a stale row already failed above
+  surface="$(printf '%s\n' "$row" | row_surface)"
+  grep -qxF -- "$surface" "$expected" || continue  # already failed as stale
   grep -vxF -- "$row" "$DESIGN" > "$tmp"
   if [ -z "$(table_failures "$tmp")" ]; then
-    failures+=$'\n'"FAIL: self-test: deleting the row for $path does not fail the check"
+    failures+=$'\n'"FAIL: self-test: deleting the row for $surface does not fail the check"
   fi
 done <<< "$rows"
+
+# Nor can a keeper-file check that passes a file which never sets the field.
+swapped=""
+while IFS= read -r row && [ -z "$swapped" ]; do
+  field="$(printf '%s\n' "$row" | row_surface)"
+  field="${field##*::}"
+  file="$(keeper_files "$row" | head -n 1)"
+  [ -n "$file" ] || continue
+  while IFS= read -r other && [ -z "$swapped" ]; do
+    case "$other" in src/*) ;; *) continue ;; esac
+    grep -qE "(\.|->)$field\b" "$ROOT/$other" && continue
+    swapped="${row/"\`$file\`"/\`$other\`}"
+    while IFS= read -r line; do
+      if [ "$line" = "$row" ]; then
+        printf '%s\n' "$swapped"
+      else
+        printf '%s\n' "$line"
+      fi
+    done < "$DESIGN" > "$tmp"
+    if [ -z "$(setter_failures "$tmp")" ]; then
+      failures+=$'\n'"FAIL: self-test: naming $other as the keeper of .$field does not fail the check"
+    fi
+  done < "$expected"
+done < <(printf '%s\n' "$rows" | grep -E "^\| \`$option_re\` \| option \|")
+if [ -z "$swapped" ]; then
+  failures+=$'\n'"FAIL: self-test: no option row names a keeper file to swap"
+fi
 
 failures="$(printf '%s\n' "$failures" | grep -v '^$')"
 if [ -n "$failures" ]; then
@@ -86,4 +177,4 @@ if [ -n "$failures" ]; then
   echo "check_keepers: $(printf '%s\n' "$failures" | wc -l) failure(s)" >&2
   exit 1
 fi
-echo "check_keepers: all $(scope_paths | wc -l) paths have one keeper row"
+echo "check_keepers: all $(wc -l < "$expected") surfaces have one keeper row"

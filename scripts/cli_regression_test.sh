@@ -252,6 +252,23 @@ else
   fi
 fi
 
+# --- kary best: k = 10 spans Cayley's 10^8 trees, above the sweep guard ----
+GUARD_INST="$WORK_DIR/cli_reg_guard.inst"
+GUARD_ERR="$WORK_DIR/cli_reg.guard_err"
+if ! "$KMATCH" gen 10 1 5 "$GUARD_INST" >/dev/null; then
+  note_failure "gen for the k=10 guard instance failed"
+else
+  "$KMATCH" kary "$GUARD_INST" best >/dev/null 2>"$GUARD_ERR"
+  rc=$?
+  if [ "$rc" -ne 2 ]; then
+    note_failure "kary best on k=10: exit $rc, expected 2"
+  elif ! grep -qF -- "-tree guard" "$GUARD_ERR"; then
+    note_failure "kary best on k=10: stderr lacks '-tree guard'"
+  else
+    echo "ok: kary best refuses k=10 above the tree guard"
+  fi
+fi
+
 # --- kary --fallback: the raced ladder logs what the in-order ladder logs ---
 # k = 4: four strict candidate trees plus the degraded rung.
 LADDER_INST="$WORK_DIR/cli_reg_ladder.inst"

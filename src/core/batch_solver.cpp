@@ -4,7 +4,6 @@
 
 #include "core/gs_cache.hpp"
 #include "core/tree_selection.hpp"
-#include "core/tree_sweep.hpp"
 #include "observability/metrics.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -13,9 +12,6 @@ namespace kstable::core {
 
 std::vector<BatchItemResult> BatchSolver::solve(
     std::span<const KPartiteInstance> instances, const BatchOptions& options) {
-  KSTABLE_REQUIRE(options.engine != GsEngine::parallel,
-                  "BatchSolver parallelizes across items; use GsEngine::queue "
-                  "or GsEngine::rounds per item");
   KSTABLE_REQUIRE(options.per_item_budgets.empty() ||
                       options.per_item_budgets.size() == instances.size(),
                   "per_item_budgets has " << options.per_item_budgets.size()
@@ -27,7 +23,7 @@ std::vector<BatchItemResult> BatchSolver::solve(
     const KPartiteInstance& inst = instances[idx];
     BatchItemResult& out = results[idx];
     const resilience::Budget budget = options.per_item_budgets.empty()
-                                          ? options.per_item
+                                          ? resilience::Budget{}
                                           : options.per_item_budgets[idx];
     resilience::ExecControl control(budget, options.token);
     // One workspace per pool worker, reused across items and batches: after
@@ -36,34 +32,15 @@ std::vector<BatchItemResult> BatchSolver::solve(
     GsEdgeCache cache(inst);
 
     BindingOptions bopts;
-    bopts.engine = options.engine;
     bopts.control = &control;
     bopts.workspace = &workspace;
-    bopts.cache = options.use_cache ? &cache : nullptr;
+    bopts.cache = &cache;
     WallTimer item_timer;
     try {
-      BindingResult result = [&] {
-        switch (options.tree) {
-          case BatchTree::cost_aware:
-            return cost_aware_binding(inst, TreeObjective::min_cost, bopts);
-          case BatchTree::sweep_best: {
-            // We are a pool worker here, so the sweep's nested guard makes
-            // it run sequentially even with the pool attached — exactly the
-            // oversubscription behavior the tree_sweep tests pin down.
-            TreeSweepOptions sopts;
-            sopts.engine = options.engine;
-            sopts.pool = &pool_;
-            sopts.cache = bopts.cache;
-            sopts.control = bopts.control;
-            TreeSweepResult sweep = sweep_all_trees(inst, sopts);
-            KSTABLE_ASSERT(sweep.succeeded());
-            return std::move(*sweep.best);
-          }
-          case BatchTree::path:
-            break;
-        }
-        return iterative_binding(inst, trees::path(inst.genders()), bopts);
-      }();
+      BindingResult result =
+          options.tree == BatchTree::cost_aware
+              ? cost_aware_binding(inst, TreeObjective::min_cost, bopts)
+              : iterative_binding(inst, trees::path(inst.genders()), bopts);
       out.status = result.status;
       out.total_proposals = result.total_proposals;
       out.telemetry = result.telemetry;  // engine relabeled below
@@ -74,13 +51,11 @@ std::vector<BatchItemResult> BatchSolver::solve(
       out.telemetry.executed_proposals = control.spent();
       KSTABLE_COUNTER_ADD("batch.items_aborted", 1);
     }
-    if (options.use_cache) {
-      // The per-item cache is fresh, so its stats cover the whole item —
-      // including cost-aware probe replays and edges solved before an abort.
-      const auto stats = cache.stats();
-      out.cache_hits = stats.hits;
-      out.cache_misses = stats.misses;
-    }
+    // The per-item cache is fresh, so its stats cover the whole item —
+    // including cost-aware probe replays and edges solved before an abort.
+    const auto stats = cache.stats();
+    out.cache_hits = stats.hits;
+    out.cache_misses = stats.misses;
     obs::SolveTelemetry& t = out.telemetry;
     t.engine = "batch.item";
     t.genders = inst.genders();

@@ -17,7 +17,6 @@ gs::GsResult run_engine(const KPartiteInstance& inst, GenderEdge edge,
                         const BindingOptions& options) {
   gs::GsOptions gs_options;
   gs_options.control = options.control;
-  gs_options.trace = options.trace;
   gs::GsResult result;
   switch (options.engine) {
     case GsEngine::queue:

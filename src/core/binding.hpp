@@ -69,9 +69,6 @@ struct BindingOptions {
   /// a warm workspace makes every per-edge GS run allocation-free. Owned by
   /// the calling thread; ignored by GsEngine::parallel.
   gs::GsWorkspace* workspace = nullptr;
-  /// If non-null, every per-edge proposal event is appended (small instances
-  /// only). Cache hits replay no events — only freshly computed edges trace.
-  std::vector<gs::ProposalEvent>* trace = nullptr;
 };
 
 /// Result of binding a structure (tree, forest, or cyclic edge set).

@@ -49,31 +49,19 @@ PriorityBindingResult priority_binding(const KPartiteInstance& inst,
   const auto priority = effective_priority(k, options.priority);
   const auto order = priority_order(priority);
 
+  // Attach each gender, in decreasing priority, to imax = order.front().
+  // Orientation: the newly attached (lower-priority) gender proposes, so the
+  // higher-priority side keeps the responder's trade-up advantage.
   BindingStructure tree(k);
-  std::vector<Gender> bound{order.front()};  // V(T) = {imax}
   for (std::size_t step = 1; step < order.size(); ++step) {
-    const Gender next = order[step];  // highest-priority unbound gender
-    Gender attach_to;
-    if (options.attach) {
-      attach_to = options.attach(tree, bound, next);
-      KSTABLE_REQUIRE(std::find(bound.begin(), bound.end(), attach_to) !=
-                          bound.end(),
-                      "attach selector returned unbound gender " << attach_to);
-    } else {
-      // Default: bind to the highest-priority gender already in the tree.
-      attach_to = bound.front();
-    }
-    // Orientation: the newly attached (lower-priority) gender proposes, so
-    // the higher-priority side keeps the responder's trade-up advantage.
-    tree.add_edge({next, attach_to});
-    bound.push_back(next);
+    tree.add_edge({order[step], order.front()});
   }
   KSTABLE_ENSURE(sched::is_bitonic_tree(tree, priority),
                  "Algorithm 2 grew a non-bitonic tree");
 
   const double grow_ms = timer.millis();
   PriorityBindingResult result{iterative_binding(inst, tree, options.binding),
-                               tree, bound};
+                               tree, order};
   // Re-label the binding telemetry as an Algorithm 2 solve and account the
   // bitonic tree-growing phase; the inner iterative_binding already recorded
   // its own per-engine aggregates.

@@ -8,7 +8,9 @@
 // order to any already-bound gender. The resulting tree is *bitonic* (every
 // tree path's priority sequence rises then falls, Fig. 6), and Theorem 5
 // shows bitonic trees prevent every weakened blocking family. There are
-// (k-1)! distinct priority-grown trees (attach node i+1-th has i choices).
+// (k-1)! distinct priority-grown trees (attach node i+1-th has i choices);
+// priority_binding always picks the star at imax (every gender attaches to
+// the highest-priority one), and for_each_priority_tree spans all of them.
 #pragma once
 
 #include <cstdint>
@@ -25,19 +27,12 @@ struct PriorityBindingOptions {
   /// convention).
   std::vector<std::int32_t> priority;
 
-  /// Chooses which bound gender the next gender attaches to. Arguments: the
-  /// tree so far and the gender being attached; must return a gender already
-  /// in the tree. Default (unset): the highest-priority bound gender.
-  std::function<Gender(const BindingStructure&, const std::vector<Gender>& bound,
-                       Gender next)>
-      attach;
-
   BindingOptions binding;  ///< engine selection for the per-edge GS runs
 };
 
 struct PriorityBindingResult {
   BindingResult binding;      ///< per-edge results + matching
-  BindingStructure tree;      ///< the grown (bitonic) binding tree
+  BindingStructure tree;      ///< the grown (bitonic) star at imax
   std::vector<Gender> order;  ///< genders in attachment order (imax first)
 };
 

@@ -36,12 +36,11 @@ std::vector<PairProbe> probe_all_pairs(const KPartiteInstance& inst,
   // The k(k-1)/2 probes are independent GS runs, so fan them out when a pool
   // is attached and the per-edge engine is sequential (GsEngine::parallel
   // already owns the pool). The nested-pool guard keeps a probe pass inside
-  // a BatchSolver item sequential, and a shared trace sink cannot accept
-  // interleaved events from several probes.
+  // a BatchSolver item sequential.
   const bool parallel_run =
       options.pool != nullptr && options.engine != GsEngine::parallel &&
-      options.trace == nullptr && !ThreadPool::in_worker_thread() &&
-      options.pool->thread_count() > 1 && probes.size() > 1;
+      !ThreadPool::in_worker_thread() && options.pool->thread_count() > 1 &&
+      probes.size() > 1;
   if (parallel_run) {
     options.pool->for_each_index(probes.size(), [&](std::size_t i) {
       thread_local gs::GsWorkspace workspace;

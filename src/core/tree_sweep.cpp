@@ -16,6 +16,11 @@ namespace kstable::core {
 
 namespace {
 
+/// Trees per work-stealing claim: small enough to balance, large enough that
+/// the per-claim lock is noise next to k-1 GS runs per tree. E18's exact
+/// chunk counters (BENCH_E18.json) are computed with this value.
+constexpr std::int64_t kChunkTrees = 8;
+
 /// Produces candidate `index` (pure: callable from any worker).
 using TreeProvider = std::function<BindingStructure(std::int64_t)>;
 
@@ -45,7 +50,6 @@ void evaluate_tree(const KPartiteInstance& inst, std::int64_t index,
   const BindingStructure tree = provider(index);
 
   BindingOptions bopts;
-  bopts.engine = opt.engine;
   bopts.control = opt.control;
   bopts.cache = opt.cache;
   bopts.workspace = &workspace;
@@ -87,11 +91,6 @@ void evaluate_tree(const KPartiteInstance& inst, std::int64_t index,
 TreeSweepResult sweep_indexed(const KPartiteInstance& inst, std::int64_t count,
                               const TreeProvider& provider,
                               const TreeSweepOptions& opt) {
-  KSTABLE_REQUIRE(opt.engine != GsEngine::parallel,
-                  "TreeSweep spends its parallelism across trees; use a "
-                  "sequential per-edge engine (queue/rounds)");
-  KSTABLE_REQUIRE(opt.chunk_trees >= 1,
-                  "chunk_trees must be >= 1, got " << opt.chunk_trees);
   if (opt.cache != nullptr) {
     KSTABLE_REQUIRE(opt.cache->genders() == inst.genders(),
                     "cache built for k=" << opt.cache->genders()
@@ -112,7 +111,7 @@ TreeSweepResult sweep_indexed(const KPartiteInstance& inst, std::int64_t count,
   if (parallel_run) {
     locals.resize(opt.pool->thread_count());
     const SweepSchedule schedule = sweep_index_space(
-        count, *opt.pool, opt.chunk_trees,
+        count, *opt.pool, kChunkTrees,
         [&](std::size_t worker, std::int64_t begin, std::int64_t end) {
           // One warm workspace per pool thread, reused across sweeps (the
           // BatchSolver pattern): every per-edge GS run is allocation-free.
@@ -284,10 +283,10 @@ TreeSweepResult sweep_all_trees(const KPartiteInstance& inst,
                                 const TreeSweepOptions& options) {
   const Gender k = inst.genders();
   const std::int64_t count = prufer::cayley_count(k);
-  KSTABLE_REQUIRE(count <= options.max_trees,
+  KSTABLE_REQUIRE(count <= kMaxSweepTrees,
                   "full sweep of k=" << k << " spans " << count
-                                     << " trees, above the max_trees guard ("
-                                     << options.max_trees << ')');
+                                     << " trees, above the " << kMaxSweepTrees
+                                     << "-tree guard");
   return sweep_indexed(
       inst, count,
       [k](std::int64_t index) { return prufer::tree_at(index, k); }, options);

@@ -10,7 +10,7 @@
 // GsWorkspaces, and reduces through a pluggable fold.
 //
 // Determinism contract: the sweep's outcome is a pure function of
-// (instance, candidate set, fold, engine) — it does NOT depend on thread
+// (instance, candidate set, fold) — it does NOT depend on thread
 // count, chunking, steal schedule, or which worker evaluated which tree.
 // The winner is the argmin of (bound-pair cost, tree index)
 // lexicographically; per-worker partial folds are merged by the same total
@@ -21,16 +21,19 @@
 // confluence; see gs_cache.hpp), property-tested in tree_sweep_test.
 //
 // Scheduling: the index space is split into one contiguous range per pool
-// worker; owners claim chunk_trees-sized blocks off their range's front, and
+// worker; owners claim 8-tree blocks off their range's front, and
 // workers that run dry steal blocks off other ranges' backs (classic
 // deque-ish stealing with a mutex per range — trees are coarse work units,
 // so per-claim locking is noise). Steal/chunk counts surface in
 // TreeSweepStats and the MetricsRegistry.
 //
-// Nesting: when called from inside a pool worker (e.g. a sweep per
-// BatchSolver item), the engine detects it via ThreadPool::in_worker_thread()
-// and runs sequentially instead of queueing a second thread complement onto
-// the saturated pool (stats.nested_fallback reports it).
+// Every per-edge GS run uses the sequential queue engine: the sweep spends
+// its parallelism across trees, not inside one edge.
+//
+// Nesting: when called from inside a pool worker, the engine detects it via
+// ThreadPool::in_worker_thread() and runs sequentially instead of queueing a
+// second thread complement onto the saturated pool (stats.nested_fallback
+// reports it).
 #pragma once
 
 #include <cstdint>
@@ -54,10 +57,11 @@ enum class SweepFold {
   score_table,
 };
 
+/// sweep_all_trees refuses spaces above this many trees (k = 9 is ~4.8M,
+/// k = 10 is 10^8); `kmatch kary <file> best` checks it before sweeping.
+inline constexpr std::int64_t kMaxSweepTrees = 5'000'000;
+
 struct TreeSweepOptions {
-  /// Per-edge GS engine. Must be a sequential engine (queue/rounds):
-  /// TreeSweep spends its parallelism across trees, not inside one edge.
-  GsEngine engine = GsEngine::queue;
   /// Workers to sweep on; nullptr = sequential. Ignored (sequential
   /// fallback) when the caller is itself a pool worker — see header notes.
   ThreadPool* pool = nullptr;
@@ -71,15 +75,9 @@ struct TreeSweepOptions {
   resilience::ExecControl* control = nullptr;
   /// Fold; see SweepFold.
   SweepFold fold = SweepFold::best_cost;
-  /// Trees per work-stealing claim. Small enough to balance, large enough
-  /// that the per-claim lock is noise next to k-1 GS runs per tree.
-  std::int64_t chunk_trees = 8;
   /// Keep each tree's assembled KaryMatching in the score table (memory:
   /// one k×n index table per tree — leave off for k >= 7 full sweeps).
   bool keep_matchings = false;
-  /// Refuse full-space sweeps above this many trees (k=9 is ~4.8M; the
-  /// guard forces the caller to opt into genuinely huge sweeps).
-  std::int64_t max_trees = 5'000'000;
 };
 
 /// One row of the score table.
@@ -130,7 +128,8 @@ struct TreeSweepResult {
 };
 
 /// Sweeps all k^(k-2) spanning trees of inst's gender set (Prüfer
-/// enumeration order; guarded by options.max_trees).
+/// enumeration order). Throws ContractViolation, before any GS run, when
+/// k^(k-2) exceeds kMaxSweepTrees.
 TreeSweepResult sweep_all_trees(const KPartiteInstance& inst,
                                 const TreeSweepOptions& options = {});
 

@@ -47,7 +47,8 @@ void run_attempt(const FallbackOptions& options, std::size_t step,
       scaled(options.per_attempt,
              std::pow(options.backoff, static_cast<double>(step))),
       options.token);
-  core::BindingOptions bopts{options.engine, options.pool, &control};
+  core::BindingOptions bopts;
+  bopts.control = &control;
   bopts.cache = options.cache;
   try {
     out.result = bind(bopts);
@@ -175,8 +176,7 @@ FallbackReport solve_with_fallback(const KPartiteInstance& inst,
   };
   const bool race = options.pool != nullptr &&
                     !ThreadPool::in_worker_thread() &&
-                    options.pool->thread_count() > 1 && count > 1 &&
-                    options.engine != core::GsEngine::parallel;
+                    options.pool->thread_count() > 1 && count > 1;
   if (race) {
     options.pool->for_each_index(count, attempt);
   } else {

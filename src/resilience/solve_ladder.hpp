@@ -12,9 +12,10 @@
 // so callers can distinguish a first-try success from a degraded one.
 //
 // Every strict rung is one attempt function over candidate i of a fixed
-// deterministic tree stream. Without a pool the attempts run in order; with
-// one they race across it, and the race logs exactly the attempts the
-// in-order ladder would (see FallbackOptions::pool).
+// deterministic tree stream, bound with the sequential queue engine. Without
+// a pool the attempts run in order; with one they race across it, and the
+// race logs exactly the attempts the in-order ladder would (see
+// FallbackOptions::pool).
 #pragma once
 
 #include <cstdint>
@@ -61,18 +62,15 @@ struct FallbackOptions {
   std::int32_t max_tree_attempts = 4;
   /// Shared across all attempts; cancelling stops the whole ladder.
   CancellationToken token{};
-  /// Per-edge GS engine (control is owned by the ladder).
-  core::GsEngine engine = core::GsEngine::queue;
   /// With a pool of more than one thread (the caller not itself a pool
-  /// worker, more than one candidate, engine != parallel) the strict rungs
-  /// race across it, each candidate under its own backoff-scaled budget.
+  /// worker, more than one candidate) the strict rungs race across it, each
+  /// candidate under its own backoff-scaled budget.
   /// The winner is the lowest-indexed candidate that succeeds: with no
   /// shared cache that is exactly the in-order ladder's winner; with a
   /// shared cache under tight budgets it may shift (concurrent attempts warm
   /// each other's edges), though any given tree's matching stays
   /// bitwise-identical. Work burnt on candidates above the winner is
-  /// reported as speculative_waste. GsEngine::parallel also needs the pool:
-  /// it runs each edge's GS on it, and the rungs then go in order.
+  /// reported as speculative_waste.
   ThreadPool* pool = nullptr;
   /// Permit the Algorithm 2 last rung. When false the ladder is strict-only.
   bool allow_degraded = true;

@@ -1,6 +1,7 @@
 #include "roommates/solver.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "resilience/fault_injection.hpp"
 #include "util/check.hpp"
@@ -81,11 +82,9 @@ bool run_phase2(ReductionTable& table, const SolveOptions& options,
     if (options.control != nullptr) options.control->check_now();
     const auto cycle_begin = static_cast<std::size_t>(
         std::find(chain.begin(), chain.end(), repeat) - chain.begin());
-    Rotation rotation;
-    for (std::size_t pos = cycle_begin; pos < chain.size(); ++pos) {
-      rotation.x.push_back(chain[pos]);
-      rotation.y.push_back(table.first(chain[pos]));
-    }
+    // The rotation's x_i; y_i = first(x_i), y_{i+1} = second(x_i).
+    const std::span<const Person> x =
+        std::span<const Person>(chain).subspan(cycle_begin);
 
     // Capture each x_i's second choice before mutating the table, then
     // eliminate: y_{i+1} (= second(x_i)) accepts x_i and deletes everyone it
@@ -93,18 +92,16 @@ bool run_phase2(ReductionTable& table, const SolveOptions& options,
     // Truncation is by original rank: eliminations cascade, and an earlier
     // truncation may already have deleted the pair (second(x_j), x_j) itself
     // (which is exactly how unsolvable instances empty a list).
-    std::vector<Person> seconds(rotation.x.size());
-    for (std::size_t i = 0; i < rotation.x.size(); ++i) {
-      seconds[i] = table.second(rotation.x[i]);
+    std::vector<Person> seconds(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      seconds[i] = table.second(x[i]);
       KSTABLE_ASSERT(seconds[i] >= 0);
     }
-    for (std::size_t i = 0; i < rotation.x.size(); ++i) {
-      table.truncate_worse_than(
-          seconds[i],
-          table.instance().rank_of(seconds[i], rotation.x[i]));
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      table.truncate_worse_than(seconds[i],
+                                table.instance().rank_of(seconds[i], x[i]));
     }
     ++result.rotations_eliminated;
-    if (options.record_rotations) result.rotation_log.push_back(rotation);
 
     // Remove the cycle from the chain (tail prefix is retained).
     while (chain.size() > cycle_begin) {

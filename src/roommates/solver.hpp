@@ -22,21 +22,12 @@
 
 namespace kstable::rm {
 
-/// One rotation (x_i, y_i): y_i = first(x_i), y_{i+1} = second(x_i).
-struct Rotation {
-  std::vector<Person> x;
-  std::vector<Person> y;
-};
-
 struct SolveOptions {
   /// If set, called before each rotation search; must return a person whose
   /// reduced list has >= 2 entries (the search starts there, which fixes the
   /// "side" of the rotation found — the fairness lever of §III.B), or -1 to
   /// let the solver choose. Disables the retained-stack optimization.
   std::function<Person(const ReductionTable&)> pick_start;
-
-  /// Record every eliminated rotation in RoommatesResult::rotation_log.
-  bool record_rotations = false;
 
   /// Optional deadline/budget/cancellation control: charged per phase-1
   /// proposal and per rotation step, checked before every rotation
@@ -55,7 +46,6 @@ struct RoommatesResult {
   std::int64_t phase1_proposals = 0;  ///< proposals made in phase 1
   std::int64_t rotations_eliminated = 0;
   std::int64_t pair_deletions = 0;    ///< total bidirectional deletions
-  std::vector<Rotation> rotation_log; ///< filled if options.record_rotations
   /// Structured completion record: ok or no_stable (aborts throw instead).
   resilience::SolveStatus status;
   /// Per-solve record (engine "roommates", phases phase1/phase2, proposal

@@ -31,6 +31,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Sends per request (SOLVE or METRICS) before it counts as lost.
+constexpr std::size_t kMaxAttempts = 100;
+/// Total patience of one (re)connect, across its linear backoff.
+constexpr double kConnectWaitMs = 10000.0;
+
 Clock::duration ms(double value) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(value));
@@ -64,10 +69,10 @@ int connect_once(std::uint16_t port) {
   return fd;
 }
 
-/// Linear-backoff reconnect: the kill-and-restart smoke leg depends on the
-/// client outliving a server restart window.
-int connect_with_retry(std::uint16_t port, double total_wait_ms) {
-  const auto deadline = Clock::now() + ms(total_wait_ms);
+/// Linear-backoff reconnect within kConnectWaitMs: the kill-and-restart
+/// smoke leg depends on the client outliving a server restart window.
+int connect_with_retry(std::uint16_t port) {
+  const auto deadline = Clock::now() + ms(kConnectWaitMs);
   double backoff_ms = 25.0;
   while (true) {
     const int fd = connect_once(port);
@@ -119,7 +124,7 @@ PingReport run_ping(const PingOptions& options, bool fetch_metrics) {
   // --requests, a sanitizer build).
   std::vector<RequestState> states(options.requests);
 
-  int fd = connect_with_retry(options.port, options.connect_wait_ms);
+  int fd = connect_with_retry(options.port);
   std::unique_ptr<FdReadBuf> buffer;
   std::unique_ptr<std::istream> input;
   auto attach = [&] {
@@ -139,7 +144,7 @@ PingReport run_ping(const PingOptions& options, bool fetch_metrics) {
   // no slot free to send) and wedge the client.
   auto reconnect = [&]() -> bool {
     if (fd >= 0) ::close(fd);
-    fd = connect_with_retry(options.port, options.connect_wait_ms);
+    fd = connect_with_retry(options.port);
     if (fd < 0) return false;
     attach();
     ++report.reconnects;
@@ -192,7 +197,7 @@ PingReport run_ping(const PingOptions& options, bool fetch_metrics) {
       const bool ready = !state.outstanding && now >= state.not_before &&
                          outstanding < options.window;
       if (!timed_out && !ready) continue;
-      if (state.attempts >= options.max_attempts) {
+      if (state.attempts >= kMaxAttempts) {
         if (state.outstanding) --outstanding;
         state.outstanding = false;
         state.lost = true;
@@ -300,13 +305,13 @@ PingReport run_ping(const PingOptions& options, bool fetch_metrics) {
     // One METRICS round-trip after the workload; id beyond the workload
     // range so a stale SOLVE answer cannot be mistaken for it. Like a SOLVE,
     // the request is resent when no answer arrives within the response
-    // timeout (a dropped response or an eaten frame), up to max_attempts
+    // timeout (a dropped response or an eaten frame), up to kMaxAttempts
     // sends; a resend's duplicate answer is ignored.
     const std::uint64_t metrics_id = states.size() + 1;
     bool answered = false;
     bool broken = false;
     for (std::size_t attempt = 0;
-         attempt < options.max_attempts && !answered && !broken; ++attempt) {
+         attempt < kMaxAttempts && !answered && !broken; ++attempt) {
       if (!send_frame(fd, Frame::request(FrameKind::metrics, metrics_id))) {
         break;
       }

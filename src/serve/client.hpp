@@ -5,9 +5,10 @@
 // implements the client half of the service's resilience contract:
 //
 //   * SHED  → back off for the server's retry_after_ms hint, then resend.
-//   * No response within response_timeout_ms → resend the same id.
-//   * Connection refused / reset / EOF → reconnect with linear backoff and
-//     resend every unacknowledged request.
+//   * No response within response_timeout_ms → resend the same id, up to
+//     100 sends per request before it counts as lost.
+//   * Connection refused / reset / EOF → reconnect with linear backoff (10 s
+//     of patience per reconnect) and resend every unacknowledged request.
 //   * Duplicate responses (a natural consequence of resending) are deduped
 //     by id; a duplicate that DISAGREES with the first answer is an
 //     inconsistency — the one thing the protocol promises cannot happen.
@@ -34,8 +35,6 @@ struct PingOptions {
   std::uint64_t seed = 1;          ///< body-generation seed (deterministic)
   double deadline_ms = 0.0;        ///< per-request deadline attr (0 = none)
   double response_timeout_ms = 2000.0;  ///< resend trigger
-  std::size_t max_attempts = 100;  ///< per-request send cap before "lost"
-  double connect_wait_ms = 10000.0;     ///< total (re)connect patience
 };
 
 struct PingReport {
@@ -44,7 +43,7 @@ struct PingReport {
   std::size_t degraded = 0;     ///< ... DEGRADED
   std::size_t timeouts = 0;     ///< ... TIMEOUT
   std::size_t errors = 0;       ///< ... ERROR
-  std::size_t lost = 0;         ///< no answer within max_attempts / dead server
+  std::size_t lost = 0;         ///< no answer within 100 sends / dead server
   std::size_t shed_retries = 0; ///< SHED responses honored with backoff
   std::size_t resends = 0;      ///< response-timeout resends
   std::size_t reconnects = 0;   ///< connection losses recovered

@@ -1,9 +1,18 @@
 #include "verify/instance_gen.hpp"
 
 #include "prefs/generators.hpp"
-#include "util/check.hpp"
 
 namespace kstable::verify {
+
+namespace {
+
+/// Per-seed size bounds (see GenOptions).
+constexpr std::int64_t kMinGenders = 3;
+constexpr std::int64_t kMaxGenders = 5;
+constexpr std::int64_t kMinSize = 2;
+constexpr std::int64_t kMaxSize = 8;
+
+}  // namespace
 
 const char* to_string(Shape shape) noexcept {
   switch (shape) {
@@ -42,12 +51,6 @@ std::optional<Dist> parse_dist(std::string_view text) {
 }
 
 GeneratedInstance generate(const GenOptions& options, std::uint64_t seed) {
-  KSTABLE_REQUIRE(options.min_k >= 2 && options.min_k <= options.max_k,
-                  "InstanceGen k bounds invalid: [" << options.min_k << ", "
-                                                    << options.max_k << "]");
-  KSTABLE_REQUIRE(options.min_n >= 1 && options.min_n <= options.max_n,
-                  "InstanceGen n bounds invalid: [" << options.min_n << ", "
-                                                    << options.max_n << "]");
   // Mix the seed with the shape so the three shape streams of one base seed
   // do not draw identical size/distribution sequences.
   std::uint64_t sm = seed ^ (0x9e3779b97f4a7c15ULL *
@@ -56,11 +59,8 @@ GeneratedInstance generate(const GenOptions& options, std::uint64_t seed) {
 
   const bool bip = options.shape == Shape::bipartite;
   const Gender k =
-      bip ? 2
-          : static_cast<Gender>(rng.range(std::max<Gender>(options.min_k, 3),
-                                          options.max_k));
-  const Index n =
-      static_cast<Index>(rng.range(options.min_n, options.max_n));
+      bip ? 2 : static_cast<Gender>(rng.range(kMinGenders, kMaxGenders));
+  const Index n = static_cast<Index>(rng.range(kMinSize, kMaxSize));
 
   Dist dist = options.dist;
   if (dist == Dist::mixed) {

@@ -47,16 +47,12 @@ enum class Dist {
 std::optional<Shape> parse_shape(std::string_view text);
 std::optional<Dist> parse_dist(std::string_view text);
 
+/// Each seed draws k in [3, 5] and n in [2, 8]. Kept small on purpose: the
+/// certificate checker is exponential in k and the shrinker works best when
+/// the starting point is already modest. bipartite pins k = 2.
 struct GenOptions {
   Shape shape = Shape::kpartite;
   Dist dist = Dist::mixed;
-  /// Size bounds of the per-seed draw. Kept small on purpose: the
-  /// certificate checker is exponential in k and the shrinker works best
-  /// when the starting point is already modest. bipartite pins k = 2.
-  Gender min_k = 3;
-  Gender max_k = 5;
-  Index min_n = 2;
-  Index max_n = 8;
 };
 
 /// One drawn instance: the k-partite preference system every engine pair

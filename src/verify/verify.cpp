@@ -71,8 +71,7 @@ VerifySummary run_verification(const VerifyOptions& options) {
         }
       }
 
-      if (static_cast<std::int64_t>(summary.repro_paths.size()) <
-          options.max_repros) {
+      if (summary.repro_paths.empty()) {
         // Delta-debug this seed down to a minimal instance that still
         // diverges, and persist it in the ordinary loadable format.
         const auto minimal = shrink(

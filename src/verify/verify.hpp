@@ -4,9 +4,9 @@
 // Seeds [base_seed, base_seed + seeds) are drawn per requested shape
 // (InstanceGen), pushed through the differential battery (DiffRunner), and
 // every mismatch is emitted as a single-line JSON record to the report
-// stream. The first `max_repros` mismatching instances are additionally
-// delta-debugged (Shrinker) and the minimal repros written to repro_dir in
-// the ordinary instance format, so a red CI run hands the developer a file
+// stream. The first mismatching instance is additionally delta-debugged
+// (Shrinker) and the minimal repro written to repro_dir in the ordinary
+// instance format, so a red CI run hands the developer a file
 // that replays with `kmatch <cmd> --load=<repro>` instead of a seed hunt.
 //
 // Work and outcomes flow through the observability substrate: one
@@ -41,8 +41,7 @@ struct VerifyOptions {
   /// step mutates the instance and asserts the incremental rematch pipeline
   /// agrees with a cold solve bitwise. 0 = skip the churn legs.
   std::int32_t churn_steps = 0;
-  /// Shrink and save at most this many mismatching instances (0 = never).
-  std::int64_t max_repros = 1;
+  /// Where the first mismatching instance's minimal repro is saved.
   std::string repro_dir = ".";
   /// Mismatch JSON lines are written here when non-null (one per mismatch).
   std::ostream* report = nullptr;

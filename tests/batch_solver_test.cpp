@@ -136,30 +136,6 @@ TEST(BatchSolver, SharedCancellationAbortsEveryItem) {
   }
 }
 
-TEST(BatchSolver, RoundsEngineAndCacheOffStillCorrect) {
-  std::vector<KPartiteInstance> instances;
-  for (int seed = 0; seed < 4; ++seed) {
-    Rng rng(static_cast<std::uint64_t>(seed) + 99);
-    instances.push_back(gen::uniform(4, 12, rng));
-  }
-  ThreadPool pool(2);
-  BatchSolver solver(pool);
-  BatchOptions options;
-  options.engine = GsEngine::rounds;
-  options.use_cache = false;
-  const auto results = solver.solve(instances, options);
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    ASSERT_TRUE(results[i].status.ok());
-    BindingOptions solo_options;
-    solo_options.engine = GsEngine::rounds;
-    const auto solo = iterative_binding(instances[i], trees::path(4),
-                                        solo_options);
-    EXPECT_EQ(*results[i].matching, solo.matching());
-    EXPECT_EQ(results[i].cache_hits, 0);
-    EXPECT_EQ(results[i].cache_misses, 0);
-  }
-}
-
 TEST(BatchSolver, EveryMatchingIsStable) {
   std::vector<KPartiteInstance> instances;
   for (int seed = 0; seed < 8; ++seed) {
@@ -182,10 +158,6 @@ TEST(BatchSolver, ContractChecksOnOptions) {
   const auto instances = make_batch();
   ThreadPool pool(2);
   BatchSolver solver(pool);
-  BatchOptions parallel_engine;
-  parallel_engine.engine = GsEngine::parallel;
-  EXPECT_THROW(solver.solve(instances, parallel_engine), ContractViolation);
-
   BatchOptions short_budgets;
   short_budgets.per_item_budgets.resize(2);  // batch has more items
   EXPECT_THROW(solver.solve(instances, short_budgets), ContractViolation);

@@ -25,7 +25,7 @@ TEST(PriorityBinding, DefaultGrowsStarAtHighestPriority) {
   Rng rng(300);
   const auto inst = gen::uniform(4, 3, rng);
   const auto result = priority_binding(inst);
-  // Default attach policy hosts everyone at imax = 3.
+  // Algorithm 2 hosts everyone at imax = 3.
   EXPECT_EQ(result.tree.degree(3), 3);
   EXPECT_TRUE(result.tree.is_spanning_tree());
   EXPECT_EQ(result.order.front(), 3);
@@ -51,26 +51,6 @@ TEST(PriorityBinding, RejectsDuplicatePriorities) {
   EXPECT_THROW(priority_binding(inst, options), ContractViolation);
   options.priority = {1, 2};
   EXPECT_THROW(priority_binding(inst, options), ContractViolation);
-}
-
-TEST(PriorityBinding, CustomAttachSelectorIsValidated) {
-  Rng rng(303);
-  const auto inst = gen::uniform(4, 2, rng);
-  PriorityBindingOptions options;
-  options.attach = [](const BindingStructure&, const std::vector<Gender>&,
-                      Gender) { return Gender{0}; };  // 0 is unbound at step 1
-  EXPECT_THROW(priority_binding(inst, options), ContractViolation);
-}
-
-TEST(PriorityBinding, ChainAttachSelectorGrowsPath) {
-  Rng rng(304);
-  const auto inst = gen::uniform(5, 2, rng);
-  PriorityBindingOptions options;
-  options.attach = [](const BindingStructure&, const std::vector<Gender>& bound,
-                      Gender) { return bound.back(); };
-  const auto result = priority_binding(inst, options);
-  EXPECT_EQ(result.tree.max_degree(), 2);  // a path 4-3-2-1-0
-  EXPECT_TRUE(sched::is_bitonic_tree(result.tree, identity_priority(5)));
 }
 
 TEST(PriorityTrees, CountIsFactorial) {

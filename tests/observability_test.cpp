@@ -298,7 +298,7 @@ TEST(SolveTelemetry, AbortedSolveCarriesAbortStatus) {
   ThreadPool pool(1);
   core::BatchSolver solver(pool);
   core::BatchOptions bopts;
-  bopts.per_item.max_proposals = 5;
+  bopts.per_item_budgets = {resilience::Budget::proposals(5)};
   const auto results = solver.solve(one, bopts);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].telemetry.status.ok());

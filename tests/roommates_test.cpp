@@ -131,14 +131,11 @@ TEST(Solver, OddCompleteInstanceHasNoPerfectMatching) {
   EXPECT_FALSE(solve(inst).has_stable);
 }
 
-TEST(Solver, RotationLogIsRecorded) {
-  SolveOptions options;
-  options.record_rotations = true;
-  // The Fig. 2 deadlock needs exactly one rotation elimination.
-  const auto result = solve(examples::fig2_deadlock(), options);
+TEST(Solver, Fig2DeadlockNeedsARotation) {
+  // Phase 1 leaves the Fig. 2 deadlock unresolved; phase 2 must eliminate
+  // at least one rotation to reach the stable matching.
+  const auto result = solve(examples::fig2_deadlock());
   ASSERT_TRUE(result.has_stable);
-  EXPECT_EQ(result.rotations_eliminated,
-            static_cast<std::int64_t>(result.rotation_log.size()));
   EXPECT_GE(result.rotations_eliminated, 1);
 }
 

@@ -1,8 +1,8 @@
 // Tests for core::TreeSweep: the work-stealing parallel sweep must be
 // schedule-invariant — best tree, score table, and every per-tree matching
 // bitwise-identical to the sequential sweep over all k^(k-2) trees — and its
-// neighbours (pair probes, oracle census, the raced ladder, BatchSolver
-// sweep_best) must degrade correctly under pool nesting.
+// neighbours (pair probes, oracle census, the raced ladder) must degrade
+// correctly under pool nesting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 
 #include "analysis/oracle.hpp"
 #include "analysis/stability.hpp"
-#include "core/batch_solver.hpp"
 #include "core/gs_cache.hpp"
 #include "core/tree_selection.hpp"
 #include "core/tree_sweep.hpp"
@@ -54,7 +53,6 @@ TEST_P(SweepDeterminismTest, ParallelMatchesSequentialBitwise) {
   GsEdgeCache par_cache(k);
   par.cache = &par_cache;
   par.pool = &pool;
-  par.chunk_trees = 2;  // small chunks: force many claims and steals
   const TreeSweepResult parallel = sweep_all_trees(inst, par);
 
   EXPECT_EQ(parallel.stats.workers, pool.thread_count());
@@ -108,7 +106,6 @@ TEST(TreeSweepTest, SharedCacheReportsZeroDuplicateComputes) {
   TreeSweepOptions options;
   options.pool = &pool;
   options.cache = &cache;
-  options.chunk_trees = 1;  // maximize concurrent misses on the same edges
   const TreeSweepResult result = sweep_all_trees(inst, options);
 
   // Zero duplicate GS computations under concurrency: every stored entry
@@ -162,19 +159,19 @@ TEST(TreeSweepTest, SharedControlAbortsTheWholeSweep) {
   }
 }
 
-TEST(TreeSweepTest, RejectsParallelEngineAndBadChunk) {
-  const auto inst = test_instance(3, 4, 0x1dea);
-  ThreadPool pool(2);
-  TreeSweepOptions parallel_engine;
-  parallel_engine.engine = GsEngine::parallel;
-  parallel_engine.pool = &pool;
-  EXPECT_THROW(sweep_all_trees(inst, parallel_engine), ContractViolation);
-  TreeSweepOptions bad_chunk;
-  bad_chunk.chunk_trees = 0;
-  EXPECT_THROW(sweep_all_trees(inst, bad_chunk), ContractViolation);
-  TreeSweepOptions tiny_guard;
-  tiny_guard.max_trees = 2;
-  EXPECT_THROW(sweep_all_trees(inst, tiny_guard), ContractViolation);
+TEST(TreeSweepTest, RefusesSpacesAboveTheTreeGuard) {
+  // k = 10 spans Cayley's 10^8 trees, above kMaxSweepTrees: the sweep is
+  // refused before any GS run, so the attached cache stays empty.
+  const Gender k = 10;
+  ASSERT_GT(prufer::cayley_count(k), kMaxSweepTrees);
+  const auto inst = test_instance(k, 1, 0x1dea);
+  GsEdgeCache cache(k);
+  TreeSweepOptions options;
+  options.cache = &cache;
+  EXPECT_THROW(sweep_all_trees(inst, options), ContractViolation);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().misses, 0);
+  EXPECT_EQ(cache.stats().hits, 0);
 }
 
 TEST(TreeSweepTest, SweepIndexSpaceCoversEveryIndexExactlyOnce) {
@@ -295,26 +292,6 @@ TEST(TreeSweepTest, SpeculativeLadderMatchesSequentialWithoutCache) {
       EXPECT_EQ(b.attempts[i].status.ok(), a.attempts[i].status.ok());
     }
     EXPECT_EQ(b.matching(), a.matching());
-  }
-}
-
-TEST(TreeSweepTest, BatchSweepBestMatchesDirectSweep) {
-  ThreadPool pool(3);
-  BatchSolver solver(pool);
-  std::vector<KPartiteInstance> instances;
-  instances.push_back(test_instance(3, 4, 0xb001));
-  instances.push_back(test_instance(4, 4, 0xb002));
-
-  BatchOptions options;
-  options.tree = BatchTree::sweep_best;
-  const auto results = solver.solve(instances, options);
-
-  ASSERT_EQ(results.size(), instances.size());
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    ASSERT_TRUE(results[i].status.ok());
-    ASSERT_TRUE(results[i].matching.has_value());
-    const TreeSweepResult direct = sweep_all_trees(instances[i], {});
-    EXPECT_EQ(*results[i].matching, direct.matching());
   }
 }
 

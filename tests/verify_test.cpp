@@ -54,7 +54,7 @@ TEST(InstanceGen, ShapesPinTheirGenderCounts) {
     options.shape = Shape::kpartite;
     const auto kp = generate(options, seed);
     EXPECT_GE(kp.instance.genders(), 3);
-    EXPECT_LE(kp.instance.genders(), options.max_k);
+    EXPECT_LE(kp.instance.genders(), 5);
     EXPECT_TRUE(kp.instance.is_complete());
   }
 }
@@ -338,7 +338,7 @@ TEST(Shrinker, RejectsAPassingStart) {
 TEST(RunVerification, CleanSweepReportsZeroMismatches) {
   VerifyOptions options;
   options.seeds = 10;
-  options.max_repros = 0;
+  options.repro_dir = ::testing::TempDir();
   const auto summary = run_verification(options);
   EXPECT_TRUE(summary.clean());
   EXPECT_EQ(summary.seeds_run, 30);  // 3 shapes x 10 seeds
@@ -403,9 +403,12 @@ TEST(RunVerification, MismatchCounterFeedsTheMetricsRegistry) {
   options.shapes = {Shape::bipartite};
   options.seeds = 1;
   options.sabotage = Sabotage::gs_swap;
-  options.max_repros = 0;
+  options.repro_dir = ::testing::TempDir();
   const auto summary = run_verification(options);
   EXPECT_FALSE(summary.clean());
+  for (const std::string& path : summary.repro_paths) {
+    std::remove(path.c_str());
+  }
   EXPECT_EQ(summary.telemetry.status.outcome,
             resilience::SolveOutcome::no_stable);
 #if KSTABLE_METRICS_ENABLED
