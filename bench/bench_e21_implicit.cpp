@@ -19,13 +19,22 @@
 // The n sweep is CI-safe by default only in the benchmark section; the
 // report sweep reaches n = 2·10^5 (~minutes of proposals, still O(n)
 // memory) and can be capped with KSTABLE_E21_MAX_N for smoke runs.
+//
+// This binary replaces the aligned global operator new so that explicit
+// table slabs sit on transparent huge pages (see below).
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <new>
 #include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
+#endif
+#if defined(__linux__)
+#include <sys/mman.h>
 #endif
 
 #include "bench_common.hpp"
@@ -217,6 +226,9 @@ BENCHMARK(bm_implicit_queue)->Arg(1024)->Arg(8192)->Arg(32768)->Arg(100000);
 /// Explicit twin: the SAME instances materialized, so the proposal counters
 /// match bm_implicit_queue row for row (gated exactly) and the within-file
 /// implicit/explicit time ratio is the generator's true overhead factor.
+/// At 8192 the twin's time also depends on the last-level cache: each
+/// proposal reads a random cell of the responders' 128 MiB rank table, an L3
+/// hit where the L3 holds it and a DRAM load where it does not.
 void bm_explicit_queue(benchmark::State& state) {
   const auto inst =
       implicit_uniform(static_cast<Index>(state.range(0))).materialized();
@@ -230,6 +242,33 @@ void bm_explicit_queue(benchmark::State& state) {
 BENCHMARK(bm_explicit_queue)->Arg(1024)->Arg(8192);
 
 }  // namespace
+
+// An explicit instance keeps both tables in one slab from the aligned
+// ::operator new (prefs/arena.hpp). Blocks of a huge page or more are
+// allocated huge-page aligned and advised MADV_HUGEPAGE before their first
+// touch, so the 768 MiB bm_explicit_queue/8192 twin gets huge pages whether
+// the kernel's THP mode is "always" or "madvise". Without this most of the
+// twin's cache misses also miss the TLB under "madvise" (10-15 ms per solve
+// against 8-9 ms on huge pages, 4-vCPU x86-64 VM with a 105 MiB L3), and the
+// gated implicit/explicit ratio would measure the machine's THP mode on top
+// of the generator's overhead. Implicit instances allocate no such block.
+void* operator new(std::size_t size, std::align_val_t align) {
+  constexpr std::size_t kHugePage = std::size_t{2} << 20;
+  const bool huge = size >= kHugePage;
+  const std::size_t alignment = std::max(static_cast<std::size_t>(align),
+                                         huge ? kHugePage : sizeof(void*));
+  if (size > SIZE_MAX - alignment) throw std::bad_alloc();
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  const std::size_t bytes =
+      std::max(alignment, (size + alignment - 1) & ~(alignment - 1));
+  void* p = std::aligned_alloc(alignment, bytes);
+  if (p == nullptr) throw std::bad_alloc();
+#if defined(__linux__)
+  if (huge) ::madvise(p, bytes, MADV_HUGEPAGE);  // advice only; may be refused
+#endif
+  return p;
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 
 int main(int argc, char** argv) {
   if (::kstable::benchsupport::refuse_non_release_export(argc, argv)) {

@@ -9,13 +9,19 @@
 //   pref(m, g, r)  = forward(keys(m, g), r)   — the r-th choice, O(1)
 //   rank(m, g, t)  = inverse(keys(m, g), t)   — rank of member t, O(1)
 //
-// The bijection is a 4-round balanced Feistel network over the smallest even
-// power-of-two domain 2^(2w) >= n, with *cycle walking* to restrict it to
-// [0, n): values that land outside [0, n) are re-encrypted until they fall
-// inside. Because the network permutes the whole domain and the domain is
-// less than 4n (minimality of w), the walk terminates and takes < 4 steps in
-// expectation. Both directions walk, so forward and inverse stay exact
-// mutual inverses on [0, n).
+// The bijection is a 4-round Feistel network over the domain 2^b, with
+// *cycle walking* to restrict it to [0, n): values that land outside [0, n)
+// are re-encrypted until they fall inside. b = ceil(log2 n), at least 2. The
+// network splits b bits into a high half of floor(b/2) and a low half of
+// ceil(b/2) bits, and its rounds alternate output widths (an unbalanced
+// alternating Feistel network, Schneier–Kelsey, FSE 1996), so an odd b
+// needs no rounding up and the domain is < 2n for every n > 512. Below
+// b = 10 an odd b is raised to b + 1, where the domain stays < 4n: four
+// rounds over unequal halves of 1 to 4 bits are visibly non-uniform
+// (docs/PERFORMANCE.md §Small-n bias). For even b the network is the
+// balanced one. Because the network permutes the whole domain, the walk
+// terminates, after at most 2^b/n passes on average. Both directions walk,
+// so forward and inverse stay exact mutual inverses on [0, n).
 //
 // Per-row round keys are derived from (master seed, flat row id) through
 // splitmix64 chains (util/rng.hpp) — no state beyond the 64-bit seed, and
@@ -39,24 +45,29 @@ namespace kstable::prefs::imp {
   return z ^ (z >> 31);
 }
 
-/// Feistel geometry shared by every row of one instance: half-width w such
-/// that the domain 2^(2w) is the smallest even power of two covering n.
+/// Feistel geometry shared by every row of one instance: the domain 2^b is
+/// split into a high half of u = floor(b/2) bits and a low half of
+/// v = ceil(b/2) bits.
 struct FeistelGeometry {
-  std::uint32_t half_bits = 1;   ///< w
-  std::uint32_t half_mask = 1;   ///< (1 << w) - 1
-  Index n = 0;                   ///< permutation size (walk target)
+  std::uint32_t low_bits = 1;   ///< v
+  std::uint32_t high_mask = 1;  ///< (1 << u) - 1: even rounds' output width
+  std::uint32_t low_mask = 1;   ///< (1 << v) - 1: odd rounds' output width
+  Index n = 0;                  ///< permutation size (walk target)
 };
 
-/// Geometry for permutations of [0, n). Requires n >= 1; w >= 1 always, so
+/// Geometry for permutations of [0, n). Requires n >= 1; b >= 2 always, so
 /// the network has real halves even for tiny n (the walk absorbs the slack).
 [[nodiscard]] constexpr FeistelGeometry feistel_geometry(Index n) noexcept {
+  std::uint32_t b = 2;
+  // Smallest b with 2^b >= n; n <= 2^31 so b <= 31 and the loop is bounded.
+  while ((std::uint64_t{1} << b) < static_cast<std::uint64_t>(n)) ++b;
+  // Odd widths below 10 are raised (see the file comment).
+  if (b % 2 == 1 && b < 10) ++b;
   FeistelGeometry g;
   g.n = n;
-  std::uint32_t w = 1;
-  // Smallest w with 4^w >= n; n <= 2^31 so w <= 16 and the loop is bounded.
-  while ((std::uint64_t{1} << (2 * w)) < static_cast<std::uint64_t>(n)) ++w;
-  g.half_bits = w;
-  g.half_mask = static_cast<std::uint32_t>((std::uint64_t{1} << w) - 1);
+  g.low_bits = b - b / 2;
+  g.high_mask = (std::uint32_t{1} << (b / 2)) - 1;
+  g.low_mask = (std::uint32_t{1} << g.low_bits) - 1;
   return g;
 }
 
@@ -78,38 +89,43 @@ struct RowKeys {
   return keys;
 }
 
-/// Round function: keyed mix of one half, truncated to w bits. Any good
+/// Round function: keyed mix of one half, truncated to `mask`. Any good
 /// 64-bit mixer works — only the bijection structure needs to be exact.
 [[nodiscard]] constexpr std::uint32_t feistel_round(
-    std::uint32_t half, std::uint64_t key,
-    const FeistelGeometry& g) noexcept {
-  return static_cast<std::uint32_t>(mix64(key ^ half)) & g.half_mask;
+    std::uint32_t half, std::uint64_t key, std::uint32_t mask) noexcept {
+  return static_cast<std::uint32_t>(mix64(key ^ half)) & mask;
 }
 
-/// One encryption pass over the full domain [0, 2^(2w)).
+/// One encryption pass over the full domain [0, 2^b). The state is a pair
+/// (left, right) that starts as (high half, low half); each round replaces
+/// it with (right, left ^ F(right)), so the new right half has left's width.
+/// That width alternates u, v, u, v, and after the fourth round the pair is
+/// back to (u bits, v bits).
 [[nodiscard]] constexpr std::uint32_t feistel_encrypt(
     const FeistelGeometry& g, const RowKeys& keys, std::uint32_t x) noexcept {
-  std::uint32_t left = x >> g.half_bits;
-  std::uint32_t right = x & g.half_mask;
-  for (const std::uint64_t key : keys.k) {
-    const std::uint32_t next = left ^ feistel_round(right, key, g);
+  std::uint32_t left = x >> g.low_bits;
+  std::uint32_t right = x & g.low_mask;
+  for (int r = 0; r < 4; ++r) {
+    const std::uint32_t mask = r % 2 == 0 ? g.high_mask : g.low_mask;
+    const std::uint32_t next = left ^ feistel_round(right, keys.k[r], mask);
     left = right;
     right = next;
   }
-  return (left << g.half_bits) | right;
+  return (left << g.low_bits) | right;
 }
 
 /// One decryption pass (exact inverse of feistel_encrypt).
 [[nodiscard]] constexpr std::uint32_t feistel_decrypt(
     const FeistelGeometry& g, const RowKeys& keys, std::uint32_t y) noexcept {
-  std::uint32_t left = y >> g.half_bits;
-  std::uint32_t right = y & g.half_mask;
+  std::uint32_t left = y >> g.low_bits;
+  std::uint32_t right = y & g.low_mask;
   for (int r = 3; r >= 0; --r) {
-    const std::uint32_t prev = right ^ feistel_round(left, keys.k[r], g);
+    const std::uint32_t mask = r % 2 == 0 ? g.high_mask : g.low_mask;
+    const std::uint32_t prev = right ^ feistel_round(left, keys.k[r], mask);
     right = left;
     left = prev;
   }
-  return (left << g.half_bits) | right;
+  return (left << g.low_bits) | right;
 }
 
 /// forward(x) for x in [0, n): the permutation value, cycle-walked back into

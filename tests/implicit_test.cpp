@@ -34,20 +34,33 @@ using prefs::imp::ImplicitSpec;
 // PRP layer
 
 TEST(Feistel, GeometryCoversDomain) {
-  for (const Index n : {1, 2, 3, 4, 5, 16, 17, 255, 256, 1000, 4097, 65536}) {
+  for (const Index n : {1, 2, 3, 4, 5, 16, 17, 255, 256, 257, 512, 513, 1000,
+                        1024, 1025, 2048, 2049, 4097, 20000, 32768, 32769,
+                        65536}) {
     const auto g = prefs::imp::feistel_geometry(n);
-    const std::uint64_t domain = 1ULL << (2 * g.half_bits);
+    // The low half is v bits; the high half is v or v - 1 bits.
+    EXPECT_EQ(g.low_mask, (1U << g.low_bits) - 1) << "n=" << n;
+    EXPECT_TRUE(g.high_mask == g.low_mask || 2 * g.high_mask + 1 == g.low_mask)
+        << "n=" << n;
+    const std::uint64_t domain =
+        (static_cast<std::uint64_t>(g.high_mask) + 1) << g.low_bits;
     EXPECT_GE(domain, static_cast<std::uint64_t>(n)) << "n=" << n;
-    // Cycle-walking stays cheap: the domain is < 4n, so the expected walk
-    // length is below 4 (docs/PERFORMANCE.md).
-    if (n > 1) {
+    // Cycle-walking stays cheap: above n = 512 the domain is the tightest
+    // power of two (< 2n); below it odd widths are raised by one (< 4n).
+    // The expected walk length is below domain / n (docs/PERFORMANCE.md).
+    if (n > 512) {
+      EXPECT_LT(domain, 2ULL * static_cast<std::uint64_t>(n)) << "n=" << n;
+    } else if (n > 1) {
       EXPECT_LT(domain, 4ULL * static_cast<std::uint64_t>(n)) << "n=" << n;
+      EXPECT_EQ(g.high_mask, g.low_mask) << "n=" << n;
     }
   }
 }
 
 TEST(Feistel, PrpIsABijectionWithExactInverse) {
-  for (const Index n : {1, 2, 3, 5, 16, 255, 1000, 4097}) {
+  // 1025, 2048 and 20000 have odd widths (11, 11 and 15 bits): unequal
+  // halves.
+  for (const Index n : {1, 2, 3, 5, 16, 255, 1000, 1025, 2048, 4097, 20000}) {
     const auto g = prefs::imp::feistel_geometry(n);
     for (const std::uint64_t row : {0ULL, 1ULL, 977ULL}) {
       const auto keys = prefs::imp::derive_row_keys(0x5eedULL, row);
@@ -82,9 +95,10 @@ TEST(Feistel, DistinctRowsGetDistinctPermutations) {
 TEST(Feistel, LockstepWalkEqualsSeparateWalks) {
   // prp_forward_inverse must return exactly prp_forward(x) and
   // prp_inverse(y) for every pair, whichever of the two walks is longer.
-  // The sizes cover tiny domains, both sides of each power of four, and a
-  // non-power.
-  for (const Index n : {1, 2, 3, 4, 5, 15, 16, 17, 255, 256, 257, 1000}) {
+  // The sizes cover tiny domains, both sides of each power of four, a
+  // non-power, and two odd widths (1025 and 1100, 11 bits).
+  for (const Index n :
+       {1, 2, 3, 4, 5, 15, 16, 17, 255, 256, 257, 1000, 1025, 1100}) {
     const auto g = prefs::imp::feistel_geometry(n);
     for (const auto& [fwd_row, inv_row] :
          {std::pair{0ULL, 1ULL}, std::pair{977ULL, 3ULL},
@@ -152,6 +166,20 @@ TEST(ImplicitGenerator, UniformRowsMatchGoldenValues) {
   }
 }
 
+TEST(ImplicitGenerator, OddWidthRowMatchesGoldenValues) {
+  // n = 1100 is an 11-bit domain: 5-bit and 6-bit halves, rounds alternating
+  // their output widths. The first 16 choices of member (0, 0) over gender 1
+  // pin that network.
+  const Index n = 1100;
+  const auto inst =
+      KPartiteInstance::make_implicit(3, n, {Family::uniform, 7});
+  std::vector<Index> head;
+  for (Index r = 0; r < 16; ++r) head.push_back(inst.pref_at({0, 0}, 1, r));
+  const std::vector<Index> golden = {726, 126, 494, 108, 922, 244, 166, 358,
+                                     273, 744, 688, 551, 831, 636, 683, 809};
+  EXPECT_EQ(head, golden);
+}
+
 /// First choices of every row of one k-gender generator, counted per target.
 std::vector<std::int64_t> first_choice_counts(Gender k, Index n,
                                               std::uint64_t seed) {
@@ -180,18 +208,21 @@ TEST(ImplicitGenerator, UniformFirstChoicesAreNearUniform) {
           << "target " << t;
     }
   }
-  // n = 1000: 11·10·1000 = 110 000 rows, 110 per target. Pearson's
-  // chi-square on 999 degrees of freedom has mean 999 and standard
-  // deviation sqrt(2·999) ≈ 44.7; the bound is six deviations above.
-  {
-    const auto counts = first_choice_counts(11, 1000, 1);
+  // n = 1000 and n = 2000 (an 11-bit domain, so the unbalanced network with
+  // 5-bit and 6-bit halves): 11·10·n rows, 110 per target. Pearson's
+  // chi-square on n - 1 degrees of freedom has mean n - 1 and standard
+  // deviation sqrt(2(n - 1)) (≈ 44.7 at n = 1000); the bound is six
+  // deviations above.
+  for (const Index n : {1000, 2000}) {
+    const auto counts = first_choice_counts(11, n, 1);
     const double expected = 110.0;
+    const double dof = static_cast<double>(n - 1);
     double chi_square = 0.0;
     for (const std::int64_t c : counts) {
       const double d = static_cast<double>(c) - expected;
       chi_square += d * d / expected;
     }
-    EXPECT_LT(chi_square, 999.0 + 6.0 * std::sqrt(2.0 * 999.0));
+    EXPECT_LT(chi_square, dof + 6.0 * std::sqrt(2.0 * dof)) << "n=" << n;
   }
 }
 
