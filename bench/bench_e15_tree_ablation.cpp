@@ -196,8 +196,8 @@ void report() {
     const Gender ck = 5;
     Rng rng(7309);
     const auto inst = gen::uniform(ck, 64, rng);
-    // The all-trees sweep is the TreeSweep engine's job now (E18 measures its
-    // parallel scaling); running it poolless here isolates the cache effect.
+    // score_table binds every tree (E18 measures the best_cost table scan,
+    // which binds only the winner), so the cache effect shows here.
     core::TreeSweepOptions sweep_options;
     sweep_options.fold = core::SweepFold::score_table;
     sweep_options.keep_matchings = true;

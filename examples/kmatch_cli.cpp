@@ -4,8 +4,9 @@
 //   kmatch gen   <k> <n> <seed> <file>       write a random instance
 //   kmatch kary  <file> [tree]               stable k-ary matching (Algorithm 1)
 //                                            tree: path | star | random |
-//                                            priority | best (TreeSweep argmin
-//                                            over all k^(k-2) trees, small k)
+//                                            priority | best (bound-pair cost
+//                                            argmin over all k^(k-2) trees,
+//                                            k <= 9)
 //   kmatch binary <file> [lin]               stable binary matching via the
 //                                            roommates solver; lin: rr | blocks
 //   kmatch roommates <file>                  solve a roommates-format instance
@@ -37,9 +38,11 @@
 //   --max-proposals=<n>    abort the solve after n accumulated proposals
 //   --fallback             (kary only) on abort, retry along different
 //                          spanning trees, then degrade to the priority model
-//   --sweep-threads=<n>    pool size for 'kary <file> best', and with
-//                          --fallback the pool the strict rungs race on
-//                          (checked, >= 1; 1 = in order, the default)
+//   --sweep-threads=<n>    with --fallback, the pool the strict rungs race
+//                          on; for verify, the pool of the parallel-engine
+//                          legs ('kary <file> best' is sequential and
+//                          ignores it; checked, >= 1; 1 = in order, the
+//                          default)
 //   --stats-json=<file>    write the solve's telemetry + the process metrics
 //                          registry as one JSON object (docs/OBSERVABILITY.md)
 //   --stats-prom=<file>    same data in Prometheus text exposition format
@@ -172,7 +175,8 @@ int usage() {
                "  kmatch ping --port=<p> [ping flags]\n"
                "  kmatch info <file>\n"
                "flags: --deadline-ms=<ms>  --max-proposals=<n>  --fallback\n"
-               "       --sweep-threads=<n>\n"
+               "       --sweep-threads=<n>  (pool of the --fallback race and of\n"
+               "       verify's parallel-engine legs; kary best is sequential)\n"
                "       --stats-json=<file>  --stats-prom=<file>\n"
                "verify flags: --seeds=<n>  --shape=<shape|all>  --dist=<dist>\n"
                "       --base-seed=<n>  --sabotage=<mode>  --repro-dir=<dir>\n"
@@ -255,13 +259,13 @@ int cmd_kary(int argc, char** argv) {
 
   core::BindingResult result;
   BindingStructure tree(k);
-  // Lives outside the branches: the pool must outlive the sweep it backs.
-  std::optional<ThreadPool> pool;
   if (g_fallback) {
     resilience::FallbackOptions opts;
     opts.per_attempt = g_budget;
+    // Lives until the ladder returns: an attached pool races the strict
+    // rungs across its threads.
+    std::optional<ThreadPool> pool;
     if (g_sweep_threads > 1) {
-      // An attached pool races the strict rungs across its threads.
       pool.emplace(g_sweep_threads);
       opts.pool = &*pool;
     }
@@ -292,20 +296,14 @@ int cmd_kary(int argc, char** argv) {
       return 2;
     }
     core::TreeSweepOptions sopts;
-    resilience::ExecControl* control = budget_control();
-    sopts.control = control;
+    sopts.control = budget_control();
     core::GsEdgeCache cache(inst);
     sopts.cache = &cache;
-    if (g_sweep_threads > 1) {
-      pool.emplace(g_sweep_threads);
-      sopts.pool = &*pool;
-    }
     auto sweep = core::sweep_all_trees(inst, sopts);
     g_telemetry = sweep.telemetry;
-    std::cout << "swept " << sweep.stats.trees << " trees ("
-              << sweep.stats.workers << " worker(s), " << sweep.stats.steals
-              << " steals); best tree index " << sweep.best_index
-              << ", bound-pair cost " << sweep.best_cost << '\n';
+    std::cout << "scanned " << sweep.stats.trees << " trees; best tree index "
+              << sweep.best_index << ", bound-pair cost " << sweep.best_cost
+              << '\n';
     tree = *sweep.best_tree;
     result = std::move(*sweep.best);
   } else {

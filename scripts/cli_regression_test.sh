@@ -234,22 +234,18 @@ if [ "$flags_ok" -eq "$flags_probed" ]; then
   echo "ok: all $flags_probed flags reject bad values with exit 2"
 fi
 
-# --- kary best: parallel sweep matches the sequential sweep -----------------
-SEQ_OUT="$WORK_DIR/cli_reg.best_seq"
-PAR_OUT="$WORK_DIR/cli_reg.best_par"
-if ! "$KMATCH" kary "$INST" best >"$SEQ_OUT"; then
-  note_failure "kary best (sequential) failed"
-elif ! "$KMATCH" --sweep-threads=4 kary "$INST" best >"$PAR_OUT"; then
+# --- kary best: --sweep-threads does not reach the sequential scan ---------
+BEST_OUT="$WORK_DIR/cli_reg.best"
+BEST_THREADS_OUT="$WORK_DIR/cli_reg.best_threads"
+if ! "$KMATCH" kary "$INST" best >"$BEST_OUT"; then
+  note_failure "kary best failed"
+elif ! "$KMATCH" --sweep-threads=4 kary "$INST" best >"$BEST_THREADS_OUT"; then
   note_failure "kary best --sweep-threads=4 failed"
+elif cmp -s "$BEST_OUT" "$BEST_THREADS_OUT" \
+    && grep -q "^scanned 3 trees; best tree index " "$BEST_OUT"; then
+  echo "ok: kary best output is byte-identical with --sweep-threads=4"
 else
-  # Determinism contract: only the worker/steal telemetry line may differ.
-  if [ "$(grep -v '^swept ' "$SEQ_OUT")" = "$(grep -v '^swept ' "$PAR_OUT")" ] \
-      && grep -q "^swept 3 trees" "$SEQ_OUT" \
-      && grep -q "best tree index" "$SEQ_OUT"; then
-    echo "ok: kary best parallel output identical to sequential"
-  else
-    note_failure "kary best parallel/sequential outputs differ"
-  fi
+  note_failure "kary best output differs with --sweep-threads=4"
 fi
 
 # --- kary best: k = 10 spans Cayley's 10^8 trees, above the sweep guard ----

@@ -51,11 +51,10 @@ mv bench_output.txt.partial bench_output.txt
 # Regression gates: each fresh run must not regress the committed
 # baseline's deterministic counters or its pinned within-file time ratios
 # (machine-portable; see scripts/compare_bench.py --help for the classes).
-# E18: sweep totals (trees enumerated, scheduler chunk) are deterministic;
-# steals/fresh_gs_runs are scheduling-dependent and not gated.
+# E18: trees scanned (k^(k-2)) and fresh GS runs ((k-1)^2) are exact.
 python3 scripts/compare_bench.py \
   --baseline bench/baselines/BENCH_E18.json --fresh BENCH_e18.json \
-  --exact-counter trees --exact-counter chunk
+  --exact-counter trees --exact-counter gs_runs
 # E19: exact proposal counters plus the u16/u32 rank-width time ratio of
 # the queue engine (pins the compact layout's win).
 python3 scripts/compare_bench.py \

@@ -40,9 +40,7 @@ void enumerate_binary(const rm::RoommatesInstance& inst,
 }
 
 /// Visits every completion of `families` over genders [from, k): for each
-/// gender in turn, every permutation in lexicographic order (the recursion
-/// behind the sequential census, started at gender 2 with gender 1
-/// pre-assigned by each parallel census task).
+/// gender in turn, every permutation in lexicographic order.
 void enumerate_kary_from(const KPartiteInstance& inst,
                          std::vector<Index>& families, Gender from,
                          const std::function<void(const KaryMatching&)>& visit) {
@@ -64,18 +62,6 @@ void enumerate_kary_from(const KPartiteInstance& inst,
   } while (std::next_permutation(perm.begin(), perm.end()));
 }
 
-/// Identity-prefixed family table: families[t*k + 0] = t (tuples are
-/// unordered, so fixing gender 0's assignment removes the n! relabelings).
-std::vector<Index> seeded_families(const KPartiteInstance& inst) {
-  const auto k = static_cast<std::size_t>(inst.genders());
-  const Index n = inst.per_gender();
-  std::vector<Index> families(static_cast<std::size_t>(n) * k);
-  for (Index t = 0; t < n; ++t) {
-    families[static_cast<std::size_t>(t) * k] = t;
-  }
-  return families;
-}
-
 }  // namespace
 
 BinaryCensus binary_census(const rm::RoommatesInstance& inst,
@@ -88,11 +74,16 @@ BinaryCensus binary_census(const rm::RoommatesInstance& inst,
 }
 
 KaryCensus kary_census(const KPartiteInstance& inst,
-                       const std::vector<std::int32_t>& priority,
-                       ThreadPool* pool) {
-  const Gender k = inst.genders();
-  const Index n = inst.per_gender();
-  const auto tally = [&](const KaryMatching& matching, KaryCensus& census) {
+                       const std::vector<std::int32_t>& priority) {
+  const auto k = static_cast<std::size_t>(inst.genders());
+  // Identity-prefixed family table: families[t*k + 0] = t (tuples are
+  // unordered, so fixing gender 0's assignment removes the n! relabelings).
+  std::vector<Index> families(static_cast<std::size_t>(inst.per_gender()) * k);
+  for (Index t = 0; t < inst.per_gender(); ++t) {
+    families[static_cast<std::size_t>(t) * k] = t;
+  }
+  KaryCensus census;
+  enumerate_kary_from(inst, families, 1, [&](const KaryMatching& matching) {
     ++census.total_matchings;
     if (!find_blocking_family(inst, matching).has_value()) {
       ++census.stable_matchings;
@@ -102,54 +93,7 @@ KaryCensus kary_census(const KPartiteInstance& inst,
         !find_weakened_blocking_family(inst, matching, priority).has_value()) {
       ++census.weakened_stable_matchings;
     }
-  };
-
-  const bool parallel_run = pool != nullptr &&
-                            !ThreadPool::in_worker_thread() &&
-                            pool->thread_count() > 1 && n > 1;
-  if (!parallel_run) {
-    KaryCensus census;
-    std::vector<Index> families = seeded_families(inst);
-    enumerate_kary_from(inst, families, 1, [&](const KaryMatching& matching) {
-      tally(matching, census);
-    });
-    return census;
-  }
-
-  // Fan out over gender 1's n! permutations (the outermost loop of the
-  // enumeration); each task completes genders 2..k-1 sequentially. Partial
-  // censuses land in per-task slots and merge in task order, so the counts
-  // AND the witness (the enumeration-order-first stable matching) are
-  // identical to the sequential census regardless of scheduling.
-  std::vector<std::vector<Index>> gender1;
-  {
-    std::vector<Index> perm(static_cast<std::size_t>(n));
-    std::iota(perm.begin(), perm.end(), Index{0});
-    do {
-      gender1.push_back(perm);
-    } while (std::next_permutation(perm.begin(), perm.end()));
-  }
-  std::vector<KaryCensus> partials(gender1.size());
-  pool->for_each_index(gender1.size(), [&](std::size_t i) {
-    std::vector<Index> families = seeded_families(inst);
-    for (Index t = 0; t < n; ++t) {
-      families[static_cast<std::size_t>(t) * static_cast<std::size_t>(k) + 1] =
-          gender1[i][static_cast<std::size_t>(t)];
-    }
-    enumerate_kary_from(inst, families, 2, [&](const KaryMatching& matching) {
-      tally(matching, partials[i]);
-    });
   });
-
-  KaryCensus census;
-  for (auto& partial : partials) {
-    census.total_matchings += partial.total_matchings;
-    census.stable_matchings += partial.stable_matchings;
-    census.weakened_stable_matchings += partial.weakened_stable_matchings;
-    if (!census.witness && partial.witness) {
-      census.witness = std::move(partial.witness);
-    }
-  }
   return census;
 }
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "analysis/stability.hpp"
-#include "parallel/thread_pool.hpp"
 #include "prefs/kpartite.hpp"
 #include "prefs/matching.hpp"
 #include "roommates/instance.hpp"
@@ -43,12 +42,7 @@ struct KaryCensus {
 
 /// Enumerates all (n!)^(k-1) k-ary matchings of `inst` and counts stable
 /// ones. If `priority` is non-empty, also counts weakened-stable matchings.
-/// With a `pool`, the census fans out over gender 1's n! permutations (one
-/// enumeration subtree per task) and merges partial counts in task order —
-/// counts and witness are identical to the sequential census. Inside a pool
-/// worker the census stays sequential (nested-pool guard).
 KaryCensus kary_census(const KPartiteInstance& inst,
-                       const std::vector<std::int32_t>& priority = {},
-                       ThreadPool* pool = nullptr);
+                       const std::vector<std::int32_t>& priority = {});
 
 }  // namespace kstable::analysis

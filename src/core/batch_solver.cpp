@@ -25,7 +25,7 @@ std::vector<BatchItemResult> BatchSolver::solve(
     const resilience::Budget budget = options.per_item_budgets.empty()
                                           ? resilience::Budget{}
                                           : options.per_item_budgets[idx];
-    resilience::ExecControl control(budget, options.token);
+    resilience::ExecControl control(budget);
     // One workspace per pool worker, reused across items and batches: after
     // the largest instance warms it, the GS hot path allocates nothing.
     thread_local gs::GsWorkspace workspace;

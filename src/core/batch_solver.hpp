@@ -8,9 +8,9 @@
 // the first item warms it the per-edge GS runs allocate nothing; each *item*
 // gets its own GsEdgeCache (caches are per-instance by contract) and its own
 // ExecControl, so one slow or poisoned instance times out alone without
-// stalling the batch. Abort-class failures (deadline, proposal budget,
-// cancellation) never throw out of solve(): the per-item SolveStatus carries
-// them, exactly like resilience::FallbackReport does for single solves.
+// stalling the batch. Abort-class failures (deadline, proposal budget) never
+// throw out of solve(): the per-item SolveStatus carries them, exactly like
+// resilience::FallbackReport does for single solves.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +38,6 @@ struct BatchOptions {
   /// Per-item budgets (each item gets a fresh ExecControl); when non-empty,
   /// must match the batch size. Empty = every item unlimited.
   std::vector<resilience::Budget> per_item_budgets;
-  /// Shared across all items: cancelling aborts every unfinished item.
-  resilience::CancellationToken token{};
 };
 
 /// Outcome of one batch item.

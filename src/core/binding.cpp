@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/gs_cache.hpp"
-#include "gs/parallel_gs.hpp"
 #include "resilience/fault_injection.hpp"
 #include "util/check.hpp"
 
@@ -35,11 +34,6 @@ gs::GsResult run_engine(const KPartiteInstance& inst, GenderEdge edge,
         result = gs::gale_shapley_rounds(inst, edge.a, edge.b, gs_options);
       }
       return result;
-    case GsEngine::parallel:
-      KSTABLE_REQUIRE(options.pool != nullptr,
-                      "GsEngine::parallel needs a ThreadPool");
-      return gs::gale_shapley_parallel(inst, edge.a, edge.b, *options.pool,
-                                       256, options.control);
   }
   KSTABLE_REQUIRE(false, "unknown GS engine");
   return {};
@@ -50,7 +44,6 @@ const char* binding_engine_label(GsEngine engine) {
   switch (engine) {
     case GsEngine::queue: return "binding.queue";
     case GsEngine::rounds: return "binding.rounds";
-    case GsEngine::parallel: return "binding.parallel";
   }
   return "binding";
 }
@@ -73,8 +66,8 @@ gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,
   // that has mutated since binding (docs/INCREMENTAL.md — invalidate() +
   // rebind() is the sanctioned path). Throws std::logic_error.
   options.cache->check_instance(inst);
-  // Single-flight lookup: under a concurrent sweep, N workers missing the
-  // same oriented edge run GS once and share the published result.
+  // Single-flight lookup: under the fallback ladder's race, workers missing
+  // the same oriented edge run GS once and share the published result.
   return options.cache->get_or_compute(edge, options.engine, compute,
                                        options.control, cache_hit);
 }

@@ -20,7 +20,6 @@
 #include "graph/binding_structure.hpp"
 #include "gs/gale_shapley.hpp"
 #include "observability/telemetry.hpp"
-#include "parallel/thread_pool.hpp"
 #include "prefs/kpartite.hpp"
 #include "prefs/matching.hpp"
 #include "resilience/control.hpp"
@@ -29,22 +28,22 @@
 namespace kstable::core {
 
 /// Which Gale-Shapley engine runs each binary binding: the queue loop
-/// (prefetch-pipelined, the default), the paper's rounds (§II.A verbatim),
-/// or the speculative parallel engine (Cor. 1-2).
-enum class GsEngine { queue, rounds, parallel };
+/// (prefetch-pipelined, the default) or the paper's rounds (§II.A verbatim).
+/// The speculative parallel engine (Cor. 1-2), gs::gale_shapley_parallel,
+/// takes its own pool and runs outside the binding path (E7, DiffRunner).
+enum class GsEngine { queue, rounds };
 
 /// Number of GsEngine values. Keep NEXT TO the enum and update together when
 /// adding an engine: GsEdgeCache sizes its slot table from this and
 /// static_asserts against its own compiled-in constant, so a new engine
 /// cannot silently alias cache slots.
-inline constexpr std::size_t kGsEngineCount = 3;
+inline constexpr std::size_t kGsEngineCount = 2;
 
 /// Static-lifetime display/metrics label of an engine.
 [[nodiscard]] constexpr const char* to_string(GsEngine engine) noexcept {
   switch (engine) {
     case GsEngine::queue: return "queue";
     case GsEngine::rounds: return "rounds";
-    case GsEngine::parallel: return "parallel";
   }
   return "unknown";
 }
@@ -53,8 +52,6 @@ class GsEdgeCache;  // core/gs_cache.hpp
 
 struct BindingOptions {
   GsEngine engine = GsEngine::queue;
-  /// Required when engine == GsEngine::parallel.
-  ThreadPool* pool = nullptr;
   /// Optional deadline/budget/cancellation control, threaded into every
   /// per-edge GS run and checked between edges. Throws ExecutionAborted.
   resilience::ExecControl* control = nullptr;
@@ -65,9 +62,9 @@ struct BindingOptions {
   /// for free. Semantically invisible: matchings are bitwise-identical with
   /// and without a cache.
   GsEdgeCache* cache = nullptr;
-  /// Optional scratch buffers for the sequential engines (gs::GsWorkspace);
-  /// a warm workspace makes every per-edge GS run allocation-free. Owned by
-  /// the calling thread; ignored by GsEngine::parallel.
+  /// Optional scratch buffers for the engines (gs::GsWorkspace); a warm
+  /// workspace makes every per-edge GS run allocation-free. Owned by the
+  /// calling thread.
   gs::GsWorkspace* workspace = nullptr;
 };
 

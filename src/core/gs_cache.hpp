@@ -2,19 +2,19 @@
 //
 // Every spanning binding tree over k genders draws its edges from the same
 // k(k-1)/2 gender-pair set (2·C(k,2) = k(k-1) oriented edges), and a per-edge
-// GsResult is a pure function of (instance, oriented edge, engine): the
-// engines are deterministic and GS is confluent, so even the parallel engine
-// reproduces the sequential outcome bit for bit. Multi-tree drivers —
-// tree_selection probes, the E15 ablation sweep, the TreeSweep engine,
-// solve_with_fallback's retry ladder — therefore recompute identical
-// matchings over and over. Memoizing them collapses O(#trees·(k-1)) GS runs
-// to at most k(k-1) per instance, and the cache is semantically invisible:
-// cached and uncached solves produce bitwise-identical matchings
-// (property-tested over all k^(k-2) trees).
+// GsResult is a pure function of (instance, oriented edge, engine): both
+// binding engines (queue, rounds) are deterministic and GS is confluent.
+// Multi-tree drivers — tree_selection probes, the E15 ablation sweep, the
+// `best` tree scan (core/tree_sweep), solve_with_fallback's retry ladder —
+// therefore recompute identical matchings over and over. Memoizing them
+// collapses O(#trees·(k-1)) GS runs to at most k(k-1) per instance, and the
+// cache is semantically invisible: cached and uncached solves produce
+// bitwise-identical matchings (property-tested over all k^(k-2) trees).
 //
 // Key and invalidation rules (docs/INCREMENTAL.md):
-//   * The key is (proposer gender, responder gender, engine). Orientation
-//     matters — GS(a, b) is proposer-optimal for a, GS(b, a) for b.
+//   * The key is (proposer gender, responder gender, engine): two engine
+//     slots per oriented edge. Orientation matters — GS(a, b) is
+//     proposer-optimal for a, GS(b, a) for b.
 //   * A cache is bound to ONE KPartiteInstance. It holds no reference to the
 //     instance; the caller guarantees the pairing (new instance => new
 //     cache). The instance-bound constructor additionally records the
@@ -32,8 +32,8 @@
 //     kEngineCount slots, so untouched edges keep replaying for free — the
 //     targeted-invalidation half of incremental::rematch().
 //
-// Concurrency design (the TreeSweep fan-out hammers one cache from every
-// pool worker at once):
+// Concurrency design (the fallback ladder's race, FallbackOptions::pool,
+// shares one cache across the pool workers attempting different trees):
 //   * Each key owns a fixed Slot with an atomic state machine
 //     empty -> computing -> ready. Ready is terminal: entries are never
 //     overwritten, so a ready slot is readable lock-free (acquire load) and
@@ -80,7 +80,7 @@ class GsEdgeCache {
                 "GsEdgeCache slot table must cover every GsEngine value; "
                 "update kGsEngineCount (core/binding.hpp) and kEngineCount "
                 "together when adding an engine");
-  static_assert(static_cast<std::size_t>(GsEngine::parallel) ==
+  static_assert(static_cast<std::size_t>(GsEngine::rounds) ==
                     kGsEngineCount - 1,
                 "kGsEngineCount is out of sync with the last GsEngine "
                 "enumerator");

@@ -7,49 +7,31 @@
 
 namespace kstable::core {
 
+std::int64_t egalitarian_cost(const KPartiteInstance& inst,
+                              const gs::GsResult& result) {
+  const Gender a = result.proposer_gender;
+  const Gender b = result.responder_gender;
+  std::int64_t cost = 0;
+  for (Index p = 0; p < inst.per_gender(); ++p) {
+    const Index r = result.proposer_match[static_cast<std::size_t>(p)];
+    cost += inst.rank_of({a, p}, {b, r});
+    cost += inst.rank_of({b, r}, {a, p});
+  }
+  return cost;
+}
+
 std::vector<PairProbe> probe_all_pairs(const KPartiteInstance& inst,
                                        const BindingOptions& options) {
   const Gender k = inst.genders();
-  // Probe slots are laid out in (a, b) order up front so the parallel path
-  // writes each slot independently and the returned vector is identical to
-  // the sequential one (determinism does not depend on completion order).
-  std::vector<PairProbe> probes(static_cast<std::size_t>(k) *
-                                static_cast<std::size_t>(k - 1) / 2);
-  std::size_t next = 0;
+  std::vector<PairProbe> probes;
+  probes.reserve(static_cast<std::size_t>(k) *
+                 static_cast<std::size_t>(k - 1) / 2);
   for (Gender a = 0; a < k; ++a) {
-    for (Gender b = a + 1; b < k; ++b) probes[next++].edge = {a, b};
-  }
-
-  const auto probe_one = [&inst](PairProbe& probe,
-                                 const BindingOptions& bopts) {
-    const Gender a = probe.edge.a;
-    const Gender b = probe.edge.b;
-    const auto result = run_binding(inst, probe.edge, bopts);
-    probe.proposals = result.proposals;
-    for (Index p = 0; p < inst.per_gender(); ++p) {
-      const Index r = result.proposer_match[static_cast<std::size_t>(p)];
-      probe.cost += inst.rank_of({a, p}, {b, r});
-      probe.cost += inst.rank_of({b, r}, {a, p});
+    for (Gender b = a + 1; b < k; ++b) {
+      const auto result = run_binding(inst, {a, b}, options);
+      probes.push_back({{a, b}, egalitarian_cost(inst, result),
+                        result.proposals});
     }
-  };
-
-  // The k(k-1)/2 probes are independent GS runs, so fan them out when a pool
-  // is attached and the per-edge engine is sequential (GsEngine::parallel
-  // already owns the pool). The nested-pool guard keeps a probe pass inside
-  // a BatchSolver item sequential.
-  const bool parallel_run =
-      options.pool != nullptr && options.engine != GsEngine::parallel &&
-      !ThreadPool::in_worker_thread() && options.pool->thread_count() > 1 &&
-      probes.size() > 1;
-  if (parallel_run) {
-    options.pool->for_each_index(probes.size(), [&](std::size_t i) {
-      thread_local gs::GsWorkspace workspace;
-      BindingOptions bopts = options;
-      bopts.workspace = &workspace;
-      probe_one(probes[i], bopts);
-    });
-  } else {
-    for (auto& probe : probes) probe_one(probe, options);
   }
   return probes;
 }

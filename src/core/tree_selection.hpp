@@ -26,16 +26,17 @@ struct PairProbe {
   std::int64_t proposals = 0;  ///< proposal count of the probe run
 };
 
-/// Runs GS on every unordered gender pair and scores it. O(k² n log n) avg.
-/// With options.cache attached, the k(k-1)/2 probe matchings are memoized —
-/// the subsequent iterative_binding along the selected tree replays its
-/// edges as cache hits instead of re-running GS.
-///
-/// With options.pool attached (and a sequential per-edge engine, no trace
-/// sink), the independent probes fan out across the pool; the returned
-/// vector is identical to the sequential pass (each probe is the same
-/// deterministic GS run written to its own pre-assigned slot). Inside a pool
-/// worker the probes stay sequential (nested-pool guard).
+/// Egalitarian rank cost of the binary matching `result` = GS(a, b): the
+/// sum, over its pairs, of both members' ranks of each other. It is also
+/// edge a→b's share of analysis::kary_tree_costs for any tree that binds
+/// a→b, since every family holds exactly one pair of that matching.
+std::int64_t egalitarian_cost(const KPartiteInstance& inst,
+                              const gs::GsResult& result);
+
+/// Runs GS on every unordered gender pair, in (a, b) order, and scores it.
+/// O(k² n log n) avg. With options.cache attached, the k(k-1)/2 probe
+/// matchings are memoized — the subsequent iterative_binding along the
+/// selected tree replays its edges as cache hits instead of re-running GS.
 std::vector<PairProbe> probe_all_pairs(const KPartiteInstance& inst,
                                        const BindingOptions& options = {});
 

@@ -1,59 +1,46 @@
-// TreeSweep: a work-stealing parallel sweep over spanning binding trees.
+// TreeSweep: the argmin of bound-pair cost over spanning binding trees.
 //
 // Cayley's formula (paper §IV.B) gives k^(k-2) spanning binding trees, and
-// every quantitative multi-tree question this library answers — E15's tree
-// ablation, cost-aware tree selection, the exhaustive oracle experiments —
-// is a sweep over some subset of that space. This engine chunks the Prüfer
-// code space (graph/prufer gives random access: tree_at(index, k) is the
-// index-th tree of the enumeration order) across the existing ThreadPool
-// with work stealing, runs iterative_binding per tree on thread_local
-// GsWorkspaces, and reduces through a pluggable fold.
+// the multi-tree questions this library answers — `kmatch kary <file> best`,
+// E15's tree ablation — are sweeps over some subset of that space.
 //
-// Determinism contract: the sweep's outcome is a pure function of
-// (instance, candidate set, fold) — it does NOT depend on thread
-// count, chunking, steal schedule, or which worker evaluated which tree.
-// The winner is the argmin of (bound-pair cost, tree index)
-// lexicographically; per-worker partial folds are merged by the same total
-// order, so any partition of the index space yields the same winner. The
-// score table is sorted by tree index before returning.
-// Per-tree matchings are bitwise-identical to a sequential run because each
-// tree's binding is the same deterministic iterative_binding call (GS
-// confluence; see gs_cache.hpp), property-tested in tree_sweep_test.
+// The additive identity (docs/ALGORITHMS.md): Algorithm 1 binds each tree
+// edge a→b with GS(a, b) over the whole genders a and b, independent of the
+// tree's other edges, and every assembled family holds exactly one pair of
+// that matching. So a tree's bound-pair cost (analysis::kary_tree_costs) is
+// Σ c(a→b) over its oriented edges, c = egalitarian_cost of GS(a, b).
+// SweepFold::best_cost therefore binds no tree during the scan: it fills c
+// on first use through run_binding (the caller's cache, or a sweep-local
+// one), sums it per tree, and binds only the winner. Prüfer decoding orients
+// every edge leaf→parent with the last edge into k-1, so a full sweep needs
+// exactly (k-1)² GS runs. SweepFold::score_table binds every tree (its
+// all-pairs cost is not additive) and is the reference the table is tested
+// against (tree_sweep_test, DiffRunner `binding.sweep.table.bitwise`).
 //
-// Scheduling: the index space is split into one contiguous range per pool
-// worker; owners claim 8-tree blocks off their range's front, and
-// workers that run dry steal blocks off other ranges' backs (classic
-// deque-ish stealing with a mutex per range — trees are coarse work units,
-// so per-claim locking is noise). Steal/chunk counts surface in
-// TreeSweepStats and the MetricsRegistry.
-//
-// Every per-edge GS run uses the sequential queue engine: the sweep spends
-// its parallelism across trees, not inside one edge.
-//
-// Nesting: when called from inside a pool worker, the engine detects it via
-// ThreadPool::in_worker_thread() and runs sequentially instead of queueing a
-// second thread complement onto the saturated pool (stats.nested_fallback
-// reports it).
+// Determinism: both folds scan candidates in index order on the calling
+// thread and keep the argmin of (bound-pair cost, tree index)
+// lexicographically; per-tree matchings are the same deterministic
+// iterative_binding calls (GS confluence; see gs_cache.hpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
 #include "core/binding.hpp"
 #include "core/gs_cache.hpp"
 #include "graph/binding_structure.hpp"
-#include "parallel/thread_pool.hpp"
 #include "resilience/control.hpp"
 
 namespace kstable::core {
 
 /// How the per-tree results reduce to one answer.
 enum class SweepFold {
-  /// Keep the tree minimizing bound-pair cost (ties: lowest tree index).
+  /// Keep the tree minimizing bound-pair cost (ties: lowest tree index),
+  /// scanned from the edge-cost table; only the winner is bound.
   best_cost,
-  /// best_cost + the full per-tree score table (E15's ablation view).
+  /// Bind every tree: the same winner plus the full per-tree score table
+  /// (E15's ablation view).
   score_table,
 };
 
@@ -62,16 +49,13 @@ enum class SweepFold {
 inline constexpr std::int64_t kMaxSweepTrees = 5'000'000;
 
 struct TreeSweepOptions {
-  /// Workers to sweep on; nullptr = sequential. Ignored (sequential
-  /// fallback) when the caller is itself a pool worker — see header notes.
-  ThreadPool* pool = nullptr;
-  /// Shared per-instance edge memo. Strongly recommended for parallel
-  /// sweeps: concurrent workers missing the same oriented edge resolve
-  /// single-flight instead of duplicating GS runs.
+  /// Per-instance edge memo. best_cost fills its table through it (a
+  /// sweep-local cache when null); score_table binds every tree through it
+  /// (uncached when null).
   GsEdgeCache* cache = nullptr;
-  /// Whole-sweep deadline/budget/cancellation, checked between trees on
-  /// every worker and charged inside every per-edge GS run. Throws
-  /// ExecutionAborted out of the sweep.
+  /// Whole-sweep deadline/budget/cancellation, checked between trees and
+  /// charged inside every per-edge GS run. Throws ExecutionAborted out of
+  /// the sweep.
   resilience::ExecControl* control = nullptr;
   /// Fold; see SweepFold.
   SweepFold fold = SweepFold::best_cost;
@@ -95,18 +79,16 @@ struct TreePoint {
 };
 
 struct TreeSweepStats {
-  std::int64_t trees = 0;    ///< candidates evaluated
-  std::int64_t chunks = 0;   ///< work-stealing claims
-  std::int64_t steals = 0;   ///< claims taken from another worker's range
-  std::size_t workers = 1;
-  bool nested_fallback = false;  ///< pool given but ran sequentially (nested)
+  std::int64_t trees = 0;  ///< candidates evaluated
   double wall_ms = 0.0;
   double trees_per_sec = 0.0;
+  /// Σ over candidates of their accumulated proposals (Theorem 3's unit),
+  /// the same under both folds: best_cost sums it from the table.
   std::int64_t total_proposals = 0;
+  /// GS proposals this sweep actually ran (cache hits run none).
   std::int64_t executed_proposals = 0;
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
-  std::int64_t single_flight_waits = 0;  ///< cache-level dedup events
 };
 
 struct TreeSweepResult {
@@ -137,24 +119,5 @@ TreeSweepResult sweep_all_trees(const KPartiteInstance& inst,
 TreeSweepResult sweep_trees(const KPartiteInstance& inst,
                             const std::vector<BindingStructure>& candidates,
                             const TreeSweepOptions& options = {});
-
-/// Scheduling outcome of one work-stealing pass.
-struct SweepSchedule {
-  std::int64_t chunks = 0;
-  std::int64_t steals = 0;
-  std::size_t workers = 1;
-};
-
-/// The reusable work-stealing primitive under the sweep drivers: splits
-/// [0, count) into one contiguous range per pool worker and invokes
-/// run(worker, begin, end) for every claimed block — owners claim off their
-/// range's front, thieves off other ranges' backs, `chunk` indices at a
-/// time. Blocks until the space is exhausted; exceptions from `run`
-/// propagate (first one wins) after all workers stop. Exposed for tests and
-/// other index-space fan-outs.
-SweepSchedule sweep_index_space(
-    std::int64_t count, ThreadPool& pool, std::int64_t chunk,
-    const std::function<void(std::size_t worker, std::int64_t begin,
-                             std::int64_t end)>& run);
 
 }  // namespace kstable::core

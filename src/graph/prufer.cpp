@@ -55,29 +55,14 @@ BindingStructure decode(const std::vector<Gender>& seq, Gender k) {
   KSTABLE_REQUIRE(k >= 2, "Prüfer decode needs k >= 2, got " << k);
   KSTABLE_REQUIRE(static_cast<Gender>(seq.size()) == (k > 2 ? k - 2 : 0),
                   "Prüfer sequence length " << seq.size() << " wrong for k=" << k);
-  std::vector<std::int32_t> deg(static_cast<std::size_t>(k), 1);
   for (Gender v : seq) {
     KSTABLE_REQUIRE(v >= 0 && v < k, "Prüfer entry " << v << " out of range");
-    ++deg[static_cast<std::size_t>(v)];
   }
   BindingStructure tree(k);
-  Gender ptr = 0;
-  while (deg[static_cast<std::size_t>(ptr)] != 1) ++ptr;
-  Gender leaf = ptr;
-  for (Gender v : seq) {
-    tree.add_edge({leaf, v});
-    if (--deg[static_cast<std::size_t>(v)] == 1 && v < ptr) {
-      leaf = v;
-    } else {
-      while (deg[static_cast<std::size_t>(++ptr)] != 1) {
-      }
-      leaf = ptr;
-    }
-  }
-  // Last edge joins the final leaf with the remaining degree-1 node (always
-  // node k-1 after the loop's degree accounting).
-  Gender last = k - 1;
-  tree.add_edge({leaf, last});
+  std::vector<std::int32_t> degree;
+  for_each_decoded_edge(seq, k, degree, [&tree](Gender leaf, Gender parent) {
+    tree.add_edge({leaf, parent});
+  });
   KSTABLE_ENSURE(tree.is_spanning_tree(), "Prüfer decode produced a non-tree");
   return tree;
 }

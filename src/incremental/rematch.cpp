@@ -91,9 +91,6 @@ RematchReport rematch(const KPartiteInstance& inst,
                       const core::BindingResult& previous,
                       const MutationDelta& delta,
                       const RematchOptions& options) {
-  KSTABLE_REQUIRE(options.engine != core::GsEngine::parallel,
-                  "rematch re-solves its edges in sequence; use "
-                  "GsEngine::queue or GsEngine::rounds");
   KSTABLE_REQUIRE(tree.is_spanning_tree() &&
                       tree.genders() == inst.genders(),
                   "rematch re-stabilizes a spanning binding tree over the "

@@ -55,7 +55,7 @@ namespace kstable::incremental {
 
 struct RematchOptions {
   /// Engine for the edges re-solved cold (and the engine key cached results
-  /// publish under): queue or rounds. rematch() rejects GsEngine::parallel.
+  /// publish under): queue or rounds.
   core::GsEngine engine = core::GsEngine::queue;
   /// Optional edge cache carried across re-stabilizations. rematch() performs
   /// the targeted invalidation + rebind itself; the caller only guarantees

@@ -24,6 +24,7 @@
 
 #include "core/binding.hpp"
 #include "observability/telemetry.hpp"
+#include "parallel/thread_pool.hpp"
 #include "resilience/control.hpp"
 
 namespace kstable::resilience {

@@ -416,6 +416,25 @@ void binding_checks(const KPartiteInstance& inst, const Recorder& rec,
   }
 }
 
+/// The additive identity behind `kary best`: the best_cost fold's edge-table
+/// argmin names the tree, cost and matching that binding every tree
+/// (score_table) names.
+void sweep_table_checks(const KPartiteInstance& inst, const Recorder& rec) {
+  core::TreeSweepOptions options;
+  const auto table = core::sweep_all_trees(inst, options);
+  options.fold = core::SweepFold::score_table;
+  const auto every = core::sweep_all_trees(inst, options);
+  std::ostringstream os;
+  os << "table argmin: tree " << table.best_index << ", cost "
+     << table.best_cost << "; every tree bound: tree " << every.best_index
+     << ", cost " << every.best_cost;
+  rec.check(table.succeeded() && every.succeeded() &&
+                table.best_index == every.best_index &&
+                table.best_cost == every.best_cost &&
+                table.matching() == every.matching(),
+            "binding.sweep.table.bitwise", os.str());
+}
+
 /// Per-edge agreement of two binding results over one tree: both match
 /// arrays and the proposal count of every edge, so a reused or replayed
 /// edge must carry the right counter, not only the right matching. Writes
@@ -699,6 +718,7 @@ BatteryResult run_battery(const KPartiteInstance& inst, Shape shape,
   layout_checks(inst, rec);
   implicit_checks(rec, options);
   binding_checks(inst, rec, options);
+  if (shape == Shape::kpartite) sweep_table_checks(inst, rec);
   if (options.churn_steps > 0) churn_checks(inst, rec, options);
 
   if (shape == Shape::bipartite && inst.genders() == 2) {

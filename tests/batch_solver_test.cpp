@@ -122,20 +122,6 @@ TEST(BatchSolver, CostAwareTreeMatchesSoloCostAwareBinding) {
   }
 }
 
-TEST(BatchSolver, SharedCancellationAbortsEveryItem) {
-  const auto instances = make_batch();
-  ThreadPool pool(4);
-  BatchSolver solver(pool);
-  BatchOptions options;
-  options.token.request_cancel();  // cancelled before the batch starts
-  const auto results = solver.solve(instances, options);
-  for (const auto& item : results) {
-    EXPECT_EQ(item.status.outcome, resilience::SolveOutcome::aborted);
-    EXPECT_EQ(item.status.abort_reason, AbortReason::cancelled);
-    EXPECT_FALSE(item.matching.has_value());
-  }
-}
-
 TEST(BatchSolver, EveryMatchingIsStable) {
   std::vector<KPartiteInstance> instances;
   for (int seed = 0; seed < 8; ++seed) {

@@ -721,26 +721,5 @@ TEST(Rematch, EmptyCacheIsFilledFromPreviousAtZeroProposals) {
   EXPECT_EQ(report.result.matching(), cold.matching());
 }
 
-TEST(Rematch, ParallelEngineIsRejected) {
-  Rng rng(19);
-  auto inst = gen::uniform(3, 16, rng);
-  const auto tree = trees::path(3);
-  const auto previous = core::iterative_binding(inst, tree, {});
-  RematchOptions parallel;
-  parallel.engine = core::GsEngine::parallel;
-  {  // Pair (0, 2) is not a path-tree edge: the binding would be skipped.
-    const auto delta = swap_entries(inst, {0, 1}, 2, 0, 1);
-    EXPECT_THROW(rematch(inst, tree, previous, delta, parallel),
-                 ContractViolation);
-    EXPECT_TRUE(rematch(inst, tree, previous, delta).binding_skipped);
-  }
-  {  // Rank 0 of a gender-0 row over gender 1: edge (0, 1) would re-solve.
-    auto next = inst;
-    const auto delta = swap_entries(next, {0, 0}, 1, 0, 1);
-    EXPECT_THROW(rematch(next, tree, previous, delta, parallel),
-                 ContractViolation);
-  }
-}
-
 }  // namespace
 }  // namespace kstable::incremental

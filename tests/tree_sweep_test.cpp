@@ -1,17 +1,12 @@
-// Tests for core::TreeSweep: the work-stealing parallel sweep must be
-// schedule-invariant — best tree, score table, and every per-tree matching
-// bitwise-identical to the sequential sweep over all k^(k-2) trees — and its
-// neighbours (pair probes, oracle census, the raced ladder) must degrade
-// correctly under pool nesting.
+// Tests for core::TreeSweep: the best_cost fold's edge-cost-table argmin
+// must name the tree, cost and matching that binding every tree names
+// (score_table), with exactly (k-1)² GS runs on a full sweep; and the raced
+// fallback ladder next door must match its in-order run.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
-#include "analysis/oracle.hpp"
 #include "analysis/stability.hpp"
 #include "core/gs_cache.hpp"
 #include "core/tree_selection.hpp"
@@ -32,128 +27,149 @@ KPartiteInstance test_instance(Gender k, Index n, std::uint64_t seed) {
   return gen::uniform(k, n, rng);
 }
 
-/// The determinism property test (ISSUE satellite): parallel sweep output —
-/// best tree, full score table, and every per-tree matching — is
-/// bitwise-identical to the sequential sweep over all k^(k-2) trees.
+/// 0 = uniform, 1 = master_list, 2 = tiered.
+KPartiteInstance dist_instance(Gender k, Index n, int dist,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  switch (dist) {
+    case 1: return gen::master_list(k, n, rng);
+    case 2: return gen::tiered(k, n, 3, rng);
+    default: return gen::uniform(k, n, rng);
+  }
+}
+
+/// The additive identity, tree by tree: binding every tree (score_table)
+/// gives each tree the bound-pair cost Σ egalitarian_cost(GS(a, b)) over
+/// its oriented edges, and the table argmin (best_cost) lands on the same
+/// winner, cost, tree and matching after (k-1)² GS runs. Uniform,
+/// master-list and tiered instances at every k.
 class SweepDeterminismTest : public ::testing::TestWithParam<Gender> {};
 
-TEST_P(SweepDeterminismTest, ParallelMatchesSequentialBitwise) {
+TEST_P(SweepDeterminismTest, TableArgminMatchesEveryTreeBitwise) {
   const Gender k = GetParam();
-  const auto inst = test_instance(k, 5, 0xbeef0 + static_cast<std::uint64_t>(k));
+  for (int dist = 0; dist < 3; ++dist) {
+    SCOPED_TRACE(::testing::Message() << "distribution " << dist);
+    const auto inst = dist_instance(
+        k, 6, dist, 0xbeef0 + static_cast<std::uint64_t>(k * 3 + dist));
 
-  TreeSweepOptions seq;
-  seq.fold = SweepFold::score_table;
-  seq.keep_matchings = true;
-  GsEdgeCache seq_cache(k);
-  seq.cache = &seq_cache;
-  const TreeSweepResult sequential = sweep_all_trees(inst, seq);
+    TreeSweepOptions every_options;
+    every_options.fold = SweepFold::score_table;
+    every_options.keep_matchings = true;
+    const TreeSweepResult every = sweep_all_trees(inst, every_options);
 
-  ThreadPool pool(4);
-  TreeSweepOptions par = seq;
-  GsEdgeCache par_cache(k);
-  par.cache = &par_cache;
-  par.pool = &pool;
-  const TreeSweepResult parallel = sweep_all_trees(inst, par);
+    GsEdgeCache cache(inst);
+    TreeSweepOptions table_options;
+    table_options.cache = &cache;
+    const TreeSweepResult table = sweep_all_trees(inst, table_options);
 
-  EXPECT_EQ(parallel.stats.workers, pool.thread_count());
-  EXPECT_FALSE(parallel.stats.nested_fallback);
-  EXPECT_EQ(sequential.stats.trees, prufer::cayley_count(k));
-  EXPECT_EQ(parallel.stats.trees, sequential.stats.trees);
+    ASSERT_EQ(every.stats.trees, prufer::cayley_count(k));
+    EXPECT_EQ(table.stats.trees, every.stats.trees);
+    EXPECT_TRUE(table.per_tree.empty());
+    ASSERT_TRUE(table.succeeded());
+    ASSERT_TRUE(every.succeeded());
+    EXPECT_EQ(table.best_index, every.best_index);
+    EXPECT_EQ(table.best_cost, every.best_cost);
+    EXPECT_EQ(table.matching(), every.matching());
+    EXPECT_EQ(table.best_tree->edges(), every.best_tree->edges());
+    EXPECT_EQ(table.best->total_proposals, every.best->total_proposals);
+    EXPECT_EQ(table.stats.total_proposals, every.stats.total_proposals);
 
-  // The fold's winner and its payload are schedule-invariant.
-  EXPECT_EQ(parallel.best_index, sequential.best_index);
-  EXPECT_EQ(parallel.best_cost, sequential.best_cost);
-  ASSERT_TRUE(parallel.succeeded());
-  ASSERT_TRUE(sequential.succeeded());
-  EXPECT_EQ(parallel.matching(), sequential.matching());
-  ASSERT_TRUE(parallel.best_tree.has_value());
-  ASSERT_TRUE(sequential.best_tree.has_value());
-  EXPECT_EQ(parallel.best_tree->edges(), sequential.best_tree->edges());
-  EXPECT_EQ(parallel.best->total_proposals, sequential.best->total_proposals);
+    // Gender k-1 never proposes in a decoded tree: (k-1)² GS runs, then the
+    // winner's k-1 edges replay from the cache.
+    const auto runs = static_cast<std::int64_t>(k - 1) * (k - 1);
+    EXPECT_EQ(cache.size(), static_cast<std::size_t>(runs));
+    EXPECT_EQ(table.stats.cache_misses, runs);
+    EXPECT_EQ(table.stats.cache_hits, k - 1);
+    EXPECT_EQ(table.best->executed_proposals, 0);
 
-  // Full score table: every row identical, including the matchings.
-  ASSERT_EQ(parallel.per_tree.size(), sequential.per_tree.size());
-  for (std::size_t i = 0; i < sequential.per_tree.size(); ++i) {
-    const TreePoint& p = parallel.per_tree[i];
-    const TreePoint& s = sequential.per_tree[i];
-    ASSERT_EQ(p.index, s.index);
-    EXPECT_EQ(p.prufer, s.prufer);
-    EXPECT_EQ(p.bound_pair_cost, s.bound_pair_cost);
-    EXPECT_EQ(p.all_pairs_cost, s.all_pairs_cost);
-    EXPECT_EQ(p.total_proposals, s.total_proposals);
-    ASSERT_TRUE(p.matching.has_value());
-    ASSERT_TRUE(s.matching.has_value());
-    EXPECT_EQ(*p.matching, *s.matching);
+    // Every tree's bound-pair cost is its edge sum, and the winner is the
+    // argmin of (cost, index).
+    for (const TreePoint& p : every.per_tree) {
+      const BindingStructure tree = prufer::tree_at(p.index, k);
+      std::int64_t sum = 0;
+      for (const auto& e : tree.edges()) {
+        sum += egalitarian_cost(inst, gs::gale_shapley_queue(inst, e.a, e.b));
+      }
+      ASSERT_EQ(p.bound_pair_cost, sum) << "tree " << p.index;
+      EXPECT_TRUE(p.bound_pair_cost > table.best_cost ||
+                  (p.bound_pair_cost == table.best_cost &&
+                   p.index >= table.best_index));
+    }
+    EXPECT_EQ(*every.per_tree[static_cast<std::size_t>(every.best_index)]
+                   .matching,
+              table.matching());
+    EXPECT_FALSE(
+        analysis::find_blocking_family(inst, table.matching()).has_value());
   }
-
-  // The winner really is the argmin of (bound-pair cost, index).
-  for (const TreePoint& p : sequential.per_tree) {
-    EXPECT_LE(sequential.best_cost, p.bound_pair_cost);
-  }
-  EXPECT_TRUE(
-      analysis::find_blocking_family(inst, parallel.matching()) ==
-      std::nullopt);
 }
 
 INSTANTIATE_TEST_SUITE_P(TreeSweep, SweepDeterminismTest,
-                         ::testing::Values<Gender>(3, 4, 5));
+                         ::testing::Values<Gender>(3, 4, 5, 6));
+
+TEST(TreeSweepTest, CandidateListTableMatchesEveryTree) {
+  // Explicit candidates may orient any edge either way, gender k-1 as
+  // proposer included: the table fills whatever they name.
+  const Gender k = 5;
+  const auto inst = test_instance(k, 7, 0x7ab1e);
+  Rng rng(0x0e1e);
+  std::vector<BindingStructure> candidates;
+  for (int i = 0; i < 12; ++i) {
+    const BindingStructure decoded = prufer::random_tree(k, rng);
+    BindingStructure flipped(k);
+    for (const auto& e : decoded.edges()) {
+      flipped.add_edge(rng.below(2) == 0 ? e : GenderEdge{e.b, e.a});
+    }
+    candidates.push_back(flipped);
+  }
+  TreeSweepOptions options;
+  const TreeSweepResult table = sweep_trees(inst, candidates, options);
+  options.fold = SweepFold::score_table;
+  const TreeSweepResult every = sweep_trees(inst, candidates, options);
+  ASSERT_TRUE(table.succeeded());
+  EXPECT_EQ(table.best_index, every.best_index);
+  EXPECT_EQ(table.best_cost, every.best_cost);
+  EXPECT_EQ(table.matching(), every.matching());
+  EXPECT_EQ(table.stats.total_proposals, every.stats.total_proposals);
+
+  const TreeSweepResult none = sweep_trees(inst, {}, {});
+  EXPECT_FALSE(none.succeeded());
+  EXPECT_EQ(none.best_index, -1);
+  EXPECT_EQ(none.stats.trees, 0);
+}
 
 TEST(TreeSweepTest, SharedCacheReportsZeroDuplicateComputes) {
   const Gender k = 5;
   const auto inst = test_instance(k, 6, 0xcafe);
-  ThreadPool pool(8);
   GsEdgeCache cache(k);
   TreeSweepOptions options;
-  options.pool = &pool;
   options.cache = &cache;
   const TreeSweepResult result = sweep_all_trees(inst, options);
 
-  // Zero duplicate GS computations under concurrency: every stored entry
-  // cost exactly one miss, and every other lookup was a hit (single-flight
-  // waiters count as hits).
+  // Every stored entry cost exactly one miss: (k-1)² table fills, then the
+  // winner's k-1 edges as hits.
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, static_cast<std::int64_t>(cache.size()));
-  EXPECT_LE(cache.size(),
-            static_cast<std::size_t>(k) * static_cast<std::size_t>(k - 1));
-  EXPECT_EQ(stats.hits + stats.misses,
-            result.stats.trees * static_cast<std::int64_t>(k - 1));
-  EXPECT_EQ(result.stats.cache_hits + result.stats.cache_misses,
-            result.stats.trees * static_cast<std::int64_t>(k - 1));
-  EXPECT_EQ(result.stats.single_flight_waits, stats.single_flight_waits);
-}
+  EXPECT_EQ(cache.size(),
+            static_cast<std::size_t>(k - 1) * static_cast<std::size_t>(k - 1));
+  EXPECT_EQ(stats.hits, k - 1);
+  EXPECT_EQ(result.stats.cache_hits, stats.hits);
+  EXPECT_EQ(result.stats.cache_misses, stats.misses);
 
-TEST(TreeSweepTest, NestedSweepFallsBackToSequential) {
-  const Gender k = 4;
-  const auto inst = test_instance(k, 4, 0xfeed);
-  ThreadPool pool(3);
-
-  const TreeSweepResult direct = sweep_all_trees(inst, {});
-
-  // Run the sweep from INSIDE a pool worker with the same pool attached:
-  // the oversubscription guard must degrade it to the sequential path.
-  auto future = pool.submit([&] {
-    TreeSweepOptions options;
-    options.pool = &pool;
-    return sweep_all_trees(inst, options);
-  });
-  const TreeSweepResult nested = future.get();
-
-  EXPECT_TRUE(nested.stats.nested_fallback);
-  EXPECT_EQ(nested.stats.workers, 1u);
-  EXPECT_EQ(nested.stats.steals, 0);
-  EXPECT_EQ(nested.best_index, direct.best_index);
-  EXPECT_EQ(nested.best_cost, direct.best_cost);
-  EXPECT_EQ(nested.matching(), direct.matching());
+  // A second sweep over the warm cache runs no GS at all.
+  const TreeSweepResult warm = sweep_all_trees(inst, options);
+  EXPECT_EQ(warm.stats.executed_proposals, 0);
+  EXPECT_EQ(warm.stats.cache_misses, 0);
+  EXPECT_EQ(warm.best_index, result.best_index);
+  EXPECT_EQ(warm.matching(), result.matching());
 }
 
 TEST(TreeSweepTest, SharedControlAbortsTheWholeSweep) {
   const Gender k = 4;
   const auto inst = test_instance(k, 5, 0xabad);
-  ThreadPool pool(4);
-  for (const bool use_pool : {false, true}) {
+  for (const SweepFold fold : {SweepFold::best_cost, SweepFold::score_table}) {
     resilience::ExecControl control(resilience::Budget::proposals(1));
     TreeSweepOptions options;
-    options.pool = use_pool ? &pool : nullptr;
+    options.fold = fold;
     options.control = &control;
     EXPECT_THROW(sweep_all_trees(inst, options), ExecutionAborted);
   }
@@ -172,79 +188,6 @@ TEST(TreeSweepTest, RefusesSpacesAboveTheTreeGuard) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().misses, 0);
   EXPECT_EQ(cache.stats().hits, 0);
-}
-
-TEST(TreeSweepTest, SweepIndexSpaceCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  const std::int64_t count = 1000;
-  std::vector<std::atomic<std::int32_t>> seen(count);
-  std::mutex worker_mutex;
-  std::vector<std::size_t> claiming_workers;
-  const SweepSchedule schedule = sweep_index_space(
-      count, pool, 7,
-      [&](std::size_t worker, std::int64_t begin, std::int64_t end) {
-        ASSERT_LT(begin, end);
-        for (std::int64_t i = begin; i < end; ++i) {
-          seen[static_cast<std::size_t>(i)].fetch_add(1);
-        }
-        std::scoped_lock lock(worker_mutex);
-        claiming_workers.push_back(worker);
-      });
-  for (std::int64_t i = 0; i < count; ++i) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
-  }
-  EXPECT_EQ(schedule.workers, pool.thread_count());
-  EXPECT_GE(schedule.chunks, (count + 6) / 7);
-  EXPECT_GE(schedule.chunks, static_cast<std::int64_t>(
-                                 claiming_workers.size()));
-  for (const std::size_t w : claiming_workers) {
-    EXPECT_LT(w, pool.thread_count());
-  }
-}
-
-TEST(TreeSweepTest, ParallelPairProbesMatchSequential) {
-  const Gender k = 5;
-  const auto inst = test_instance(k, 6, 0x9a0b);
-  const std::vector<PairProbe> sequential = probe_all_pairs(inst, {});
-
-  ThreadPool pool(4);
-  BindingOptions options;
-  options.pool = &pool;
-  const std::vector<PairProbe> parallel = probe_all_pairs(inst, options);
-
-  ASSERT_EQ(parallel.size(), sequential.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(parallel[i].edge.a, sequential[i].edge.a);
-    EXPECT_EQ(parallel[i].edge.b, sequential[i].edge.b);
-    EXPECT_EQ(parallel[i].cost, sequential[i].cost);
-    EXPECT_EQ(parallel[i].proposals, sequential[i].proposals);
-  }
-  // And the whole cost-aware pipeline lands on the same matching.
-  BindingOptions cost_options;
-  cost_options.pool = &pool;
-  EXPECT_EQ(cost_aware_binding(inst, TreeObjective::min_cost, cost_options)
-                .matching(),
-            cost_aware_binding(inst, TreeObjective::min_cost, {}).matching());
-}
-
-TEST(TreeSweepTest, ParallelOracleCensusMatchesSequential) {
-  const Gender k = 3;
-  const auto inst = test_instance(k, 3, 0x0c51);
-  const std::vector<std::int32_t> priority = {2, 0, 1};
-  const auto sequential = analysis::kary_census(inst, priority);
-
-  ThreadPool pool(4);
-  const auto parallel = analysis::kary_census(inst, priority, &pool);
-
-  EXPECT_EQ(parallel.total_matchings, sequential.total_matchings);
-  EXPECT_EQ(parallel.stable_matchings, sequential.stable_matchings);
-  EXPECT_EQ(parallel.weakened_stable_matchings,
-            sequential.weakened_stable_matchings);
-  ASSERT_EQ(parallel.witness.has_value(), sequential.witness.has_value());
-  if (sequential.witness.has_value()) {
-    // Same witness: the enumeration-order-first stable matching.
-    EXPECT_EQ(*parallel.witness, *sequential.witness);
-  }
 }
 
 TEST(TreeSweepTest, SpeculativeLadderMatchesSequentialWithoutCache) {

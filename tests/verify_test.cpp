@@ -207,7 +207,7 @@ std::int64_t clean_checks(Shape shape, std::uint64_t seeds,
 
 TEST(DiffRunner, CleanSweepAcrossAllShapes) {
   EXPECT_EQ(clean_checks(Shape::bipartite, 15), 1035);
-  EXPECT_EQ(clean_checks(Shape::kpartite, 15), 4775);
+  EXPECT_EQ(clean_checks(Shape::kpartite, 15), 4790);
   EXPECT_EQ(clean_checks(Shape::roommates, 15), 4217);
 }
 
@@ -215,13 +215,13 @@ TEST(DiffRunner, ParallelEngineLegJoinsTheBattery) {
   ThreadPool pool(2);
   DiffOptions options;
   options.pool = &pool;
-  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1631);
+  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1636);
 }
 
 TEST(DiffRunner, ChurnLegsJoinTheBattery) {
   DiffOptions options;
   options.churn_steps = 3;
-  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1577);
+  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1582);
 }
 
 TEST(DiffRunner, GsSabotageIsDetected) {
