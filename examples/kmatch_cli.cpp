@@ -38,11 +38,10 @@
 //   --max-proposals=<n>    abort the solve after n accumulated proposals
 //   --fallback             (kary only) on abort, retry along different
 //                          spanning trees, then degrade to the priority model
-//   --sweep-threads=<n>    with --fallback, the pool the strict rungs race
-//                          on; for verify, the pool of the parallel-engine
-//                          legs ('kary <file> best' is sequential and
-//                          ignores it; checked, >= 1; 1 = in order, the
-//                          default)
+//   --sweep-threads=<n>    verify only: the pool of the parallel-engine legs
+//                          (checked, >= 1; 1 = no pool, the default); kary
+//                          and its --fallback ladder run sequentially and
+//                          ignore it
 //   --stats-json=<file>    write the solve's telemetry + the process metrics
 //                          registry as one JSON object (docs/OBSERVABILITY.md)
 //   --stats-prom=<file>    same data in Prometheus text exposition format
@@ -99,7 +98,6 @@
 #include "gs/gale_shapley.hpp"
 #include "observability/metrics.hpp"
 #include "observability/telemetry.hpp"
-#include "parallel/thread_pool.hpp"
 #include "prefs/catalog.hpp"
 #include "prefs/generators.hpp"
 #include "prefs/io.hpp"
@@ -175,8 +173,8 @@ int usage() {
                "  kmatch ping --port=<p> [ping flags]\n"
                "  kmatch info <file>\n"
                "flags: --deadline-ms=<ms>  --max-proposals=<n>  --fallback\n"
-               "       --sweep-threads=<n>  (pool of the --fallback race and of\n"
-               "       verify's parallel-engine legs; kary best is sequential)\n"
+               "       --sweep-threads=<n>  (pool of verify's parallel-engine\n"
+               "       legs; kary and --fallback ignore it)\n"
                "       --stats-json=<file>  --stats-prom=<file>\n"
                "verify flags: --seeds=<n>  --shape=<shape|all>  --dist=<dist>\n"
                "       --base-seed=<n>  --sabotage=<mode>  --repro-dir=<dir>\n"
@@ -262,13 +260,6 @@ int cmd_kary(int argc, char** argv) {
   if (g_fallback) {
     resilience::FallbackOptions opts;
     opts.per_attempt = g_budget;
-    // Lives until the ladder returns: an attached pool races the strict
-    // rungs across its threads.
-    std::optional<ThreadPool> pool;
-    if (g_sweep_threads > 1) {
-      pool.emplace(g_sweep_threads);
-      opts.pool = &*pool;
-    }
     auto report = resilience::solve_with_fallback(inst, opts);
     g_telemetry = report.telemetry;
     std::cout << "fallback ladder: " << report.attempts.size()

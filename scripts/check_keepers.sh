@@ -15,13 +15,19 @@
 #       | `core::BatchOptions::tree` | option | E17 (`bench/bench_e17_batch.cpp`) |
 #     A file outside tests/ that an option row's keeper cell names in
 #     backticks must mention the field as `.field` or `->field`.
+#   * every test the section names in backticks as `Suite.Name` must be
+#     defined by a TEST, TEST_F or TEST_P in tests/*.cpp; a `Prefix/`
+#     instantiation, a `/param` suffix and a trailing `*` (any test whose
+#     name starts with what precedes it) are accepted.
 # Fails when a surface has no row, when a row names a surface that does not
 # exist, when a surface has more than one row or a row has an empty keeper
-# cell, when an option row's keeper file does not mention its field, and
-# when a file outside perfbench/ includes the core/kstable.hpp umbrella.
-# Then it checks that it can fail: the table check must reject a copy of
-# DESIGN.md with any one row deleted, and the keeper-file check a copy with
-# one keeper file swapped for a file that does not mention the field.
+# cell, when an option row's keeper file does not mention its field, when a
+# named test is not defined, and when a file outside perfbench/ includes the
+# core/kstable.hpp umbrella. Then it checks that it can fail: the table check
+# must reject a copy of DESIGN.md with any one row deleted, the keeper-file
+# check a copy with one keeper file swapped for a file that does not mention
+# the field, and the test-name check a copy of tests/ with one named test
+# renamed.
 set -u
 export LC_ALL=C
 
@@ -118,7 +124,43 @@ setter_failures() {
   done < <(keeper_rows "$1" | grep -E "^\| \`$option_re\` \| option \|")
 }
 
+# Every test named in backticks in the keeper section of design file $1, as
+# written (Suite.Name, with an optional Prefix/, /param or trailing *).
+test_refs() {
+  awk '/^## /{in_section = ($0 == "## What keeps each surface")}
+       in_section' "$1" \
+    | grep -oE '`([A-Za-z0-9_]+/)?[A-Z][A-Za-z0-9_]*\.([A-Z][A-Za-z0-9_]*\*?|\*)(/[A-Za-z0-9_*]+)?`' \
+    | tr -d '`' | sort -u
+}
+
+# Suite.Name of every TEST, TEST_F and TEST_P in the .cpp files of dir $1.
+defined_tests() {
+  cat "$1"/*.cpp | tr '\n' ' ' \
+    | grep -oE '\bTEST(_F|_P)?\([[:space:]]*[A-Za-z0-9_]+[[:space:]]*,[[:space:]]*[A-Za-z0-9_]+' \
+    | sed -E 's/^TEST(_F|_P)?\([[:space:]]*([A-Za-z0-9_]+)[[:space:]]*,[[:space:]]*/\2./' \
+    | sort -u
+}
+
+# Prints one FAIL line per test that design file $1 names and no .cpp file
+# in dir $2 defines.
+test_name_failures() {
+  local defined ref name
+  defined="$(defined_tests "$2")"
+  while IFS= read -r ref; do
+    [ -n "$ref" ] || continue
+    name="$(printf '%s\n' "$ref" | sed -E 's#^[A-Za-z0-9_]+/##; s#/[^/.]*$##')"
+    if [ "${name%\*}" != "$name" ]; then
+      printf '%s\n' "$defined" | awk -v p="${name%\*}" \
+        'index($0, p) == 1 { found = 1 } END { exit !found }' && continue
+    else
+      printf '%s\n' "$defined" | grep -qxF -- "$name" && continue
+    fi
+    echo "FAIL: DESIGN.md names the test $ref, which tests/ does not define"
+  done < <(test_refs "$1")
+}
+
 failures="$(table_failures "$DESIGN")"
+failures+=$'\n'"$(test_name_failures "$DESIGN" "$ROOT/tests")"
 failures+=$'\n'"$(setter_failures "$DESIGN")"
 
 umbrella="$(grep -rlE '^[[:space:]]*#[[:space:]]*include[[:space:]]*"core/kstable\.hpp"' \
@@ -169,6 +211,20 @@ while IFS= read -r row && [ -z "$swapped" ]; do
 done < <(printf '%s\n' "$rows" | grep -E "^\| \`$option_re\` \| option \|")
 if [ -z "$swapped" ]; then
   failures+=$'\n'"FAIL: self-test: no option row names a keeper file to swap"
+fi
+
+# Nor can a test-name check that passes a row whose test was renamed away.
+renamed="$(test_refs "$DESIGN" | grep -vE '[*/]' | head -n 1)"
+if [ -z "$renamed" ]; then
+  failures+=$'\n'"FAIL: self-test: no keeper row names a single test to rename"
+else
+  tests_copy="$(mktemp -d)"
+  cp "$ROOT"/tests/*.cpp "$tests_copy"/
+  sed -i -E "s/\b${renamed#*.}\b/&Renamed/g" "$tests_copy"/*.cpp
+  if [ -z "$(test_name_failures "$DESIGN" "$tests_copy")" ]; then
+    failures+=$'\n'"FAIL: self-test: renaming $renamed in tests/ does not fail the check"
+  fi
+  rm -rf "$tests_copy"
 fi
 
 failures="$(printf '%s\n' "$failures" | grep -v '^$')"

@@ -16,9 +16,10 @@
 #   * the `kmatch serve` / `kmatch ping` exit-code contract: bad transport
 #     flags exit 2, a clean stdio drain exits 0, a drain that cannot meet
 #     its deadline exits 3, and `ping` without a reachable server exits 1;
-#   * `kary --fallback` prints the same output whether its strict rungs
-#     race on a pool (--sweep-threads=4) or run in order, and an exhausted
-#     ladder exits 3 after the same 5 attempts either way;
+#   * `--sweep-threads` is inert for `kary --fallback`: the ladder runs its
+#     strict rungs in order and prints the same output with and without
+#     --sweep-threads=4, and an exhausted ladder exits 3 after the same 5
+#     attempts either way;
 #   * flag parity: usage() names exactly the flags kmatch's flag table
 #     parses, and every one of them rejects a bad value (or, for a switch,
 #     any value) with exit 2 and a message naming the flag;
@@ -265,7 +266,7 @@ else
   fi
 fi
 
-# --- kary --fallback: the raced ladder logs what the in-order ladder logs ---
+# --- kary --fallback: --sweep-threads does not reach the in-order ladder -----
 # k = 4: four strict candidate trees plus the degraded rung.
 LADDER_INST="$WORK_DIR/cli_reg_ladder.inst"
 LADDER_SEQ="$WORK_DIR/cli_reg.ladder_seq"
@@ -280,9 +281,9 @@ elif ! "$KMATCH" --fallback --sweep-threads=4 kary "$LADDER_INST" \
 elif cmp -s "$LADDER_SEQ" "$LADDER_PAR" \
     && grep -q "rung strict-tree" "$LADDER_SEQ" \
     && grep -q "^family 0: " "$LADDER_SEQ"; then
-  echo "ok: raced --fallback ladder prints the in-order ladder's families"
+  echo "ok: --fallback ladder output is byte-identical with --sweep-threads=4"
 else
-  note_failure "raced and in-order --fallback outputs differ"
+  note_failure "--fallback output differs with --sweep-threads=4"
 fi
 for threads in 1 4; do
   "$KMATCH" --fallback --sweep-threads="$threads" --max-proposals=5 \

@@ -66,10 +66,8 @@ gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,
   // that has mutated since binding (docs/INCREMENTAL.md — invalidate() +
   // rebind() is the sanctioned path). Throws std::logic_error.
   options.cache->check_instance(inst);
-  // Single-flight lookup: under the fallback ladder's race, workers missing
-  // the same oriented edge run GS once and share the published result.
   return options.cache->get_or_compute(edge, options.engine, compute,
-                                       options.control, cache_hit);
+                                       cache_hit);
 }
 
 void bind_edge(const KPartiteInstance& inst, GenderEdge edge,

@@ -1,22 +1,11 @@
 #include "core/gs_cache.hpp"
 
-#include <chrono>
 #include <utility>
 
 #include "observability/metrics.hpp"
 #include "util/check.hpp"
 
 namespace kstable::core {
-
-namespace {
-
-/// How long a single-flight waiter sleeps between checks of its ExecControl.
-/// A GS edge run is O(n²) proposals, so waits are normally tens of
-/// microseconds; the interval only bounds how stale a deadline/cancellation
-/// check can get while the leader is unusually slow.
-constexpr std::chrono::milliseconds kWaiterPollInterval{20};
-
-}  // namespace
 
 GsEdgeCache::GsEdgeCache(Gender k)
     : k_(k),
@@ -50,11 +39,9 @@ std::size_t GsEdgeCache::invalidate(GenderEdge edge) {
   const std::size_t base = slot(edge, GsEngine::queue);
   std::size_t dropped = 0;
   for (std::size_t e = 0; e < kEngineCount; ++e) {
-    const std::size_t s = base + e;
-    std::lock_guard<std::mutex> lock(stripe_for(s).m);
-    if (slots_[s].state.load(std::memory_order_relaxed) == kReady) ++dropped;
-    slots_[s].value.reset();
-    slots_[s].state.store(kEmpty, std::memory_order_relaxed);
+    std::optional<gs::GsResult>& entry = slots_[base + e];
+    if (entry.has_value()) ++dropped;
+    entry.reset();
   }
   return dropped;
 }
@@ -84,105 +71,37 @@ std::size_t GsEdgeCache::slot(GenderEdge edge, GsEngine engine) const {
          e;
 }
 
-const gs::GsResult& GsEdgeCache::get_or_compute(
-    GenderEdge edge, GsEngine engine,
-    const std::function<gs::GsResult()>& compute,
-    resilience::ExecControl* control, bool* hit) {
-  const std::size_t s = slot(edge, engine);
-  Slot& entry = slots_[s];
+void GsEdgeCache::count_hit() {
+  ++stats_.hits;
+  KSTABLE_COUNTER_ADD("cache.hits", 1);
+}
 
-  // Lock-free fast path — the overwhelmingly common case once a sweep has
-  // warmed the k(k-1) keys.
-  if (entry.state.load(std::memory_order_acquire) == kReady) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    KSTABLE_COUNTER_ADD("cache.hits", 1);
-    if (hit != nullptr) *hit = true;
-    return *entry.value;
-  }
-
-  Stripe& stripe = stripe_for(s);
-  std::unique_lock<std::mutex> lock(stripe.m);
-  bool waited = false;
-  for (;;) {
-    const std::uint8_t state = entry.state.load(std::memory_order_relaxed);
-    if (state == kReady) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      KSTABLE_COUNTER_ADD("cache.hits", 1);
-      if (waited) {
-        single_flight_waits_.fetch_add(1, std::memory_order_relaxed);
-        KSTABLE_COUNTER_ADD("cache.single_flight_waits", 1);
-      }
-      if (hit != nullptr) *hit = true;
-      return *entry.value;
-    }
-
-    if (state == kEmpty) {
-      // Leader path: claim the slot, run GS unlocked, publish under the
-      // stripe lock.
-      entry.state.store(kComputing, std::memory_order_relaxed);
-      lock.unlock();
-      gs::GsResult result;
-      try {
-        result = compute();
-      } catch (...) {
-        // Roll the claim back so a waiter (or the next caller) becomes the
-        // new leader instead of blocking on an abandoned compute forever.
-        lock.lock();
-        entry.state.store(kEmpty, std::memory_order_relaxed);
-        lock.unlock();
-        stripe.cv.notify_all();
-        throw;
-      }
-      KSTABLE_REQUIRE(result.proposer_gender == edge.a &&
-                          result.responder_gender == edge.b,
-                      "computed result genders ("
-                          << result.proposer_gender << ','
-                          << result.responder_gender
-                          << ") do not match edge (" << edge.a << ',' << edge.b
-                          << ')');
-      // The leader owns the kComputing slot: nothing else can publish it.
-      lock.lock();
-      entry.value.emplace(std::move(result));
-      entry.state.store(kReady, std::memory_order_release);
-      lock.unlock();
-      stripe.cv.notify_all();
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      KSTABLE_COUNTER_ADD("cache.misses", 1);
-      if (hit != nullptr) *hit = false;
-      return *entry.value;
-    }
-
-    // state == kComputing: another thread owns the GS run for this key.
-    // Wait it out, polling our own control so a deadline or cancellation
-    // aborts a blocked waiter too (ExecutionAborted unwinds with the lock
-    // released by RAII).
-    waited = true;
-    stripe.cv.wait_for(lock, kWaiterPollInterval);
-    if (control != nullptr) control->check_now();
-  }
+void GsEdgeCache::store(GenderEdge edge, std::optional<gs::GsResult>& entry,
+                        gs::GsResult&& result) {
+  KSTABLE_REQUIRE(result.proposer_gender == edge.a &&
+                      result.responder_gender == edge.b,
+                  "computed result genders ("
+                      << result.proposer_gender << ','
+                      << result.responder_gender << ") do not match edge ("
+                      << edge.a << ',' << edge.b << ')');
+  entry.emplace(std::move(result));
+  ++stats_.misses;
+  KSTABLE_COUNTER_ADD("cache.misses", 1);
 }
 
 std::size_t GsEdgeCache::clear() {
-  // External-quiescence contract (see header): locking each stripe here is
-  // belt-and-braces against stragglers, not a licence for concurrent clear.
   std::size_t dropped = 0;
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    std::lock_guard<std::mutex> lock(stripe_for(s).m);
-    if (slots_[s].state.load(std::memory_order_relaxed) == kReady) ++dropped;
-    slots_[s].value.reset();
-    slots_[s].state.store(kEmpty, std::memory_order_relaxed);
+  for (auto& entry : slots_) {
+    if (entry.has_value()) ++dropped;
+    entry.reset();
   }
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  single_flight_waits_.store(0, std::memory_order_relaxed);
+  stats_ = {};
   return dropped;
 }
 
 std::size_t GsEdgeCache::size() const {
   std::size_t count = 0;
-  for (const auto& entry : slots_) {
-    count += entry.state.load(std::memory_order_acquire) == kReady ? 1 : 0;
-  }
+  for (const auto& entry : slots_) count += entry.has_value() ? 1 : 0;
   return count;
 }
 

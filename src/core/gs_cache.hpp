@@ -24,49 +24,33 @@
 //     since mutated. The Gender constructor keeps the guard off for callers
 //     that own the pairing themselves (tests, bench harnesses).
 //   * KPartiteInstance is NO LONGER immutable: src/incremental/ mutates
-//     preference rows in place. After a mutation the owner must, under
-//     external quiescence, either clear() everything or invalidate() exactly
-//     the oriented edges the delta touched (both orientations of every
-//     changed (observer gender, target gender) pair) and then rebind() to
-//     the instance's new generation. invalidate() resets only that edge's
-//     kEngineCount slots, so untouched edges keep replaying for free — the
-//     targeted-invalidation half of incremental::rematch().
+//     preference rows in place. After a mutation the owner must either
+//     clear() everything or invalidate() exactly the oriented edges the
+//     delta touched (both orientations of every changed (observer gender,
+//     target gender) pair) and then rebind() to the instance's new
+//     generation. invalidate() resets only that edge's kEngineCount slots,
+//     so untouched edges keep replaying for free — the targeted-invalidation
+//     half of incremental::rematch().
 //
-// Concurrency design (the fallback ladder's race, FallbackOptions::pool,
-// shares one cache across the pool workers attempting different trees):
-//   * Each key owns a fixed Slot with an atomic state machine
-//     empty -> computing -> ready. Ready is terminal: entries are never
-//     overwritten, so a ready slot is readable lock-free (acquire load) and
-//     entry addresses are stable for the cache's lifetime.
-//   * Mutation is guarded by 64 stripe locks (slot index mod 64), not one
-//     global mutex — concurrent misses on *different* keys never contend.
-//   * Misses resolve **single-flight**: the first thread to claim an empty
-//     slot computes; later threads missing the same key block on the
-//     stripe's condition variable until the leader publishes, then read the
-//     leader's result. N concurrent misses cost one GS run, not N (the
-//     deduplicated waits are counted in Stats::single_flight_waits). If the
-//     leader's compute throws (deadline, cancellation, injected fault), the
-//     slot resets to empty and one waiter is promoted to leader.
+// Threading contract: a cache is used by one thread at a time, like
+// GsWorkspace. Every shipped owner keeps it so — `kmatch serve` builds one
+// per request on the worker that runs it, incremental::rematch keeps one per
+// market on the calling thread, BatchSolver one per item, and
+// execute_binding attaches none. Nothing is locked.
 //
 // Counting contract (what the gs_cache tests pin down): every lookup counts
-// exactly one hit or one miss; a miss is counted by the leader whose compute
-// got published (so in quiescent use misses == size()), and a single-flight
-// waiter counts a hit plus one wait. clear() requires external quiescence —
-// it is a between-phases reset, not a concurrent eviction.
+// exactly one hit or one miss, and a miss is counted only when its compute
+// returned and was stored, so misses == size() until the first invalidate()
+// or clear(). A compute that throws (deadline, cancellation, injected fault)
+// stores nothing and counts nothing: the next lookup of that key computes.
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "core/binding.hpp"
 #include "gs/gale_shapley.hpp"
-#include "resilience/control.hpp"
 
 namespace kstable::core {
 
@@ -104,12 +88,11 @@ class GsEdgeCache {
 
   /// Targeted invalidation: resets the kEngineCount slots of ONE oriented
   /// edge back to empty and returns how many of them held a ready result.
-  /// Requires external quiescence exactly like clear(); entry pointers for
-  /// the edge dangle afterwards. A preference delta on rows between genders
-  /// a and b must invalidate BOTH orientations (a,b) and (b,a) — responder
-  /// preferences decide accept/reject, so either orientation's memo is stale
-  /// (incremental::rematch does this). Counters are NOT reset: hits/misses
-  /// keep accumulating across incremental steps.
+  /// References to the edge's entries dangle afterwards. A preference delta
+  /// on rows between genders a and b must invalidate BOTH orientations (a,b)
+  /// and (b,a) — responder preferences decide accept/reject, so either
+  /// orientation's memo is stale (incremental::rematch does this). Counters
+  /// are NOT reset: hits/misses keep accumulating across incremental steps.
   std::size_t invalidate(GenderEdge edge);
 
   /// Re-arms the staleness guard against `inst`'s current generation after
@@ -122,42 +105,36 @@ class GsEdgeCache {
     return bound_generation_;
   }
 
-  /// The single-flight lookup: returns the cached result, or runs `compute`
-  /// exactly once across all concurrent callers of this key and caches it.
-  /// `hit` (optional) reports whether this caller got a memoized result
-  /// (waiting out another thread's in-flight compute counts as a hit — no GS
-  /// work was executed on this thread's behalf). Waiters poll `control`
-  /// (optional) while blocked so a deadline or cancellation still aborts a
-  /// thread that is only waiting; if the *leader's* compute throws, the slot
-  /// resets and one waiter takes over the compute. The returned reference is
-  /// stable for the cache's lifetime.
-  const gs::GsResult& get_or_compute(
-      GenderEdge edge, GsEngine engine,
-      const std::function<gs::GsResult()>& compute,
-      resilience::ExecControl* control = nullptr, bool* hit = nullptr);
+  /// Returns the cached result, or runs `compute` (a callable returning
+  /// gs::GsResult) and caches what it returns. `hit` (optional) reports
+  /// whether the result was memoized. If `compute` throws, the slot stays
+  /// empty and the exception propagates, so the key of an aborted ladder
+  /// attempt is computed afresh by the next lookup. The returned reference is
+  /// valid until the key is invalidated or the cache cleared.
+  template <class Compute>
+  const gs::GsResult& get_or_compute(GenderEdge edge, GsEngine engine,
+                                     Compute&& compute, bool* hit = nullptr) {
+    std::optional<gs::GsResult>& entry = slots_[slot(edge, engine)];
+    if (hit != nullptr) *hit = entry.has_value();
+    if (entry.has_value()) {
+      count_hit();
+    } else {
+      store(edge, entry, compute());
+    }
+    return *entry;
+  }
 
   struct Stats {
     std::int64_t hits = 0;
     std::int64_t misses = 0;
-    /// Lookups that found another thread's compute in flight and waited for
-    /// it instead of duplicating the GS run (each is also counted as a hit).
-    std::int64_t single_flight_waits = 0;
   };
-  [[nodiscard]] Stats stats() const noexcept {
-    return {hits_.load(std::memory_order_relaxed),
-            misses_.load(std::memory_order_relaxed),
-            single_flight_waits_.load(std::memory_order_relaxed)};
-  }
+  [[nodiscard]] Stats stats() const noexcept { return stats_; }
 
   /// Drops every entry and zeroes the counters (the cache stays bound to the
   /// same instance shape and generation — pair with rebind() after a
   /// mutation). Returns how many ready entries were dropped, the number
   /// invalidate() is measured against (the churn battery asserts targeted
   /// invalidation resets strictly fewer slots on single-edge deltas, k >= 3).
-  /// Requires external quiescence: no other thread may be touching the cache
-  /// — clear() is a between-phases reset, and entry pointers handed out
-  /// before it dangle after it (true of the original global-mutex design
-  /// too).
   std::size_t clear();
 
   [[nodiscard]] Gender genders() const noexcept { return k_; }
@@ -166,47 +143,19 @@ class GsEdgeCache {
   [[nodiscard]] std::size_t size() const;
 
  private:
-  /// Slot lifecycle: kEmpty -> kComputing (single-flight leader claimed it)
-  /// -> kReady (value published, terminal). The value is written before the
-  /// release store of kReady and never again, which is what makes the
-  /// lock-free acquire read of ready slots sound.
-  static constexpr std::uint8_t kEmpty = 0;
-  static constexpr std::uint8_t kComputing = 1;
-  static constexpr std::uint8_t kReady = 2;
-
-  struct Slot {
-    std::atomic<std::uint8_t> state{kEmpty};
-    std::optional<gs::GsResult> value;
-  };
-
-  /// Stripe count: comfortably above any realistic worker count, small
-  /// enough that the mutex/cv table stays a few KB. Must be a power of two
-  /// (stripe index is slot & (kStripes - 1)).
-  static constexpr std::size_t kStripes = 64;
-  static_assert((kStripes & (kStripes - 1)) == 0, "kStripes: power of two");
-
-  struct Stripe {
-    std::mutex m;
-    std::condition_variable cv;
-  };
-
   [[nodiscard]] std::size_t slot(GenderEdge edge, GsEngine engine) const;
-  [[nodiscard]] Stripe& stripe_for(std::size_t slot_index) const noexcept {
-    return stripes_[slot_index & (kStripes - 1)];
-  }
+  void count_hit();
+  /// Checks `result`'s genders against `edge`, stores it and counts a miss.
+  void store(GenderEdge edge, std::optional<gs::GsResult>& entry,
+             gs::GsResult&& result);
 
   Gender k_;
   /// Instance generation the guard is armed against (nullopt = unbound
-  /// cache, guard off). Written only at construction/rebind, both of
-  /// which require quiescence, so plain storage is race-free.
+  /// cache, guard off).
   std::optional<std::uint64_t> bound_generation_;
-  /// Constructed once at full size and never resized: Slot holds an atomic
-  /// (immovable) and entry addresses must stay stable.
-  std::vector<Slot> slots_;
-  mutable std::array<Stripe, kStripes> stripes_;
-  std::atomic<std::int64_t> hits_{0};
-  std::atomic<std::int64_t> misses_{0};
-  std::atomic<std::int64_t> single_flight_waits_{0};
+  /// k·k·kEngineCount slots, indexed by slot(); the diagonal stays empty.
+  std::vector<std::optional<gs::GsResult>> slots_;
+  Stats stats_;
 };
 
 }  // namespace kstable::core

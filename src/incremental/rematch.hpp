@@ -58,8 +58,8 @@ struct RematchOptions {
   /// publish under): queue or rounds.
   core::GsEngine engine = core::GsEngine::queue;
   /// Optional edge cache carried across re-stabilizations. rematch() performs
-  /// the targeted invalidation + rebind itself; the caller only guarantees
-  /// quiescence (no concurrent solve is using the cache during rematch).
+  /// the targeted invalidation + rebind itself. Like every cache, it is
+  /// used by one thread at a time (core/gs_cache.hpp).
   core::GsEdgeCache* cache = nullptr;
 };
 

@@ -1,21 +1,11 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 
 #include "util/check.hpp"
 
 namespace kstable {
-
-namespace {
-/// Set once per worker thread, never cleared: a pool worker stays a pool
-/// worker for its whole lifetime, and the flag answers "am I running inside
-/// some pool?" regardless of which pool owns the thread.
-thread_local bool t_in_pool_worker = false;
-}  // namespace
-
-bool ThreadPool::in_worker_thread() noexcept { return t_in_pool_worker; }
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -37,7 +27,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
-  t_in_pool_worker = true;
   for (;;) {
     std::function<void()> task;
     {

@@ -1,7 +1,8 @@
 // Fixed-size thread pool (C++ Core Guidelines CP.40/CP.41: persistent workers,
 // no per-task thread creation; CP.20/CP.42: RAII locks, condition-variable
-// waits). Used by the parallel binding executor and the speculative parallel
-// Gale-Shapley engine.
+// waits). Used by the parallel binding executor (execute_binding's EREW/CREW
+// schedules), the speculative parallel Gale-Shapley engine, BatchSolver,
+// `kmatch serve`'s solve workers and `kmatch verify`'s pool leg.
 #pragma once
 
 #include <condition_variable>
@@ -33,14 +34,6 @@ class ThreadPool {
   [[nodiscard]] std::size_t thread_count() const noexcept {
     return workers_.size();
   }
-
-  /// True when the calling thread is a worker of ANY ThreadPool. Parallel
-  /// drivers (TreeSweep, the raced fallback ladder, parallel pair probes) use
-  /// this to detect pool-within-pool nesting — e.g. a sweep running inside a
-  /// BatchSolver item — and degrade to their sequential path instead of
-  /// queueing a second thread complement onto an already-saturated pool
-  /// (which oversubscribes at best and deadlocks a fixed-size pool at worst).
-  [[nodiscard]] static bool in_worker_thread() noexcept;
 
   /// Enqueues a task; returns a future for its result. Exceptions the task
   /// throws (including the "thread_pool/task" fault point) are captured into

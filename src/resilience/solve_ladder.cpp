@@ -1,8 +1,6 @@
 #include "resilience/solve_ladder.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <optional>
 #include <set>
 #include <utility>
@@ -19,16 +17,6 @@ namespace kstable::resilience {
 
 namespace {
 
-Budget scaled(const Budget& base, double scale) {
-  Budget b = base;
-  if (b.wall_ms > 0.0) b.wall_ms *= scale;
-  if (b.max_proposals > 0) {
-    b.max_proposals =
-        static_cast<std::int64_t>(static_cast<double>(b.max_proposals) * scale);
-  }
-  return b;
-}
-
 /// How one attempt ended: its log entry, its result on success, and the
 /// proposals it actually executed (cache hits are never charged).
 struct Attempt {
@@ -37,16 +25,12 @@ struct Attempt {
   std::int64_t executed = 0;
 };
 
-/// Runs `bind` as the ladder's `step`-th attempt: its own ExecControl with
-/// per_attempt scaled by backoff^step on the shared token. An
-/// ExecutionAborted becomes a recorded failure; anything else propagates.
+/// Runs `bind` as one ladder attempt: its own ExecControl with per_attempt
+/// on the shared token. An ExecutionAborted becomes a recorded failure;
+/// anything else propagates.
 template <class Bind>
-void run_attempt(const FallbackOptions& options, std::size_t step,
-                 Attempt& out, Bind&& bind) {
-  ExecControl control(
-      scaled(options.per_attempt,
-             std::pow(options.backoff, static_cast<double>(step))),
-      options.token);
+void run_attempt(const FallbackOptions& options, Attempt& out, Bind&& bind) {
+  ExecControl control(options.per_attempt, options.token);
   core::BindingOptions bopts;
   bopts.control = &control;
   bopts.cache = options.cache;
@@ -89,8 +73,6 @@ std::vector<BindingStructure> candidate_trees(Gender k,
 
 FallbackReport solve_with_fallback(const KPartiteInstance& inst,
                                    const FallbackOptions& options) {
-  KSTABLE_REQUIRE(options.backoff >= 1.0,
-                  "backoff must be >= 1, got " << options.backoff);
   KSTABLE_REQUIRE(options.max_tree_attempts >= 1,
                   "need at least one strict attempt");
 
@@ -148,49 +130,19 @@ FallbackReport solve_with_fallback(const KPartiteInstance& inst,
     report.attempts.push_back(std::move(a.log));
   };
 
-  // Strict rungs. `stop` is the lowest candidate that succeeded or was
-  // cancelled; the log ends there, so no candidate above it starts. Without
-  // a pool the candidates run in order, which stops at the first success or
-  // cancellation. With one they race, and since `stop` only falls, every
-  // candidate at or below its final value has run: the race logs exactly
-  // what the in-order loop logs.
+  // Strict rungs, in order, up to the first success or cancellation.
   const std::vector<BindingStructure> candidates =
       candidate_trees(inst.genders(), options);
-  const std::size_t count = candidates.size();
-  std::vector<Attempt> strict(count);
-  std::atomic<std::size_t> stop{count};
-  const auto attempt = [&](std::size_t i) {
-    if (i > stop.load(std::memory_order_relaxed)) return;
-    Attempt& a = strict[i];
-    a.log.tree_edges = candidates[i].edges();
-    run_attempt(options, i, a, [&](const core::BindingOptions& bopts) {
-      return core::iterative_binding(inst, candidates[i], bopts);
+  for (const BindingStructure& tree : candidates) {
+    Attempt a;
+    a.log.tree_edges = tree.edges();
+    run_attempt(options, a, [&](const core::BindingOptions& bopts) {
+      return core::iterative_binding(inst, tree, bopts);
     });
-    if (a.result.has_value() ||
-        a.log.status.abort_reason == AbortReason::cancelled) {
-      std::size_t seen = stop.load(std::memory_order_relaxed);
-      while (i < seen && !stop.compare_exchange_weak(
-                             seen, i, std::memory_order_relaxed)) {
-      }
-    }
-  };
-  const bool race = options.pool != nullptr &&
-                    !ThreadPool::in_worker_thread() &&
-                    options.pool->thread_count() > 1 && count > 1;
-  if (race) {
-    options.pool->for_each_index(count, attempt);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) attempt(i);
-  }
-  const std::size_t last = stop.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i <= last) {
-      log_attempt(strict[i]);
-    } else {
-      // Race overshoot: a candidate the in-order ladder would never have
-      // started. Its work is waste, not an attempt.
-      report.executed_proposals += strict[i].executed;
-      report.speculative_waste += strict[i].executed;
+    log_attempt(a);
+    if (report.succeeded ||
+        report.status.abort_reason == AbortReason::cancelled) {
+      break;
     }
   }
   if (report.succeeded) return finalize(report);
@@ -198,18 +150,15 @@ FallbackReport solve_with_fallback(const KPartiteInstance& inst,
   // A cancellation is a caller decision, not a per-tree failure: it also
   // skips the degraded rung.
   if (options.allow_degraded && !options.token.cancelled()) {
-    // Every strict rung failed, so the degraded attempt's budget continues
-    // the escalation: backoff^(failed strict attempts).
     Attempt degraded;
     degraded.log.rung = Rung::degraded_priority;
-    run_attempt(options, report.attempts.size(), degraded,
-                [&](const core::BindingOptions& bopts) {
-                  core::PriorityBindingOptions popts;
-                  popts.binding = bopts;
-                  auto pr = core::priority_binding(inst, popts);
-                  degraded.log.tree_edges = pr.tree.edges();
-                  return std::move(pr.binding);
-                });
+    run_attempt(options, degraded, [&](const core::BindingOptions& bopts) {
+      core::PriorityBindingOptions popts;
+      popts.binding = bopts;
+      auto pr = core::priority_binding(inst, popts);
+      degraded.log.tree_edges = pr.tree.edges();
+      return std::move(pr.binding);
+    });
     log_attempt(degraded);
   }
   return finalize(report);

@@ -11,11 +11,9 @@
 // highest-priority gender. The report records which rung produced the answer
 // so callers can distinguish a first-try success from a degraded one.
 //
-// Every strict rung is one attempt function over candidate i of a fixed
-// deterministic tree stream, bound with the sequential queue engine. Without
-// a pool the attempts run in order; with one they race across it, and the
-// race logs exactly the attempts the in-order ladder would (see
-// FallbackOptions::pool).
+// The strict rungs run in order over a fixed deterministic tree stream, each
+// bound with the sequential queue engine under the same per-attempt budget,
+// and stop at the first success or cancellation.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +22,6 @@
 
 #include "core/binding.hpp"
 #include "observability/telemetry.hpp"
-#include "parallel/thread_pool.hpp"
 #include "resilience/control.hpp"
 
 namespace kstable::resilience {
@@ -53,26 +50,13 @@ struct AttemptLog {
 };
 
 struct FallbackOptions {
-  /// Budget for the first attempt; later attempts scale it by backoff.
+  /// Budget of every attempt, the degraded one included.
   Budget per_attempt{};
-  /// Per-attempt budget multiplier (>= 1): each retry gets backoff× the
-  /// previous attempt's wall/proposal budget.
-  double backoff = 1.0;
   /// Strict rungs (distinct spanning trees) to try before degrading; capped
   /// by Cayley's k^(k-2) distinct trees.
   std::int32_t max_tree_attempts = 4;
   /// Shared across all attempts; cancelling stops the whole ladder.
   CancellationToken token{};
-  /// With a pool of more than one thread (the caller not itself a pool
-  /// worker, more than one candidate) the strict rungs race across it, each
-  /// candidate under its own backoff-scaled budget.
-  /// The winner is the lowest-indexed candidate that succeeds: with no
-  /// shared cache that is exactly the in-order ladder's winner; with a
-  /// shared cache under tight budgets it may shift (concurrent attempts warm
-  /// each other's edges), though any given tree's matching stays
-  /// bitwise-identical. Work burnt on candidates above the winner is
-  /// reported as speculative_waste.
-  ThreadPool* pool = nullptr;
   /// Permit the Algorithm 2 last rung. When false the ladder is strict-only.
   bool allow_degraded = true;
   /// Optional per-instance edge cache shared across every rung: candidate
@@ -100,10 +84,6 @@ struct FallbackReport {
   /// cache hits contribute nothing. The multi-tree work the cache saves is
   /// visible here.
   std::int64_t executed_proposals = 0;
-  /// Of executed_proposals, the share burnt by raced strict rungs above the
-  /// winning candidate — work the in-order ladder would never have started
-  /// (0 without a pool race).
-  std::int64_t speculative_waste = 0;
   /// Per-ladder-run record (engine "ladder", attempts count, final rung,
   /// cumulative counters) for the observability exporters.
   obs::SolveTelemetry telemetry;
@@ -116,13 +96,12 @@ struct FallbackReport {
   }
 };
 
-/// Runs the ladder: up to max_tree_attempts strict Algorithm 1 attempts on
-/// distinct spanning trees with per-attempt budgets (ExecutionAborted from
-/// one attempt moves to the next; a cancellation stops the ladder), in order
-/// or raced across options.pool, then one Algorithm 2 attempt as the
-/// degraded last rung. Never throws for abort-
-/// class failures — the report carries the outcome. ContractViolation (a
-/// programming error) still propagates.
+/// Runs the ladder: up to max_tree_attempts strict Algorithm 1 attempts, in
+/// order, on distinct spanning trees, each under per_attempt
+/// (ExecutionAborted from one attempt moves to the next; a cancellation
+/// stops the ladder), then one Algorithm 2 attempt as the degraded last
+/// rung. Never throws for abort-class failures — the report carries the
+/// outcome. ContractViolation (a programming error) still propagates.
 FallbackReport solve_with_fallback(const KPartiteInstance& inst,
                                    const FallbackOptions& options = {});
 

@@ -310,8 +310,8 @@ void implicit_checks(const Recorder& rec, const DiffOptions& options) {
 }
 
 /// Binding-layer cross-checks on the path tree: sequential Algorithm 1 is
-/// the reference; TreeSweep, the single-flight edge cache, a cached replay,
-/// and the fallback ladder must all reproduce its matching bitwise.
+/// the reference; TreeSweep, the edge cache, a cached replay and the
+/// fallback ladder must all reproduce its matching bitwise.
 void binding_checks(const KPartiteInstance& inst, const Recorder& rec,
                     const DiffOptions& options) {
   const Gender k = inst.genders();
@@ -341,9 +341,8 @@ void binding_checks(const KPartiteInstance& inst, const Recorder& rec,
     core::BindingOptions copts;
     copts.cache = &cache;
     const auto cached = core::iterative_binding(inst, path, copts);
-    kary_agree(rec, "binding.cache.single_flight.bitwise",
-               reference.matching(), cached.matching(),
-               "cached vs sequential binding");
+    kary_agree(rec, "binding.cache.bitwise", reference.matching(),
+               cached.matching(), "cached vs sequential binding");
     // Second pass replays every edge from the memo (all hits) — the replay
     // must still be bitwise-identical and must execute zero proposals.
     const auto replay = core::iterative_binding(inst, path, copts);

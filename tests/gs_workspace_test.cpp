@@ -4,8 +4,9 @@
 // ZERO heap allocations per solve, that traced runs reserve the Theorem 3
 // bound (n² events) up front instead of growing geometrically, that the
 // instance loader allocates a fixed number of times per instance, not per
-// preference row, and that Algorithm 1's class derivation allocates a fixed
-// number of flat tables, not one vector per class.
+// preference row, that Algorithm 1's class derivation allocates a fixed
+// number of flat tables, not one vector per class, and that a warm edge-cache
+// lookup allocates nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 
 #include "core/binding.hpp"
 #include "core/equivalence.hpp"
+#include "core/gs_cache.hpp"
 #include "graph/prufer.hpp"
 #include "gs/gale_shapley.hpp"
 #include "prefs/generators.hpp"
@@ -235,6 +237,44 @@ TEST(IoAllocations, FromStringAllocatesPerInstanceNotPerRow) {
   const std::int64_t allocs =
       allocations_during([&] { (void)io::from_string(bodies[1]); });
   EXPECT_EQ(allocs, 3);
+}
+
+TEST(GsEdgeCacheAllocations, WarmHitsAllocateOnlyTheResultCopy) {
+  Rng rng(80);
+  const auto inst = gen::uniform(3, 32, rng);
+  core::GsEdgeCache cache(inst);
+  core::BindingOptions options;
+  options.cache = &cache;
+  const GenderEdge edge{1, 2};
+  const GsOptions gs_options;
+  // Four references, as many as run_binding's own compute captures: more
+  // than a std::function holds without allocating.
+  const auto compute = [&inst, &a = edge.a, &b = edge.b, &gs_options] {
+    return gale_shapley_queue(inst, a, b, gs_options);
+  };
+  // Warm-up: a miss fills the key, a hit registers the hit counter.
+  (void)core::run_binding(inst, edge, options);
+  (void)core::run_binding(inst, edge, options);
+
+  // A lookup that hits allocates nothing.
+  bool hit = false;
+  EXPECT_EQ(allocations_during([&] {
+              (void)cache.get_or_compute(edge, core::GsEngine::queue, compute,
+                                         &hit);
+            }),
+            0);
+  EXPECT_TRUE(hit);
+
+  // A cached run_binding allocates only its copy of the result's two match
+  // arrays.
+  hit = false;
+  GsResult copy;
+  EXPECT_EQ(allocations_during(
+                [&] { copy = core::run_binding(inst, edge, options, &hit); }),
+            2);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(copy.proposer_match,
+            gale_shapley_queue(inst, edge.a, edge.b).proposer_match);
 }
 
 /// Allocations of one derive_families call over a fresh uniform instance with

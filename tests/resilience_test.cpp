@@ -11,6 +11,7 @@
 
 #include "analysis/stability.hpp"
 #include "core/binding.hpp"
+#include "core/gs_cache.hpp"
 #include "core/parallel_binding.hpp"
 #include "gs/gale_shapley.hpp"
 #include "parallel/thread_pool.hpp"
@@ -383,108 +384,65 @@ TEST(FallbackLadder, CancellationStopsTheWholeLadder) {
   EXPECT_EQ(report.status.abort_reason, AbortReason::cancelled);
 }
 
-TEST(FallbackLadder, PerAttemptBudgetsAreScaledByBackoff) {
-  Rng rng(7015);
-  const auto inst = gen::uniform(3, 48, rng);
-  resilience::FallbackOptions options;
-  options.per_attempt = Budget::proposals(4);  // far too small for n=48
-  options.backoff = 100.0;  // second attempt gets 400: plenty
-  options.max_tree_attempts = 2;
-  const auto report = resilience::solve_with_fallback(inst, options);
-  EXPECT_TRUE(report.succeeded);
-  ASSERT_GE(report.attempts.size(), 2u);
-  EXPECT_EQ(report.attempts[0].status.abort_reason,
-            AbortReason::proposal_budget);
-  EXPECT_EQ(report.rung, resilience::Rung::strict_tree);
-}
-
-/// Strict budgets of 1, 20, 400 and 8000 proposals. Each of a k = 4 tree's
-/// three edges costs at least n = 12 proposals, so candidates 0 and 1 blow
-/// their budgets and candidate 2 is the lowest that can succeed.
-resilience::FallbackOptions escalating_ladder() {
-  resilience::FallbackOptions options;
-  options.per_attempt = Budget::proposals(1);
-  options.backoff = 20.0;
-  options.max_tree_attempts = 4;
-  return options;
-}
-
-void expect_same_log(const resilience::FallbackReport& raced,
-                     const resilience::FallbackReport& in_order,
-                     std::size_t count) {
-  ASSERT_LE(count, raced.attempts.size());
-  ASSERT_LE(count, in_order.attempts.size());
-  for (std::size_t i = 0; i < count; ++i) {
-    EXPECT_EQ(raced.attempts[i].rung, resilience::Rung::strict_tree);
-    EXPECT_EQ(raced.attempts[i].tree_edges, in_order.attempts[i].tree_edges);
-  }
-}
-
-TEST(FallbackLadder, RacedRungsPickTheLowestSucceedingCandidate) {
-  Rng rng(7016);
-  const auto inst = gen::uniform(4, 12, rng);
-  resilience::FallbackOptions options = escalating_ladder();
-  const auto in_order = resilience::solve_with_fallback(inst, options);
-  ASSERT_TRUE(in_order.succeeded);
-  EXPECT_EQ(in_order.rung, resilience::Rung::strict_tree);
-  // Every candidate below the winner is logged, each a budget failure.
-  ASSERT_EQ(in_order.attempts.size(), 3u);
-  EXPECT_EQ(in_order.attempts[0].status.abort_reason,
-            AbortReason::proposal_budget);
-  EXPECT_EQ(in_order.attempts[1].status.abort_reason,
-            AbortReason::proposal_budget);
-  EXPECT_TRUE(in_order.attempts[2].status.ok());
-  EXPECT_EQ(in_order.speculative_waste, 0);
-
-  ThreadPool pool(4);
-  options.pool = &pool;
-  for (int run = 0; run < 8; ++run) {
-    const auto raced = resilience::solve_with_fallback(inst, options);
-    ASSERT_TRUE(raced.succeeded);
-    EXPECT_EQ(raced.rung, resilience::Rung::strict_tree);
-    ASSERT_EQ(raced.attempts.size(), in_order.attempts.size());
-    expect_same_log(raced, in_order, raced.attempts.size());
-    for (std::size_t i = 0; i < raced.attempts.size(); ++i) {
-      EXPECT_EQ(raced.attempts[i].status.abort_reason,
-                in_order.attempts[i].status.abort_reason);
-    }
-    EXPECT_EQ(raced.matching(), in_order.matching());
-    // Without a cache each candidate's work is deterministic: the race
-    // executes the in-order ladder's work plus its overshoot.
-    EXPECT_EQ(raced.executed_proposals - raced.speculative_waste,
-              in_order.executed_proposals);
-  }
-}
-
 TEST(FallbackLadder, CancellationDuringARaceLogsWhatRanAndSkipsDegraded) {
   Rng rng(7017);
   const auto inst = gen::uniform(4, 12, rng);
-  // A pre-cancelled token: candidate 0 is cancelled at its first edge.
-  const auto run = [&inst](ThreadPool* pool) {
-    resilience::FallbackOptions options = escalating_ladder();
-    options.pool = pool;
-    options.token.request_cancel();
-    return resilience::solve_with_fallback(inst, options);
-  };
-  const auto in_order = run(nullptr);
-  EXPECT_FALSE(in_order.succeeded);
-  EXPECT_EQ(in_order.rung, resilience::Rung::none);
-  ASSERT_EQ(in_order.attempts.size(), 1u);
-  EXPECT_EQ(in_order.attempts[0].status.abort_reason, AbortReason::cancelled);
-  EXPECT_EQ(in_order.status.abort_reason, AbortReason::cancelled);
+  // Strict budgets too small for any k = 4 tree: without the cancellation
+  // every strict rung would abort and the degraded rung would run.
+  resilience::FallbackOptions options;
+  options.per_attempt = Budget::proposals(1);
+  options.max_tree_attempts = 4;
+  core::GsEdgeCache cache(inst);
+  options.cache = &cache;
+  options.token.request_cancel();  // candidate 0 is cancelled at its first edge
+  const auto report = resilience::solve_with_fallback(inst, options);
+  EXPECT_FALSE(report.succeeded);
+  EXPECT_EQ(report.rung, resilience::Rung::none);
+  // The log ends at the cancelled candidate; no degraded attempt follows.
+  ASSERT_EQ(report.attempts.size(), 1u);
+  EXPECT_EQ(report.attempts[0].rung, resilience::Rung::strict_tree);
+  EXPECT_EQ(report.attempts[0].status.abort_reason, AbortReason::cancelled);
+  EXPECT_EQ(report.status.abort_reason, AbortReason::cancelled);
+  EXPECT_FALSE(report.result.has_value());
+  // The cancelled edge stores nothing in the shared cache.
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(report.cache_hits, 0);
+}
 
-  ThreadPool pool(4);
-  for (int i = 0; i < 8; ++i) {
-    // Every racing candidate sees the cancellation; the log still ends at
-    // the lowest one, and no degraded attempt follows.
-    const auto raced = run(&pool);
-    EXPECT_FALSE(raced.succeeded);
-    EXPECT_EQ(raced.rung, resilience::Rung::none);
-    ASSERT_EQ(raced.attempts.size(), in_order.attempts.size());
-    expect_same_log(raced, in_order, raced.attempts.size());
-    EXPECT_EQ(raced.attempts[0].status.abort_reason, AbortReason::cancelled);
-    EXPECT_EQ(raced.status.abort_reason, AbortReason::cancelled);
+TEST(FallbackLadder, SharedCacheReplaysAnAbortedRungsEdgesForFree) {
+  // Every attempt gets the same 70 proposals. The path tree's first two
+  // edges fit, its third does not; no candidate tree fits cold. With a
+  // shared cache, candidate 2 replays the edge (1, 2) that candidate 0
+  // completed before it aborted, and fits.
+  Rng rng(7015);
+  const auto inst = gen::uniform(4, 12, rng);
+  resilience::FallbackOptions options;
+  options.per_attempt = Budget::proposals(70);
+
+  const auto cold = resilience::solve_with_fallback(inst, options);
+  EXPECT_NE(cold.rung, resilience::Rung::strict_tree);
+  ASSERT_GE(cold.attempts.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(cold.attempts[i].status.abort_reason,
+              AbortReason::proposal_budget);
   }
+
+  core::GsEdgeCache cache(inst);
+  options.cache = &cache;
+  const auto warm = resilience::solve_with_fallback(inst, options);
+  ASSERT_TRUE(warm.succeeded);
+  EXPECT_EQ(warm.rung, resilience::Rung::strict_tree);
+  ASSERT_EQ(warm.attempts.size(), 3u);
+  EXPECT_EQ(warm.attempts[0].status.abort_reason,
+            AbortReason::proposal_budget);
+  EXPECT_EQ(warm.attempts[1].status.abort_reason,
+            AbortReason::proposal_budget);
+  EXPECT_TRUE(warm.attempts[2].status.ok());
+  EXPECT_GT(warm.cache_hits, 0);
+  // The cache changes which tree fits the budget, not that tree's matching.
+  BindingStructure tree(inst.genders());
+  for (const auto& e : warm.attempts[2].tree_edges) tree.add_edge(e);
+  EXPECT_EQ(warm.matching(), core::iterative_binding(inst, tree).matching());
 }
 
 // --- Error taxonomy --------------------------------------------------------

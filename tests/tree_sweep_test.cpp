@@ -1,7 +1,6 @@
 // Tests for core::TreeSweep: the best_cost fold's edge-cost-table argmin
 // must name the tree, cost and matching that binding every tree names
-// (score_table), with exactly (k-1)² GS runs on a full sweep; and the raced
-// fallback ladder next door must match its in-order run.
+// (score_table), with exactly (k-1)² GS runs on a full sweep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,10 +11,8 @@
 #include "core/tree_selection.hpp"
 #include "core/tree_sweep.hpp"
 #include "graph/prufer.hpp"
-#include "parallel/thread_pool.hpp"
 #include "prefs/generators.hpp"
 #include "resilience/control.hpp"
-#include "resilience/solve_ladder.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -188,54 +185,6 @@ TEST(TreeSweepTest, RefusesSpacesAboveTheTreeGuard) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().misses, 0);
   EXPECT_EQ(cache.stats().hits, 0);
-}
-
-TEST(TreeSweepTest, SpeculativeLadderMatchesSequentialWithoutCache) {
-  const Gender k = 4;
-  const auto inst = test_instance(k, 5, 0x1add);
-  ThreadPool pool(4);
-
-  // Unlimited budgets: the path tree wins immediately in both modes.
-  {
-    resilience::FallbackOptions seq;
-    resilience::FallbackOptions spec = seq;
-    spec.pool = &pool;
-    const auto a = resilience::solve_with_fallback(inst, seq);
-    const auto b = resilience::solve_with_fallback(inst, spec);
-    ASSERT_TRUE(a.succeeded);
-    ASSERT_TRUE(b.succeeded);
-    EXPECT_EQ(b.matching(), a.matching());
-    EXPECT_EQ(b.rung, a.rung);
-    EXPECT_EQ(b.attempts.size(), a.attempts.size());
-    // Candidates above the winner may have been raced before the success
-    // floor published; that work is waste, never an attempt.
-    EXPECT_GE(b.speculative_waste, 0);
-  }
-
-  // Tight first budget, no shared cache: attempt 0 blows its budget in both
-  // modes and attempt 1 wins — the speculative winner and logs match the
-  // sequential ladder exactly (per-attempt work is cache-free, hence
-  // deterministic).
-  {
-    resilience::FallbackOptions seq;
-    seq.per_attempt = resilience::Budget::proposals(1);
-    seq.backoff = 1e6;
-    seq.max_tree_attempts = 3;
-    resilience::FallbackOptions spec = seq;
-    spec.pool = &pool;
-    const auto a = resilience::solve_with_fallback(inst, seq);
-    const auto b = resilience::solve_with_fallback(inst, spec);
-    ASSERT_TRUE(a.succeeded);
-    ASSERT_TRUE(b.succeeded);
-    EXPECT_EQ(a.rung, resilience::Rung::strict_tree);
-    EXPECT_EQ(b.rung, a.rung);
-    ASSERT_EQ(b.attempts.size(), a.attempts.size());
-    for (std::size_t i = 0; i < a.attempts.size(); ++i) {
-      EXPECT_EQ(b.attempts[i].tree_edges, a.attempts[i].tree_edges);
-      EXPECT_EQ(b.attempts[i].status.ok(), a.attempts[i].status.ok());
-    }
-    EXPECT_EQ(b.matching(), a.matching());
-  }
 }
 
 }  // namespace
