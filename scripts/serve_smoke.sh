@@ -12,8 +12,9 @@
 #      (lost 0, inconsistent 0), the metrics scrape must satisfy the
 #      serve.* accounting invariant (check_stats_json.py --serve), and
 #      SIGTERM must drain cleanly with exit 0.
-#   2. Kill-and-restart leg — SIGKILL the server mid-workload, restart it
-#      on the same port; the client must reconnect, resend every
+#   2. Kill-and-restart leg — SIGKILL the server mid-workload (once a
+#      METRICS scrape shows it has completed KILL_AFTER requests), restart
+#      it on the same port; the client must reconnect, resend every
 #      unacknowledged request, and finish with zero lost and zero
 #      inconsistent responses.
 #
@@ -134,18 +135,36 @@ pids+=("$S2A")
 if ! PORT2="$(wait_for_port "$S2_OUT")"; then
   note_failure "restart-leg server never announced its port"
 else
-  # Enough requests that the workload is still in flight when the SIGKILL
-  # lands ~0.3s in: the client connects at once (bodies are generated on
-  # first send) and a 30000-request run takes ~0.8s on a 4-vCPU Xeon VM in
-  # a Release build, ~9s under ASan. The client's reconnect window (10s)
-  # covers the restart.
+  # The SIGKILL lands on an event, not after a fixed sleep: once a METRICS
+  # scrape (a one-request `kmatch ping` on its own connection) shows the
+  # server has completed KILL_AFTER requests, a few percent of the 30000.
+  # A 30000-request run takes ~0.8s on a 4-vCPU Xeon VM in a Release build,
+  # ~9s under ASan, and a scrape ~5ms, so the kill lands mid-workload
+  # however fast the server is. The client's reconnect window (10s) covers
+  # the restart.
+  KILL_AFTER=1500
+  SCRAPE2="$WORK_DIR/serve2a.scrape.json"
   "$KMATCH" ping --port="$PORT2" --requests=30000 --window=16 --seed=9 \
     >"$PING2" &
   PING2_PID=$!
   pids+=("$PING2_PID")
-  sleep 0.3
+  completed=0
+  for i in $(seq 1 2000); do
+    if "$KMATCH" ping --port="$PORT2" --requests=1 --k=3 --n=3 --seed=1 \
+        --metrics-out="$SCRAPE2" >/dev/null 2>&1; then
+      completed="$(sed -n 's/.*"serve\.requests\.completed":\([0-9][0-9]*\).*/\1/p' \
+        "$SCRAPE2")"
+      [ "${completed:-0}" -ge "$KILL_AFTER" ] && break
+    fi
+    sleep 0.005
+  done
   kill -9 "$S2A" 2>/dev/null
   wait "$S2A" 2>/dev/null
+  if [ "${completed:-0}" -lt "$KILL_AFTER" ]; then
+    note_failure "restart-leg server never reported $KILL_AFTER completed requests (last scrape: ${completed:-none})"
+  else
+    echo "ok: SIGKILL after a scrape showed ${completed} completed requests"
+  fi
 
   "$KMATCH" serve --port="$PORT2" --workers=2 --queue-depth=8 \
     >"$WORK_DIR/serve2b.out" 2>"$S2B_ERR" &
@@ -178,7 +197,7 @@ else
 fi
 
 dump_leg_logs "kill/restart leg" "$LEG2_BEFORE" "$S2_OUT" \
-  "$WORK_DIR/serve2a.err" "$PING2" "$WORK_DIR/serve2b.out" "$S2B_ERR"
+  "$WORK_DIR/serve2a.err" "$SCRAPE2" "$PING2" "$WORK_DIR/serve2b.out" "$S2B_ERR"
 
 if [ "$failures" -ne 0 ]; then
   echo "serve_smoke: $failures failure(s)" >&2

@@ -230,6 +230,7 @@ void ServeEngine::handle_solve(Frame request, const ResponseSink& sink) {
     }
 
     std::optional<KPartiteInstance> inst;
+    [[maybe_unused]] const auto parse_start = std::chrono::steady_clock::now();
     try {
       inst = io::from_string(req.body);
     } catch (const ContractViolation& e) {
@@ -238,6 +239,8 @@ void ServeEngine::handle_solve(Frame request, const ResponseSink& sink) {
              stats_.errors);
       return;
     }
+    KSTABLE_HISTOGRAM_OBSERVE_MS("serve.parse_ms",
+                                 elapsed_ms_since(parse_start));
 
     // Per-request budget: the client's deadline (clamped) or the server
     // default, split evenly across the ladder rungs so the whole ladder —
@@ -266,7 +269,11 @@ void ServeEngine::handle_solve(Frame request, const ResponseSink& sink) {
       opts.cache = &cache;
       auto report = resilience::solve_with_fallback(*inst, opts);
       if (report.succeeded) {
+        [[maybe_unused]] const auto encode_start =
+            std::chrono::steady_clock::now();
         std::string body = io::to_string(report.matching());
+        KSTABLE_HISTOGRAM_OBSERVE_MS("serve.encode_ms",
+                                     elapsed_ms_since(encode_start));
         if (report.degraded()) {
           KSTABLE_COUNTER_ADD("serve.requests.degraded", 1);
           finish(FrameKind::degraded, std::move(body), stats_.degraded);

@@ -21,16 +21,25 @@
 //
 // integers() reads the rest of a line as a list of integers, the shape of
 // every preference row. A row is most of a loader's input (k(k-1)n² entries
-// for a k-partite instance), so it has a fast path: while 8 bytes remain, one
-// unaligned 8-byte load classifies the bytes as digits or not, SWAR-style, and
-// a token of 1-7 plain digits followed by a blank is converted with three
-// multiply-shift steps (accepted when it is at most max(T)). Every other token
-// (a sign, 8 or more digits, junk, the last token of a line) goes through
-// integer(), so the accepted language and every value are from_chars' by
-// construction; the fast path only decides sooner on tokens from_chars would
-// accept anyway.
+// for a k-partite instance), so it is scanned a 64-byte block at a time
+// rather than a token at a time (the structural index of Langdale & Lemire,
+// arXiv:1902.08318). Eight unaligned 8-byte loads classify the block,
+// SWAR-style, into a digit mask and a ' ' mask, cut at the first byte that is
+// neither. Token starts are `digit & ~(digit << 1)` and complete tokens, the
+// ones a ' ' follows inside the cut, end at `digit & (space >> 1)`. Walking
+// both masks pairs each start with its end, so no token's position waits on
+// the previous token's scan. A complete token of 1-7 digits is converted with
+// three multiply-shift folds from an 8-byte load at its start and kept when
+// it is at most max(T). A line tail too short for a block is copied into a
+// zero-filled stack buffer behind which one ' ' is placed, so its last token
+// is complete and no load leaves the line or the buffer. Every token the
+// block declines (a sign, another blank, 8 or more digits, a value above
+// max(T), junk) goes through integer(), so the accepted language and every
+// value are from_chars' by construction; the block only decides sooner on
+// tokens from_chars would accept anyway.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cstdint>
@@ -110,15 +119,23 @@ class TokenScanner {
   /// names it; returns true iff the line ended instead.
   template <typename T>
   [[nodiscard]] bool integers(std::vector<T>& out) {
-    while (!at_end()) {
-      std::uint64_t fast = 0;
-      const std::size_t len = short_digits(fast);
-      if (len > 0 &&
-          fast <= static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
-        out.push_back(static_cast<T>(fast));
-        rest_.remove_prefix(len + 1);  // the token and the blank after it
+    while (!rest_.empty()) {
+      std::size_t scanned = 0;
+      if (rest_.size() >= kBlockReach) {
+        scanned = scan_block(rest_.data(), out);
+      } else {
+        // The ' ' completes the last token and the zeros behind it end the
+        // block; neither is part of the line, hence the min.
+        char pad[kBlockReach + 8] = {};
+        std::memcpy(pad, rest_.data(), rest_.size());
+        pad[rest_.size()] = ' ';
+        scanned = std::min(scan_block(pad, out), rest_.size());
+      }
+      if (scanned > 0) {
+        rest_.remove_prefix(scanned);
         continue;
       }
+      if (at_end()) return true;
       const auto value = integer<T>();
       if (!value) return false;
       out.push_back(*value);
@@ -140,31 +157,80 @@ class TokenScanner {
   }
 
  private:
-  /// When at least 8 bytes remain and the token at the front is 1-7 plain
-  /// digits followed by a blank: its length, with its value in `value`.
-  /// Otherwise 0.
-  [[nodiscard]] std::size_t short_digits(std::uint64_t& value) const noexcept {
-    if constexpr (std::endian::native != std::endian::little) return 0;
-    if (rest_.size() < 8) return 0;
-    std::uint64_t word;
-    std::memcpy(&word, rest_.data(), 8);
-    // A byte is a digit iff (byte ^ '0') < 10. Adding 0x76 to the low seven
-    // bits carries into the high bit iff they are >= 10 (and never across
-    // bytes); or-ing the xor keeps bytes >= 0x80 flagged too.
+  /// The bytes a block scan reads: its 64 bytes, and the 8-byte load of a
+  /// complete token, which starts at byte 62 at the latest.
+  static constexpr std::size_t kBlockReach = 72;
+
+  /// The high bit of every byte of `word` that is not ' '.
+  [[nodiscard]] static constexpr std::uint64_t nonspace_bytes(
+      std::uint64_t word) noexcept {
+    // A byte is ' ' iff (byte ^ ' ') is zero: adding 0x7f to the low seven
+    // bits carries into the high bit iff they are nonzero (and never across
+    // bytes); or-ing the xor keeps bytes >= 0x80 flagged.
+    word ^= 0x2020202020202020;
+    return (((word & 0x7f7f7f7f7f7f7f7f) + 0x7f7f7f7f7f7f7f7f) | word) &
+           0x8080808080808080;
+  }
+
+  /// The high bit of every byte of `word` that is not an ASCII digit.
+  [[nodiscard]] static constexpr std::uint64_t nondigit_bytes(
+      std::uint64_t word) noexcept {
+    // A byte is a digit iff (byte ^ '0') < 10: adding 0x76 to the low seven
+    // bits carries into the high bit iff they are >= 10.
     word ^= 0x3030303030303030;
-    const std::uint64_t not_digit =
-        (((word & 0x7f7f7f7f7f7f7f7f) + 0x7676767676767676) | word) &
-        0x8080808080808080;
-    const auto len = static_cast<std::size_t>(std::countr_zero(not_digit)) / 8;
-    if (len == 0 || len == 8 || !is_blank(rest_[len])) return 0;
-    // Move the digits to the top of the word behind zero bytes (byte 0 is
-    // the leading digit), then fold adjacent digits, pairs and quads.
-    std::uint64_t v = (word & ((std::uint64_t{1} << (8 * len)) - 1))
-                      << (64 - 8 * len);
-    v = (v * 10 + (v >> 8)) & 0x00ff00ff00ff00ff;
-    v = (v * 100 + (v >> 16)) & 0x0000ffff0000ffff;
-    value = (v * 10000 + (v >> 32)) & 0xffffffff;
-    return len;
+    return (((word & 0x7f7f7f7f7f7f7f7f) + 0x7676767676767676) | word) &
+           0x8080808080808080;
+  }
+
+  /// Gathers the high bits of a word's bytes into 8 bits, byte 0 lowest.
+  [[nodiscard]] static constexpr std::uint64_t byte_bits(
+      std::uint64_t high_bits) noexcept {
+    return ((high_bits >> 7) * 0x0102040810204080) >> 56;
+  }
+
+  /// Scans the block at `p`, which has kBlockReach readable bytes, and
+  /// appends each complete token of 1-7 digits that fits T. Returns the
+  /// bytes it consumed: up to the first token it leaves (declined, or
+  /// running past the block or into a byte that is neither digit nor ' '),
+  /// else up to the first such byte, else the whole block.
+  template <typename T>
+  [[nodiscard]] static std::size_t scan_block(const char* p,
+                                              std::vector<T>& out) {
+    if constexpr (std::endian::native != std::endian::little) return 0;
+    std::uint64_t not_digit = 0;
+    std::uint64_t not_space = 0;
+    for (std::size_t w = 0; w < 8; ++w) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, p + 8 * w, 8);
+      not_digit |= byte_bits(nondigit_bytes(word)) << (8 * w);
+      not_space |= byte_bits(nonspace_bytes(word)) << (8 * w);
+    }
+    const std::uint64_t other = not_digit & not_space;
+    const std::uint64_t before_other = (other & (0 - other)) - 1;
+    const std::uint64_t digit = ~not_digit & before_other;
+    const std::uint64_t space = ~not_space & before_other;
+    std::uint64_t starts = digit & ~(digit << 1);
+    std::uint64_t ends = digit & (space >> 1);
+    for (; ends != 0; starts &= starts - 1, ends &= ends - 1) {
+      const int first = std::countr_zero(starts);
+      const int len = std::countr_zero(ends) - first + 1;
+      if (len > 7) return static_cast<std::size_t>(first);
+      // Shift the digits to the top of the word (byte 0 is the leading
+      // digit; the bytes after the token fall off), then fold adjacent
+      // digits, pairs and quads.
+      std::uint64_t v = 0;
+      std::memcpy(&v, p + first, 8);
+      v = (v ^ 0x3030303030303030) << (64 - 8 * len);
+      v = (v * 10 + (v >> 8)) & 0x00ff00ff00ff00ff;
+      v = (v * 100 + (v >> 16)) & 0x0000ffff0000ffff;
+      v = (v * 10000 + (v >> 32)) & 0xffffffff;
+      if (v > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+        return static_cast<std::size_t>(first);
+      }
+      out.push_back(static_cast<T>(v));
+    }
+    return static_cast<std::size_t>(
+        std::countr_zero(starts != 0 ? starts : other));
   }
 
   std::string_view rest_;

@@ -49,9 +49,11 @@ std::string mutate(std::string text, Rng& rng, int count) {
   return text;
 }
 
-TEST(Fuzz, MutatedKPartiteInstancesLoadValidOrThrow) {
-  Rng rng(2000);
-  const auto inst = gen::uniform(3, 4, rng);
+/// Mutates a uniform k-partite instance: whatever the mutations, both loader
+/// entry points agree (the same instance, or both reject), and an accepted
+/// instance is complete and round-trips.
+void expect_mutations_load_valid_or_throw(Gender k, Index n, Rng& rng) {
+  const auto inst = gen::uniform(k, n, rng);
   const auto text = io::to_string(inst);
   int threw = 0;
   const int trials = 300;
@@ -80,6 +82,15 @@ TEST(Fuzz, MutatedKPartiteInstancesLoadValidOrThrow) {
     }
   }
   EXPECT_GT(threw, trials / 2) << "mutations should usually be rejected";
+}
+
+TEST(Fuzz, MutatedKPartiteInstancesLoadValidOrThrow) {
+  Rng rng(2000);
+  expect_mutations_load_valid_or_throw(3, 4, rng);
+  // n = 64 rows run to ~190 bytes, so mutations land inside the row scan's
+  // full 64-byte blocks, not only in its padded tails.
+  Rng block_rng(2002);
+  expect_mutations_load_valid_or_throw(3, 64, block_rng);
 }
 
 TEST(Fuzz, MutatedRoommatesInstancesLoadValidOrThrow) {

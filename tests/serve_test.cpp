@@ -356,6 +356,25 @@ TEST(ServeEngineTest, MetricsScrapeCarriesAccountingInEveryBuild) {
 #endif
 }
 
+TEST(ServeEngineTest, SolveObservesParseAndEncodeOnce) {
+#if KSTABLE_METRICS_ENABLED
+  auto& registry = obs::MetricsRegistry::global();
+  auto& parse = registry.histogram("serve.parse_ms");
+  auto& encode = registry.histogram("serve.encode_ms");
+  const auto parse_before = parse.count();
+  const auto encode_before = encode.count();
+#endif
+  FrameLog log;
+  ServeEngine engine(ServeLimits{}, log.sink());
+  engine.handle(Frame::request(FrameKind::solve, 1, small_instance(6)));
+  ASSERT_TRUE(engine.drain().clean);
+  ASSERT_EQ(log.count(FrameKind::ok), 1u);
+#if KSTABLE_METRICS_ENABLED
+  EXPECT_EQ(parse.count(), parse_before + 1);
+  EXPECT_EQ(encode.count(), encode_before + 1);
+#endif
+}
+
 TEST(ServeEngineTest, ResponseKindAsRequestAnswersError) {
   FrameLog log;
   ServeEngine engine(ServeLimits{}, log.sink());

@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -384,48 +386,64 @@ std::string edge_token(Rng& rng) {
   }
 }
 
-/// integers<T>() against the whole-token from_chars rule applied token by
-/// token: the same values, the same verdict, the same token left unconsumed.
+/// integers<T>() on `line` against the whole-token from_chars rule applied
+/// token by token: the same values, the same verdict, the same token left
+/// unconsumed.
+template <typename T>
+::testing::AssertionResult integers_agree(const std::string& line) {
+  static constexpr std::string_view kBlankChars = " \t\r\v\f";
+  std::vector<T> want;
+  std::optional<std::string_view> want_stop;
+  const std::string_view rest(line);
+  for (std::size_t at = rest.find_first_not_of(kBlankChars);
+       at != std::string_view::npos;
+       at = rest.find_first_not_of(kBlankChars, at)) {
+    const std::string_view token =
+        rest.substr(at, rest.find_first_of(kBlankChars, at) - at);
+    at += token.size();
+    T value{};
+    const char* const last = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), last, value, 10);
+    if (ec != std::errc{} || ptr != last) {
+      want_stop = token;
+      break;
+    }
+    want.push_back(value);
+  }
+
+  util::TokenScanner ts(line);
+  std::vector<T> got{T{7}};  // integers() appends
+  const bool ended = ts.integers(got);
+  got.erase(got.begin());
+  const auto stop = ts.token();
+  if (got == want && ended == !want_stop.has_value() && stop == want_stop) {
+    return ::testing::AssertionSuccess();
+  }
+  const auto diff = static_cast<std::size_t>(
+      std::mismatch(got.begin(), got.end(), want.begin(), want.end()).first -
+      got.begin());
+  return ::testing::AssertionFailure()
+         << "line '" << line << "': " << got.size() << " values (want "
+         << want.size() << "), first difference at " << diff << ", ended "
+         << ended << ", left '" << stop.value_or("<none>") << "' (want '"
+         << want_stop.value_or("<none>") << "')";
+}
+
 template <typename T>
 void expect_integers_agree(std::uint64_t seed, int lines) {
   Rng rng(seed);
   static const char kBlanks[] = {' ', ' ', ' ', '\t', '\r', '\v', '\f'};
   for (int line_no = 0; line_no < lines; ++line_no) {
     std::string line;
-    std::vector<std::string> tokens(static_cast<std::size_t>(rng.range(0, 12)));
-    for (std::string& token : tokens) {
-      token = edge_token(rng);
+    for (auto tokens = rng.range(0, 12); tokens > 0; --tokens) {
+      const std::string token = edge_token(rng);
       for (auto gap = rng.range(1, 2); gap > 0; --gap) {
         line.push_back(kBlanks[rng.below(sizeof kBlanks)]);
       }
       line += token;
     }
     if (rng.below(2) == 0) line.push_back(kBlanks[rng.below(sizeof kBlanks)]);
-
-    std::vector<T> want;
-    std::optional<std::string> want_stop;
-    for (const std::string& token : tokens) {
-      T value{};
-      const char* const last = token.data() + token.size();
-      const auto [ptr, ec] = std::from_chars(token.data(), last, value, 10);
-      if (ec != std::errc{} || ptr != last) {
-        want_stop = token;
-        break;
-      }
-      want.push_back(value);
-    }
-
-    util::TokenScanner ts(line);
-    std::vector<T> got{T{7}};  // integers() appends
-    const bool ended = ts.integers(got);
-    got.erase(got.begin());
-    ASSERT_EQ(got, want) << "line '" << line << "'";
-    ASSERT_EQ(ended, !want_stop.has_value()) << "line '" << line << "'";
-    const auto stop = ts.token();
-    ASSERT_EQ(stop.has_value(), want_stop.has_value()) << "line '" << line << "'";
-    if (stop) {
-      ASSERT_EQ(*stop, *want_stop) << "line '" << line << "'";
-    }
+    ASSERT_TRUE(integers_agree<T>(line));
   }
 }
 
@@ -433,6 +451,89 @@ TEST(Scan, IntegersAgreeWithFromChars) {
   expect_integers_agree<std::int32_t>(0x5ca9, 100000);
   // A narrower T rejects short digit runs above its max on both paths.
   expect_integers_agree<std::int16_t>(0x5cb0, 20000);
+}
+
+/// `len` random digits.
+std::string digit_run(Rng& rng, std::int64_t len) {
+  std::string digits(static_cast<std::size_t>(len), '0');
+  for (char& c : digits) c = static_cast<char>('0' + rng.below(10));
+  return digits;
+}
+
+/// The length of a plain token: mostly 1-2 digits, at most 7.
+std::int64_t plain_length(Rng& rng) {
+  return rng.below(4) == 0 ? rng.range(1, 7) : rng.range(1, 2);
+}
+
+/// Plain tokens, each followed by one ' ', exactly `bytes` long (the last
+/// byte is a lone ' ' when only one is left).
+std::string plain_tokens(Rng& rng, std::size_t bytes) {
+  std::string out;
+  while (out.size() < bytes) {
+    const auto left = static_cast<std::int64_t>(bytes - out.size());
+    if (left > 1) out += digit_run(rng, std::min(plain_length(rng), left - 1));
+    out.push_back(' ');
+  }
+  return out;
+}
+
+/// Tokens a block scan must hand to from_chars, whatever it then decides:
+/// signs, every other blank, 8 or more digits, max(T) + 1, bytes >= 0x80 and
+/// a lone '-'; and max(T) itself.
+template <typename T>
+std::vector<std::string> odd_tokens() {
+  const auto max = static_cast<std::int64_t>(std::numeric_limits<T>::max());
+  return {"-5",       "+5",        "-0",    "-",       "5\t6",    "\t",
+          "5\r6",     "\r",        "5\v6",  "\v",      "5\f6",    "\f",
+          "12345678", "00000001",  "123456789012",     std::to_string(max),
+          std::to_string(max + 1), "\x80",  "7\xff",   "\xc3\xa9" "1"};
+}
+
+/// Rows as long as a k-partite instance's (60-200 tokens), so most of their
+/// bytes sit in full 64-byte blocks and the tail path sees every length.
+template <typename T>
+void expect_long_lines_agree(std::uint64_t seed) {
+  Rng rng(seed);
+  static const char kBlanks[] = {'\t', '\r', '\v', '\f'};
+  for (int line_no = 0; line_no < 4000; ++line_no) {
+    std::string line;
+    for (auto tokens = rng.range(60, 200); tokens > 0; --tokens) {
+      line += rng.below(64) == 0 ? edge_token(rng)
+                                 : digit_run(rng, plain_length(rng));
+      line.push_back(rng.below(128) == 0 ? kBlanks[rng.below(sizeof kBlanks)]
+                                         : ' ');
+    }
+    if (rng.below(2) == 0) line.pop_back();
+    ASSERT_TRUE(integers_agree<T>(line));
+  }
+  // One odd token at every offset 0-80, so it falls before, across and after
+  // the end of the first block, in rows that run on past it (or stop there).
+  for (const std::string& odd : odd_tokens<T>()) {
+    for (std::size_t offset = 0; offset <= 80; ++offset) {
+      for (int rep = 0; rep < 4; ++rep) {
+        std::string line = plain_tokens(rng, offset) + odd + ' ' +
+                           plain_tokens(rng, rng.below(200));
+        if (rng.below(2) == 0) line.pop_back();
+        ASSERT_TRUE(integers_agree<T>(line)) << "offset " << offset;
+      }
+    }
+  }
+  // Tails of every length 0-71: a whole line, and one that follows a full
+  // block of plain tokens.
+  for (std::size_t tail = 0; tail < 72; ++tail) {
+    for (int rep = 0; rep < 8; ++rep) {
+      std::string row = plain_tokens(rng, tail + 1);
+      row.pop_back();
+      ASSERT_TRUE(integers_agree<T>(row)) << "tail " << tail;
+      ASSERT_TRUE(integers_agree<T>(plain_tokens(rng, 64) + row))
+          << "tail " << tail;
+    }
+  }
+}
+
+TEST(Scan, LongLinesAgreeWithFromCharsAcrossBlocks) {
+  expect_long_lines_agree<std::int32_t>(0x5cb1);
+  expect_long_lines_agree<std::int16_t>(0x5cb2);
 }
 
 }  // namespace
