@@ -1,8 +1,10 @@
 #include "core/equivalence.hpp"
 
-#include <algorithm>
+#include <optional>
 #include <span>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -40,144 +42,160 @@ bool UnionFind::unite(std::int32_t x, std::int32_t y) {
   return true;
 }
 
+namespace {
+
+/// The match array that carries gender `from`'s members across result `r`:
+/// proposer_match from the proposer side, responder_match from the other.
+const std::vector<Index>& partners_from(const gs::GsResult& r, Gender from) {
+  return from == r.proposer_gender ? r.proposer_match : r.responder_match;
+}
+
+/// Empty iff result `r` of edge `e` holds mutually inverse permutations of
+/// [0, n); otherwise names the edge and the first proposer they disagree on.
+std::string perfect_matching_fault(const gs::GsResult& r, std::size_t e,
+                                   Index n) {
+  for (Index p = 0; p < n; ++p) {
+    const Index q = r.proposer_match[static_cast<std::size_t>(p)];
+    if (q >= 0 && q < n &&
+        r.responder_match[static_cast<std::size_t>(q)] == p) {
+      continue;
+    }
+    std::ostringstream os;
+    os << "binding edge " << e << " = GS(" << r.proposer_gender << ','
+       << r.responder_gender << ") is not a perfect matching: member "
+       << MemberId{r.proposer_gender, p};
+    if (q < 0 || q >= n) {
+      os << " has partner index " << q << ", outside [0, " << n << ')';
+    } else {
+      os << " is matched to " << MemberId{r.responder_gender, q}
+         << ", whose partner is "
+         << MemberId{r.proposer_gender,
+                     r.responder_match[static_cast<std::size_t>(q)]};
+    }
+    return os.str();
+  }
+  return {};
+}
+
+/// Describes the first class of a component (rooted at gender `root`) whose
+/// families a disagreeing closing edge joined: family t holds root member t,
+/// so the first t in a class of two or more families is its anchor.
+std::string merged_class_text(UnionFind& joined, Gender root, Index n) {
+  std::vector<Index> families_in(static_cast<std::size_t>(n), 0);
+  for (Index t = 0; t < n; ++t) {
+    ++families_in[static_cast<std::size_t>(joined.find(t))];
+  }
+  Index t = 0;
+  while (families_in[static_cast<std::size_t>(joined.find(t))] == 1) ++t;
+  std::ostringstream os;
+  os << "equivalence class has "
+     << families_in[static_cast<std::size_t>(joined.find(t))]
+     << " members of gender " << root
+     << " (expected 1); binding structure contains a cycle";
+  return os.str();
+}
+
+}  // namespace
+
 EquivalenceReport derive_families(const KPartiteInstance& inst,
                                   const BindingStructure& structure,
                                   std::span<const gs::GsResult> edge_results) {
   const Gender k = inst.genders();
   const Index n = inst.per_gender();
+  const auto& edges = structure.edges();
   KSTABLE_REQUIRE(structure.genders() == k, "structure genders "
                       << structure.genders() << " != instance genders " << k);
-  KSTABLE_REQUIRE(edge_results.size() == structure.edges().size(),
+  KSTABLE_REQUIRE(edge_results.size() == edges.size(),
                   "got " << edge_results.size() << " edge results for "
-                         << structure.edges().size() << " edges");
+                         << edges.size() << " edges");
 
   EquivalenceReport report;
-  UnionFind uf(k * n);
-  for (std::size_t e = 0; e < edge_results.size(); ++e) {
+  for (std::size_t e = 0; e < edges.size(); ++e) {
     const auto& r = edge_results[e];
-    const auto& edge = structure.edges()[e];
-    KSTABLE_REQUIRE(r.proposer_gender == edge.a && r.responder_gender == edge.b,
+    KSTABLE_REQUIRE(r.proposer_gender == edges[e].a &&
+                        r.responder_gender == edges[e].b,
                     "edge result " << e << " is GS(" << r.proposer_gender << ','
                                    << r.responder_gender << ") but edge is ("
-                                   << edge.a << ',' << edge.b << ")");
-    for (Index p = 0; p < n; ++p) {
-      const Index q = r.proposer_match[static_cast<std::size_t>(p)];
-      uf.unite(flat_id({edge.a, p}, n), flat_id({edge.b, q}, n));
+                                   << edges[e].a << ',' << edges[e].b << ")");
+    KSTABLE_REQUIRE(r.proposer_match.size() == static_cast<std::size_t>(n) &&
+                        r.responder_match.size() == static_cast<std::size_t>(n),
+                    "edge result " << e << " has match arrays of size "
+                                   << r.proposer_match.size() << " and "
+                                   << r.responder_match.size() << ", expected "
+                                   << n);
+    report.inconsistency = perfect_matching_fault(r, e, n);
+    if (!report.inconsistency.empty()) return report;
+  }
+
+  // families[t·k + g] is family t's gender-g member. Each component is walked
+  // from its smallest gender, whose column is the identity; a gender's column
+  // is filled whole when the walk reaches it, so families[g] (family 0's
+  // entry) is -1 exactly while gender g is unreached.
+  const auto stride = static_cast<std::size_t>(k);
+  std::vector<Index> families(static_cast<std::size_t>(n) * stride, Index{-1});
+  Index* const fam = families.data();
+  const auto reached = [fam](Gender g) { return fam[g] != -1; };
+  // done[e]: edge e has filled a column or been checked as a closing edge.
+  std::vector<char> done(edges.size(), 0);
+  for (Gender root = 0; root < k; ++root) {
+    if (reached(root)) continue;
+    for (Index t = 0; t < n; ++t) {
+      fam[static_cast<std::size_t>(t) * stride +
+          static_cast<std::size_t>(root)] = t;
     }
-  }
-
-  // Gender-level components drive the expected class shape.
-  const auto gender_component = structure.component_labels();
-
-  // Number the classes in first-appearance order over flat ids, then
-  // counting-sort the members into one flat table: class c's members are
-  // members[class_start[c] .. class_start[c + 1]), ascending by flat id, so
-  // a class's first member is the one of its smallest gender.
-  const std::int32_t total = k * n;
-  std::vector<std::int32_t> class_of_root(static_cast<std::size_t>(total), -1);
-  std::vector<std::int32_t> class_of(static_cast<std::size_t>(total));
-  std::vector<std::int32_t> class_start(static_cast<std::size_t>(total) + 1, 0);
-  std::int32_t classes = 0;
-  for (std::int32_t f = 0; f < total; ++f) {
-    auto& cls = class_of_root[static_cast<std::size_t>(uf.find(f))];
-    if (cls == -1) cls = classes++;
-    class_of[static_cast<std::size_t>(f)] = cls;
-    ++class_start[static_cast<std::size_t>(cls)];
-  }
-  // Inclusive prefix sum: class_start[c] is now the end of class c. The
-  // descending fill decrements it back to the start, keeping members sorted.
-  for (std::int32_t c = 1; c <= classes; ++c) {
-    class_start[static_cast<std::size_t>(c)] +=
-        class_start[static_cast<std::size_t>(c - 1)];
-  }
-  std::vector<std::int32_t> members(static_cast<std::size_t>(total));
-  for (std::int32_t f = total - 1; f >= 0; --f) {
-    const auto cls =
-        static_cast<std::size_t>(class_of[static_cast<std::size_t>(f)]);
-    members[static_cast<std::size_t>(--class_start[cls])] = f;
-  }
-  report.class_count = classes;
-  const auto class_members = [&](std::int32_t c) {
-    return std::span<const std::int32_t>(members).subspan(
-        static_cast<std::size_t>(class_start[static_cast<std::size_t>(c)]),
-        static_cast<std::size_t>(class_start[static_cast<std::size_t>(c) + 1] -
-                                 class_start[static_cast<std::size_t>(c)]));
-  };
-
-  // Validate each class: all members in one gender-component, exactly one
-  // member per gender of that component.
-  const Gender component_count =
-      static_cast<Gender>([&gender_component] {
-        auto labels = gender_component;
-        std::sort(labels.begin(), labels.end());
-        return std::unique(labels.begin(), labels.end()) - labels.begin();
-      }());
-  // classes_in_component[label] counts the valid classes of each component
-  // (indexed by component label, a gender id).
-  std::vector<Index> classes_in_component(static_cast<std::size_t>(k), 0);
-  std::vector<std::int32_t> gender_count(static_cast<std::size_t>(k));
-  for (std::int32_t c = 0; c < classes; ++c) {
-    const auto cls = class_members(c);
-    std::fill(gender_count.begin(), gender_count.end(), 0);
-    const std::int32_t label = gender_component[static_cast<std::size_t>(
-        member_of(cls.front(), n).gender)];
-    for (const std::int32_t f : cls) {
-      const MemberId m = member_of(f, n);
-      ++gender_count[static_cast<std::size_t>(m.gender)];
-      if (gender_component[static_cast<std::size_t>(m.gender)] != label) {
-        // Cannot happen: union edges stay within a component by construction.
-        report.inconsistency = "class spans binding components";
-        return report;
+    // Families of this component joined by a disagreeing closing edge.
+    std::optional<UnionFind> joined;
+    Index merges = 0;
+    // Sweep the edge list until the component stops growing: an edge with
+    // one reached end fills the other end's column; an edge with both ends
+    // reached closes a cycle and is checked family by family.
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        const GenderEdge edge = edges[e];
+        if (done[e] || (!reached(edge.a) && !reached(edge.b))) continue;
+        done[e] = 1;
+        const Gender x = reached(edge.a) ? edge.a : edge.b;
+        const Gender y = x == edge.a ? edge.b : edge.a;
+        const Index* const partner = partners_from(edge_results[e], x).data();
+        const auto x_of = [&](Index t) {
+          return fam[static_cast<std::size_t>(t) * stride +
+                     static_cast<std::size_t>(x)];
+        };
+        const auto y_of = [&](Index t) -> Index& {
+          return fam[static_cast<std::size_t>(t) * stride +
+                     static_cast<std::size_t>(y)];
+        };
+        if (!reached(y)) {
+          for (Index t = 0; t < n; ++t) y_of(t) = partner[x_of(t)];
+          grew = true;
+          continue;
+        }
+        Index t = 0;
+        while (t < n && partner[x_of(t)] == y_of(t)) ++t;
+        if (t == n) continue;
+        // Disagreement: each family joins the family holding the y member
+        // its x member is matched to.
+        std::vector<Index> family_of_y(static_cast<std::size_t>(n));
+        for (Index s = 0; s < n; ++s) {
+          family_of_y[static_cast<std::size_t>(y_of(s))] = s;
+        }
+        if (!joined) joined.emplace(n);
+        for (Index s = 0; s < n; ++s) {
+          const Index other =
+              family_of_y[static_cast<std::size_t>(partner[x_of(s)])];
+          if (joined->unite(s, other)) ++merges;
+        }
       }
     }
-    for (Gender g = 0; g < k; ++g) {
-      const bool in_component =
-          gender_component[static_cast<std::size_t>(g)] == label;
-      const std::int32_t expected = in_component ? 1 : 0;
-      if (gender_count[static_cast<std::size_t>(g)] != expected) {
-        std::ostringstream os;
-        os << "equivalence class has " << gender_count[static_cast<std::size_t>(g)]
-           << " members of gender " << g << " (expected " << expected
-           << "); binding structure "
-           << (structure.has_cycle() ? "contains a cycle" : "is acyclic");
-        report.inconsistency = os.str();
-        return report;
-      }
-    }
-    ++classes_in_component[static_cast<std::size_t>(label)];
-  }
-
-  // Each component must contribute exactly n classes.
-  for (Gender label = 0; label < k; ++label) {
-    const Index count = classes_in_component[static_cast<std::size_t>(label)];
-    if (count == 0) continue;  // not a component label
-    if (count != n) {
-      std::ostringstream os;
-      os << "component " << label << " produced " << count
-         << " classes, expected " << n;
-      report.inconsistency = os.str();
-      return report;
+    report.class_count += n - merges;
+    if (merges > 0 && report.inconsistency.empty()) {
+      report.inconsistency = merged_class_text(*joined, root, n);
     }
   }
-
-  // Assemble: family t = union over components of their class whose first
-  // member (the one of the component's smallest gender) has index t. Every
-  // class holds one member of that gender, so a component's n anchors are a
-  // permutation of 0..n-1 and no sort is needed.
-  std::vector<Index> families(
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(k), Index{-1});
-  for (std::int32_t c = 0; c < classes; ++c) {
-    const auto cls = class_members(c);
-    const auto t = static_cast<std::size_t>(member_of(cls.front(), n).index);
-    for (const std::int32_t f : cls) {
-      const MemberId m = member_of(f, n);
-      families[t * static_cast<std::size_t>(k) +
-               static_cast<std::size_t>(m.gender)] = m.index;
-    }
-  }
+  if (!report.inconsistency.empty()) return report;
   report.consistent = true;
   report.matching.emplace(k, n, std::move(families));
-  KSTABLE_ENSURE(component_count >= 1, "component bookkeeping broke");
   return report;
 }
 

@@ -4,14 +4,19 @@
 //
 // The binding process produces a set of matched pairs P (one perfect binary
 // matching per binding edge). "In the same matching tuple" is the reflexive-
-// symmetric-transitive closure of P, computed here by union-find. When the
-// binding structure is a spanning tree, every class is automatically a valid
-// k-tuple (Theorem 2's perfectness argument). For forests the classes span
-// only their component's genders, and assemble-by-index joins them into full
-// k-tuples (the Theorem 4 "too few bindings" experiment). For cyclic
-// structures the classes can collapse inconsistently (two same-gender members
-// in a class, classes of unequal size) — the Theorem 4 "too many bindings"
-// witness — which is detected and reported rather than silently accepted.
+// symmetric-transitive closure of P. On a spanning tree a class is the chain
+// of partners reached from one member of the root gender, so the families
+// are derived column by column: each component is walked from its smallest
+// gender, and a walked edge fills its far gender's column through the
+// edge's match array, one gather over n (Theorem 2's perfectness argument:
+// every class is a k-tuple by construction). For forests each component is
+// walked on its own and family t joins the components' t-th chains by index
+// (the Theorem 4 "too few bindings" experiment). An edge between two walked
+// genders closes a cycle; if it disagrees with the walked families, the
+// families it joins are merged and the collapse — two same-gender members
+// in a class, the Theorem 4 "too many bindings" witness — is reported rather
+// than silently accepted. An edge result that is not a perfect matching
+// (match arrays not mutually inverse permutations) is reported too.
 #pragma once
 
 #include <cstdint>
@@ -28,19 +33,22 @@ namespace kstable::core {
 
 /// Outcome of converting binding pair-sets into k-ary families.
 struct EquivalenceReport {
-  /// True iff every equivalence class held exactly one member per gender of
-  /// its binding component (the precondition for forming families).
+  /// True iff every edge result is a perfect matching and every equivalence
+  /// class held exactly one member per gender of its binding component (the
+  /// precondition for forming families).
   bool consistent = false;
   /// Families (assembled across components by class index); set iff
   /// consistent.
   std::optional<KaryMatching> matching;
-  /// Number of equivalence classes found.
+  /// Number of equivalence classes found (0 when an edge result is not a
+  /// perfect matching).
   std::int32_t class_count = 0;
   /// Human-readable description of the first inconsistency (empty if none).
   std::string inconsistency;
 };
 
-/// Minimal union-find over dense int ids (path halving + union by rank).
+/// Minimal union-find over dense int ids (path halving + union by rank):
+/// joins the families a disagreeing closing edge merges.
 class UnionFind {
  public:
   explicit UnionFind(std::int32_t size);

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "core/equivalence.hpp"
 #include "graph/prufer.hpp"
@@ -271,21 +273,98 @@ EquivalenceReport reference_derive(Gender k, Index n,
   return report;
 }
 
+/// Results of `structure`'s edges read off hidden families: family t holds
+/// index hidden[g][t] of gender g, so the results agree around any cycle.
+std::vector<gs::GsResult> hidden_results(
+    const BindingStructure& structure,
+    const std::vector<std::vector<Index>>& hidden, Index n) {
+  std::vector<gs::GsResult> results;
+  for (const GenderEdge e : structure.edges()) {
+    gs::GsResult r;
+    gs::reset_result(r, e.a, e.b, n);
+    for (Index t = 0; t < n; ++t) {
+      const auto slot = static_cast<std::size_t>(t);
+      const Index p = hidden[static_cast<std::size_t>(e.a)][slot];
+      const Index q = hidden[static_cast<std::size_t>(e.b)][slot];
+      r.proposer_match[static_cast<std::size_t>(p)] = q;
+      r.responder_match[static_cast<std::size_t>(q)] = p;
+    }
+    results.push_back(std::move(r));
+  }
+  return results;
+}
+
+/// Swaps the partners of proposers p1 and p2 of `r`, keeping it a perfect
+/// matching: the hidden families of p1 and p2 then fall into one class.
+void transpose(gs::GsResult& r, Index p1, Index p2) {
+  const auto a = static_cast<std::size_t>(p1);
+  const auto b = static_cast<std::size_t>(p2);
+  std::swap(r.proposer_match[a], r.proposer_match[b]);
+  r.responder_match[static_cast<std::size_t>(r.proposer_match[a])] = p1;
+  r.responder_match[static_cast<std::size_t>(r.proposer_match[b])] = p2;
+}
+
+/// Edges over genders [0, k) absent from `structure`, shuffled, each in a
+/// random orientation.
+std::vector<GenderEdge> missing_edges(const BindingStructure& structure,
+                                      Gender k, Rng& rng) {
+  std::vector<GenderEdge> missing;
+  for (Gender a = 0; a < k; ++a) {
+    for (Gender b = 0; b < a; ++b) {
+      if (!std::any_of(structure.edges().begin(), structure.edges().end(),
+                       [&](GenderEdge x) {
+                         return x.normalized() == GenderEdge{b, a};
+                       })) {
+        missing.push_back(rng.chance(0.5) ? GenderEdge{a, b}
+                                          : GenderEdge{b, a});
+      }
+    }
+  }
+  rng.shuffle(missing);
+  return missing;
+}
+
 TEST(DeriveFamilies, MatchesPerClassReferenceOnRandomStructures) {
-  // Bindings are read off hidden families (family t holds index hidden[g][t]
-  // of gender g), so they agree around any cycle; every other cycle case
-  // replaces the matching of the last edge, which closed a cycle, by a
-  // random one to break that agreement.
+  // Bindings are read off hidden families, so they agree around any cycle;
+  // every other random cycle case replaces the matching of the last edge,
+  // which closed a cycle, by a random one to break that agreement. The
+  // targeted cases after the random ones break it by single transpositions,
+  // so a known number of families merge.
   Rng rng(204);
   int cycles = 0;
   int inconsistent = 0;
-  for (int trial = 0; trial < 240; ++trial) {
-    const auto k = static_cast<Gender>(2 + rng.below(5));
-    const auto n = static_cast<Index>(1 + rng.below(8));
+  const auto check = [&](Gender k, Index n, const BindingStructure& structure,
+                         const std::vector<gs::GsResult>& results,
+                         const std::string& label) {
+    SCOPED_TRACE(label);
+    const auto expected = reference_derive(k, n, structure, results);
+    const auto report =
+        derive_families(KPartiteInstance(k, n), structure, results);
+    EXPECT_EQ(report.consistent, expected.consistent);
+    EXPECT_EQ(report.class_count, expected.class_count);
+    EXPECT_EQ(report.inconsistency, expected.inconsistency);
+    EXPECT_EQ(report.matching.has_value(), expected.matching.has_value());
+    if (expected.matching && report.matching) {
+      EXPECT_EQ(report.matching->raw(), expected.matching->raw());
+    }
+    cycles += structure.has_cycle() ? 1 : 0;
+    inconsistent += expected.consistent ? 0 : 1;
+    return expected;
+  };
+  const auto hidden_families = [&rng](Gender k, Index n) {
     std::vector<std::vector<Index>> hidden;
     for (Gender g = 0; g < k; ++g) hidden.push_back(rng.permutation(n));
+    return hidden;
+  };
 
-    // Cases cycle through: spanning tree, forest, empty, cyclic.
+  // Random cases cycle through: spanning tree, forest, empty, cyclic; the
+  // first 240 at k <= 6 and n <= 8, the next 80 at k <= 9 and n <= 64.
+  for (int trial = 0; trial < 320; ++trial) {
+    const bool large = trial >= 240;
+    const auto k = static_cast<Gender>(2 + rng.below(large ? 8 : 5));
+    const auto n = static_cast<Index>(1 + rng.below(large ? 64 : 8));
+    const auto hidden = hidden_families(k, n);
+
     const int shape = trial % 4;
     BindingStructure structure(k);
     if (shape != 2) {
@@ -297,37 +376,12 @@ TEST(DeriveFamilies, MatchesPerClassReferenceOnRandomStructures) {
     }
     if (shape == 3) {
       // Close one or two cycles with edges the tree does not have.
-      std::vector<GenderEdge> missing;
-      for (Gender a = 0; a < k; ++a) {
-        for (Gender b = 0; b < a; ++b) {
-          if (!std::any_of(structure.edges().begin(), structure.edges().end(),
-                           [&](GenderEdge x) {
-                             return x.normalized() == GenderEdge{b, a};
-                           })) {
-            missing.push_back(rng.chance(0.5) ? GenderEdge{a, b}
-                                              : GenderEdge{b, a});
-          }
-        }
-      }
-      rng.shuffle(missing);
+      auto missing = missing_edges(structure, k, rng);
       missing.resize(std::min<std::size_t>(missing.size(), 1 + rng.below(2)));
       for (const GenderEdge e : missing) structure.add_edge(e);
     }
-    cycles += structure.has_cycle() ? 1 : 0;
 
-    std::vector<gs::GsResult> results;
-    for (const GenderEdge e : structure.edges()) {
-      gs::GsResult r;
-      gs::reset_result(r, e.a, e.b, n);
-      for (Index t = 0; t < n; ++t) {
-        const auto slot = static_cast<std::size_t>(t);
-        const Index p = hidden[static_cast<std::size_t>(e.a)][slot];
-        const Index q = hidden[static_cast<std::size_t>(e.b)][slot];
-        r.proposer_match[static_cast<std::size_t>(p)] = q;
-        r.responder_match[static_cast<std::size_t>(q)] = p;
-      }
-      results.push_back(std::move(r));
-    }
+    auto results = hidden_results(structure, hidden, n);
     if (shape == 3 && structure.has_cycle() && (trial / 4) % 2 == 1) {
       auto& r = results.back();
       const auto scrambled = rng.permutation(n);
@@ -337,24 +391,122 @@ TEST(DeriveFamilies, MatchesPerClassReferenceOnRandomStructures) {
         r.responder_match[static_cast<std::size_t>(q)] = p;
       }
     }
-
-    const auto expected = reference_derive(k, n, structure, results);
-    const auto report =
-        derive_families(KPartiteInstance(k, n), structure, results);
-    ASSERT_EQ(report.consistent, expected.consistent) << "trial " << trial;
-    EXPECT_EQ(report.class_count, expected.class_count) << "trial " << trial;
-    EXPECT_EQ(report.inconsistency, expected.inconsistency)
-        << "trial " << trial;
-    ASSERT_EQ(report.matching.has_value(), expected.matching.has_value());
-    if (expected.matching) {
-      EXPECT_EQ(report.matching->raw(), expected.matching->raw())
-          << "trial " << trial;
-    }
-    inconsistent += expected.consistent ? 0 : 1;
+    check(k, n, structure, results, "random trial " + std::to_string(trial));
   }
+
+  // Spanning tree plus closing edges, each disagreeing by one transposition.
+  // One closing edge merges exactly 2 families; a second one that shares a
+  // family with the first chains 3.
+  for (int trial = 0; trial < 40; ++trial) {
+    const bool chain = trial % 2 == 1;
+    const auto k =
+        static_cast<Gender>((chain ? 4 : 3) + rng.below(chain ? 6 : 7));
+    const auto n = static_cast<Index>(3 + rng.below(62));
+    const auto hidden = hidden_families(k, n);
+    BindingStructure structure = prufer::random_tree(k, rng);
+    auto missing = missing_edges(structure, k, rng);
+    missing.resize(chain ? 2 : 1);
+    for (const GenderEdge e : missing) structure.add_edge(e);
+    auto results = hidden_results(structure, hidden, n);
+
+    // Hidden families picked[0], picked[1] (and picked[2]) are the ones the
+    // transpositions join.
+    const auto picked = rng.permutation(n);
+    const auto member = [&](GenderEdge e, std::size_t i) {
+      return hidden[static_cast<std::size_t>(e.a)]
+                   [static_cast<std::size_t>(picked[i])];
+    };
+    const std::size_t first = results.size() - missing.size();
+    transpose(results[first], member(missing[0], 0), member(missing[0], 1));
+    if (chain) {
+      transpose(results[first + 1], member(missing[1], 1),
+                member(missing[1], 2));
+    }
+    const auto expected =
+        check(k, n, structure, results,
+              std::string(chain ? "chain" : "transposition") + " trial " +
+                  std::to_string(trial));
+    EXPECT_EQ(expected.class_count, n - (chain ? 2 : 1));
+    EXPECT_EQ(expected.inconsistency,
+              std::string("equivalence class has ") + (chain ? "3" : "2") +
+                  " members of gender 0 (expected 1); binding structure "
+                  "contains a cycle");
+  }
+
+  // Two components. Component B, genders [split, k), holds a cycle that
+  // disagrees by one transposition, so the cycle's root is not gender 0.
+  // Component A, genders [0, split), is a bound pair, two isolated genders,
+  // or a triangle that disagrees too, whose class of gender 0 then comes
+  // first in the report.
+  for (int trial = 0; trial < 18; ++trial) {
+    const int variant = trial % 3;
+    const Gender split = variant == 2 ? 3 : 2;
+    const auto k = static_cast<Gender>(split + 3 + rng.below(5));
+    const auto n = static_cast<Index>(2 + rng.below(63));
+    const auto hidden = hidden_families(k, n);
+    BindingStructure structure(k);
+    std::vector<std::size_t> closing;  // edges that get a transposition
+    const auto add_cycle = [&](Gender lo, Gender size) {
+      const auto shifted = [lo](GenderEdge e) {
+        return GenderEdge{static_cast<Gender>(e.a + lo),
+                          static_cast<Gender>(e.b + lo)};
+      };
+      const auto tree = prufer::random_tree(size, rng);
+      for (const GenderEdge e : tree.edges()) structure.add_edge(shifted(e));
+      closing.push_back(structure.edges().size());
+      structure.add_edge(shifted(missing_edges(tree, size, rng).front()));
+    };
+    if (variant == 0) structure.add_edge({1, 0});
+    if (variant == 2) add_cycle(0, split);
+    add_cycle(split, k - split);
+    auto results = hidden_results(structure, hidden, n);
+    for (const std::size_t e : closing) {
+      const auto picked = rng.permutation(n);
+      const auto& column =
+          hidden[static_cast<std::size_t>(structure.edges()[e].a)];
+      transpose(results[e], column[static_cast<std::size_t>(picked[0])],
+                column[static_cast<std::size_t>(picked[1])]);
+    }
+    const auto expected = check(k, n, structure, results,
+                                "two-component trial " + std::to_string(trial));
+    const Index a_classes = variant == 0 ? n : variant == 1 ? 2 * n : n - 1;
+    EXPECT_EQ(expected.class_count, a_classes + n - 1);
+    EXPECT_EQ(expected.inconsistency,
+              "equivalence class has 2 members of gender " +
+                  std::to_string(variant == 2 ? 0 : split) +
+                  " (expected 1); binding structure contains a cycle");
+  }
+
   // The sample must reach both the cyclic and the inconsistent paths.
-  EXPECT_GT(cycles, 20);
-  EXPECT_GT(inconsistent, 15);
+  EXPECT_GT(cycles, 100);
+  EXPECT_GT(inconsistent, 70);
+}
+
+TEST(DeriveFamilies, ReportsAnEdgeResultThatIsNotAPerfectMatching) {
+  // The walk reads each edge through one of its two match arrays, so they
+  // must be mutually inverse permutations; a tampered partner is reported,
+  // naming the edge and the member, even on a spanning tree.
+  Rng rng(205);
+  const auto inst = gen::uniform(3, 4, rng);
+  const auto tree = trees::path(3);
+  auto results = run_edges(inst, tree);
+  auto& pm = results[1].proposer_match;
+  std::swap(pm[0], pm[1]);  // responder_match left as it was
+  auto report = derive_families(inst, tree, results);
+  EXPECT_FALSE(report.consistent);
+  EXPECT_FALSE(report.matching.has_value());
+  std::ostringstream expected;
+  expected << "binding edge 1 = GS(1,2) is not a perfect matching: member "
+           << MemberId{1, 0} << " is matched to " << MemberId{2, pm[0]}
+           << ", whose partner is " << MemberId{1, 1};
+  EXPECT_EQ(report.inconsistency, expected.str());
+
+  pm[0] = 4;  // out of range
+  report = derive_families(inst, tree, results);
+  EXPECT_FALSE(report.consistent);
+  EXPECT_NE(report.inconsistency.find("partner index 4, outside [0, 4)"),
+            std::string::npos)
+      << report.inconsistency;
 }
 
 TEST(DeriveFamilies, RejectsMismatchedResults) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <numeric>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -681,6 +682,35 @@ TEST(Rematch, StaleDeltaIsRejected) {
   const auto delta = random_mutation(inst, rng);
   random_mutation(inst, rng);  // instance moved past the delta
   EXPECT_THROW(rematch(inst, tree, previous, delta), ContractViolation);
+}
+
+TEST(Rematch, TamperedPreviousEdgeFailsTheoremTwo) {
+  // rematch trusts `previous` verbatim for the edges a delta leaves alone.
+  // A tampered partner there (proposer_match no longer the inverse of
+  // responder_match) must stop the binding at Theorem 2's gate, not come
+  // back as a k-ary matching.
+  const Gender k = 4;
+  Rng rng(19);
+  auto inst = gen::uniform(k, 16, rng);
+  const auto tree = trees::path(k);
+  auto previous = core::iterative_binding(inst, tree, {});
+  auto& untouched = previous.edge_results[2].proposer_match;  // edge (2, 3)
+  std::swap(untouched[0], untouched[1]);
+  // Rank 0 of a gender-0 row over gender 1 lies on every walk, so tree edge
+  // (0, 1) re-solves and Algorithm 1 runs.
+  const auto delta = swap_entries(inst, {0, 0}, 1, 0, 1);
+  try {
+    (void)rematch(inst, tree, previous, delta);
+    ADD_FAILURE() << "rematch accepted a tampered previous result";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("spanning-tree binding produced inconsistent classes"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("binding edge 2 = GS(2,3) is not a perfect matching"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(Rematch, EmptyCacheIsFilledFromPreviousAtZeroProposals) {
