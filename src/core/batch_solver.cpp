@@ -26,14 +26,10 @@ std::vector<BatchItemResult> BatchSolver::solve(
                                           ? resilience::Budget{}
                                           : options.per_item_budgets[idx];
     resilience::ExecControl control(budget);
-    // One workspace per pool worker, reused across items and batches: after
-    // the largest instance warms it, the GS hot path allocates nothing.
-    thread_local gs::GsWorkspace workspace;
     GsEdgeCache cache(inst);
 
     BindingOptions bopts;
     bopts.control = &control;
-    bopts.workspace = &workspace;
     bopts.cache = &cache;
     WallTimer item_timer;
     try {

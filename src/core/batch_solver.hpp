@@ -4,13 +4,13 @@
 //
 // Execution model: one task per instance over ThreadPool::for_each_index,
 // each item bound with the sequential queue engine (items already saturate
-// the pool). Each pool worker keeps a thread_local gs::GsWorkspace, so after
-// the first item warms it the per-edge GS runs allocate nothing; each *item*
-// gets its own GsEdgeCache (caches are per-instance by contract) and its own
-// ExecControl, so one slow or poisoned instance times out alone without
-// stalling the batch. Abort-class failures (deadline, proposal budget) never
-// throw out of solve(): the per-item SolveStatus carries them, exactly like
-// resilience::FallbackReport does for single solves.
+// the pool). core::run_binding keeps a thread_local gs::GsWorkspace, so after
+// a worker's first item warms it the per-edge GS runs allocate nothing; each
+// *item* gets its own GsEdgeCache (caches are per-instance by contract) and
+// its own ExecControl, so one slow or poisoned instance times out alone
+// without stalling the batch. Abort-class failures (deadline, proposal
+// budget) never throw out of solve(): the per-item SolveStatus carries them,
+// exactly like resilience::FallbackReport does for single solves.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +62,7 @@ class BatchSolver {
  public:
   /// The solver borrows `pool` (not owned); one BatchSolver per pool is the
   /// expected shape, but solve() is re-entrant and stateless apart from the
-  /// workers' thread_local workspaces.
+  /// workers' thread_local GS workspaces.
   explicit BatchSolver(ThreadPool& pool) : pool_(pool) {}
 
   /// Solves every instance; results are index-aligned with `instances`.

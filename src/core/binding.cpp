@@ -11,41 +11,16 @@ namespace kstable::core {
 
 namespace {
 
-/// Runs the selected engine, no cache involvement.
-gs::GsResult run_engine(const KPartiteInstance& inst, GenderEdge edge,
-                        const BindingOptions& options) {
+/// GS(edge.a proposes, edge.b responds) by the queue engine on the calling
+/// thread's workspace, no cache involvement.
+gs::GsResult run_gs(const KPartiteInstance& inst, GenderEdge edge,
+                    const BindingOptions& options) {
+  thread_local gs::GsWorkspace workspace;
   gs::GsOptions gs_options;
   gs_options.control = options.control;
   gs::GsResult result;
-  switch (options.engine) {
-    case GsEngine::queue:
-      if (options.workspace != nullptr) {
-        gs::gale_shapley_queue(inst, edge.a, edge.b, gs_options,
-                               *options.workspace, result);
-      } else {
-        result = gs::gale_shapley_queue(inst, edge.a, edge.b, gs_options);
-      }
-      return result;
-    case GsEngine::rounds:
-      if (options.workspace != nullptr) {
-        gs::gale_shapley_rounds(inst, edge.a, edge.b, gs_options,
-                                *options.workspace, result);
-      } else {
-        result = gs::gale_shapley_rounds(inst, edge.a, edge.b, gs_options);
-      }
-      return result;
-  }
-  KSTABLE_REQUIRE(false, "unknown GS engine");
-  return {};
-}
-
-/// Static-lifetime telemetry label for a binding driven by `engine`.
-const char* binding_engine_label(GsEngine engine) {
-  switch (engine) {
-    case GsEngine::queue: return "binding.queue";
-    case GsEngine::rounds: return "binding.rounds";
-  }
-  return "binding";
+  gs::gale_shapley_queue(inst, edge.a, edge.b, gs_options, workspace, result);
+  return result;
 }
 
 }  // namespace
@@ -55,7 +30,7 @@ gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,
                          const gs::GsResult* known) {
   if (cache_hit != nullptr) *cache_hit = false;
   const auto compute = [&]() -> gs::GsResult {
-    return known != nullptr ? *known : run_engine(inst, edge, options);
+    return known != nullptr ? *known : run_gs(inst, edge, options);
   };
   if (options.cache == nullptr) return compute();
   KSTABLE_REQUIRE(options.cache->genders() == inst.genders(),
@@ -66,8 +41,7 @@ gs::GsResult run_binding(const KPartiteInstance& inst, GenderEdge edge,
   // that has mutated since binding (docs/INCREMENTAL.md — invalidate() +
   // rebind() is the sanctioned path). Throws std::logic_error.
   options.cache->check_instance(inst);
-  return options.cache->get_or_compute(edge, options.engine, compute,
-                                       cache_hit);
+  return options.cache->get_or_compute(edge, compute, cache_hit);
 }
 
 void bind_edge(const KPartiteInstance& inst, GenderEdge edge,
@@ -115,7 +89,7 @@ void finish_binding(BindingResult& result, const KPartiteInstance& inst,
   result.status.wall_ms = timer.millis();
 
   obs::SolveTelemetry& t = result.telemetry;
-  t.engine = engine != nullptr ? engine : binding_engine_label(options.engine);
+  t.engine = engine != nullptr ? engine : "binding.queue";
   t.genders = inst.genders();
   t.size = inst.per_gender();
   t.wall_ms = result.status.wall_ms;

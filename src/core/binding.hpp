@@ -12,7 +12,6 @@
 // matching is generally unstable.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -27,31 +26,15 @@
 
 namespace kstable::core {
 
-/// Which Gale-Shapley engine runs each binary binding: the queue loop
-/// (prefetch-pipelined, the default) or the paper's rounds (§II.A verbatim).
-/// The speculative parallel engine (Cor. 1-2), gs::gale_shapley_parallel,
-/// takes its own pool and runs outside the binding path (E7, DiffRunner).
-enum class GsEngine { queue, rounds };
-
-/// Number of GsEngine values. Keep NEXT TO the enum and update together when
-/// adding an engine: GsEdgeCache sizes its slot table from this and
-/// static_asserts against its own compiled-in constant, so a new engine
-/// cannot silently alias cache slots.
-inline constexpr std::size_t kGsEngineCount = 2;
-
-/// Static-lifetime display/metrics label of an engine.
-[[nodiscard]] constexpr const char* to_string(GsEngine engine) noexcept {
-  switch (engine) {
-    case GsEngine::queue: return "queue";
-    case GsEngine::rounds: return "rounds";
-  }
-  return "unknown";
-}
-
 class GsEdgeCache;  // core/gs_cache.hpp
 
+/// Every binary binding runs gs::gale_shapley_queue on a thread_local
+/// gs::GsWorkspace that run_binding owns, so after the thread's first edge at
+/// size n warms it, the GS run itself allocates nothing. GS is confluent:
+/// another engine could change no matching, proposal count or counter.
+/// gs::gale_shapley_rounds (§II.A verbatim) and gs::gale_shapley_parallel
+/// (Cor. 1-2) run outside the binding path (E7, E9, E21, DiffRunner).
 struct BindingOptions {
-  GsEngine engine = GsEngine::queue;
   /// Optional deadline/budget/cancellation control, threaded into every
   /// per-edge GS run and checked between edges. Throws ExecutionAborted.
   resilience::ExecControl* control = nullptr;
@@ -62,10 +45,6 @@ struct BindingOptions {
   /// for free. Semantically invisible: matchings are bitwise-identical with
   /// and without a cache.
   GsEdgeCache* cache = nullptr;
-  /// Optional scratch buffers for the engines (gs::GsWorkspace); a warm
-  /// workspace makes every per-edge GS run allocation-free. Owned by the
-  /// calling thread.
-  gs::GsWorkspace* workspace = nullptr;
 };
 
 /// Result of binding a structure (tree, forest, or cyclic edge set).
@@ -104,8 +83,9 @@ struct BindingResult {
 };
 
 /// Runs one binary binding GS(edge.a proposes, edge.b responds): returns
-/// `*known` if given — the caller vouches that it is bitwise what the
-/// selected engine would return on `inst` — and runs the engine otherwise.
+/// `*known` if given — the caller vouches that it is bitwise what GS would
+/// return on `inst` — and runs the queue engine on the calling thread's
+/// workspace otherwise.
 /// With options.cache attached, a memoized result wins and a miss publishes
 /// the returned result; `cache_hit` (if non-null) reports whether the cache
 /// answered.
@@ -125,7 +105,7 @@ void bind_edge(const KPartiteInstance& inst, GenderEdge edge,
 
 /// The finish every Algorithm 1 driver shares: total proposals over
 /// result.edge_results, derive_families over `structure`, status, and
-/// telemetry labelled `engine` (nullptr = the per-engine binding label) with
+/// telemetry labelled `engine` (nullptr = "binding.queue") with
 /// phases `work` (everything before this call, timed from `timer`) and
 /// `assemble`. On a spanning tree it also ensures Theorem 2 (consistent
 /// classes) and Theorem 3 (at most (k-1)n² accumulated proposals). Records

@@ -10,7 +10,7 @@ namespace kstable::core {
 GsEdgeCache::GsEdgeCache(Gender k)
     : k_(k),
       slots_(static_cast<std::size_t>(k >= 2 ? k : 0) *
-             static_cast<std::size_t>(k >= 2 ? k : 0) * kEngineCount) {
+             static_cast<std::size_t>(k >= 2 ? k : 0)) {
   KSTABLE_REQUIRE(k >= 2, "GsEdgeCache needs k >= 2, got " << k);
 }
 
@@ -34,15 +34,9 @@ void GsEdgeCache::check_instance(const KPartiteInstance& inst) const {
 }
 
 std::size_t GsEdgeCache::invalidate(GenderEdge edge) {
-  // slot() re-validates the edge; the engine loop below walks the
-  // kEngineCount consecutive slots of that oriented pair.
-  const std::size_t base = slot(edge, GsEngine::queue);
-  std::size_t dropped = 0;
-  for (std::size_t e = 0; e < kEngineCount; ++e) {
-    std::optional<gs::GsResult>& entry = slots_[base + e];
-    if (entry.has_value()) ++dropped;
-    entry.reset();
-  }
+  std::optional<gs::GsResult>& entry = slots_[slot(edge)];
+  const std::size_t dropped = entry.has_value() ? 1 : 0;
+  entry.reset();
   return dropped;
 }
 
@@ -54,21 +48,13 @@ void GsEdgeCache::rebind(const KPartiteInstance& inst) {
   bound_generation_ = inst.generation();
 }
 
-std::size_t GsEdgeCache::slot(GenderEdge edge, GsEngine engine) const {
+std::size_t GsEdgeCache::slot(GenderEdge edge) const {
   KSTABLE_REQUIRE(edge.a >= 0 && edge.a < k_ && edge.b >= 0 && edge.b < k_ &&
                       edge.a != edge.b,
                   "edge (" << edge.a << ',' << edge.b
                            << ") out of range for k=" << k_);
-  // Contract-checked (not just asserted): an out-of-enum engine value would
-  // index another key's slot and silently serve the wrong matching.
-  const auto e = static_cast<std::size_t>(engine);
-  KSTABLE_REQUIRE(e < kEngineCount,
-                  "GsEngine value " << e << " out of range (have "
-                                    << kEngineCount << " engines)");
-  return (static_cast<std::size_t>(edge.a) * static_cast<std::size_t>(k_) +
-          static_cast<std::size_t>(edge.b)) *
-             kEngineCount +
-         e;
+  return static_cast<std::size_t>(edge.a) * static_cast<std::size_t>(k_) +
+         static_cast<std::size_t>(edge.b);
 }
 
 void GsEdgeCache::count_hit() {

@@ -2,8 +2,8 @@
 //
 // Every spanning binding tree over k genders draws its edges from the same
 // k(k-1)/2 gender-pair set (2·C(k,2) = k(k-1) oriented edges), and a per-edge
-// GsResult is a pure function of (instance, oriented edge, engine): both
-// binding engines (queue, rounds) are deterministic and GS is confluent.
+// GsResult is a pure function of (instance, oriented edge): GS is confluent,
+// and every binding runs the same deterministic queue engine.
 // Multi-tree drivers — tree_selection probes, the E15 ablation sweep, the
 // `best` tree scan (core/tree_sweep), solve_with_fallback's retry ladder —
 // therefore recompute identical matchings over and over. Memoizing them
@@ -12,9 +12,9 @@
 // bitwise-identical matchings (property-tested over all k^(k-2) trees).
 //
 // Key and invalidation rules (docs/INCREMENTAL.md):
-//   * The key is (proposer gender, responder gender, engine): two engine
-//     slots per oriented edge. Orientation matters — GS(a, b) is
-//     proposer-optimal for a, GS(b, a) for b.
+//   * The key is the oriented edge (proposer gender, responder gender): one
+//     slot each. Orientation matters — GS(a, b) is proposer-optimal for a,
+//     GS(b, a) for b.
 //   * A cache is bound to ONE KPartiteInstance. It holds no reference to the
 //     instance; the caller guarantees the pairing (new instance => new
 //     cache). The instance-bound constructor additionally records the
@@ -28,15 +28,15 @@
 //     clear() everything or invalidate() exactly the oriented edges the
 //     delta touched (both orientations of every changed (observer gender,
 //     target gender) pair) and then rebind() to the instance's new
-//     generation. invalidate() resets only that edge's kEngineCount slots,
-//     so untouched edges keep replaying for free — the targeted-invalidation
-//     half of incremental::rematch().
+//     generation. invalidate() resets only that edge's slot, so untouched
+//     edges keep replaying for free — the targeted-invalidation half of
+//     incremental::rematch().
 //
-// Threading contract: a cache is used by one thread at a time, like
-// GsWorkspace. Every shipped owner keeps it so — `kmatch serve` builds one
-// per request on the worker that runs it, incremental::rematch keeps one per
-// market on the calling thread, BatchSolver one per item, and
-// execute_binding attaches none. Nothing is locked.
+// Threading contract: a cache is used by one thread at a time. Every shipped
+// owner keeps it so — `kmatch serve` builds one per request on the worker
+// that runs it, incremental::rematch keeps one per market on the calling
+// thread, BatchSolver one per item, and execute_binding attaches none.
+// Nothing is locked.
 //
 // Counting contract (what the gs_cache tests pin down): every lookup counts
 // exactly one hit or one miss, and a miss is counted only when its compute
@@ -56,19 +56,6 @@ namespace kstable::core {
 
 class GsEdgeCache {
  public:
-  /// Number of distinct GsEngine values the slot table is sized for. Tied to
-  /// the enum's sentinel: adding a GsEngine without growing this constant is
-  /// a compile error, not a silent slot-aliasing bug.
-  static constexpr std::size_t kEngineCount = kGsEngineCount;
-  static_assert(kEngineCount == kGsEngineCount,
-                "GsEdgeCache slot table must cover every GsEngine value; "
-                "update kGsEngineCount (core/binding.hpp) and kEngineCount "
-                "together when adding an engine");
-  static_assert(static_cast<std::size_t>(GsEngine::rounds) ==
-                    kGsEngineCount - 1,
-                "kGsEngineCount is out of sync with the last GsEngine "
-                "enumerator");
-
   /// Creates an empty cache for instances with `k` genders. The staleness
   /// guard is OFF: the caller owns the instance/cache pairing (tests and
   /// bench harnesses that drive the slot machinery directly).
@@ -86,9 +73,9 @@ class GsEdgeCache {
   /// cached edge lookup.
   void check_instance(const KPartiteInstance& inst) const;
 
-  /// Targeted invalidation: resets the kEngineCount slots of ONE oriented
-  /// edge back to empty and returns how many of them held a ready result.
-  /// References to the edge's entries dangle afterwards. A preference delta
+  /// Targeted invalidation: resets the slot of ONE oriented edge back to
+  /// empty and returns 1 if it held a ready result, else 0. References to
+  /// the edge's entry dangle afterwards. A preference delta
   /// on rows between genders a and b must invalidate BOTH orientations (a,b)
   /// and (b,a) — responder preferences decide accept/reject, so either
   /// orientation's memo is stale (incremental::rematch does this). Counters
@@ -112,9 +99,9 @@ class GsEdgeCache {
   /// attempt is computed afresh by the next lookup. The returned reference is
   /// valid until the key is invalidated or the cache cleared.
   template <class Compute>
-  const gs::GsResult& get_or_compute(GenderEdge edge, GsEngine engine,
-                                     Compute&& compute, bool* hit = nullptr) {
-    std::optional<gs::GsResult>& entry = slots_[slot(edge, engine)];
+  const gs::GsResult& get_or_compute(GenderEdge edge, Compute&& compute,
+                                     bool* hit = nullptr) {
+    std::optional<gs::GsResult>& entry = slots_[slot(edge)];
     if (hit != nullptr) *hit = entry.has_value();
     if (entry.has_value()) {
       count_hit();
@@ -139,11 +126,11 @@ class GsEdgeCache {
 
   [[nodiscard]] Gender genders() const noexcept { return k_; }
 
-  /// Entries currently stored (distinct (edge, engine) keys).
+  /// Entries currently stored (distinct oriented edges).
   [[nodiscard]] std::size_t size() const;
 
  private:
-  [[nodiscard]] std::size_t slot(GenderEdge edge, GsEngine engine) const;
+  [[nodiscard]] std::size_t slot(GenderEdge edge) const;
   void count_hit();
   /// Checks `result`'s genders against `edge`, stores it and counts a miss.
   void store(GenderEdge edge, std::optional<gs::GsResult>& entry,
@@ -153,7 +140,7 @@ class GsEdgeCache {
   /// Instance generation the guard is armed against (nullopt = unbound
   /// cache, guard off).
   std::optional<std::uint64_t> bound_generation_;
-  /// k·k·kEngineCount slots, indexed by slot(); the diagonal stays empty.
+  /// k·k slots, indexed by slot(); the diagonal stays empty.
   std::vector<std::optional<gs::GsResult>> slots_;
   Stats stats_;
 };

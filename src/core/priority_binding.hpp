@@ -27,7 +27,7 @@ struct PriorityBindingOptions {
   /// convention).
   std::vector<std::int32_t> priority;
 
-  BindingOptions binding;  ///< engine selection for the per-edge GS runs
+  BindingOptions binding;  ///< control and cache for the per-edge GS runs
 };
 
 struct PriorityBindingResult {

@@ -121,11 +121,9 @@ TreeSweepResult table_sweep(const KPartiteInstance& inst,
   std::optional<GsEdgeCache> local;
   GsEdgeCache& cache =
       opt.cache != nullptr ? *opt.cache : local.emplace(inst);
-  gs::GsWorkspace workspace;
   BindingOptions bopts;
   bopts.control = opt.control;
   bopts.cache = &cache;
-  bopts.workspace = &workspace;
 
   TreeSweepResult out;
   TreeSweepStats& st = out.stats;
@@ -170,11 +168,9 @@ TreeSweepResult score_sweep(const KPartiteInstance& inst, std::int64_t count,
                             const TreeSweepOptions& opt) {
   require_cache_fits(inst, opt);
   const WallTimer timer;
-  gs::GsWorkspace workspace;
   BindingOptions bopts;
   bopts.control = opt.control;
   bopts.cache = opt.cache;
-  bopts.workspace = &workspace;
 
   TreeSweepResult out;
   TreeSweepStats& st = out.stats;

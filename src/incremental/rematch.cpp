@@ -103,7 +103,6 @@ RematchReport rematch(const KPartiteInstance& inst,
                          "since the previous solve");
   RematchReport report;
   core::BindingOptions bopts;
-  bopts.engine = options.engine;
   bopts.cache = options.cache;
 
   const auto emit = [&report] {

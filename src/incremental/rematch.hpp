@@ -13,7 +13,7 @@
 //   3. returns `previous` as it is when no tree edge needs a re-solve, and
 //      otherwise walks the tree with core::bind_edge, handing each untouched
 //      or replayed edge its previous result as known (reused verbatim) and
-//      re-solving the rest cold with the selected engine, then finishes
+//      re-solving the rest cold, then finishes
 //      through core::finish_binding like every Algorithm 1 driver;
 //   4. reports exact work accounting: slots invalidated, per-verdict edge
 //      counts, and the proposals actually executed.
@@ -54,9 +54,6 @@ namespace kstable::incremental {
                            const MutationDelta& delta);
 
 struct RematchOptions {
-  /// Engine for the edges re-solved cold (and the engine key cached results
-  /// publish under): queue or rounds.
-  core::GsEngine engine = core::GsEngine::queue;
   /// Optional edge cache carried across re-stabilizations. rematch() performs
   /// the targeted invalidation + rebind itself. Like every cache, it is
   /// used by one thread at a time (core/gs_cache.hpp).
@@ -99,7 +96,7 @@ struct RematchReport {
 /// inst.generation()) over the spanning tree `tree`, reusing `previous` —
 /// the binding result solved on the pre-delta instance over the same tree —
 /// for every edge the delta left untouched or whose previous result replays
-/// exactly. Requires a sequential engine (queue or rounds).
+/// exactly; the rest are re-solved by core::run_binding's queue engine.
 /// Returns the new proposer-optimal matching, bitwise-identical to a cold
 /// iterative_binding of the mutated instance.
 RematchReport rematch(const KPartiteInstance& inst,

@@ -47,28 +47,6 @@ void run_attempt(const FallbackOptions& options, Attempt& out, Bind&& bind) {
 /// Seed of the deterministic candidate-tree stream.
 constexpr std::uint64_t kTreeSeed = 0x5eed;
 
-/// The strict rungs' candidate trees, deduplicated by Prüfer code and capped
-/// by Cayley's k^(k-2) (cayley_count saturates at INT64_MAX for large k).
-/// Candidate 0 is the path tree (the library default); later ones are drawn
-/// from the seeded Prüfer-random stream, skipping repeats.
-std::vector<BindingStructure> candidate_trees(Gender k,
-                                              const FallbackOptions& options) {
-  const std::int64_t count = std::min<std::int64_t>(
-      options.max_tree_attempts, prufer::cayley_count(k));
-  Rng rng(kTreeSeed);
-  std::set<std::vector<Gender>> tried;
-  std::vector<BindingStructure> candidates;
-  candidates.reserve(static_cast<std::size_t>(count));
-  while (static_cast<std::int64_t>(candidates.size()) < count) {
-    BindingStructure tree =
-        candidates.empty() ? trees::path(k) : prufer::random_tree(k, rng);
-    if (tried.insert(prufer::encode(tree)).second) {
-      candidates.push_back(std::move(tree));
-    }
-  }
-  return candidates;
-}
-
 }  // namespace
 
 FallbackReport solve_with_fallback(const KPartiteInstance& inst,
@@ -84,41 +62,6 @@ FallbackReport solve_with_fallback(const KPartiteInstance& inst,
       options.cache != nullptr ? options.cache->stats()
                                : core::GsEdgeCache::Stats{};
   const WallTimer ladder_timer;
-  const auto finalize = [&](FallbackReport& r) -> FallbackReport& {
-    if (options.cache != nullptr) {
-      const auto now = options.cache->stats();
-      r.cache_hits = now.hits - cache_before.hits;
-      r.cache_misses = now.misses - cache_before.misses;
-    }
-    obs::SolveTelemetry& t = r.telemetry;
-    t.engine = "ladder";
-    t.genders = inst.genders();
-    t.size = inst.per_gender();
-    t.wall_ms = ladder_timer.millis();
-    t.add_phase("ladder", t.wall_ms);
-    t.status = r.status;
-    // The ladder's proposal total is the semantic count of the winning
-    // attempt; executed covers every attempt (failed rungs included).
-    t.proposals = r.result.has_value() ? r.result->total_proposals : 0;
-    t.executed_proposals = r.executed_proposals;
-    t.cache_hits = r.cache_hits;
-    t.cache_misses = r.cache_misses;
-    t.attempts = static_cast<std::int64_t>(r.attempts.size());
-    t.rung = static_cast<std::int32_t>(r.rung);
-    obs::record(t);
-    switch (r.rung) {
-      case Rung::strict_tree:
-        KSTABLE_COUNTER_ADD("ladder.rung.strict", 1);
-        break;
-      case Rung::degraded_priority:
-        KSTABLE_COUNTER_ADD("ladder.rung.degraded", 1);
-        break;
-      case Rung::none:
-        KSTABLE_COUNTER_ADD("ladder.rung.none", 1);
-        break;
-    }
-    return r;
-  };
   const auto log_attempt = [&report](Attempt& a) {
     report.executed_proposals += a.executed;
     report.status = a.log.status;
@@ -130,10 +73,24 @@ FallbackReport solve_with_fallback(const KPartiteInstance& inst,
     report.attempts.push_back(std::move(a.log));
   };
 
-  // Strict rungs, in order, up to the first success or cancellation.
-  const std::vector<BindingStructure> candidates =
-      candidate_trees(inst.genders(), options);
-  for (const BindingStructure& tree : candidates) {
+  // Strict rungs, in order, up to the first success or cancellation, capped
+  // by Cayley's k^(k-2) distinct trees (cayley_count saturates at INT64_MAX
+  // for large k). The first binds the path tree (the library default); each
+  // later rung's tree is drawn only after the rung before it failed, from the
+  // seeded Prüfer-random stream, skipping codes already tried.
+  const Gender k = inst.genders();
+  const std::int64_t rungs = std::min<std::int64_t>(
+      options.max_tree_attempts, prufer::cayley_count(k));
+  Rng rng(kTreeSeed);
+  std::set<std::vector<Gender>> tried;
+  BindingStructure tree = trees::path(k);
+  for (std::int64_t attempt = 0; attempt < rungs; ++attempt) {
+    if (attempt > 0) {
+      if (attempt == 1) tried.insert(prufer::encode(tree));  // the path tree
+      do {
+        tree = prufer::random_tree(k, rng);
+      } while (!tried.insert(prufer::encode(tree)).second);
+    }
     Attempt a;
     a.log.tree_edges = tree.edges();
     run_attempt(options, a, [&](const core::BindingOptions& bopts) {
@@ -145,11 +102,11 @@ FallbackReport solve_with_fallback(const KPartiteInstance& inst,
       break;
     }
   }
-  if (report.succeeded) return finalize(report);
 
   // A cancellation is a caller decision, not a per-tree failure: it also
   // skips the degraded rung.
-  if (options.allow_degraded && !options.token.cancelled()) {
+  if (!report.succeeded && options.allow_degraded &&
+      !options.token.cancelled()) {
     Attempt degraded;
     degraded.log.rung = Rung::degraded_priority;
     run_attempt(options, degraded, [&](const core::BindingOptions& bopts) {
@@ -161,7 +118,40 @@ FallbackReport solve_with_fallback(const KPartiteInstance& inst,
     });
     log_attempt(degraded);
   }
-  return finalize(report);
+
+  if (options.cache != nullptr) {
+    const auto now = options.cache->stats();
+    report.cache_hits = now.hits - cache_before.hits;
+    report.cache_misses = now.misses - cache_before.misses;
+  }
+  obs::SolveTelemetry& t = report.telemetry;
+  t.engine = "ladder";
+  t.genders = k;
+  t.size = inst.per_gender();
+  t.wall_ms = ladder_timer.millis();
+  t.add_phase("ladder", t.wall_ms);
+  t.status = report.status;
+  // The ladder's proposal total is the semantic count of the winning
+  // attempt; executed covers every attempt (failed rungs included).
+  t.proposals = report.result.has_value() ? report.result->total_proposals : 0;
+  t.executed_proposals = report.executed_proposals;
+  t.cache_hits = report.cache_hits;
+  t.cache_misses = report.cache_misses;
+  t.attempts = static_cast<std::int64_t>(report.attempts.size());
+  t.rung = static_cast<std::int32_t>(report.rung);
+  obs::record(t);
+  switch (report.rung) {
+    case Rung::strict_tree:
+      KSTABLE_COUNTER_ADD("ladder.rung.strict", 1);
+      break;
+    case Rung::degraded_priority:
+      KSTABLE_COUNTER_ADD("ladder.rung.degraded", 1);
+      break;
+    case Rung::none:
+      KSTABLE_COUNTER_ADD("ladder.rung.none", 1);
+      break;
+  }
+  return report;
 }
 
 }  // namespace kstable::resilience

@@ -535,38 +535,31 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
       }
     }
 
-    {  // Uncached path: the selected engine re-solves the touched edges
-       // that fail replay — reused + replayed + re-solved verdicts cover the
+    {  // Uncached path: the queue engine re-solves the touched edges that
+       // fail replay — reused + replayed + re-solved verdicts cover the
        // whole tree.
-      for (const auto engine :
-           {core::GsEngine::queue, core::GsEngine::rounds}) {
-        incremental::RematchOptions ropts;
-        ropts.engine = engine;
-        const auto warm = incremental::rematch(inst, path, previous, delta,
-                                               ropts);
-        // `previous`'s own results are what this leg returns for reused
-        // and replayed edges, so their per-edge arrays and counts are
-        // checked with the matching.
-        std::ostringstream ms;
-        ms << "uncached rematch under engine " << core::to_string(engine)
-           << " vs cold re-solve: ";
-        const bool same_matching = warm.result.matching() == cold.matching();
-        if (!same_matching) {
-          ms << describe_diff(cold.matching().raw(),
-                              warm.result.matching().raw());
-        }
-        const bool agree = same_matching && edges_agree(cold, warm.result, ms);
-        rec.check(agree, "churn.rematch.engine.bitwise", ms.str());
-        std::ostringstream es;
-        es << "edges reused " << warm.edges_reused << " + replayed "
-           << warm.edges_replayed << " + re-solved " << warm.edges_warm
-           << " + cold " << warm.edges_cold << " != " << (k - 1)
-           << " tree edges";
-        rec.check(warm.edges_reused + warm.edges_replayed + warm.edges_warm +
-                          warm.edges_cold ==
-                      static_cast<std::int64_t>(k) - 1,
-                  "churn.rematch.edge-accounting", es.str());
+      const auto warm = incremental::rematch(inst, path, previous, delta);
+      // `previous`'s own results are what this leg returns for reused and
+      // replayed edges, so their per-edge arrays and counts are checked with
+      // the matching.
+      std::ostringstream ms;
+      ms << "uncached rematch vs cold re-solve: ";
+      const bool same_matching = warm.result.matching() == cold.matching();
+      if (!same_matching) {
+        ms << describe_diff(cold.matching().raw(),
+                            warm.result.matching().raw());
       }
+      const bool agree = same_matching && edges_agree(cold, warm.result, ms);
+      rec.check(agree, "churn.rematch.engine.bitwise", ms.str());
+      std::ostringstream es;
+      es << "edges reused " << warm.edges_reused << " + replayed "
+         << warm.edges_replayed << " + re-solved " << warm.edges_warm
+         << " + cold " << warm.edges_cold << " != " << (k - 1)
+         << " tree edges";
+      rec.check(warm.edges_reused + warm.edges_replayed + warm.edges_warm +
+                        warm.edges_cold ==
+                    static_cast<std::int64_t>(k) - 1,
+                "churn.rematch.edge-accounting", es.str());
     }
 
     {  // Width twin: the relaid copy shares the generation, so the same

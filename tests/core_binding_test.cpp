@@ -2,7 +2,10 @@
 // Theorem 3 proposal bound, Theorem 4 tightness, tree-shape sweeps.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "analysis/oracle.hpp"
 #include "analysis/stability.hpp"
@@ -100,14 +103,52 @@ TEST(IterativeBinding, AllTreesStableOnSmallInstances) {
   EXPECT_EQ(trees, 16);
 }
 
-TEST(IterativeBinding, EnginesProduceIdenticalMatchings) {
-  Rng rng(230);
-  const auto inst = gen::uniform(4, 8, rng);
+TEST(IterativeBinding, ThreadsBindDifferentSizesConcurrently) {
+  // Each thread binds on its own GS workspace: a large instance after a
+  // small one (the workspace grows) and a small one after a large one (it
+  // reuses the capacity), both at once, each equal to a one-thread solve.
+  Rng rng(231);
+  const auto large = gen::uniform(4, 200, rng);
+  const auto small = gen::uniform(4, 8, rng);
   const auto tree = prufer::random_tree(4, rng);
-  const auto queue = iterative_binding(inst, tree, {GsEngine::queue});
-  const auto rounds = iterative_binding(inst, tree, {GsEngine::rounds});
-  EXPECT_EQ(queue.matching(), rounds.matching());
-  EXPECT_EQ(queue.total_proposals, rounds.total_proposals);
+  const auto large_reference = iterative_binding(large, tree);
+  const auto small_reference = iterative_binding(small, tree);
+  const auto bind_both = [&tree](const KPartiteInstance& first,
+                                 const KPartiteInstance& second,
+                                 std::vector<BindingResult>& out) {
+    for (int round = 0; round < 3; ++round) {
+      out.push_back(iterative_binding(first, tree));
+      out.push_back(iterative_binding(second, tree));
+    }
+  };
+  std::vector<BindingResult> large_first;
+  std::vector<BindingResult> small_first;
+  std::thread a(bind_both, std::cref(large), std::cref(small),
+                std::ref(large_first));
+  std::thread b(bind_both, std::cref(small), std::cref(large),
+                std::ref(small_first));
+  a.join();
+  b.join();
+  const auto expect_same = [](const BindingResult& got,
+                              const BindingResult& want) {
+    EXPECT_EQ(got.matching(), want.matching());
+    EXPECT_EQ(got.total_proposals, want.total_proposals);
+    ASSERT_EQ(got.edge_results.size(), want.edge_results.size());
+    for (std::size_t e = 0; e < got.edge_results.size(); ++e) {
+      EXPECT_EQ(got.edge_results[e].proposer_match,
+                want.edge_results[e].proposer_match);
+      EXPECT_EQ(got.edge_results[e].responder_match,
+                want.edge_results[e].responder_match);
+    }
+  };
+  ASSERT_EQ(large_first.size(), 6u);
+  ASSERT_EQ(small_first.size(), 6u);
+  for (std::size_t i = 0; i < 6; i += 2) {
+    expect_same(large_first[i], large_reference);
+    expect_same(large_first[i + 1], small_reference);
+    expect_same(small_first[i], small_reference);
+    expect_same(small_first[i + 1], large_reference);
+  }
 }
 
 TEST(IterativeBinding, StableMatchingsExistForAllSmallSizes) {

@@ -1,13 +1,12 @@
 // Tests for core::GsEdgeCache: the cache must be semantically invisible —
 // cached and uncached solves produce identical KaryMatchings, proposal
 // counts, and stability verdicts across every spanning binding tree (GS
-// confluence makes each per-edge result a pure function of the instance,
-// the oriented edge, and the engine) — while collapsing multi-tree work to
-// at most k(k-1) fresh GS runs per instance.
+// confluence makes each per-edge result a pure function of the instance and
+// the oriented edge) — while collapsing multi-tree work to at most k(k-1)
+// fresh GS runs per instance.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <tuple>
 #include <vector>
 
 #include "analysis/oracle.hpp"
@@ -27,21 +26,18 @@ namespace {
 
 /// Property sweep: for every Prüfer tree of k genders, a shared cache must
 /// not change anything observable about iterative_binding.
-class CacheTransparencyTest
-    : public ::testing::TestWithParam<std::tuple<Gender, GsEngine>> {};
+class CacheTransparencyTest : public ::testing::TestWithParam<Gender> {};
 
 TEST_P(CacheTransparencyTest, IdenticalAcrossAllPruferTrees) {
-  const auto [k, engine] = GetParam();
+  const Gender k = GetParam();
   const Index n = 5;
   Rng rng(static_cast<std::uint64_t>(k) * 1201 + 17);
   const auto inst = gen::uniform(k, n, rng);
 
   GsEdgeCache cache(k);
   BindingOptions cached_options;
-  cached_options.engine = engine;
   cached_options.cache = &cache;
-  BindingOptions uncached_options;
-  uncached_options.engine = engine;
+  const BindingOptions uncached_options;
 
   std::int64_t trees = 0;
   std::int64_t accumulated_executed_cached = 0;
@@ -66,8 +62,8 @@ TEST_P(CacheTransparencyTest, IdenticalAcrossAllPruferTrees) {
     EXPECT_EQ(uncached.cache_misses, 0);
   });
   EXPECT_EQ(trees, prufer::cayley_count(k));
-  // The cache holds at most k(k-1) oriented edges for this engine, no matter
-  // how many trees were swept.
+  // The cache holds at most k(k-1) oriented edges, no matter how many trees
+  // were swept.
   EXPECT_LE(cache.size(),
             static_cast<std::size_t>(k) * static_cast<std::size_t>(k - 1));
   const auto stats = cache.stats();
@@ -82,12 +78,10 @@ TEST_P(CacheTransparencyTest, IdenticalAcrossAllPruferTrees) {
   EXPECT_LE(accumulated_executed_cached, accumulated_executed_uncached);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, CacheTransparencyTest,
-    ::testing::Combine(::testing::Values(Gender{3}, Gender{4}, Gender{5}),
-                       ::testing::Values(GsEngine::queue, GsEngine::rounds)));
+INSTANTIATE_TEST_SUITE_P(Sweep, CacheTransparencyTest,
+                         ::testing::Values(Gender{3}, Gender{4}, Gender{5}));
 
-TEST(GsEdgeCache, KeyedByOrientationAndEngine) {
+TEST(GsEdgeCache, KeyedByOrientation) {
   Rng rng(42);
   const auto inst = gen::uniform(3, 8, rng);
   GsEdgeCache cache(3);
@@ -109,13 +103,7 @@ TEST(GsEdgeCache, KeyedByOrientationAndEngine) {
   const auto replay = run_binding(inst, {0, 1}, options, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(replay.proposer_match, forward.proposer_match);
-
-  // Same edge, different engine: distinct key (same matching by confluence).
-  options.engine = GsEngine::rounds;
-  const auto rounds = run_binding(inst, {0, 1}, options, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(rounds.proposer_match, forward.proposer_match);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(GsEdgeCache, GenderCountMismatchThrows) {
@@ -333,14 +321,14 @@ TEST(GsEdgeCache, ThrowingComputeStoresNothing) {
   struct Boom {};
   // The compute dies (an aborted ladder attempt): the key must stay empty
   // instead of holding a result nobody computed.
-  EXPECT_THROW(cache.get_or_compute({0, 1}, GsEngine::queue,
+  EXPECT_THROW(cache.get_or_compute({0, 1},
                                     []() -> gs::GsResult { throw Boom{}; }),
                Boom);
   EXPECT_EQ(cache.size(), 0u);
   // The next caller computes normally.
   bool hit = true;
-  const auto& r = cache.get_or_compute(
-      {0, 1}, GsEngine::queue, [] { return fabricated({0, 1}); }, &hit);
+  const auto& r =
+      cache.get_or_compute({0, 1}, [] { return fabricated({0, 1}); }, &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(r.proposals, 1);
   EXPECT_EQ(cache.size(), 1u);

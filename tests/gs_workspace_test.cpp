@@ -5,8 +5,10 @@
 // bound (n² events) up front instead of growing geometrically, that the
 // instance loader allocates a fixed number of times per instance, not per
 // preference row, that Algorithm 1's class derivation allocates exactly its
-// three flat tables, not one vector per class, and that a warm edge-cache
-// lookup allocates nothing.
+// three flat tables, not one vector per class, that a warm edge-cache
+// lookup allocates nothing, that a binding on a warm thread allocates only
+// the match arrays it returns, and how many times one serve body's ladder
+// allocates.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +21,9 @@
 #include "graph/prufer.hpp"
 #include "gs/gale_shapley.hpp"
 #include "prefs/generators.hpp"
+#include "observability/metrics.hpp"
 #include "prefs/io.hpp"
+#include "resilience/solve_ladder.hpp"
 #include "serve/client.hpp"
 #include "util/rng.hpp"
 
@@ -188,18 +192,21 @@ TEST(GsWorkspace, SmallerInstancesReuseWarmCapacity) {
 
 TEST(GsWorkspace, WorkspaceThreadedThroughRunBinding) {
   Rng rng(75);
-  const auto inst = gen::uniform(4, 32, rng);
-  GsWorkspace workspace;
-  core::BindingOptions options;
-  options.workspace = &workspace;
-  const auto with_workspace = core::run_binding(inst, {1, 3}, options);
-  const auto without = core::run_binding(inst, {1, 3}, {});
-  EXPECT_EQ(with_workspace.proposer_match, without.proposer_match);
-  EXPECT_EQ(with_workspace.proposals, without.proposals);
-
-  options.engine = core::GsEngine::rounds;
-  const auto rounds = core::run_binding(inst, {1, 3}, options);
-  EXPECT_EQ(rounds.proposer_match, without.proposer_match);
+  const auto inst = gen::uniform(3, 64, rng);
+  // The first binding on this thread may grow its workspace.
+  (void)core::run_binding(inst, {0, 1}, {});
+  // After that an uncached binding allocates only the two match arrays of
+  // the result it returns.
+  GsResult result;
+  EXPECT_EQ(allocations_during(
+                [&] { result = core::run_binding(inst, {1, 2}, {}); }),
+            2);
+  const auto expected = gale_shapley_queue(inst, 1, 2);
+  EXPECT_EQ(result.proposer_match, expected.proposer_match);
+  EXPECT_EQ(result.responder_match, expected.responder_match);
+  EXPECT_EQ(result.proposals, expected.proposals);
+  EXPECT_EQ(result.rounds, expected.rounds);
+  EXPECT_STREQ(result.engine, expected.engine);
 }
 
 TEST(GsTrace, TracedRunsReserveTheTheorem3Bound) {
@@ -259,8 +266,7 @@ TEST(GsEdgeCacheAllocations, WarmHitsAllocateOnlyTheResultCopy) {
   // A lookup that hits allocates nothing.
   bool hit = false;
   EXPECT_EQ(allocations_during([&] {
-              (void)cache.get_or_compute(edge, core::GsEngine::queue, compute,
-                                         &hit);
+              (void)cache.get_or_compute(edge, compute, &hit);
             }),
             0);
   EXPECT_TRUE(hit);
@@ -304,6 +310,40 @@ TEST(DeriveFamiliesAllocations, SameCountAtEverySize) {
     EXPECT_EQ(small, large) << "k = " << tree.genders();
     EXPECT_EQ(large, 3) << "k = " << tree.genders();
   }
+}
+
+TEST(LadderAllocations, OneServeBodyOnAWarmThread) {
+  // One k = 3, n = 64 serve body's cache and ladder: a GsEdgeCache bound to
+  // the instance and solve_with_fallback at ServeLimits' 2 strict rungs,
+  // where the first rung succeeds.
+  Rng rng(81);
+  const auto inst = gen::uniform(3, 64, rng);
+  const auto body = [&inst] {
+    core::GsEdgeCache cache(inst);
+    resilience::FallbackOptions options;
+    options.max_tree_attempts = 2;
+    options.cache = &cache;
+    return resilience::solve_with_fallback(inst, options);
+  };
+  // The first body warms the thread's GS workspace and the metric series.
+  (void)body();
+  resilience::FallbackReport report;
+  const std::int64_t allocs = allocations_during([&] { report = body(); });
+  ASSERT_TRUE(report.succeeded);
+  EXPECT_EQ(report.rung, resilience::Rung::strict_tree);
+  EXPECT_EQ(report.attempts.size(), 1u);
+  // The cache's slot table, the options' cancellation token, the path tree
+  // (7), the attempt log (2), two is_spanning_tree checks (4), the two
+  // edges' match arrays, their copies out of the cache and the edge_results
+  // vector (9), and derive_families (3) — plus, with metrics compiled in,
+  // the binding's and the ladder's obs::record (15). The later rungs' trees
+  // are drawn only when a rung fails, the report is not copied on return,
+  // and the GS runs reuse the thread's workspace (docs/PERFORMANCE.md).
+#if KSTABLE_METRICS_ENABLED
+  EXPECT_EQ(allocs, 42);
+#else
+  EXPECT_EQ(allocs, 27);
+#endif
 }
 
 }  // namespace

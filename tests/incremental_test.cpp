@@ -407,14 +407,16 @@ PairEdit edit_pair(KPartiteInstance& inst, Rng& rng, std::uint64_t shape) {
   return edit;
 }
 
-gs::GsResult solve(core::GsEngine engine, const KPartiteInstance& inst,
+/// A GS engine by value: gs::gale_shapley_queue or gs::gale_shapley_rounds.
+using Engine = gs::GsResult (*)(const KPartiteInstance&, Gender, Gender,
+                                const gs::GsOptions&);
+
+gs::GsResult solve(Engine engine, const KPartiteInstance& inst,
                    std::vector<gs::ProposalEvent>& trace) {
   trace.clear();
   gs::GsOptions options;
   options.trace = &trace;
-  return engine == core::GsEngine::queue
-             ? gs::gale_shapley_queue(inst, 0, 1, options)
-             : gs::gale_shapley_rounds(inst, 0, 1, options);
+  return engine(inst, 0, 1, options);
 }
 
 TEST(Replay, VerdictIsSoundAndExactOnProposerSwaps) {
@@ -423,13 +425,18 @@ TEST(Replay, VerdictIsSoundAndExactOnProposerSwaps) {
   // "re-solve" on a single swap, the swap really reached what GS read: a
   // proposer's walk changes (so the cold trace differs), or two of a
   // responder's inclusive suitors trade places in its order.
-  for (const auto engine : {core::GsEngine::queue, core::GsEngine::rounds}) {
+  const struct {
+    const char* name;
+    Engine engine;
+  } engines[] = {{"queue", &gs::gale_shapley_queue},
+                 {"rounds", &gs::gale_shapley_rounds}};
+  for (const auto& [name, engine] : engines) {
     for (const Index n : {Index{8}, Index{64}}) {
       int replayed = 0;
       int resolved = 0;
       for (std::uint64_t seed = 0; seed < 200; ++seed) {
-        SCOPED_TRACE(testing::Message() << core::to_string(engine)
-                                        << " n=" << n << " seed=" << seed);
+        SCOPED_TRACE(testing::Message() << name << " n=" << n
+                                        << " seed=" << seed);
         Rng rng(seed * 7919 + static_cast<std::uint64_t>(n));
         auto inst = gen::uniform(3, n, rng);
         std::vector<gs::ProposalEvent> before;
@@ -467,8 +474,8 @@ TEST(Replay, VerdictIsSoundAndExactOnProposerSwaps) {
         EXPECT_NE(old_order, new_order);
       }
       // Both verdicts occur at both sizes, or the property says little.
-      EXPECT_GT(replayed, 0) << core::to_string(engine) << " n=" << n;
-      EXPECT_GT(resolved, 0) << core::to_string(engine) << " n=" << n;
+      EXPECT_GT(replayed, 0) << name << " n=" << n;
+      EXPECT_GT(resolved, 0) << name << " n=" << n;
     }
   }
 }

@@ -217,14 +217,6 @@ TEST(SolveTelemetry, IterativeBindingAttachesTelemetry) {
   EXPECT_STREQ(result.telemetry.phases[0].name, "bind");
 }
 
-TEST(SolveTelemetry, BindingEngineLabelTracksOptions) {
-  const auto inst = uniform_instance(3, 10, 9);
-  core::BindingOptions options;
-  options.engine = core::GsEngine::rounds;
-  const auto result = core::iterative_binding(inst, trees::path(3), options);
-  EXPECT_STREQ(result.telemetry.engine, "binding.rounds");
-}
-
 TEST(SolveTelemetry, PriorityBindingRelabelsPhases) {
   const auto inst = uniform_instance(4, 10, 11);
   const auto result = core::priority_binding(inst);

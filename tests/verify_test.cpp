@@ -221,7 +221,7 @@ TEST(DiffRunner, ParallelEngineLegJoinsTheBattery) {
 TEST(DiffRunner, ChurnLegsJoinTheBattery) {
   DiffOptions options;
   options.churn_steps = 3;
-  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1582);
+  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1552);
 }
 
 TEST(DiffRunner, GsSabotageIsDetected) {
