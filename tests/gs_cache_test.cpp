@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "analysis/oracle.hpp"
@@ -24,12 +25,17 @@
 namespace kstable::core {
 namespace {
 
+/// Order in which the sweep visits the Prüfer trees: which tree fills each
+/// cache slot first must not matter.
+enum class SweepOrder { enumeration, reversed };
+
 /// Property sweep: for every Prüfer tree of k genders, a shared cache must
 /// not change anything observable about iterative_binding.
-class CacheTransparencyTest : public ::testing::TestWithParam<Gender> {};
+class CacheTransparencyTest
+    : public ::testing::TestWithParam<std::tuple<Gender, SweepOrder>> {};
 
 TEST_P(CacheTransparencyTest, IdenticalAcrossAllPruferTrees) {
-  const Gender k = GetParam();
+  const auto [k, order] = GetParam();
   const Index n = 5;
   Rng rng(static_cast<std::uint64_t>(k) * 1201 + 17);
   const auto inst = gen::uniform(k, n, rng);
@@ -42,7 +48,10 @@ TEST_P(CacheTransparencyTest, IdenticalAcrossAllPruferTrees) {
   std::int64_t trees = 0;
   std::int64_t accumulated_executed_cached = 0;
   std::int64_t accumulated_executed_uncached = 0;
-  prufer::enumerate_trees(k, [&](const BindingStructure& tree) {
+  const std::int64_t count = prufer::cayley_count(k);
+  for (std::int64_t i = 0; i < count; ++i) {
+    const auto tree = prufer::tree_at(
+        order == SweepOrder::enumeration ? i : count - 1 - i, k);
     ++trees;
     const auto cached = iterative_binding(inst, tree, cached_options);
     const auto uncached = iterative_binding(inst, tree, uncached_options);
@@ -60,8 +69,8 @@ TEST_P(CacheTransparencyTest, IdenticalAcrossAllPruferTrees) {
     EXPECT_EQ(cached.cache_hits + cached.cache_misses, k - 1);
     EXPECT_EQ(uncached.cache_hits, 0);
     EXPECT_EQ(uncached.cache_misses, 0);
-  });
-  EXPECT_EQ(trees, prufer::cayley_count(k));
+  }
+  EXPECT_EQ(trees, count);
   // The cache holds at most k(k-1) oriented edges, no matter how many trees
   // were swept.
   EXPECT_LE(cache.size(),
@@ -78,8 +87,11 @@ TEST_P(CacheTransparencyTest, IdenticalAcrossAllPruferTrees) {
   EXPECT_LE(accumulated_executed_cached, accumulated_executed_uncached);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, CacheTransparencyTest,
-                         ::testing::Values(Gender{3}, Gender{4}, Gender{5}));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, CacheTransparencyTest,
+    ::testing::Combine(::testing::Values(Gender{3}, Gender{4}, Gender{5}),
+                       ::testing::Values(SweepOrder::enumeration,
+                                         SweepOrder::reversed)));
 
 TEST(GsEdgeCache, KeyedByOrientation) {
   Rng rng(42);
