@@ -40,7 +40,6 @@
 #include "bench_common.hpp"
 #include "gs/gale_shapley.hpp"
 #include "gs/scan_gs.hpp"
-#include "prefs/compact_ranks.hpp"
 #include "prefs/implicit/implicit_prefs.hpp"
 #include "prefs/kpartite.hpp"
 #include "util/table.hpp"
@@ -80,15 +79,18 @@ KPartiteInstance implicit_uniform(Index n) {
       2, n, {prefs::imp::Family::uniform, kSeed});
 }
 
-/// Table bytes the explicit compact layout would need for the same k=2
-/// instance: k·(k-1)·n² cells of prefs plus the same of ranks at the
-/// width-adaptive entry size.
+/// Table bytes an explicit layout would need for the same k=2 instance:
+/// k·(k-1)·n² cells of prefs plus as many ranks, each in the smallest
+/// unsigned type that holds a rank below n. Above
+/// KPartiteInstance::kMaxExplicitN that is 4 bytes, for tables no explicit
+/// instance can be built with.
 std::int64_t explicit_table_bytes(Index n) {
   const auto cells = 2LL * static_cast<std::int64_t>(n) *
                      static_cast<std::int64_t>(n);
-  const auto width = prefs::natural_rank_width(n);
-  return cells * static_cast<std::int64_t>(sizeof(Index) +
-                                           prefs::rank_entry_bytes(width));
+  const std::size_t rank_bytes = n <= KPartiteInstance::kMaxExplicitN
+                                     ? sizeof(std::uint16_t)
+                                     : sizeof(std::uint32_t);
+  return cells * static_cast<std::int64_t>(sizeof(Index) + rank_bytes);
 }
 
 /// Mean rank each side holds of its partner in `result` (proposer side in

@@ -7,6 +7,8 @@
 # Covers:
 #   * garbage/negative/overflowing numeric arguments exit 2 and print usage;
 #   * bad global-flag values (--deadline-ms=abc, --max-proposals=-1) exit 2;
+#   * `gen` refuses an explicit instance past the rank-table limit
+#     (n = 65536) with exit 2 and writes no file;
 #   * the demo binaries reject garbage positional arguments the same way;
 #   * a gen -> kary --stats-json round trip produces a schema-valid stats
 #     file whose proposal count matches the solver's stdout;
@@ -75,6 +77,21 @@ expect_usage_error "gen rejects n=0" \
   -- "$KMATCH" gen 3 0 0 "$WORK_DIR/never.inst"
 expect_usage_error "gen rejects out-of-range n" \
   -- "$KMATCH" gen 3 99999999999999999999 0 "$WORK_DIR/never.inst"
+# An explicit instance past the uint16_t rank limit is refused before its
+# tables (64 GiB at n = 65536) are allocated: exit 2, the limit named on
+# stderr, and no file written.
+rm -f "$WORK_DIR/too_big.inst"
+"$KMATCH" gen 2 65536 1 "$WORK_DIR/too_big.inst" >/dev/null 2>"$WORK_DIR/too_big.err"
+rc=$?
+if [ "$rc" -ne 2 ]; then
+  note_failure "gen 2 65536: exit $rc, expected 2"
+elif ! grep -qF "explicit rank tables hold n <= 65535" "$WORK_DIR/too_big.err"; then
+  note_failure "gen 2 65536: stderr lacks the explicit-table limit"
+elif [ -e "$WORK_DIR/too_big.inst" ]; then
+  note_failure "gen 2 65536 wrote a file"
+else
+  echo "ok: gen rejects n past the explicit-table limit"
+fi
 expect_usage_error "bad --deadline-ms value" \
   -- "$KMATCH" --deadline-ms=abc kary "$WORK_DIR/never.inst"
 expect_usage_error "negative --max-proposals" \

@@ -10,20 +10,21 @@ Three check classes, strictest first:
                         deterministic (proposal counts): must match the
                         baseline exactly. Machine-independent.
   2. ratio contracts  — WITHIN-file time ratios between a benchmark pair
-                        (e.g. u16/u32 rank layouts at the same n), compared
-                        across files with a tolerance. Ratios transfer
-                        between machines, so this is the cross-runner
-                        regression signal: if u16 ranks used to beat u32 by
-                        1.3x and a change makes them slower, the gate trips.
+                        (e.g. the implicit and explicit queue engine at the
+                        same n), compared across files with a tolerance.
+                        Ratios transfer between machines, so this is the
+                        cross-runner regression signal: if the generator
+                        used to cost 1.3x the tables and a change makes it
+                        costlier, the gate trips.
   3. absolute timing  — per-benchmark real_time vs the baseline, tolerance-
                         gated. Only meaningful when baseline and fresh run
                         came from the same machine; off by default, enabled
                         with --check-absolute (scripts/reproduce.sh runs).
 
 Usage:
-  compare_bench.py --baseline bench/baselines/BENCH_E19.json \
-      --fresh BENCH_e19.json \
-      --ratio bm_gs_queue_narrow bm_gs_queue_wide \
+  compare_bench.py --baseline bench/baselines/BENCH_E21.json \
+      --fresh BENCH_e21.json \
+      --ratio bm_implicit_queue bm_explicit_queue \
       [--tolerance 0.10] [--exact-counter proposals] [--check-absolute]
 
 Exit status: 0 = no regression, 1 = regression found, 2 = usage/data error.

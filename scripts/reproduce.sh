@@ -55,11 +55,9 @@ mv bench_output.txt.partial bench_output.txt
 python3 scripts/compare_bench.py \
   --baseline bench/baselines/BENCH_E18.json --fresh BENCH_e18.json \
   --exact-counter trees --exact-counter gs_runs
-# E19: exact proposal counters plus the u16/u32 rank-width time ratio of
-# the queue engine (pins the compact layout's win).
+# E19: exact proposal counters of the queue engine on the compact layout.
 python3 scripts/compare_bench.py \
-  --baseline bench/baselines/BENCH_E19.json --fresh BENCH_e19.json \
-  --ratio bm_gs_queue_narrow bm_gs_queue_wide
+  --baseline bench/baselines/BENCH_E19.json --fresh BENCH_e19.json
 # E20: rematch executes only the touched tree edge's cold solve, pinned by
 # the frozen-scenario counters.
 python3 scripts/compare_bench.py \

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/equivalence.hpp"
-#include "util/check.hpp"
 
 namespace kstable::core {
 
@@ -46,15 +45,10 @@ BindingStructure select_tree(const KPartiteInstance& inst,
                                                           : x.cost > y.cost;
             });
   // Kruskal: take edges in score order, skipping cycle-closers.
-  BindingStructure tree(inst.genders());
-  for (const auto& probe : probes) {
-    if (tree.is_spanning_tree()) break;
-    if (!tree.would_cycle(probe.edge.a, probe.edge.b)) {
-      tree.add_edge(probe.edge);
-    }
-  }
-  KSTABLE_ENSURE(tree.is_spanning_tree(), "Kruskal failed to span");
-  return tree;
+  std::vector<GenderEdge> order;
+  order.reserve(probes.size());
+  for (const auto& probe : probes) order.push_back(probe.edge);
+  return greedy_spanning_tree(inst.genders(), order);
 }
 
 BindingResult cost_aware_binding(const KPartiteInstance& inst,

@@ -7,9 +7,18 @@
 
 namespace kstable {
 
-BindingStructure::BindingStructure(Gender k) : k_(k) {
+BindingStructure::BindingStructure(Gender k) : k_(k), components_(k) {
   KSTABLE_REQUIRE(k >= 1, "binding structure needs k >= 1, got " << k);
-  adj_.resize(static_cast<std::size_t>(k));
+  edges_.reserve(static_cast<std::size_t>(k - 1));
+  parent_.resize(static_cast<std::size_t>(k));
+  std::iota(parent_.begin(), parent_.end(), Gender{0});
+}
+
+Gender BindingStructure::find(Gender g) const noexcept {
+  while (parent_[static_cast<std::size_t>(g)] != g) {
+    g = parent_[static_cast<std::size_t>(g)];
+  }
+  return g;
 }
 
 void BindingStructure::add_edge(GenderEdge e) {
@@ -21,26 +30,17 @@ void BindingStructure::add_edge(GenderEdge e) {
                     "duplicate binding edge (" << e.a << ',' << e.b << ")");
   }
   edges_.push_back(e);
-  adj_[static_cast<std::size_t>(e.a)].push_back(e.b);
-  adj_[static_cast<std::size_t>(e.b)].push_back(e.a);
+  const Gender ra = find(e.a);
+  const Gender rb = find(e.b);
+  if (ra == rb) {
+    ++cycle_edges_;
+  } else {
+    parent_[static_cast<std::size_t>(ra)] = rb;
+    --components_;
+  }
 }
 
 std::vector<std::int32_t> BindingStructure::component_labels() const {
-  // Union-find over genders (k is small: at most a few dozen genders).
-  std::vector<std::int32_t> parent(static_cast<std::size_t>(k_));
-  std::iota(parent.begin(), parent.end(), 0);
-  auto find = [&parent](std::int32_t x) {
-    while (parent[static_cast<std::size_t>(x)] != x) {
-      parent[static_cast<std::size_t>(x)] =
-          parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
-      x = parent[static_cast<std::size_t>(x)];
-    }
-    return x;
-  };
-  for (const auto& e : edges_) {
-    const std::int32_t ra = find(e.a), rb = find(e.b);
-    if (ra != rb) parent[static_cast<std::size_t>(ra)] = rb;
-  }
   std::vector<std::int32_t> labels(static_cast<std::size_t>(k_));
   for (Gender g = 0; g < k_; ++g) labels[static_cast<std::size_t>(g)] = find(g);
   return labels;
@@ -49,43 +49,38 @@ std::vector<std::int32_t> BindingStructure::component_labels() const {
 bool BindingStructure::would_cycle(Gender i, Gender j) const {
   KSTABLE_REQUIRE(i >= 0 && i < k_ && j >= 0 && j < k_ && i != j,
                   "would_cycle(" << i << ',' << j << ") invalid, k=" << k_);
-  const auto labels = component_labels();
-  return labels[static_cast<std::size_t>(i)] == labels[static_cast<std::size_t>(j)];
+  return find(i) == find(j);
 }
 
 std::int32_t BindingStructure::degree(Gender g) const {
   KSTABLE_REQUIRE(g >= 0 && g < k_, "degree: gender " << g << " out of range");
-  return static_cast<std::int32_t>(adj_[static_cast<std::size_t>(g)].size());
+  return static_cast<std::int32_t>(
+      std::count_if(edges_.begin(), edges_.end(),
+                    [g](const GenderEdge& e) { return e.a == g || e.b == g; }));
 }
 
 std::int32_t BindingStructure::max_degree() const {
   std::int32_t best = 0;
-  for (const auto& nbrs : adj_) {
-    best = std::max(best, static_cast<std::int32_t>(nbrs.size()));
-  }
+  for (Gender g = 0; g < k_; ++g) best = std::max(best, degree(g));
   return best;
 }
 
-std::int32_t BindingStructure::component_count() const {
-  auto labels = component_labels();
-  std::sort(labels.begin(), labels.end());
-  return static_cast<std::int32_t>(
-      std::unique(labels.begin(), labels.end()) - labels.begin());
-}
+std::int32_t BindingStructure::component_count() const { return components_; }
 
-bool BindingStructure::has_cycle() const {
-  // An acyclic edge set satisfies |E| = k - #components exactly.
-  return static_cast<std::int32_t>(edges_.size()) != k_ - component_count();
-}
+bool BindingStructure::has_cycle() const { return cycle_edges_ > 0; }
 
 bool BindingStructure::is_spanning_tree() const {
-  return component_count() == 1 &&
-         static_cast<std::int32_t>(edges_.size()) == k_ - 1;
+  return components_ == 1 && static_cast<std::int32_t>(edges_.size()) == k_ - 1;
 }
 
 std::vector<Gender> BindingStructure::neighbors(Gender g) const {
   KSTABLE_REQUIRE(g >= 0 && g < k_, "neighbors: gender " << g << " out of range");
-  return adj_[static_cast<std::size_t>(g)];
+  std::vector<Gender> out;
+  for (const auto& e : edges_) {
+    if (e.a == g) out.push_back(e.b);
+    if (e.b == g) out.push_back(e.a);
+  }
+  return out;
 }
 
 namespace trees {

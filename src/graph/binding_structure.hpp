@@ -27,6 +27,9 @@ struct GenderEdge {
 };
 
 /// Simple undirected edge set over k genders with tree/forest classification.
+/// Two allocations per structure: the edge list (reserved for a spanning
+/// tree's k-1 edges) and a gender union-find that add_edge keeps current, so
+/// every classification query reads it without allocating.
 class BindingStructure {
  public:
   explicit BindingStructure(Gender k);
@@ -56,16 +59,21 @@ class BindingStructure {
   /// True iff connected and acyclic with exactly k-1 edges.
   [[nodiscard]] bool is_spanning_tree() const;
 
-  /// Neighbors of gender `g`.
+  /// Neighbors of gender `g`, in edge insertion order.
   [[nodiscard]] std::vector<Gender> neighbors(Gender g) const;
 
   /// Component label per gender (labels are arbitrary but consistent).
   [[nodiscard]] std::vector<std::int32_t> component_labels() const;
 
  private:
+  /// Root of g's component in the union-find.
+  [[nodiscard]] Gender find(Gender g) const noexcept;
+
   Gender k_;
   std::vector<GenderEdge> edges_;
-  std::vector<std::vector<Gender>> adj_;
+  std::vector<Gender> parent_;       ///< union-find over genders
+  std::int32_t components_ = 0;      ///< connected components, isolated included
+  std::int32_t cycle_edges_ = 0;     ///< edges added inside one component
 };
 
 /// --- Tree factories -------------------------------------------------------

@@ -73,7 +73,7 @@ struct MatchArrays {
 }
 
 /// The queue loop, monomorphized on the preference view
-/// (prefs/implicit/pref_view.hpp): ExplicitView<R> compiles to raw
+/// (prefs/implicit/pref_view.hpp): ExplicitView compiles to raw
 /// hoisted-pointer loads, ImplicitView evaluates the same entries from the
 /// seeded generator in O(1) each. Every proposer starts free, pushed so pops
 /// ascend by index, and every responder unmatched (held_rank kFree). Stack
@@ -230,8 +230,8 @@ void gale_shapley_queue(const KPartiteInstance& inst, Gender i, Gender j,
   const Index n = inst.per_gender();
   reset_result(result, i, j, n);
   reserve_trace(options, n);
-  // One backend + width dispatch per solve; identical matchings every way
-  // (the DiffRunner layout and implicit batteries pin this bitwise).
+  // One backend dispatch per solve; identical matchings either way (the
+  // DiffRunner implicit battery pins this bitwise).
   prefs::with_pref_view(inst, i, j, [&](const auto view) {
     queue_loop(view, n, options, workspace, result);
   });

@@ -53,7 +53,7 @@ GsResult gale_shapley_parallel(const KPartiteInstance& inst, Gender i, Gender j,
   GsResult result;
   reset_result(result, i, j, n);
 
-  // One backend + width dispatch up front; the per-chunk tasks then run the
+  // One backend dispatch up front; the per-chunk tasks then run the
   // monomorphized view (pure reads, safe to share across the pool — the
   // implicit generator evaluates statelessly).
   prefs::with_pref_view(inst, i, j, [&](const auto view) {

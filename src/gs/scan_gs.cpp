@@ -38,7 +38,7 @@ bool scan_prefers(const View& view, Index r, Index n, Index a, Index b) {
 }  // namespace
 
 /// Textbook free-stack GS where the accept/reject test is a list walk,
-/// monomorphized per backend/width through with_pref_view.
+/// monomorphized per backend through with_pref_view.
 GsResult gale_shapley_scan(const KPartiteInstance& inst, Gender i, Gender j) {
   check_genders(inst, i, j);
   const Index n = inst.per_gender();

@@ -7,20 +7,6 @@
 
 namespace kstable::incremental {
 
-namespace {
-
-/// Rank width for a rebuilt instance of per-gender size `n`: preserve the
-/// source's layout choice unless n outgrew narrow16.
-prefs::RankWidth width_for(const KPartiteInstance& src, Index n) {
-  if (src.rank_width() == prefs::RankWidth::narrow16 &&
-      prefs::natural_rank_width(n) == prefs::RankWidth::wide32) {
-    return prefs::RankWidth::wide32;
-  }
-  return src.rank_width();
-}
-
-}  // namespace
-
 bool MutationDelta::touches(Gender a, Gender b) const noexcept {
   if (shape_changed) return true;
   for (const RowDelta& row : rows) {
@@ -123,7 +109,7 @@ ResizeResult add_member(const KPartiteInstance& inst, Rng& rng) {
   const Gender k = inst.genders();
   const Index n = inst.per_gender();
   const Index grown = n + 1;
-  KPartiteInstance out(k, grown, width_for(inst, grown));
+  KPartiteInstance out(k, grown);
   std::vector<Index> list(static_cast<std::size_t>(grown));
   for (Gender g = 0; g < k; ++g) {
     for (Index i = 0; i < n; ++i) {
@@ -159,7 +145,7 @@ ResizeResult remove_member(const KPartiteInstance& inst, Index victim) {
   KSTABLE_REQUIRE(victim >= 0 && victim < n,
                   "victim index " << victim << " out of range for n=" << n);
   const Index shrunk = n - 1;
-  KPartiteInstance out(k, shrunk, width_for(inst, shrunk));
+  KPartiteInstance out(k, shrunk);
   std::vector<Index> list;
   list.reserve(static_cast<std::size_t>(shrunk));
   for (Gender g = 0; g < k; ++g) {

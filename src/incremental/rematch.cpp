@@ -27,16 +27,16 @@ bool responder_replays(const KPartiteInstance& inst,
   const Gender proposers = row.target;
   const Gender responders = row.member.gender;
   const auto responder = static_cast<std::size_t>(row.member.index);
-  const prefs::RankRow ranks = inst.rank_row(row.member, proposers);
+  const auto ranks = inst.rank_row(row.member, proposers);
   const auto suitor = [&](Index q) {
-    const prefs::RankRow walk = inst.rank_row({proposers, q}, responders);
+    const auto walk = inst.rank_row({proposers, q}, responders);
     return walk[responder] <=
            walk[static_cast<std::size_t>(
                previous.proposer_match[static_cast<std::size_t>(q)])];
   };
   int in_window = 0;
   for (Index q = 0; q < inst.per_gender(); ++q) {
-    const std::int32_t rank = ranks[static_cast<std::size_t>(q)];
+    const Index rank = ranks[static_cast<std::size_t>(q)];
     if (rank < row.lo || rank > row.hi || !suitor(q)) continue;
     if (++in_window > 1) break;
   }

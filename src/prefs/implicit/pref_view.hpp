@@ -20,8 +20,8 @@
 // plus two hooks the queue loop calls on every proposal, prefetch_pref and
 // prefetch_rank.
 //
-// ExplicitView<R> implements them as the raw-pointer arithmetic the engines
-// used to inline directly (one row-base multiply per proposal, typed rank
+// ExplicitView implements them as the raw-pointer arithmetic the engines
+// used to inline directly (one row-base multiply per proposal, uint16_t rank
 // loads, real software prefetches) — the explicit backend keeps its
 // zero-overhead path, checked by the E19 baseline gate. ImplicitView
 // implements them as O(1) generator evaluations (prefs/implicit/feistel.hpp)
@@ -51,23 +51,21 @@ inline void view_prefetch_ro(const void* p) noexcept {
 #endif
 }
 
-/// Arena-table view, monomorphized on the stored rank type R. Construction
-/// hoists the three row bases the old engine code computed inline; all
-/// accessors compile to the identical loads.
-template <typename R>
+/// Arena-table view. Construction hoists the three row bases the old engine
+/// code computed inline; all accessors compile to the identical loads.
 class ExplicitView {
  public:
-  using Rank = R;
+  using Rank = std::uint16_t;
   /// Hoisted responder row: the rank row for the accept/reject compare plus
   /// the pref row for the scan engine's list walk.
   struct RespRow {
-    const R* ranks;
+    const Rank* ranks;
     const Index* prefs;
   };
   ExplicitView(const KPartiteInstance& inst, Gender i, Gender j) noexcept
       : pref_(inst.pref_row({i, 0}, j).data()),
         resp_pref_(inst.pref_row({j, 0}, i).data()),
-        resp_rank_(inst.rank_base<R>() + inst.row_base({j, 0}, i)),
+        resp_rank_(inst.rank_row({j, 0}, i).data()),
         stride_(static_cast<std::size_t>(inst.genders() - 1) *
                 static_cast<std::size_t>(inst.per_gender())) {}
 
@@ -108,7 +106,7 @@ class ExplicitView {
  private:
   const Index* pref_;       ///< pref row base of proposer (i, 0) over j
   const Index* resp_pref_;  ///< pref row base of responder (j, 0) over i
-  const R* resp_rank_;      ///< rank row base of responder (j, 0) over i
+  const Rank* resp_rank_;   ///< rank row base of responder (j, 0) over i
   std::size_t stride_;      ///< (k-1)·n elements between consecutive members
 };
 
@@ -160,19 +158,16 @@ class ImplicitView {
   Gender j_;
 };
 
-/// One backend + width dispatch per solve: calls `fn` with the matching
-/// monomorphized view. The callable is instantiated for ExplicitView<u16>,
-/// ExplicitView<u32>, and ImplicitView.
+/// One backend dispatch per solve: calls `fn` with the matching
+/// monomorphized view. The callable is instantiated for ExplicitView and
+/// ImplicitView.
 template <typename Fn>
 decltype(auto) with_pref_view(const KPartiteInstance& inst, Gender i, Gender j,
                               Fn&& fn) {
   if (inst.backend() == PrefBackend::implicit_gen) {
     return fn(ImplicitView(inst, i, j));
   }
-  if (inst.rank_width() == RankWidth::narrow16) {
-    return fn(ExplicitView<std::uint16_t>(inst, i, j));
-  }
-  return fn(ExplicitView<std::uint32_t>(inst, i, j));
+  return fn(ExplicitView(inst, i, j));
 }
 
 }  // namespace kstable::prefs

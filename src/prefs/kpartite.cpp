@@ -2,27 +2,21 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "resilience/errors.hpp"
 #include "util/check.hpp"
 
 namespace kstable {
 
 namespace {
 
-/// Sentinel-filled table initialization: every pref entry -1, every rank
-/// entry the all-ones unset marker of its width.
-template <typename T>
-void fill_all(T* data, std::size_t count, T value) {
-  std::fill_n(data, count, value);
-}
-
-/// set_pref_list's candidate rank row: one buffer per thread and rank width,
-/// grown to the largest n it has checked, so a warm thread checks every row
-/// without allocating.
-template <typename Rank>
-Rank* rank_scratch(std::size_t n) {
-  thread_local std::vector<Rank> ranks;
+/// set_pref_list's candidate rank row: one buffer per thread, grown to the
+/// largest n it has checked, so a warm thread checks every row without
+/// allocating.
+std::uint16_t* rank_scratch(std::size_t n) {
+  thread_local std::vector<std::uint16_t> ranks;
   if (ranks.size() < n) ranks.resize(n);
   return ranks.data();
 }
@@ -32,26 +26,25 @@ Rank* rank_scratch(std::size_t n) {
 /// otherwise. No step waits on the previous entry's store: a branch-free
 /// range check, then the inverse scattered into scratch, which is a
 /// permutation's inverse iff every entry reads back its own rank.
-template <typename Rank>
 bool write_if_permutation(std::span<const Index> order, Index* pref_row,
-                          Rank* rank_row) {
+                          std::uint16_t* rank_row) {
   const std::size_t n = order.size();
   bool in_range = true;
   for (const Index idx : order) {
     in_range &= static_cast<std::uint32_t>(idx) < static_cast<std::uint32_t>(n);
   }
   if (!in_range) return false;
-  Rank* const scratch = rank_scratch<Rank>(n);
+  std::uint16_t* const scratch = rank_scratch(n);
   for (std::size_t r = 0; r < n; ++r) {
-    scratch[order[r]] = static_cast<Rank>(r);
+    scratch[order[r]] = static_cast<std::uint16_t>(r);
   }
   bool distinct = true;
   for (std::size_t r = 0; r < n; ++r) {
-    distinct &= scratch[order[r]] == static_cast<Rank>(r);
+    distinct &= scratch[order[r]] == static_cast<std::uint16_t>(r);
   }
   if (!distinct) return false;
   std::memmove(pref_row, order.data(), n * sizeof(Index));  // may alias
-  std::memcpy(rank_row, scratch, n * sizeof(Rank));
+  std::memcpy(rank_row, scratch, n * sizeof(std::uint16_t));
   return true;
 }
 
@@ -65,23 +58,21 @@ const char* to_string(PrefBackend backend) noexcept {
   return "unknown";
 }
 
-KPartiteInstance::KPartiteInstance(Gender k, Index n)
-    : KPartiteInstance(k, n, prefs::natural_rank_width(n)) {}
-
-KPartiteInstance::KPartiteInstance(Gender k, Index n, prefs::RankWidth width)
-    : k_(k), n_(n), width_(width) {
+KPartiteInstance::KPartiteInstance(Gender k, Index n) : k_(k), n_(n) {
   KSTABLE_REQUIRE(k >= 2, "need at least two genders, got k=" << k);
   KSTABLE_REQUIRE(n >= 1, "need at least one member per gender, got n=" << n);
-  // Boundary audit (docs/PERFORMANCE.md): narrow16 is admissible only while
-  // the largest storable rank (n-1) stays below the all-ones unset sentinel.
-  // At the n == 65535 boundary the max rank is 65534 — no collision; n ==
-  // 65536 would need rank 65535 == kUnsetRank<u16> and must reject BEFORE
-  // any allocation happens (the compact_layout boundary test relies on the
-  // cheap throw).
-  static_assert(prefs::kUnsetRank<std::uint16_t> == 65535,
-                "u16 unset sentinel must sit one past the max narrow16 rank");
-  KSTABLE_REQUIRE(width == prefs::RankWidth::wide32 || n < 65536,
-                  "narrow16 rank storage cannot represent ranks for n=" << n);
+  // Ranks run 0..n-1, so at n = kMaxExplicitN the largest is 65534, one below
+  // the unset marker. Rejected before the arena exists: at n = 65536 the
+  // tables alone would take 2·65536²·8 B = 64 GiB even for k = 2.
+  static_assert(kMaxExplicitN == kUnsetRank,
+                "the largest stored rank must sit below the unset marker");
+  if (n > kMaxExplicitN) {
+    throw ParseError("instance dimensions too large: explicit rank tables "
+                     "hold n <= " + std::to_string(kMaxExplicitN) + ", got n=" +
+                     std::to_string(n) +
+                     "; larger instances need the implicit preference "
+                     "backend (KPartiteInstance::make_implicit)");
+  }
   // Overflow-checked 64-bit sizing (the old code multiplied k·k·n·n straight
   // into size_t — wrapped, silently undersized tables, UB on index — and
   // sized the diagonal (m.gender == g) rows nobody can ever address).
@@ -91,19 +82,14 @@ KPartiteInstance::KPartiteInstance(Gender k, Index n, prefs::RankWidth width)
       prefs::checked_mul(static_cast<std::size_t>(n),
                          static_cast<std::size_t>(n)));
   const std::size_t pref_sz = prefs::checked_mul(cells_, sizeof(Index));
-  const std::size_t rank_sz =
-      prefs::checked_mul(cells_, prefs::rank_entry_bytes(width_));
+  const std::size_t rank_sz = prefs::checked_mul(cells_, sizeof(std::uint16_t));
   pref_offset_ = 0;
   rank_offset_ = prefs::round_up(pref_sz, prefs::kArenaAlign);
   const std::size_t total = prefs::checked_add(rank_offset_, rank_sz);
   arena_ = prefs::PrefArena(total);
 
-  fill_all(pref_data(), cells_, Index{-1});
-  if (width_ == prefs::RankWidth::narrow16) {
-    fill_all(rank16_data(), cells_, prefs::kUnsetRank<std::uint16_t>);
-  } else {
-    fill_all(rank32_data(), cells_, prefs::kUnsetRank<std::uint32_t>);
-  }
+  std::fill_n(pref_data(), cells_, Index{-1});
+  std::fill_n(rank_data(), cells_, kUnsetRank);
 }
 
 KPartiteInstance KPartiteInstance::make_implicit(Gender k, Index n,
@@ -116,9 +102,7 @@ KPartiteInstance KPartiteInstance::make_implicit(Gender k, Index n,
   out.backend_ = PrefBackend::implicit_gen;
   out.implicit_ = prefs::imp::ImplicitPrefs(spec, k, n);
   // No tables: cells_ stays 0 (pref_bytes/rank_bytes report the true
-  // footprint — nothing), the arena stays unallocated, and width_ records
-  // what natural_rank_width would pick so introspection stays meaningful.
-  out.width_ = prefs::natural_rank_width(n);
+  // footprint — nothing) and the arena stays unallocated.
   return out;
 }
 
@@ -155,8 +139,8 @@ Index KPartiteInstance::pref_at(MemberId m, Gender g, Index r) const {
   return choice;
 }
 
-KPartiteInstance KPartiteInstance::materialized(prefs::RankWidth width) const {
-  KPartiteInstance out(k_, n_, width);
+KPartiteInstance KPartiteInstance::materialized() const {
+  KPartiteInstance out(k_, n_);
   std::vector<Index> order(static_cast<std::size_t>(n_));
   for (Gender g = 0; g < k_; ++g) {
     for (Index i = 0; i < n_; ++i) {
@@ -174,32 +158,6 @@ KPartiteInstance KPartiteInstance::materialized(prefs::RankWidth width) const {
   return out;
 }
 
-KPartiteInstance KPartiteInstance::relaid(const KPartiteInstance& src,
-                                          prefs::RankWidth width) {
-  src.require_explicit("relaid");
-  KPartiteInstance out(src.k_, src.n_, width);
-  // The pref carve is width-independent: copy it wholesale, then rebuild the
-  // rank table row by row (set entries only — unset rows stay sentinel).
-  std::memcpy(out.pref_data(), src.pref_data(), src.pref_bytes());
-  for (std::size_t pos = 0; pos < src.cells_; ++pos) {
-    const Index choice = src.pref_data()[pos];
-    if (choice < 0) continue;
-    const std::size_t row = pos / static_cast<std::size_t>(src.n_);
-    const std::size_t rank = pos % static_cast<std::size_t>(src.n_);
-    const std::size_t cell =
-        row * static_cast<std::size_t>(src.n_) + static_cast<std::size_t>(choice);
-    if (width == prefs::RankWidth::narrow16) {
-      out.rank16_data()[cell] = static_cast<std::uint16_t>(rank);
-    } else {
-      out.rank32_data()[cell] = static_cast<std::uint32_t>(rank);
-    }
-  }
-  // A relaid copy is semantically equal to its source at this moment, so it
-  // inherits the source's generation (caches keyed on generation accept it).
-  out.generation_ = src.generation_;
-  return out;
-}
-
 void KPartiteInstance::check_member(MemberId m) const {
   KSTABLE_REQUIRE(m.gender >= 0 && m.gender < k_ && m.index >= 0 && m.index < n_,
                   "member " << m << " out of range (k=" << k_ << ", n=" << n_ << ")");
@@ -208,17 +166,6 @@ void KPartiteInstance::check_member(MemberId m) const {
 void KPartiteInstance::check_target(MemberId m, Gender g) const {
   KSTABLE_REQUIRE(g >= 0 && g < k_ && g != m.gender,
                   "gender " << g << " invalid as a preference target for " << m);
-}
-
-std::int32_t KPartiteInstance::raw_rank_at(std::size_t pos) const noexcept {
-  if (width_ == prefs::RankWidth::narrow16) {
-    const std::uint16_t r = rank16_data()[pos];
-    return r == prefs::kUnsetRank<std::uint16_t> ? -1
-                                                 : static_cast<std::int32_t>(r);
-  }
-  const std::uint32_t r = rank32_data()[pos];
-  return r == prefs::kUnsetRank<std::uint32_t> ? -1
-                                               : static_cast<std::int32_t>(r);
 }
 
 std::span<const Index> KPartiteInstance::pref_list(MemberId m, Gender g) const {
@@ -239,11 +186,7 @@ void KPartiteInstance::set_pref_list(MemberId m, Gender g,
   // Permutation check (fail-fast, I.6): each index in [0, n) exactly once.
   // It passes before any write, so a rejected list changes nothing.
   const std::size_t base = row_base(m, g);
-  const bool written =
-      width_ == prefs::RankWidth::narrow16
-          ? write_if_permutation(order, pref_data() + base, rank16_data() + base)
-          : write_if_permutation(order, pref_data() + base, rank32_data() + base);
-  if (!written) {
+  if (!write_if_permutation(order, pref_data() + base, rank_data() + base)) {
     // Not a permutation: name the first entry that is out of range or
     // repeats an earlier one, in list order.
     std::vector<std::uint64_t> seen((static_cast<std::size_t>(n_) + 63) / 64);
@@ -280,19 +223,11 @@ void KPartiteInstance::swap_pref_entries(MemberId m, Gender g, Index rank_a,
   pref[base + static_cast<std::size_t>(rank_b)] = at_a;
   // Only the two swapped members' rank cells move; the rest of the row is
   // untouched (the in-place rewrite the incremental layer relies on).
-  if (width_ == prefs::RankWidth::narrow16) {
-    std::uint16_t* const rank = rank16_data();
-    rank[base + static_cast<std::size_t>(at_a)] =
-        static_cast<std::uint16_t>(rank_b);
-    rank[base + static_cast<std::size_t>(at_b)] =
-        static_cast<std::uint16_t>(rank_a);
-  } else {
-    std::uint32_t* const rank = rank32_data();
-    rank[base + static_cast<std::size_t>(at_a)] =
-        static_cast<std::uint32_t>(rank_b);
-    rank[base + static_cast<std::size_t>(at_b)] =
-        static_cast<std::uint32_t>(rank_a);
-  }
+  std::uint16_t* const rank = rank_data();
+  rank[base + static_cast<std::size_t>(at_a)] =
+      static_cast<std::uint16_t>(rank_b);
+  rank[base + static_cast<std::size_t>(at_b)] =
+      static_cast<std::uint16_t>(rank_a);
   ++generation_;
 }
 
@@ -305,10 +240,11 @@ std::int32_t KPartiteInstance::rank_of(MemberId m, MemberId other) const {
     // O(1) on this backend too: the PRP inversion is the rank table.
     return implicit_.rank(m, other.gender, other.index);
   }
-  const std::int32_t r = raw_rank_at(row_base(m, other.gender) +
-                                     static_cast<std::size_t>(other.index));
-  KSTABLE_REQUIRE(r >= 0, "preference list of " << m << " over gender "
-                                                << other.gender << " is unset");
+  const std::uint16_t r = rank_data()[row_base(m, other.gender) +
+                                      static_cast<std::size_t>(other.index)];
+  KSTABLE_REQUIRE(r != kUnsetRank, "preference list of "
+                                       << m << " over gender " << other.gender
+                                       << " is unset");
   return r;
 }
 
@@ -331,6 +267,7 @@ void KPartiteInstance::validate() const {
         if (h == g) continue;
         const std::size_t base = row_base(m, h);
         const Index* const pref = pref_data();
+        const std::uint16_t* const rank = rank_data();
         std::vector<bool> seen(static_cast<std::size_t>(n_), false);
         for (Index r = 0; r < n_; ++r) {
           const Index idx = pref[base + static_cast<std::size_t>(r)];
@@ -341,9 +278,9 @@ void KPartiteInstance::validate() const {
                           "duplicate entry " << idx << " in list of " << m
                                              << " over gender " << h);
           seen[static_cast<std::size_t>(idx)] = true;
-          KSTABLE_REQUIRE(
-              raw_rank_at(base + static_cast<std::size_t>(idx)) == r,
-              "rank table inconsistent for " << m << " over gender " << h);
+          KSTABLE_REQUIRE(rank[base + static_cast<std::size_t>(idx)] == r,
+                          "rank table inconsistent for " << m << " over gender "
+                                                         << h);
         }
       }
     }

@@ -20,19 +20,19 @@
 //     is flat_id(m)·(k-1) + slot(g), so the old layout's dead same-gender
 //     diagonal rows (a full 1/k of the table — half of it for bipartite
 //     instances) are gone.
-//   * Ranks are stored width-adaptively (prefs/compact_ranks.hpp):
-//     std::uint16_t when n < 65536, std::uint32_t above. rank_row() returns
-//     a dual-width RankRow view; the engines instead dispatch once per solve
-//     and read the typed table through rank_base<R>() + row_base().
+//   * Ranks are std::uint16_t: half the bytes of a 32-bit rank, and the
+//     queue engine measured faster on them (E19). A rank is below n, so an
+//     explicit instance holds at most kMaxExplicitN = 65535 members per
+//     gender, leaving the all-ones value free as the "unset" marker. At that
+//     n the tables already take tens of GiB; larger instances use the
+//     implicit backend (make_implicit).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 
 #include "prefs/arena.hpp"
-#include "prefs/compact_ranks.hpp"
 #include "prefs/ids.hpp"
 #include "prefs/implicit/implicit_prefs.hpp"
 
@@ -53,32 +53,25 @@ enum class PrefBackend : std::uint8_t { explicit_tables, implicit_gen };
 /// A complete balanced k-partite preference instance.
 class KPartiteInstance {
  public:
+  /// Largest n whose ranks fit the table: every rank is below n, and the
+  /// all-ones std::uint16_t is the unset marker.
+  static constexpr Index kMaxExplicitN = 65535;
+  /// Stored value of a rank cell whose list is not set yet.
+  static constexpr std::uint16_t kUnsetRank = 0xffff;
+
   /// Creates an instance with k genders of n members and *unset* preference
   /// lists (all entries -1). Call set_pref_list() for every (member, gender)
-  /// pair and then validate(), or use a prefs::gen generator. Rank storage
-  /// width is picked from n (natural_rank_width).
+  /// pair and then validate(), or use a prefs::gen generator. Throws
+  /// ParseError, before allocating anything, when n > kMaxExplicitN.
   KPartiteInstance(Gender k, Index n);
-
-  /// As above with an explicit rank width, for layout ablations (E19) and
-  /// the DiffRunner width-agreement battery. Requires: `width` can represent
-  /// every rank in [0, n), i.e. wide32 always works and narrow16 needs
-  /// n < 65536.
-  KPartiteInstance(Gender k, Index n, prefs::RankWidth width);
-
-  /// Copy of `src` re-laid with rank width `width` (same preference lists;
-  /// bitwise-identical solve results — the DiffRunner pins this). Requires
-  /// the explicit backend (an implicit instance has no layout to re-lay; use
-  /// materialized() to build tables from it).
-  static KPartiteInstance relaid(const KPartiteInstance& src,
-                                 prefs::RankWidth width);
 
   /// Creates an instance whose preference system is computed on demand from
   /// `spec` (prefs/implicit/) instead of being stored: O(1) instance memory
   /// at any n, which is what makes n >= 10^5 solvable at all (explicit
   /// tables there are ~100 GB). The instance is complete by construction and
   /// immutable: set_pref_list/swap_pref_entries throw, generation() stays 0.
-  /// Checked explicit-table accessors (pref_list, relaid) throw; the
-  /// unchecked hot-path ones (pref_row, rank_row, rank_base) must simply
+  /// Checked explicit-table accessors (pref_list) throw; the
+  /// unchecked hot-path ones (pref_row, rank_row) must simply
   /// never be called here — engines go through the PrefView dispatch
   /// (prefs/implicit/pref_view.hpp), which only constructs an ExplicitView
   /// for explicit instances, and everything rank-based (rank_of, prefers,
@@ -99,14 +92,11 @@ class KPartiteInstance {
   [[nodiscard]] Index pref_at(MemberId m, Gender g, Index r) const;
 
   /// Explicit-table copy of this instance (both backends): every list is
-  /// evaluated through pref_at and stored at rank width `width`. O(k·(k-1)·n²)
-  /// time and memory — small instances only; this is how the DiffRunner pins
-  /// implicit instances against the table engines bitwise. The copy inherits
+  /// evaluated through pref_at and stored. O(k·(k-1)·n²) time and memory —
+  /// small instances only; this is how the DiffRunner pins implicit
+  /// instances against the table engines bitwise. The copy inherits
   /// generation() (0 for implicit sources), so caches treat it as equal.
-  [[nodiscard]] KPartiteInstance materialized(prefs::RankWidth width) const;
-  [[nodiscard]] KPartiteInstance materialized() const {
-    return materialized(prefs::natural_rank_width(n_));
-  }
+  [[nodiscard]] KPartiteInstance materialized() const;
 
   [[nodiscard]] Gender genders() const noexcept { return k_; }
   [[nodiscard]] Index per_gender() const noexcept { return n_; }
@@ -127,7 +117,7 @@ class KPartiteInstance {
   /// rank row and generation() unchanged; its error names the first entry
   /// that is out of range or repeats an earlier one. An accepted list
   /// allocates nothing once the calling thread has checked a list of this
-  /// length at this rank width. A mutation: bumps generation() (see below).
+  /// length. A mutation: bumps generation() (see below).
   void set_pref_list(MemberId m, Gender g, std::span<const Index> order);
 
   /// Swaps the entries at ranks `rank_a` and `rank_b` in m's list over gender
@@ -142,8 +132,8 @@ class KPartiteInstance {
   /// results (core::GsEdgeCache) record the generation they were built
   /// against and fail loudly when it has moved — the staleness guard that
   /// replaced the old "instances are immutable" contract
-  /// (docs/INCREMENTAL.md). Copies (including relaid()) inherit the source's
-  /// generation: they are semantically equal at the moment of the copy.
+  /// (docs/INCREMENTAL.md). Copies inherit the source's generation: they are
+  /// semantically equal at the moment of the copy.
   [[nodiscard]] std::uint64_t generation() const noexcept {
     return generation_;
   }
@@ -163,43 +153,11 @@ class KPartiteInstance {
                                                 Gender g) const noexcept {
     return {pref_data() + row_base(m, g), static_cast<std::size_t>(n_)};
   }
-  /// rank_row(m, g)[i] = rank of member (g, i) in m's list over gender g.
-  /// The view dispatches on the stored width per access; width-critical
-  /// loops use rank_base<R>() instead.
-  [[nodiscard]] prefs::RankRow rank_row(MemberId m, Gender g) const noexcept {
-    const std::size_t base = row_base(m, g);
-    return width_ == prefs::RankWidth::narrow16
-               ? prefs::RankRow(rank16_data() + base, width_)
-               : prefs::RankRow(rank32_data() + base, width_);
-  }
-
-  /// Stored rank width (selection rule: natural_rank_width(n) unless the
-  /// explicit-width constructor overrode it).
-  [[nodiscard]] prefs::RankWidth rank_width() const noexcept { return width_; }
-
-  /// Typed base pointer of the rank table, for loops monomorphized on the
-  /// width (R must be std::uint16_t or std::uint32_t and match rank_width()).
-  /// Entry layout matches the pref table: row_base(m, g) + i holds the rank
-  /// of member (g, i) in m's list.
-  template <typename R>
-  [[nodiscard]] const R* rank_base() const noexcept {
-    static_assert(std::is_same_v<R, std::uint16_t> ||
-                      std::is_same_v<R, std::uint32_t>,
-                  "rank tables store uint16_t or uint32_t");
-    return arena_.at<R>(rank_offset_);
-  }
-
-  /// Flat element offset of row (m, g) into both tables. Public because the
-  /// width-monomorphized engine loops pair it with rank_base<R>(); everyone
-  /// else goes through pref_row/rank_row.
-  [[nodiscard]] std::size_t row_base(MemberId m, Gender g) const noexcept {
-    const std::size_t flat = static_cast<std::size_t>(m.gender) *
-                                 static_cast<std::size_t>(n_) +
-                             static_cast<std::size_t>(m.index);
-    const std::size_t slot =
-        static_cast<std::size_t>(g) - static_cast<std::size_t>(g > m.gender);
-    return (flat * static_cast<std::size_t>(k_ - 1) + slot) *
-           static_cast<std::size_t>(n_);
+  /// rank_row(m, g)[i] = rank of member (g, i) in m's list over gender g
+  /// (kUnsetRank while the list is unset).
+  [[nodiscard]] std::span<const std::uint16_t> rank_row(
+      MemberId m, Gender g) const noexcept {
+    return {rank_data() + row_base(m, g), static_cast<std::size_t>(n_)};
   }
 
   /// True iff `m` strictly prefers `a` over `b`; a and b must belong to the
@@ -219,21 +177,20 @@ class KPartiteInstance {
     return cells_ * sizeof(Index);
   }
   [[nodiscard]] std::size_t rank_bytes() const noexcept {
-    return cells_ * prefs::rank_entry_bytes(width_);
+    return cells_ * sizeof(std::uint16_t);
   }
   /// Total slab footprint including extent-rounding slack.
   [[nodiscard]] std::size_t arena_bytes() const noexcept {
     return arena_.capacity();
   }
 
-  /// Semantic equality: same shape and same preference lists. Rank width is
-  /// a layout choice, not a semantic property — a narrow16 instance equals
-  /// its wide32 relaid copy.
+  /// Semantic equality: same shape and same preference lists, on either
+  /// backend.
   friend bool operator==(const KPartiteInstance& a, const KPartiteInstance& b);
 
  private:
   /// make_implicit builds instances member-by-member without the allocating
-  /// public constructors.
+  /// public constructor.
   KPartiteInstance() = default;
 
   [[nodiscard]] Index* pref_data() noexcept {
@@ -242,21 +199,22 @@ class KPartiteInstance {
   [[nodiscard]] const Index* pref_data() const noexcept {
     return arena_.at<Index>(pref_offset_);
   }
-  [[nodiscard]] std::uint16_t* rank16_data() noexcept {
+  [[nodiscard]] std::uint16_t* rank_data() noexcept {
     return arena_.at<std::uint16_t>(rank_offset_);
   }
-  [[nodiscard]] const std::uint16_t* rank16_data() const noexcept {
+  [[nodiscard]] const std::uint16_t* rank_data() const noexcept {
     return arena_.at<std::uint16_t>(rank_offset_);
   }
-  [[nodiscard]] std::uint32_t* rank32_data() noexcept {
-    return arena_.at<std::uint32_t>(rank_offset_);
+  /// Flat element offset of row (m, g) into both tables.
+  [[nodiscard]] std::size_t row_base(MemberId m, Gender g) const noexcept {
+    const std::size_t flat = static_cast<std::size_t>(m.gender) *
+                                 static_cast<std::size_t>(n_) +
+                             static_cast<std::size_t>(m.index);
+    const std::size_t slot =
+        static_cast<std::size_t>(g) - static_cast<std::size_t>(g > m.gender);
+    return (flat * static_cast<std::size_t>(k_ - 1) + slot) *
+           static_cast<std::size_t>(n_);
   }
-  [[nodiscard]] const std::uint32_t* rank32_data() const noexcept {
-    return arena_.at<std::uint32_t>(rank_offset_);
-  }
-  /// Stored rank at flat element position `pos`, sentinel included (-1 for
-  /// "unset" regardless of width).
-  [[nodiscard]] std::int32_t raw_rank_at(std::size_t pos) const noexcept;
   /// The r-th choice on either backend without range checks; -1 for an unset
   /// explicit entry (implicit entries are never unset).
   [[nodiscard]] Index raw_pref_at(MemberId m, Gender g, Index r) const noexcept;
@@ -271,7 +229,6 @@ class KPartiteInstance {
   std::uint64_t generation_ = 0;
   PrefBackend backend_ = PrefBackend::explicit_tables;
   prefs::imp::ImplicitPrefs implicit_;  ///< engaged iff backend_ == implicit_gen
-  prefs::RankWidth width_ = prefs::RankWidth::narrow16;
   std::size_t cells_ = 0;        ///< k·(k-1)·n·n used entries per table
   std::size_t pref_offset_ = 0;  ///< byte offset of the pref carve (0)
   std::size_t rank_offset_ = 0;  ///< byte offset of the rank carve

@@ -251,15 +251,20 @@ void ServeEngine::handle_solve(Frame request, const ResponseSink& sink) {
             : limits_.default_deadline_ms;
     const int rungs =
         limits_.max_tree_attempts + (limits_.allow_degraded ? 1 : 0);
-    resilience::FallbackOptions opts;
-    opts.per_attempt.wall_ms = deadline_ms / std::max(rungs, 1);
+    resilience::Budget per_attempt;
+    per_attempt.wall_ms = deadline_ms / std::max(rungs, 1);
     if (limits_.max_proposals > 0) {
-      opts.per_attempt.max_proposals =
+      per_attempt.max_proposals =
           std::max<std::int64_t>(1, limits_.max_proposals / std::max(rungs, 1));
     }
-    opts.max_tree_attempts = limits_.max_tree_attempts;
-    opts.allow_degraded = limits_.allow_degraded;
-    opts.token = drain_token_;  // drain cancels in-flight ladders
+    // The token is copied in, not assigned over a default one, so no
+    // throwaway flag is allocated per request.
+    resilience::FallbackOptions opts{
+        .per_attempt = per_attempt,
+        .max_tree_attempts = limits_.max_tree_attempts,
+        .token = drain_token_,  // drain cancels in-flight ladders
+        .allow_degraded = limits_.allow_degraded,
+    };
 
     try {
       // Per-request cache ownership: built for this instance, shared across

@@ -139,19 +139,6 @@ void engine_legs(const Recorder& rec, const KPartiteInstance& inst, Gender i,
   }
 }
 
-/// The rank width `inst` is not laid out in, which every width check solves
-/// a twin at; nullopt when that is narrow16 and cannot hold n's ranks.
-std::optional<prefs::RankWidth> other_width(const KPartiteInstance& inst) {
-  if (inst.rank_width() == prefs::RankWidth::narrow16) {
-    return prefs::RankWidth::wide32;
-  }
-  if (prefs::natural_rank_width(inst.per_gender()) ==
-      prefs::RankWidth::narrow16) {
-    return prefs::RankWidth::narrow16;
-  }
-  return std::nullopt;
-}
-
 /// GS engine cross-checks for one ordered gender pair, against the queue
 /// engine. Returns the reference result so the bipartite fair-SMP check can
 /// reuse it.
@@ -167,24 +154,6 @@ gs::GsResult gs_engine_checks(const KPartiteInstance& inst, Gender i, Gender j,
                "gs.engine.scan.bitwise", "gs.engine.scan.proposals",
                "gs.engine.parallel.bitwise"});
   return reference;
-}
-
-/// Memory-layout agreement: the same instance re-laid at the other rank
-/// width (prefs/compact_ranks.hpp) must stay semantically equal and must
-/// produce bitwise-identical solves from the width-monomorphized queue
-/// engine — rank width is a layout choice, never a semantic one.
-void layout_checks(const KPartiteInstance& inst, const Recorder& rec) {
-  const auto width = other_width(inst);
-  if (!width) return;
-  const auto relaid = KPartiteInstance::relaid(inst, *width);
-  rec.check(relaid == inst, "layout.relaid.equal",
-            "re-laid copy is not semantically equal to the original");
-  gs_agree(rec,
-           gs_pair(0, 1) + " on " + prefs::to_string(inst.rank_width()) +
-               " vs " + prefs::to_string(*width) + " ranks",
-           gs::gale_shapley_queue(inst, 0, 1),
-           gs::gale_shapley_queue(relaid, 0, 1), "layout.width.queue.bitwise",
-           "layout.width.queue.bitwise");
 }
 
 /// Implicit-backend cross-checks (docs/PERFORMANCE.md §Implicit
@@ -210,8 +179,8 @@ void implicit_checks(const Recorder& rec, const DiffOptions& options) {
     // Materialization doubles as the bijectivity certificate: set_pref_list
     // rejects any row that is not a permutation, so a broken PRP cannot
     // produce an explicit twin at all.
-    const auto wide = implicit.materialized(prefs::RankWidth::wide32);
-    rec.check(wide == implicit, "implicit.materialized.equal",
+    const auto tables = implicit.materialized();
+    rec.check(tables == implicit, "implicit.materialized.equal",
               "materialized explicit copy (" + fam +
                   ") is not element-wise equal to its implicit source");
 
@@ -250,7 +219,7 @@ void implicit_checks(const Recorder& rec, const DiffOptions& options) {
         topt.trace = &trace_imp;
         const auto reference = gs::gale_shapley_queue(implicit, i, j, topt);
         topt.trace = &trace_exp;
-        const auto explicit_ref = gs::gale_shapley_queue(wide, i, j, topt);
+        const auto explicit_ref = gs::gale_shapley_queue(tables, i, j, topt);
         const std::string where = fam + ": implicit " + gs_pair(i, j);
 
         gs_agree(rec, where, reference, explicit_ref, "implicit.queue.bitwise",
@@ -266,18 +235,10 @@ void implicit_checks(const Recorder& rec, const DiffOptions& options) {
       }
     }
 
-    // narrow16 twin: width stays a pure layout choice.
-    if (const auto narrow = other_width(wide)) {
-      gs_agree(rec, fam + ": implicit vs narrow16 twin " + gs_pair(0, 1),
-               gs::gale_shapley_queue(implicit, 0, 1),
-               gs::gale_shapley_queue(implicit.materialized(*narrow), 0, 1),
-               "implicit.narrow16.bitwise", "implicit.narrow16.bitwise");
-    }
-
     {  // Binding + ladder layers across backends.
       const auto path = trees::path(k);
       const auto bound_imp = core::iterative_binding(implicit, path);
-      const auto bound_exp = core::iterative_binding(wide, path);
+      const auto bound_exp = core::iterative_binding(tables, path);
       kary_agree(rec, "implicit.binding.bitwise", bound_exp.matching(),
                  bound_imp.matching(),
                  fam + ": implicit vs materialized binding");
@@ -562,17 +523,6 @@ void churn_checks(const KPartiteInstance& original, const Recorder& rec,
                 "churn.rematch.edge-accounting", es.str());
     }
 
-    {  // Width twin: the relaid copy shares the generation, so the same
-       // delta rematches it — and must land on the same matching.
-      if (const auto width = other_width(inst)) {
-        const auto twin = KPartiteInstance::relaid(inst, *width);
-        const auto warm = incremental::rematch(twin, path, previous, delta);
-        kary_agree(rec, "churn.width.bitwise", cold.matching(),
-                   warm.result.matching(),
-                   "relaid-width rematch vs cold re-solve");
-      }
-    }
-
     previous = cold;  // the next step reuses this solve
   }
 }
@@ -707,7 +657,6 @@ BatteryResult run_battery(const KPartiteInstance& inst, Shape shape,
     }
   }
 
-  layout_checks(inst, rec);
   implicit_checks(rec, options);
   binding_checks(inst, rec, options);
   if (shape == Shape::kpartite) sweep_table_checks(inst, rec);

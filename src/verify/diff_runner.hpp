@@ -2,8 +2,8 @@
 // (docs/VERIFY.md).
 //
 // One generated instance is pushed through every engine pair that promises an
-// agreement relation (GS confluence across engines and rank layouts, the
-// implicit backend against its tables, Algorithm 1 across binding drivers,
+// agreement relation (GS confluence across engines, the implicit backend
+// against its tables, Algorithm 1 across binding drivers,
 // caches and the fallback ladder, incremental rematch against a cold solve,
 // fair SMP against GS, roommates determinism), every result is checked
 // against an independent certificate (cert_checker.hpp), and the abort paths

@@ -268,12 +268,10 @@ TEST(ImplicitInstance, MaterializedIsSemanticallyEqual) {
   for (const auto family : {Family::uniform, Family::cyclic}) {
     const auto inst =
         KPartiteInstance::make_implicit(3, 21, {family, 42});
-    const auto wide = inst.materialized(prefs::RankWidth::wide32);
-    const auto narrow = inst.materialized(prefs::RankWidth::narrow16);
-    EXPECT_TRUE(wide == inst);
-    EXPECT_TRUE(narrow == inst);
-    EXPECT_NO_THROW(wide.validate());
-    EXPECT_EQ(wide.backend(), PrefBackend::explicit_tables);
+    const auto tables = inst.materialized();
+    EXPECT_TRUE(tables == inst);
+    EXPECT_NO_THROW(tables.validate());
+    EXPECT_EQ(tables.backend(), PrefBackend::explicit_tables);
   }
   // Different seeds generate different instances (element-wise comparison).
   const auto a = KPartiteInstance::make_implicit(2, 16, {Family::uniform, 1});
@@ -299,9 +297,6 @@ TEST(ImplicitInstance, MutatorsAndTableAccessorsThrow) {
   const auto inst =
       KPartiteInstance::make_implicit(2, 4, {Family::uniform, 3});
   EXPECT_THROW((void)inst.pref_list({0, 0}, 1), ContractViolation);
-  EXPECT_THROW(
-      (void)KPartiteInstance::relaid(inst, prefs::RankWidth::wide32),
-      ContractViolation);
   auto copy = inst;
   EXPECT_THROW(copy.set_pref_list({0, 0}, 1, std::vector<Index>{0, 1, 2, 3}),
                ContractViolation);
@@ -318,8 +313,7 @@ TEST(ImplicitEngines, AllEnginesMatchMaterializedBitwise) {
       const Index n = 40;
       const auto inst = KPartiteInstance::make_implicit(
           k, n, {family, 0x9000ULL + static_cast<std::uint64_t>(k)});
-      const auto wide = inst.materialized(prefs::RankWidth::wide32);
-      const auto narrow = inst.materialized(prefs::RankWidth::narrow16);
+      const auto tables = inst.materialized();
       for (Gender i = 0; i < k; ++i) {
         for (Gender j = 0; j < k; ++j) {
           if (i == j) continue;
@@ -339,9 +333,8 @@ TEST(ImplicitEngines, AllEnginesMatchMaterializedBitwise) {
           expect_same(gs::gale_shapley_rounds(inst, i, j), true);
           expect_same(gs::gale_shapley_scan(inst, i, j), true);
           expect_same(gs::gale_shapley_parallel(inst, i, j, pool, 8), false);
-          // ...and the queue engine on both explicit widths.
-          expect_same(gs::gale_shapley_queue(wide, i, j), true);
-          expect_same(gs::gale_shapley_queue(narrow, i, j), true);
+          // ...and the queue engine on the explicit tables.
+          expect_same(gs::gale_shapley_queue(tables, i, j), true);
         }
       }
     }
@@ -351,14 +344,14 @@ TEST(ImplicitEngines, AllEnginesMatchMaterializedBitwise) {
 TEST(ImplicitEngines, TracesMatchMaterializedExactly) {
   const auto inst =
       KPartiteInstance::make_implicit(2, 48, {Family::uniform, 77});
-  const auto wide = inst.materialized(prefs::RankWidth::wide32);
+  const auto tables = inst.materialized();
   std::vector<gs::ProposalEvent> trace_imp;
   std::vector<gs::ProposalEvent> trace_exp;
   gs::GsOptions opt;
   opt.trace = &trace_imp;
   (void)gs::gale_shapley_queue(inst, 0, 1, opt);
   opt.trace = &trace_exp;
-  (void)gs::gale_shapley_queue(wide, 0, 1, opt);
+  (void)gs::gale_shapley_queue(tables, 0, 1, opt);
   EXPECT_EQ(trace_imp, trace_exp);
 }
 
@@ -369,7 +362,7 @@ TEST(ImplicitEngines, ProposalBudgetAbortsWhereMaterializedDoes) {
   // one batch per round).
   const auto inst =
       KPartiteInstance::make_implicit(2, 64, {Family::uniform, 31});
-  const auto wide = inst.materialized(prefs::RankWidth::wide32);
+  const auto tables = inst.materialized();
   const std::int64_t cold = gs::gale_shapley_queue(inst, 0, 1).proposals;
   using Engine = void (*)(const KPartiteInstance&, Gender, Gender,
                           const gs::GsOptions&, gs::GsWorkspace&,
@@ -403,7 +396,7 @@ TEST(ImplicitEngines, ProposalBudgetAbortsWhereMaterializedDoes) {
         return out;
       };
       const Aborted a = run(inst);
-      const Aborted b = run(wide);
+      const Aborted b = run(tables);
       EXPECT_GT(a.spent, budget);
       EXPECT_EQ(a.spent, b.spent) << "budget " << budget;
       EXPECT_EQ(a.proposals, b.proposals) << "budget " << budget;
@@ -419,10 +412,10 @@ TEST(ImplicitBinding, IterativeBindingMatchesMaterialized) {
   for (const Gender k : {3, 4}) {
     const auto inst =
         KPartiteInstance::make_implicit(k, 25, {Family::uniform, 1234});
-    const auto wide = inst.materialized(prefs::RankWidth::wide32);
+    const auto tables = inst.materialized();
     const auto path = trees::path(k);
     const auto a = core::iterative_binding(inst, path);
-    const auto b = core::iterative_binding(wide, path);
+    const auto b = core::iterative_binding(tables, path);
     EXPECT_TRUE(a.matching() == b.matching()) << "k=" << k;
     EXPECT_EQ(a.total_proposals, b.total_proposals);
   }

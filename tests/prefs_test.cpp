@@ -72,35 +72,32 @@ TEST(KPartite, RejectsMalformedLists) {
 
 /// Sets row (0,0)->1 of a fresh 2 x n instance to the reversed order, then
 /// submits `bad` and checks it is rejected with nothing changed: the pref
-/// row, every rank cell of the row and generation(), at both rank widths.
-/// A non-empty `error` must appear in the rejection's message.
+/// row, every rank cell of the row and generation(). A non-empty `error`
+/// must appear in the rejection's message.
 void expect_rejected_list_changes_nothing(const std::vector<Index>& bad,
                                           const std::string& error = {}) {
   const auto n = static_cast<Index>(bad.size());
   std::vector<Index> good(bad.size());
   for (Index r = 0; r < n; ++r) good[static_cast<std::size_t>(r)] = n - 1 - r;
-  for (const auto width :
-       {prefs::RankWidth::narrow16, prefs::RankWidth::wide32}) {
-    KPartiteInstance inst(2, n, width);
-    inst.set_pref_list({0, 0}, 1, good);
-    const std::uint64_t generation = inst.generation();
-    try {
-      inst.set_pref_list({0, 0}, 1, bad);
-      ADD_FAILURE() << "a non-permutation was accepted";
-    } catch (const ContractViolation& e) {
-      EXPECT_NE(std::string(e.what()).find(error), std::string::npos)
-          << e.what();
-    }
-    const auto list = inst.pref_list({0, 0}, 1);
-    EXPECT_EQ(std::vector<Index>(list.begin(), list.end()), good);
-    for (Index t = 0; t < n; ++t) {
-      EXPECT_EQ(inst.rank_of({0, 0}, {1, t}), n - 1 - t) << "member " << t;
-    }
-    EXPECT_EQ(inst.generation(), generation);
-    // The check's reused rank buffer does not leak into the next list.
-    inst.set_pref_list({0, 0}, 1, good);
-    EXPECT_EQ(inst.generation(), generation + 1);
+  KPartiteInstance inst(2, n);
+  inst.set_pref_list({0, 0}, 1, good);
+  const std::uint64_t generation = inst.generation();
+  try {
+    inst.set_pref_list({0, 0}, 1, bad);
+    ADD_FAILURE() << "a non-permutation was accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(error), std::string::npos)
+        << e.what();
   }
+  const auto list = inst.pref_list({0, 0}, 1);
+  EXPECT_EQ(std::vector<Index>(list.begin(), list.end()), good);
+  for (Index t = 0; t < n; ++t) {
+    EXPECT_EQ(inst.rank_of({0, 0}, {1, t}), n - 1 - t) << "member " << t;
+  }
+  EXPECT_EQ(inst.generation(), generation);
+  // The check's reused rank buffer does not leak into the next list.
+  inst.set_pref_list({0, 0}, 1, good);
+  EXPECT_EQ(inst.generation(), generation + 1);
 }
 
 TEST(KPartite, RejectedDuplicateEntryChangesNothing) {
@@ -306,7 +303,7 @@ TEST(Io, RoundTripPreservesInstance) {
 
 TEST(Io, SeededRoundTripThroughBothEntryPoints) {
   // k in {2,3,4}; n in [1, 48], except every 50th instance, whose n in
-  // [257, 300] puts ranks past one byte (still the u16 rank width).
+  // [257, 300] puts ranks past one byte.
   Rng rng(64);
   for (int trial = 0; trial < 200; ++trial) {
     const auto k = static_cast<Gender>(2 + trial % 3);

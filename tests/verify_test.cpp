@@ -206,22 +206,22 @@ std::int64_t clean_checks(Shape shape, std::uint64_t seeds,
 }
 
 TEST(DiffRunner, CleanSweepAcrossAllShapes) {
-  EXPECT_EQ(clean_checks(Shape::bipartite, 15), 1035);
-  EXPECT_EQ(clean_checks(Shape::kpartite, 15), 4790);
-  EXPECT_EQ(clean_checks(Shape::roommates, 15), 4217);
+  EXPECT_EQ(clean_checks(Shape::bipartite, 15), 975);
+  EXPECT_EQ(clean_checks(Shape::kpartite, 15), 4730);
+  EXPECT_EQ(clean_checks(Shape::roommates, 15), 4157);
 }
 
 TEST(DiffRunner, ParallelEngineLegJoinsTheBattery) {
   ThreadPool pool(2);
   DiffOptions options;
   options.pool = &pool;
-  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1636);
+  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1616);
 }
 
 TEST(DiffRunner, ChurnLegsJoinTheBattery) {
   DiffOptions options;
   options.churn_steps = 3;
-  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1552);
+  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1517);
 }
 
 TEST(DiffRunner, GsSabotageIsDetected) {
