@@ -11,7 +11,6 @@ namespace kstable::gs {
 
 namespace {
 
-#if KSTABLE_METRICS_ENABLED
 /// Eagerly registers this TU's instruments at static-init time: the
 /// KSTABLE_COUNTER_ADD call sites then resolve against already-registered
 /// names, so even the very FIRST warm solve performs zero heap allocations
@@ -25,7 +24,6 @@ const bool kInstrumentsWarm = [] {
   registry.counter("gs.rounds.rounds");
   return true;
 }();
-#endif
 
 /// Traced runs reserve the Theorem 3 per-binding bound (n² events) up front.
 void reserve_trace(const GsOptions& options, Index n) {

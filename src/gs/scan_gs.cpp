@@ -9,7 +9,6 @@ namespace kstable::gs {
 
 namespace {
 
-#if KSTABLE_METRICS_ENABLED
 /// Eager instrument registration (same pattern as gale_shapley.cpp).
 const bool kScanInstrumentsWarm = [] {
   auto& registry = obs::MetricsRegistry::global();
@@ -17,7 +16,6 @@ const bool kScanInstrumentsWarm = [] {
   registry.counter("gs.scan.proposals");
   return true;
 }();
-#endif
 
 /// True iff responder r prefers proposer a over proposer b, determined by
 /// walking the responder's list front-to-back through the view (no rank

@@ -9,18 +9,22 @@
 //     steady-state cost of KSTABLE_COUNTER_ADD is a single relaxed
 //     fetch_add, and instruments are bumped per *solve* (or per edge), never
 //     per proposal.
-//   * The whole layer compiles out: building with -DKSTABLE_NO_METRICS (CMake
-//     -DKSTABLE_METRICS=OFF) turns every macro into ((void)0), so the
-//     disabled build is bit-identical to uninstrumented code — asserted by
-//     the allocation-counting test in tests/metrics_overhead_test.cpp.
+//   * Nothing allocates once a handle or series exists: a repeat lookup
+//     finds the name through a string_view, and obs::record builds its
+//     solve.<engine>.* names on the stack — asserted by the
+//     allocation-counting tests in tests/metrics_overhead_test.cpp.
 //
 // Naming convention: dot-separated lowercase paths ("binding.proposals",
 // "cache.hits", "ladder.rung.degraded"). Exporters sanitize names for their
 // format (Prometheus: dots become underscores and a "kstable_" prefix is
-// added). The full name table lives in docs/OBSERVABILITY.md.
+// added). The full name table lives in docs/OBSERVABILITY.md (the serve.*
+// rows in docs/SERVE.md); ctest metric_names holds every name literal under
+// src/ to exactly one row.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -107,10 +111,10 @@ class Histogram {
 
  private:
   [[nodiscard]] static int bucket_of(std::int64_t value) noexcept {
-    if (value <= 0) return 0;
-    int b = 1;
-    while (b < kBuckets - 1 && value >= (std::int64_t{1} << b)) ++b;
-    return b;
+    // observe() clamps negatives, so the cast keeps the value.
+    return std::min(
+        static_cast<int>(std::bit_width(static_cast<std::uint64_t>(value))),
+        kBuckets - 1);
   }
 
   std::atomic<std::int64_t> count_{0};
@@ -179,12 +183,8 @@ class MetricsRegistry {
 
 // ---------------------------------------------------------------------------
 // Instrumentation macros. Name must be a string literal (it seeds a
-// function-local static handle, resolved once). Compiled out entirely under
-// KSTABLE_NO_METRICS.
+// function-local static handle, resolved once).
 // ---------------------------------------------------------------------------
-#ifndef KSTABLE_NO_METRICS
-#define KSTABLE_METRICS_ENABLED 1
-
 #define KSTABLE_COUNTER_ADD(name, delta)                                   \
   do {                                                                     \
     static ::kstable::obs::Counter& kstable_obs_c_ =                       \
@@ -219,12 +219,3 @@ class MetricsRegistry {
         ::kstable::obs::MetricsRegistry::global().histogram(name);         \
     kstable_obs_h_.observe_ms(ms);                                         \
   } while (false)
-
-#else  // KSTABLE_NO_METRICS
-#define KSTABLE_METRICS_ENABLED 0
-#define KSTABLE_COUNTER_ADD(name, delta) ((void)0)
-#define KSTABLE_GAUGE_SET(name, value) ((void)0)
-#define KSTABLE_GAUGE_SET_MS(name, ms) ((void)0)
-#define KSTABLE_HISTOGRAM_OBSERVE(name, value) ((void)0)
-#define KSTABLE_HISTOGRAM_OBSERVE_MS(name, ms) ((void)0)
-#endif

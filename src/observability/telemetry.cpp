@@ -1,9 +1,12 @@
 #include "observability/telemetry.hpp"
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "observability/metrics.hpp"
+#include "util/check.hpp"
 #include "util/json.hpp"
 
 namespace kstable::obs {
@@ -56,22 +59,40 @@ std::string SolveTelemetry::to_prometheus() const {
 }
 
 void record(const SolveTelemetry& t) {
-#if KSTABLE_METRICS_ENABLED
   auto& registry = MetricsRegistry::global();
-  // Composed names are looked up once per solve (not per proposal); the
-  // registry's lock and the string build are noise next to any GS run.
-  const std::string prefix = std::string("solve.") + t.engine;
-  registry.counter(prefix + ".count").add(1);
-  registry.counter(prefix + ".proposals").add(t.proposals);
-  registry.histogram(prefix + ".wall_us").observe_ms(t.wall_ms);
+  // Names are looked up once per solve (not per proposal); the registry's
+  // lock is noise next to any GS run. "solve.<engine>." is built once in a
+  // stack buffer and each series appends its field: the registry's map
+  // compares with std::less<>, so a string_view finds an existing series and
+  // after a label's first record nothing allocates. A label too long for the
+  // buffer is a contract violation, never a truncated name.
+  constexpr std::string_view kPrefix = "solve.";
+  constexpr std::size_t kLongestField =
+      std::string_view("executed_proposals").size();
+  const std::string_view engine = t.engine;
+  char buffer[64];
+  KSTABLE_REQUIRE(
+      kPrefix.size() + engine.size() + 1 + kLongestField <= sizeof(buffer),
+      "engine label '" << engine << "' is too long for a "
+                       << "solve.<engine>.<field> metric name");
+  char* stem = std::copy(kPrefix.begin(), kPrefix.end(), buffer);
+  stem = std::copy(engine.begin(), engine.end(), stem);
+  *stem++ = '.';
+  const auto name = [&](std::string_view field) {
+    KSTABLE_ASSERT(field.size() <= kLongestField);
+    char* const end = std::copy(field.begin(), field.end(), stem);
+    return std::string_view(buffer, static_cast<std::size_t>(end - buffer));
+  };
+  registry.counter(name("count")).add(1);
+  registry.counter(name("proposals")).add(t.proposals);
+  registry.histogram(name("wall_us")).observe_ms(t.wall_ms);
   if (t.executed_proposals != 0) {
-    registry.counter(prefix + ".executed_proposals")
-        .add(t.executed_proposals);
+    registry.counter(name("executed_proposals")).add(t.executed_proposals);
   }
   // Cache hit/miss totals are bumped by GsEdgeCache itself (the authoritative
   // count, covering aborted attempts too); the per-record fields are only
   // exported, not re-aggregated, to avoid double counting.
-  if (t.rounds != 0) registry.counter(prefix + ".rounds").add(t.rounds);
+  if (t.rounds != 0) registry.counter(name("rounds")).add(t.rounds);
   switch (t.status.outcome) {
     case resilience::SolveOutcome::ok:
       registry.counter("solve.outcome.ok").add(1);
@@ -90,9 +111,6 @@ void record(const SolveTelemetry& t) {
   if (t.deadline_margin_ms > 0.0) {
     registry.gauge("deadline.margin_us").set_ms(t.deadline_margin_ms);
   }
-#else
-  (void)t;
-#endif
 }
 
 }  // namespace kstable::obs

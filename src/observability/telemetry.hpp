@@ -98,8 +98,8 @@ struct SolveTelemetry {
 
 /// Folds `t` into the global MetricsRegistry: bumps the per-engine solve
 /// counter, the outcome counter, proposal/cache totals, and the wall-time
-/// histogram. No-op under KSTABLE_NO_METRICS. Drivers call this once per
-/// completed solve.
+/// histogram. Allocates nothing once `t.engine`'s series exist. Drivers call
+/// this once per completed solve.
 void record(const SolveTelemetry& t);
 
 }  // namespace kstable::obs

@@ -5,7 +5,6 @@
 #include <exception>
 #include <optional>
 #include <sstream>
-#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -74,27 +73,7 @@ void ServeEngine::respond(const Frame& frame, const ResponseSink& sink) {
 std::string ServeEngine::metrics_json() const {
   std::ostringstream os;
   os << "{\"schema\":\"kstable.stats.v1\",\"telemetry\":null,\"metrics\":";
-#if KSTABLE_METRICS_ENABLED
   obs::MetricsRegistry::global().write_json(os);
-#else
-  // The global registry is compiled out; the scrape still carries the
-  // request accounting, from this engine's own ServeStats atomics.
-  obs::MetricsRegistry accounting;
-  const auto put = [&](std::string_view name,
-                       const std::atomic<std::int64_t>& value) {
-    accounting.counter(name).add(value.load(std::memory_order_relaxed));
-  };
-  put("serve.requests.received", stats_.received);
-  put("serve.requests.completed", stats_.completed);
-  put("serve.requests.degraded", stats_.degraded);
-  put("serve.requests.shed", stats_.shed);
-  put("serve.requests.timeout", stats_.timed_out);
-  put("serve.requests.error", stats_.errors);
-  put("serve.responses.sent", stats_.responses_sent);
-  put("serve.responses.dropped", stats_.responses_dropped);
-  put("serve.frames.bad", stats_.bad_frames);
-  accounting.write_json(os);
-#endif
   os << "}";
   return os.str();
 }
@@ -201,9 +180,7 @@ void ServeEngine::handle_solve(Frame request, const ResponseSink& sink) {
     guard->started = true;
     KSTABLE_GAUGE_SET("serve.queue.depth",
                       static_cast<std::int64_t>(admission_.pending()));
-    // [[maybe_unused]]: consumed only by the metrics macro below, which
-    // compiles to ((void)0) under KSTABLE_METRICS=OFF.
-    [[maybe_unused]] const auto start = std::chrono::steady_clock::now();
+    const auto start = std::chrono::steady_clock::now();
     const Frame& req = guard->request;
 
     auto finish = [&](FrameKind kind, std::string body,
@@ -230,7 +207,7 @@ void ServeEngine::handle_solve(Frame request, const ResponseSink& sink) {
     }
 
     std::optional<KPartiteInstance> inst;
-    [[maybe_unused]] const auto parse_start = std::chrono::steady_clock::now();
+    const auto parse_start = std::chrono::steady_clock::now();
     try {
       inst = io::from_string(req.body);
     } catch (const ContractViolation& e) {
@@ -274,8 +251,7 @@ void ServeEngine::handle_solve(Frame request, const ResponseSink& sink) {
       opts.cache = &cache;
       auto report = resilience::solve_with_fallback(*inst, opts);
       if (report.succeeded) {
-        [[maybe_unused]] const auto encode_start =
-            std::chrono::steady_clock::now();
+        const auto encode_start = std::chrono::steady_clock::now();
         std::string body = io::to_string(report.matching());
         KSTABLE_HISTOGRAM_OBSERVE_MS("serve.encode_ms",
                                      elapsed_ms_since(encode_start));

@@ -159,8 +159,7 @@ class ServeEngine {
   void handle_solve(Frame request, const ResponseSink& sink);
   void respond(const Frame& frame, const ResponseSink& sink);
   /// Builds the kstable.stats.v1 JSON body for METRICS responses: the
-  /// global registry, or, in a build without metrics, the serve.requests.*,
-  /// serve.responses.* and serve.frames.bad accounting from stats_.
+  /// global registry.
   [[nodiscard]] std::string metrics_json() const;
 
   ServeLimits limits_;

@@ -337,16 +337,13 @@ TEST(LadderAllocations, OneServeBodyOnAWarmThread) {
   // The cache's slot table, the path tree's edge list and gender
   // union-find (2), the attempt log (2), the two edges' match arrays, their
   // copies out of the cache and the edge_results vector (9), and
-  // derive_families (3) — plus, with metrics compiled in, the binding's and
-  // the ladder's obs::record (15). The token is copied, not allocated;
-  // is_spanning_tree reads the tree's union-find; the later rungs' trees
-  // are drawn only when a rung fails, the report is not copied on return,
-  // and the GS runs reuse the thread's workspace (docs/PERFORMANCE.md).
-#if KSTABLE_METRICS_ENABLED
-  EXPECT_EQ(allocs, 32);
-#else
+  // derive_families (3). The binding's and the ladder's obs::record find
+  // their series through stack-built names and allocate nothing; the token
+  // is copied, not allocated; is_spanning_tree reads the tree's union-find;
+  // the later rungs' trees are drawn only when a rung fails, the report is
+  // not copied on return, and the GS runs reuse the thread's workspace
+  // (docs/PERFORMANCE.md).
   EXPECT_EQ(allocs, 17);
-#endif
 }
 
 }  // namespace

@@ -631,7 +631,6 @@ TEST(Rematch, ReplayKeepsItsCacheSlotAndSkipsAlgorithmOne) {
   EXPECT_EQ(cached.matching(), cold.matching());
 }
 
-#if KSTABLE_METRICS_ENABLED
 TEST(Rematch, ReplayedEditBumpsTheReplayCounters) {
   auto& registry = obs::MetricsRegistry::global();
   auto& replayed = registry.counter("rematch.edges_replayed");
@@ -653,7 +652,6 @@ TEST(Rematch, ReplayedEditBumpsTheReplayCounters) {
   EXPECT_EQ(resolved.value(), resolved0);
   EXPECT_EQ(skipped.value(), skipped0 + 1);
 }
-#endif
 
 TEST(Rematch, ShapeChangeFallsBackToColdSolve) {
   const Gender k = 3;

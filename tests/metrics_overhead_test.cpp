@@ -2,9 +2,8 @@
 // operator new/delete with counting hooks and asserts that the instrumented
 // GS hot path stays allocation-free once its handles are resolved — i.e. the
 // macros cost one relaxed fetch_add, never a registry lookup or a heap
-// allocation. Built with KSTABLE_NO_METRICS the same assertions hold
-// trivially (the macros expand to ((void)0)); the enabled build is the
-// interesting case and the one CI runs.
+// allocation — and that obs::record, once a label's series exist, finds
+// them without building a heap string.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -50,12 +49,10 @@ std::int64_t allocations_during(Fn&& fn) {
 }
 
 TEST(MetricsOverhead, CounterBumpAllocatesNothing) {
-#if KSTABLE_METRICS_ENABLED
   // Resolve the handles once (may allocate: registry growth + name strings).
   KSTABLE_COUNTER_ADD("overhead.test.counter", 1);
   KSTABLE_GAUGE_SET("overhead.test.counter2", 0);
   KSTABLE_HISTOGRAM_OBSERVE("overhead.test.hist", 0);
-#endif
   const std::int64_t allocs = allocations_during([&] {
     for (int i = 0; i < 1000; ++i) {
       KSTABLE_COUNTER_ADD("overhead.test.counter", 1);
@@ -67,7 +64,6 @@ TEST(MetricsOverhead, CounterBumpAllocatesNothing) {
 }
 
 TEST(MetricsOverhead, RegistryLookupHitAllocatesNothing) {
-#if KSTABLE_METRICS_ENABLED
   auto& registry = obs::MetricsRegistry::global();
   registry.counter("overhead.test.lookup");
   // Heterogeneous string_view lookup: a repeat lookup must not build a
@@ -76,9 +72,22 @@ TEST(MetricsOverhead, RegistryLookupHitAllocatesNothing) {
     for (int i = 0; i < 100; ++i) registry.counter("overhead.test.lookup");
   });
   EXPECT_EQ(allocs, 0);
-#else
-  GTEST_SKIP() << "registry compiled out";
-#endif
+}
+
+TEST(MetricsOverhead, RecordAllocatesNothingOnceItsSeriesExist) {
+  // Every optional series set: executed proposals, rounds, rung (ladder
+  // gauge and attempts) and deadline margin.
+  obs::SolveTelemetry t;
+  t.engine = "overhead.test.record";
+  t.wall_ms = 0.5;
+  t.proposals = 40;
+  t.executed_proposals = 30;
+  t.rounds = 4;
+  t.attempts = 1;
+  t.rung = 0;
+  t.deadline_margin_ms = 2.0;
+  obs::record(t);  // registers the series (allocates names and map nodes)
+  EXPECT_EQ(allocations_during([&] { obs::record(t); }), 0);
 }
 
 TEST(MetricsOverhead, InstrumentedGsHotPathStaysAllocationFree) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "resilience/control.hpp"
 #include "resilience/solve_ladder.hpp"
 #include "roommates/adapters.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -109,6 +111,16 @@ TEST(MetricsRegistry, HistogramBucketsAreExponential) {
   EXPECT_EQ(h.bucket(3), 1);
   EXPECT_EQ(obs::Histogram::bucket_bound(0), 0);
   EXPECT_EQ(obs::Histogram::bucket_bound(3), 7);
+  // The top boundaries: bucket 38 ends at 2^38 - 1, and the last bucket
+  // (39) holds every larger value.
+  obs::Histogram top;
+  top.observe((std::int64_t{1} << 38) - 1);
+  top.observe(std::int64_t{1} << 38);
+  EXPECT_EQ(top.bucket(38), 1);
+  EXPECT_EQ(top.bucket(39), 1);
+  obs::Histogram max;
+  max.observe(std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(max.bucket(39), 1);
 }
 
 TEST(MetricsRegistry, JsonExportIsWellFormed) {
@@ -148,7 +160,6 @@ TEST(MetricsRegistry, PrometheusExportFollowsConventions) {
   EXPECT_NE(text.find("kstable_wall_us_count 1"), std::string::npos);
 }
 
-#if KSTABLE_METRICS_ENABLED
 TEST(MetricsMacros, FeedTheGlobalRegistry) {
   auto& counter = obs::MetricsRegistry::global().counter("test.macro.counter");
   const std::int64_t before = counter.value();
@@ -164,7 +175,6 @@ TEST(MetricsMacros, FeedTheGlobalRegistry) {
       obs::MetricsRegistry::global().gauge("test.macro.gauge_ms").value(),
       1250);
 }
-#endif
 
 // --------------------------------------------------------------------------
 // SolveTelemetry: record shape and exporters
@@ -298,7 +308,6 @@ TEST(SolveTelemetry, AbortedSolveCarriesAbortStatus) {
   EXPECT_NE(json.find("\"outcome\":\"aborted\""), std::string::npos);
 }
 
-#if KSTABLE_METRICS_ENABLED
 TEST(SolveTelemetry, RecordFoldsIntoGlobalRegistry) {
   auto& registry = obs::MetricsRegistry::global();
   const std::int64_t count_before =
@@ -345,6 +354,13 @@ TEST(SolveTelemetry, CacheCountersComeFromTheCacheItself) {
   EXPECT_EQ(misses - misses_before,
             first.telemetry.cache_misses + second.telemetry.cache_misses);
 }
-#endif
+
+TEST(SolveTelemetry, RecordRejectsAnOverlongEngineLabel) {
+  // A solve.<engine>.<field> name that does not fit record()'s name buffer
+  // is a contract violation, never a truncated series.
+  obs::SolveTelemetry t;
+  t.engine = "an.engine.label.far.too.long.for.any.solve.series.name";
+  EXPECT_THROW(obs::record(t), ContractViolation);
+}
 
 }  // namespace

@@ -411,11 +411,9 @@ TEST(RunVerification, MismatchCounterFeedsTheMetricsRegistry) {
   }
   EXPECT_EQ(summary.telemetry.status.outcome,
             resilience::SolveOutcome::no_stable);
-#if KSTABLE_METRICS_ENABLED
   std::ostringstream os;
   obs::MetricsRegistry::global().write_json(os);
   EXPECT_NE(os.str().find("verify.mismatches"), std::string::npos);
-#endif
 }
 
 }  // namespace
