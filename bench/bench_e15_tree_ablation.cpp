@@ -196,10 +196,9 @@ void report() {
     const Gender ck = 5;
     Rng rng(7309);
     const auto inst = gen::uniform(ck, 64, rng);
-    // score_table binds every tree (E18 measures the best_cost table scan,
-    // which binds only the winner), so the cache effect shows here.
+    // The sweep binds every tree (E18 measures core::best_tree, which binds
+    // only the winner), so the cache effect shows here.
     core::TreeSweepOptions sweep_options;
-    sweep_options.fold = core::SweepFold::score_table;
     sweep_options.keep_matchings = true;
     const auto off = core::sweep_all_trees(inst, sweep_options);
     core::GsEdgeCache cache(ck);

@@ -4,9 +4,9 @@
 //   kmatch gen   <k> <n> <seed> <file>       write a random instance
 //   kmatch kary  <file> [tree]               stable k-ary matching (Algorithm 1)
 //                                            tree: path | star | random |
-//                                            priority | best (bound-pair cost
-//                                            argmin over all k^(k-2) trees,
-//                                            k <= 9)
+//                                            priority | best (least
+//                                            bound-pair cost over all k^(k-2)
+//                                            trees: a minimum arborescence)
 //   kmatch binary <file> [lin]               stable binary matching via the
 //                                            roommates solver; lin: rr | blocks
 //   kmatch roommates <file>                  solve a roommates-format instance
@@ -87,11 +87,9 @@
 #include "analysis/dot.hpp"
 #include "analysis/metrics.hpp"
 #include "core/binding.hpp"
-#include "core/gs_cache.hpp"
 #include "core/priority_binding.hpp"
 #include "core/supergender.hpp"
 #include "core/tree_selection.hpp"
-#include "core/tree_sweep.hpp"
 #include "example_args.hpp"
 #include "graph/binding_structure.hpp"
 #include "graph/prufer.hpp"
@@ -280,23 +278,13 @@ int cmd_kary(int argc, char** argv) {
     g_telemetry = result.telemetry;
     tree = pr.tree;
   } else if (shape == "best") {
-    if (prufer::cayley_count(k) > core::kMaxSweepTrees) {
-      std::cerr << "kary best sweeps all k^(k-2) trees; k = " << k
-                << " spans " << prufer::cayley_count(k) << ", above the "
-                << core::kMaxSweepTrees << "-tree guard\n";
-      return 2;
-    }
-    core::TreeSweepOptions sopts;
-    sopts.control = budget_control();
-    core::GsEdgeCache cache(inst);
-    sopts.cache = &cache;
-    auto sweep = core::sweep_all_trees(inst, sopts);
-    g_telemetry = sweep.telemetry;
-    std::cout << "scanned " << sweep.stats.trees << " trees; best tree index "
-              << sweep.best_index << ", bound-pair cost " << sweep.best_cost
-              << '\n';
-    tree = *sweep.best_tree;
-    result = std::move(*sweep.best);
+    core::BindingOptions bopts;
+    bopts.control = budget_control();
+    auto best = core::best_tree(inst, bopts);
+    g_telemetry = best.binding.telemetry;
+    std::cout << "best tree: bound-pair cost " << best.optimum.cost << '\n';
+    tree = best.tree;
+    result = std::move(best.binding);
   } else {
     if (shape == "path") {
       tree = trees::path(k);

@@ -18,6 +18,8 @@
 #   * the `kmatch serve` / `kmatch ping` exit-code contract: bad transport
 #     flags exit 2, a clean stdio drain exits 0, a drain that cannot meet
 #     its deadline exits 3, and `ping` without a reachable server exits 1;
+#   * `kary best` runs above Cayley's 5M-tree sweep guard (k = 10 and 16)
+#     and prints the same output with and without --sweep-threads=4;
 #   * `--sweep-threads` is inert for `kary --fallback`: the ladder runs its
 #     strict rungs in order and prints the same output with and without
 #     --sweep-threads=4, and an exhausted ladder exits 3 after the same 5
@@ -248,7 +250,7 @@ if [ "$flags_ok" -eq "$flags_probed" ]; then
   echo "ok: all $flags_probed flags reject bad values with exit 2"
 fi
 
-# --- kary best: --sweep-threads does not reach the sequential scan ---------
+# --- kary best: --sweep-threads does not reach best_tree ------------------
 BEST_OUT="$WORK_DIR/cli_reg.best"
 BEST_THREADS_OUT="$WORK_DIR/cli_reg.best_threads"
 if ! "$KMATCH" kary "$INST" best >"$BEST_OUT"; then
@@ -256,28 +258,34 @@ if ! "$KMATCH" kary "$INST" best >"$BEST_OUT"; then
 elif ! "$KMATCH" --sweep-threads=4 kary "$INST" best >"$BEST_THREADS_OUT"; then
   note_failure "kary best --sweep-threads=4 failed"
 elif cmp -s "$BEST_OUT" "$BEST_THREADS_OUT" \
-    && grep -q "^scanned 3 trees; best tree index " "$BEST_OUT"; then
+    && grep -q "^best tree: bound-pair cost [0-9]*$" "$BEST_OUT"; then
   echo "ok: kary best output is byte-identical with --sweep-threads=4"
 else
   note_failure "kary best output differs with --sweep-threads=4"
 fi
 
-# --- kary best: k = 10 spans Cayley's 10^8 trees, above the sweep guard ----
-GUARD_INST="$WORK_DIR/cli_reg_guard.inst"
-GUARD_ERR="$WORK_DIR/cli_reg.guard_err"
-if ! "$KMATCH" gen 10 1 5 "$GUARD_INST" >/dev/null; then
-  note_failure "gen for the k=10 guard instance failed"
-else
-  "$KMATCH" kary "$GUARD_INST" best >/dev/null 2>"$GUARD_ERR"
-  rc=$?
-  if [ "$rc" -ne 2 ]; then
-    note_failure "kary best on k=10: exit $rc, expected 2"
-  elif ! grep -qF -- "-tree guard" "$GUARD_ERR"; then
-    note_failure "kary best on k=10: stderr lacks '-tree guard'"
-  else
-    echo "ok: kary best refuses k=10 above the tree guard"
+# --- kary best above Cayley's sweep guard: k = 10 (10^8 trees) and k = 16 ---
+# n = 1: every tree has bound-pair cost 0.
+for spec in 10:1:0 16:4:; do
+  IFS=: read -r bk bn bcost <<<"$spec"
+  BIG_INST="$WORK_DIR/cli_reg_best_$bk.inst"
+  BIG_OUT="$WORK_DIR/cli_reg.best_$bk"
+  if ! "$KMATCH" gen "$bk" "$bn" 5 "$BIG_INST" >/dev/null; then
+    note_failure "gen for the k=$bk best instance failed"
+    continue
   fi
-fi
+  "$KMATCH" kary "$BIG_INST" best >"$BIG_OUT" 2>&1
+  rc=$?
+  if [ "$rc" -ne 0 ]; then
+    note_failure "kary best on k=$bk: exit $rc, expected 0"
+  elif ! grep -q "^best tree: bound-pair cost ${bcost:-[0-9]*}$" "$BIG_OUT"; then
+    note_failure "kary best on k=$bk: no 'best tree: bound-pair cost ${bcost:-C}' line"
+  elif [ "$(grep -c '^family ' "$BIG_OUT")" -ne "$bn" ]; then
+    note_failure "kary best on k=$bk: expected $bn families"
+  else
+    echo "ok: kary best on k=$bk (n = $bn) exits 0${bcost:+ with cost $bcost}"
+  fi
+done
 
 # --- kary --fallback: --sweep-threads does not reach the in-order ladder -----
 # k = 4: four strict candidate trees plus the degraded rung.

@@ -51,10 +51,10 @@ mv bench_output.txt.partial bench_output.txt
 # Regression gates: each fresh run must not regress the committed
 # baseline's deterministic counters or its pinned within-file time ratios
 # (machine-portable; see scripts/compare_bench.py --help for the classes).
-# E18: trees scanned (k^(k-2)) and fresh GS runs ((k-1)^2) are exact.
+# E18: best_tree's fresh GS runs ((k-1)^2) are exact.
 python3 scripts/compare_bench.py \
   --baseline bench/baselines/BENCH_E18.json --fresh BENCH_e18.json \
-  --exact-counter trees --exact-counter gs_runs
+  --exact-counter gs_runs
 # E19: exact proposal counters of the queue engine on the compact layout.
 python3 scripts/compare_bench.py \
   --baseline bench/baselines/BENCH_E19.json --fresh BENCH_e19.json

@@ -59,10 +59,24 @@ BindingStructure decode(const std::vector<Gender>& seq, Gender k) {
     KSTABLE_REQUIRE(v >= 0 && v < k, "Prüfer entry " << v << " out of range");
   }
   BindingStructure tree(k);
-  std::vector<std::int32_t> degree;
-  for_each_decoded_edge(seq, k, degree, [&tree](Gender leaf, Gender parent) {
-    tree.add_edge({leaf, parent});
-  });
+  std::vector<std::int32_t> degree(static_cast<std::size_t>(k), 1);
+  for (const Gender v : seq) ++degree[static_cast<std::size_t>(v)];
+  Gender ptr = 0;
+  while (degree[static_cast<std::size_t>(ptr)] != 1) ++ptr;
+  Gender leaf = ptr;
+  for (const Gender v : seq) {
+    tree.add_edge({leaf, v});
+    if (--degree[static_cast<std::size_t>(v)] == 1 && v < ptr) {
+      leaf = v;  // new leaf below the scan pointer: take it immediately
+    } else {
+      while (degree[static_cast<std::size_t>(++ptr)] != 1) {
+      }
+      leaf = ptr;
+    }
+  }
+  // The last edge joins the final leaf with the one remaining degree-1
+  // node, always k-1 after the loop's degree accounting.
+  tree.add_edge({leaf, k - 1});
   KSTABLE_ENSURE(tree.is_spanning_tree(), "Prüfer decode produced a non-tree");
   return tree;
 }

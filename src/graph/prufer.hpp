@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/binding_structure.hpp"
@@ -18,47 +17,10 @@ namespace kstable::prufer {
 /// Prüfer sequence of a spanning tree (length k-2; empty for k = 2).
 std::vector<Gender> encode(const BindingStructure& tree);
 
-/// Tree for a Prüfer sequence over k = seq.size() + 2 labels.
+/// Tree for a Prüfer sequence over k = seq.size() + 2 labels. Each edge is
+/// oriented from the removed leaf to its parent, the last one into k-1 (so
+/// gender k-1 never proposes): the in-arborescence rooted at k-1.
 BindingStructure decode(const std::vector<Gender>& seq, Gender k);
-
-/// The edges decode(seq, k) adds, in its order: visit(leaf, parent) once per
-/// edge, each oriented from the removed leaf to its parent, the last one
-/// into k-1 (so gender k-1 is never a leaf). `degree` is scratch, resized to
-/// k, so a caller scanning many codes decodes without allocating. Does not
-/// validate `seq`; decode does.
-template <typename EdgeVisitor>
-void for_each_decoded_edge(std::span<const Gender> seq, Gender k,
-                           std::vector<std::int32_t>& degree,
-                           EdgeVisitor&& visit) {
-  degree.assign(static_cast<std::size_t>(k), 1);
-  for (const Gender v : seq) ++degree[static_cast<std::size_t>(v)];
-  Gender ptr = 0;
-  while (degree[static_cast<std::size_t>(ptr)] != 1) ++ptr;
-  Gender leaf = ptr;
-  for (const Gender v : seq) {
-    visit(leaf, v);
-    if (--degree[static_cast<std::size_t>(v)] == 1 && v < ptr) {
-      leaf = v;  // new leaf below the scan pointer: take it immediately
-    } else {
-      while (degree[static_cast<std::size_t>(++ptr)] != 1) {
-      }
-      leaf = ptr;
-    }
-  }
-  // The last edge joins the final leaf with the one remaining degree-1
-  // node, always k-1 after the loop's degree accounting.
-  visit(leaf, k - 1);
-}
-
-/// Advances `seq` to the next code of the enumeration order (the odometer
-/// over {0..k-1}^(k-2), seq[0] least significant); false after the last.
-inline bool next_code(std::vector<Gender>& seq, Gender k) {
-  for (auto& digit : seq) {
-    if (++digit < k) return true;
-    digit = 0;
-  }
-  return false;
-}
 
 /// Uniformly random labeled tree on k genders (uniform Prüfer sequence).
 BindingStructure random_tree(Gender k, Rng& rng);
@@ -81,9 +43,13 @@ template <typename Visitor>
 void enumerate_trees(Gender k, Visitor&& visit) {
   if (k == 1) return;
   std::vector<Gender> seq(static_cast<std::size_t>(k > 2 ? k - 2 : 0), 0);
-  do {
+  for (;;) {
     visit(decode(seq, k));
-  } while (next_code(seq, k));
+    // The odometer step, seq[0] least significant; done after the last code.
+    std::size_t j = 0;
+    for (; j < seq.size() && ++seq[j] == k; ++j) seq[j] = 0;
+    if (j == seq.size()) return;
+  }
 }
 
 }  // namespace kstable::prufer

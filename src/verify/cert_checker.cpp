@@ -245,6 +245,72 @@ std::optional<CertFailure> check_roommates_certificate(
   return std::nullopt;
 }
 
+std::optional<CertFailure> check_best_tree_certificate(
+    const std::vector<std::int64_t>& cost, const BindingStructure& tree,
+    const std::vector<core::DualSet>& dual) {
+  const Gender k = tree.genders();
+  const auto m = static_cast<std::size_t>(k);
+  if (cost.size() != m * m) {
+    VERIFY_FAIL("cost table has " << cost.size() << " entries for k=" << k);
+  }
+  if (!tree.is_spanning_tree()) VERIFY_FAIL("the tree does not span");
+  std::vector<bool> proposes(m, false);
+  for (const auto& e : tree.edges()) {
+    if (e.a == k - 1 || proposes[static_cast<std::size_t>(e.a)]) {
+      VERIFY_FAIL("edge " << e.a << "->" << e.b
+                          << ": not an in-arborescence rooted at " << k - 1);
+    }
+    proposes[static_cast<std::size_t>(e.a)] = true;
+  }
+  // in[s][g]: gender g belongs to set s.
+  std::vector<std::vector<bool>> in(dual.size(), std::vector<bool>(m, false));
+  std::int64_t y_sum = 0;
+  for (std::size_t s = 0; s < dual.size(); ++s) {
+    if (dual[s].members.empty() || dual[s].y < 0) {
+      VERIFY_FAIL("dual set " << s << " is empty or has y < 0");
+    }
+    for (const Gender g : dual[s].members) {
+      if (g < 0 || g >= k - 1 || in[s][static_cast<std::size_t>(g)]) {
+        VERIFY_FAIL("dual set " << s << " holds gender " << g
+                                << " out of range, twice, or the root");
+      }
+      in[s][static_cast<std::size_t>(g)] = true;
+    }
+    y_sum += dual[s].y;
+  }
+  // Reduced cost of a→b: c(a→b) minus y_S over the sets a leaves.
+  const auto reduced = [&](std::size_t a, std::size_t b) {
+    std::int64_t r = cost[a * m + b];
+    for (std::size_t s = 0; s < dual.size(); ++s) {
+      if (in[s][a] && !in[s][b]) r -= dual[s].y;
+    }
+    return r;
+  };
+  for (std::size_t a = 0; a + 1 < m; ++a) {
+    for (std::size_t b = 0; b < m; ++b) {
+      if (a != b && reduced(a, b) < 0) {
+        VERIFY_FAIL("edge " << a << "->" << b << " has reduced cost "
+                            << reduced(a, b) << " < 0");
+      }
+    }
+  }
+  std::int64_t tree_cost = 0;
+  for (const auto& e : tree.edges()) {
+    const auto a = static_cast<std::size_t>(e.a);
+    const auto b = static_cast<std::size_t>(e.b);
+    if (reduced(a, b) != 0) {
+      VERIFY_FAIL("tree edge " << e.a << "->" << e.b << " has reduced cost "
+                               << reduced(a, b) << ", not 0");
+    }
+    tree_cost += cost[a * m + b];
+  }
+  if (y_sum != tree_cost) {
+    VERIFY_FAIL("dual sum " << y_sum << " differs from the tree's cost "
+                            << tree_cost);
+  }
+  return std::nullopt;
+}
+
 #undef VERIFY_FAIL
 
 }  // namespace kstable::verify

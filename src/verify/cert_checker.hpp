@@ -25,6 +25,13 @@
 //                         polynomial k' = 2 screen of §IV.A, re-derived).
 //   * roommates match   — a fixed-point-free involution on mutually
 //                         acceptable pairs with no blocking pair.
+//   * best binding tree — an in-arborescence rooted at k-1 over the edge-cost
+//                         table, with a Fulkerson dual (y_S >= 0 on gender
+//                         sets without k-1) whose reduced costs are all >= 0,
+//                         tight on every tree edge, and whose Σ y_S equals
+//                         the tree's cost: weak LP duality then proves no
+//                         tree costs less. Checked from the table, the tree
+//                         and y alone in O(k³), without re-running Edmonds.
 //
 // An abort must leave NO certificate: the harness asserts that any solve
 // ending in ExecutionAborted produced no matching claimed stable — the
@@ -35,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "core/tree_selection.hpp"
 #include "graph/binding_structure.hpp"
 #include "gs/gale_shapley.hpp"
 #include "prefs/kpartite.hpp"
@@ -68,6 +76,14 @@ std::optional<CertFailure> check_gs_certificate(const KPartiteInstance& inst,
 std::optional<CertFailure> check_kary_certificate(
     const KPartiteInstance& inst, const KaryMatching& matching,
     const BindingStructure& bound);
+
+/// Validates a minimum-cost binding-tree certificate: `tree` orients every
+/// edge toward gender k-1 (each other gender proposes exactly once), and
+/// `dual` proves its cost Σ cost[a*k + b] over its edges a→b minimal among
+/// all such trees. cost[a*k + b] is read for a < k-1, b ≠ a.
+std::optional<CertFailure> check_best_tree_certificate(
+    const std::vector<std::int64_t>& cost, const BindingStructure& tree,
+    const std::vector<core::DualSet>& dual);
 
 /// Validates a perfect roommates matching: involution, no fixed points,
 /// mutual acceptability, no blocking pair. `match[p]` = partner of p.

@@ -6,6 +6,7 @@
 
 #include "core/binding.hpp"
 #include "core/gs_cache.hpp"
+#include "core/tree_selection.hpp"
 #include "core/tree_sweep.hpp"
 #include "graph/binding_structure.hpp"
 #include "gs/parallel_gs.hpp"
@@ -376,22 +377,27 @@ void binding_checks(const KPartiteInstance& inst, const Recorder& rec,
   }
 }
 
-/// The additive identity behind `kary best`: the best_cost fold's edge-table
-/// argmin names the tree, cost and matching that binding every tree
-/// (score_table) names.
-void sweep_table_checks(const KPartiteInstance& inst, const Recorder& rec) {
-  core::TreeSweepOptions options;
-  const auto table = core::sweep_all_trees(inst, options);
-  options.fold = core::SweepFold::score_table;
-  const auto every = core::sweep_all_trees(inst, options);
+/// `kary best`: core::best_tree's Edmonds winner carries a valid Fulkerson
+/// certificate over its cost table, and binding every tree agrees with it:
+/// the same least bound-pair cost, and when that minimum is unique the same
+/// tree and matching.
+void best_tree_checks(const KPartiteInstance& inst, const Recorder& rec) {
+  const auto best = core::best_tree(inst);
+  rec.cert(check_best_tree_certificate(best.costs, best.tree,
+                                       best.optimum.dual),
+           "binding.best.cert");
+  const auto every = core::sweep_all_trees(inst);
+  std::int64_t tied = 0;
+  for (const auto& point : every.per_tree) {
+    tied += point.bound_pair_cost == every.best_cost ? 1 : 0;
+  }
   std::ostringstream os;
-  os << "table argmin: tree " << table.best_index << ", cost "
-     << table.best_cost << "; every tree bound: tree " << every.best_index
-     << ", cost " << every.best_cost;
-  rec.check(table.succeeded() && every.succeeded() &&
-                table.best_index == every.best_index &&
-                table.best_cost == every.best_cost &&
-                table.matching() == every.matching(),
+  os << "best_tree cost " << best.optimum.cost << "; every tree bound: tree "
+     << every.best_index << ", cost " << every.best_cost << " (" << tied
+     << " at that cost)";
+  rec.check(every.succeeded() && best.optimum.cost == every.best_cost &&
+                (tied > 1 || (best.tree.edges() == every.best_tree->edges() &&
+                              best.binding.matching() == every.matching())),
             "binding.sweep.table.bitwise", os.str());
 }
 
@@ -659,7 +665,7 @@ BatteryResult run_battery(const KPartiteInstance& inst, Shape shape,
 
   implicit_checks(rec, options);
   binding_checks(inst, rec, options);
-  if (shape == Shape::kpartite) sweep_table_checks(inst, rec);
+  if (shape == Shape::kpartite) best_tree_checks(inst, rec);
   if (options.churn_steps > 0) churn_checks(inst, rec, options);
 
   if (shape == Shape::bipartite && inst.genders() == 2) {

@@ -207,7 +207,7 @@ std::int64_t clean_checks(Shape shape, std::uint64_t seeds,
 
 TEST(DiffRunner, CleanSweepAcrossAllShapes) {
   EXPECT_EQ(clean_checks(Shape::bipartite, 15), 975);
-  EXPECT_EQ(clean_checks(Shape::kpartite, 15), 4730);
+  EXPECT_EQ(clean_checks(Shape::kpartite, 15), 4745);
   EXPECT_EQ(clean_checks(Shape::roommates, 15), 4157);
 }
 
@@ -215,13 +215,13 @@ TEST(DiffRunner, ParallelEngineLegJoinsTheBattery) {
   ThreadPool pool(2);
   DiffOptions options;
   options.pool = &pool;
-  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1616);
+  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1621);
 }
 
 TEST(DiffRunner, ChurnLegsJoinTheBattery) {
   DiffOptions options;
   options.churn_steps = 3;
-  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1517);
+  EXPECT_EQ(clean_checks(Shape::kpartite, 5, options), 1522);
 }
 
 TEST(DiffRunner, GsSabotageIsDetected) {
