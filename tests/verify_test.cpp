@@ -14,6 +14,7 @@
 #include <string>
 
 #include "core/binding.hpp"
+#include "core/tree_selection.hpp"
 #include "graph/binding_structure.hpp"
 #include "gs/gale_shapley.hpp"
 #include "observability/metrics.hpp"
@@ -144,6 +145,45 @@ TEST(CertChecker, KaryShapeMismatchIsReported) {
       check_kary_certificate(inst, result.matching(), trees::path(3));
   ASSERT_TRUE(failure.has_value());
   EXPECT_NE(failure->what.find("shape"), std::string::npos);
+}
+
+TEST(CertChecker, BestTreeAcceptsEdmondsAndRejectsTampering) {
+  Rng rng(16);
+  const Gender k = 5;
+  const auto inst = gen::uniform(k, 6, rng);
+  const auto best = core::best_tree(inst);
+  const auto failure = [&best](const BindingStructure& tree,
+                               const std::vector<core::DualSet>& dual) {
+    const auto f = check_best_tree_certificate(best.costs, tree, dual);
+    return f ? f->what : std::string();
+  };
+  const auto& y = best.optimum.dual;
+  EXPECT_EQ(failure(best.tree, y), "");
+
+  auto raised = y;  // over-claims: a tight edge out of {0} goes negative
+  raised.front().y += 1;
+  EXPECT_NE(failure(best.tree, raised).find("reduced cost"), std::string::npos);
+  auto negative = y;
+  negative.front().y = -1;
+  EXPECT_NE(failure(best.tree, negative).find("y < 0"), std::string::npos);
+  auto rooted = y;
+  rooted.push_back({{k - 1}, 0});
+  EXPECT_NE(failure(best.tree, rooted).find("the root"), std::string::npos);
+
+  BindingStructure flipped(k);  // the root proposes
+  for (const auto& e : best.tree.edges()) {
+    flipped.add_edge(e.b == k - 1 ? GenderEdge{e.b, e.a} : e);
+  }
+  EXPECT_NE(failure(flipped, y).find("in-arborescence"), std::string::npos);
+
+  // A costlier in-arborescence cannot borrow the optimum's dual.
+  const auto path = trees::path(k);
+  std::int64_t path_cost = 0;
+  for (const auto& e : path.edges()) {
+    path_cost += best.costs[static_cast<std::size_t>(e.a * k + e.b)];
+  }
+  ASSERT_GT(path_cost, best.optimum.cost);
+  EXPECT_NE(failure(path, y), "");
 }
 
 TEST(CertChecker, RoommatesAcceptsSolverOutputRejectsCorruption) {
